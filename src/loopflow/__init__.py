@@ -7,8 +7,7 @@ diameter-sizing problem.
 """
 
 from .fileio import NetworkFileError, parse_network, write_network, write_trace
-from .fluids import GasModel, PipeEval, WaterModel, make_fluid_model
-from .kernels import BACKEND
+from .fluids import GasModel, WaterModel, make_fluid_model
 from .model import (
     FlowState,
     FluidSpec,
@@ -41,7 +40,6 @@ from .topology import LoopBasis, NodeMatrix, adopt_explicit_loops, build_node_ma
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "DenseSystem",
     "FlowState",
     "FluidSpec",
@@ -57,7 +55,6 @@ __all__ = [
     "NodeSpec",
     "NODE_LOOP",
     "Pipe",
-    "PipeEval",
     "SingularSystemError",
     "SizingConfig",
     "SizingReport",

@@ -226,7 +226,7 @@ def trace_rows(report: SolveReport, net: Network) -> list[list[str]]:
     sign is relative to the previous column's direction (a negative cell
     marks the pass where a pipe's flow reversed).
     """
-    states = report.iterations
+    states = [state.as_m3h() for state in report.iterations]
     header = ["pipe", "initial"]
     header += [str(k) for k in range(1, len(states))]
     header.append("velocity_m_s")
@@ -236,7 +236,7 @@ def trace_rows(report: SolveReport, net: Network) -> list[list[str]]:
         cells = [str(p.id)]
         previous = None
         for state in states:
-            q_m3h = state.as_m3h()[p.id]
+            q_m3h = state[p.id]
             if previous is None:
                 cells.append(f"{q_m3h:.2f}")
             else:

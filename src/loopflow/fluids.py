@@ -1,34 +1,26 @@
-"""Per-pipe pressure functions for the two supported fluids.
+"""Pressure functions of the two supported fluids, over arrays of pipes.
 
-A `FluidModel` turns a pipe and a flow magnitude into the pressure function
-used by the network equations: the squared-pressure (Renouard) drop for
-distribution gas, the Colebrook/Darcy-Weisbach drop for water.  Solvers
-only talk to this interface, so the two fluids share every solver path.
+A `FluidModel` turns pipe geometry and flow magnitudes into the pressure
+function used by the network equations: the squared-pressure (Renouard)
+drop for distribution gas, the Colebrook/Darcy-Weisbach drop for water.
+`pipe` is either one `Pipe` with scalar flows or the `PipeArrays` of a
+whole network with one flow per pipe, so a solver pass evaluates every
+pipe in one call.  Solvers only talk to this interface, so the two fluids
+share every solver path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import kernels
-from .model import GAS, WATER, FluidSpec, Pipe
+from .kernels import Values
+from .model import GAS, WATER, FluidSpec, Pipe, PipeArrays
 
 # Residual units of the loop equations per fluid kind.
 RESIDUAL_UNIT = {GAS: "Pa2", WATER: "Pa"}
-
-
-@dataclass(frozen=True)
-class PipeEval:
-    """Pressure function and flow derivative of one pipe at one flow.
-
-    `drop` is evaluated at the flow magnitude itself, `ddrop_dflow` at the
-    magnitude floored away from zero (a zero derivative would zero out a
-    loop row).  `friction_factor` and `reynolds` are water-only diagnostics.
-    """
-    drop: float
-    ddrop_dflow: float
-    friction_factor: float | None = None
-    reynolds: float | None = None
 
 
 class FluidModel:
@@ -36,20 +28,26 @@ class FluidModel:
 
     kind: str
 
-    def evaluate(self, pipe: Pipe, flow: float, dflow_floor: float) -> PipeEval:
+    def evaluate(self, pipe: Pipe | PipeArrays, flow: Values,
+                 dflow_floor: float) -> tuple[Values, Values]:
+        """Drop at the flow magnitude `flow`, and |d drop/d flow| at the
+        magnitude floored to `dflow_floor` (a zero derivative would zero
+        out a loop row)."""
         raise NotImplementedError
 
-    def drop(self, pipe: Pipe, flow: float) -> float:
+    def drop(self, pipe: Pipe | PipeArrays, flow: Values) -> Values:
         raise NotImplementedError
 
-    def ddrop_ddiam(self, pipe: Pipe, flow: float, diameter: float) -> float:
+    def ddrop_ddiam(self, pipe: Pipe | PipeArrays, flow: Values,
+                    diameter: Values) -> Values:
         """Diameter sensitivity of the drop at fixed flow (sizing problem)."""
         raise NotImplementedError
 
-    def drop_at_diameter(self, pipe: Pipe, flow: float, diameter: float) -> float:
+    def drop_at_diameter(self, pipe: Pipe | PipeArrays, flow: Values,
+                         diameter: Values) -> Values:
         raise NotImplementedError
 
-    def velocity(self, pipe: Pipe, flow: float) -> float:
+    def velocity(self, pipe: Pipe | PipeArrays, flow: Values) -> Values:
         raise NotImplementedError
 
 
@@ -60,16 +58,14 @@ class GasModel(FluidModel):
     kind: str = GAS
 
     def evaluate(self, pipe, flow, dflow_floor):
-        floored = max(flow, dflow_floor)
-        return PipeEval(
-            drop=kernels.renouard_drop(self.rel_density, pipe.length, flow,
-                                       pipe.diameter),
-            ddrop_dflow=kernels.renouard_drop_dflow(
-                self.rel_density, pipe.length, floored, pipe.diameter))
+        return (kernels.renouard_drop(self.rel_density, pipe.length, flow,
+                                      pipe.diameter),
+                kernels.renouard_drop_dflow(self.rel_density, pipe.length,
+                                            np.maximum(flow, dflow_floor),
+                                            pipe.diameter))
 
     def drop(self, pipe, flow):
-        return kernels.renouard_drop(self.rel_density, pipe.length, flow,
-                                     pipe.diameter)
+        return self.drop_at_diameter(pipe, flow, pipe.diameter)
 
     def drop_at_diameter(self, pipe, flow, diameter):
         return kernels.renouard_drop(self.rel_density, pipe.length, flow, diameter)
@@ -88,44 +84,38 @@ class WaterModel(FluidModel):
     viscosity: float
     kind: str = WATER
 
-    def _friction_factor(self, flow: float, diameter: float,
-                         roughness: float) -> tuple[float, float]:
-        re = kernels.reynolds_number(self.density, self.viscosity, flow, diameter)
-        return kernels.colebrook_friction_factor(re, roughness / diameter), re
+    def _friction_factor(self, flow: Values, diameter: Values,
+                         roughness: Values) -> Values:
+        # A zero flow has zero drop and zero derivatives whatever its
+        # friction factor; a unit stand-in flow keeps that factor defined.
+        re = kernels.reynolds_number(self.density, self.viscosity,
+                                     np.where(flow > 0.0, flow, 1.0), diameter)
+        return kernels.colebrook_friction_factor(re, roughness / diameter)
 
     def evaluate(self, pipe, flow, dflow_floor):
-        floored = max(flow, dflow_floor)
-        lam_d, re_d = self._friction_factor(floored, pipe.diameter, pipe.roughness)
+        floored = np.maximum(flow, dflow_floor)
+        lam = self._friction_factor(floored, pipe.diameter, pipe.roughness)
         ddrop = kernels.darcy_weisbach_drop_dflow(
-            lam_d, pipe.length, floored, pipe.diameter, self.density)
-        if flow == floored:
-            lam, re = lam_d, re_d
-        elif flow > 0.0:
-            lam, re = self._friction_factor(flow, pipe.diameter, pipe.roughness)
-        else:
-            lam, re = lam_d, 0.0
-        drop = (kernels.darcy_weisbach_drop(lam, pipe.length, flow,
-                                            pipe.diameter, self.density)
-                if flow > 0.0 else 0.0)
-        return PipeEval(drop=drop, ddrop_dflow=ddrop, friction_factor=lam,
-                        reynolds=re)
+            lam, pipe.length, floored, pipe.diameter, self.density)
+        if ((flow > 0.0) & (floored > flow)).any():
+            # The drop of a flow under the floor takes its own friction factor.
+            lam = self._friction_factor(flow, pipe.diameter, pipe.roughness)
+        drop = kernels.darcy_weisbach_drop(lam, pipe.length, flow, pipe.diameter,
+                                           self.density)
+        return drop, ddrop
 
     def drop(self, pipe, flow):
         return self.drop_at_diameter(pipe, flow, pipe.diameter)
 
     def drop_at_diameter(self, pipe, flow, diameter):
-        if flow <= 0.0:
-            return 0.0
-        lam, _ = self._friction_factor(flow, diameter, pipe.roughness)
+        lam = self._friction_factor(flow, diameter, pipe.roughness)
         return kernels.darcy_weisbach_drop(lam, pipe.length, flow, diameter,
                                            self.density)
 
     def ddrop_ddiam(self, pipe, flow, diameter):
         # Friction factor frozen at the current state, as in the flow
         # derivative: only the explicit diameter dependence is followed.
-        if flow <= 0.0:
-            return 0.0
-        lam, _ = self._friction_factor(flow, diameter, pipe.roughness)
+        lam = self._friction_factor(flow, diameter, pipe.roughness)
         return kernels.darcy_weisbach_drop_ddiam(lam, pipe.length, flow,
                                                  diameter, self.density)
 

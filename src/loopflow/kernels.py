@@ -1,31 +1,169 @@
-"""Kernel backend selection: compiled extension if built, else pure Python.
+"""Hydraulic kernels: pressure functions, their derivatives, Colebrook.
 
-Both backends expose the same nine scalar functions with identical
-semantics; `BACKEND` records which one is active.  `benchmarks/` in the
-source tree compares their throughput.
+Every function evaluates elementwise over numpy arrays (one element per
+pipe) and also accepts plain scalars.  The fluid models call each kernel
+once per solver pass for all pipes of a network.  Any element outside a
+function's domain raises ValueError.
+
+Units are strict SI throughout: flows in m³/s, lengths and diameters in m,
+pressures in Pa (gas pressure functions are differences of squared
+pressures, Pa²).
 """
 
-from . import _kernels_py
+import math
 
-try:  # compiled twin, built by setup.py when Cython is available
-    from . import _kernels as _impl  # type: ignore[attr-defined]
-    BACKEND = "compiled"
-except ImportError:
-    _impl = _kernels_py
-    BACKEND = "python"
+import numpy as np
 
-RENOUARD_COEFF = _kernels_py.RENOUARD_COEFF
-RENOUARD_FLOW_EXP = _kernels_py.RENOUARD_FLOW_EXP
-RENOUARD_DIAM_EXP = _kernels_py.RENOUARD_DIAM_EXP
-LAMINAR_RE_LIMIT = _kernels_py.LAMINAR_RE_LIMIT
-TURBULENT_RE_LIMIT = _kernels_py.TURBULENT_RE_LIMIT
+# Renouard relation for distribution-pressure natural gas:
+#   p1² - p2² = 4810 · rho_r · L · Q^1.82 / d^4.82
+RENOUARD_COEFF = 4810.0
+RENOUARD_FLOW_EXP = 1.82
+RENOUARD_DIAM_EXP = 4.82
 
-renouard_drop = _impl.renouard_drop
-renouard_drop_dflow = _impl.renouard_drop_dflow
-renouard_drop_ddiam = _impl.renouard_drop_ddiam
-reynolds_number = _impl.reynolds_number
-colebrook_friction_factor = _impl.colebrook_friction_factor
-darcy_weisbach_drop = _impl.darcy_weisbach_drop
-darcy_weisbach_drop_dflow = _impl.darcy_weisbach_drop_dflow
-darcy_weisbach_drop_ddiam = _impl.darcy_weisbach_drop_ddiam
-flow_velocity = _impl.flow_velocity
+# Friction-factor regimes: laminar below, Colebrook above, linear blend
+# in between (solver iterates may transit low flows even when the final
+# state is fully turbulent).
+LAMINAR_RE_LIMIT = 2300.0
+TURBULENT_RE_LIMIT = 4000.0
+
+COLEBROOK_TOL = 1e-12
+COLEBROOK_MAX_ITER = 100
+
+_TWO_OVER_LN10 = 2.0 / math.log(10.0)
+
+# A scalar, or an array with one element per pipe.
+Values = float | np.ndarray
+
+
+def _reject(values: Values, bad, message: str) -> None:
+    """Raise ValueError naming the first element flagged in `bad`."""
+    if bad.any():
+        raise ValueError(f"{message}, got {np.asarray(values)[bad].flat[0]}")
+
+
+def _check_pipe(length: Values, diameter: Values, flow: Values) -> None:
+    _reject(diameter, np.less_equal(diameter, 0.0), "pipe diameter must be > 0 m")
+    _reject(length, np.less_equal(length, 0.0), "pipe length must be > 0 m")
+    _check_flow(flow)
+
+
+def _check_flow(flow: Values) -> None:
+    _reject(flow, np.less(flow, 0.0), "flow magnitude must be >= 0 m3/s")
+
+
+def renouard_drop(rel_density: Values, length: Values, flow: Values,
+                  diameter: Values) -> Values:
+    """Gas pseudo-pressure drop p1² - p2² (Pa²) at flow magnitude `flow`."""
+    _check_pipe(length, diameter, flow)
+    return (RENOUARD_COEFF * rel_density * length
+            * flow ** RENOUARD_FLOW_EXP / diameter ** RENOUARD_DIAM_EXP)
+
+
+def renouard_drop_dflow(rel_density: Values, length: Values, flow: Values,
+                        diameter: Values) -> Values:
+    """Flow derivative of `renouard_drop` (Pa²·s/m³)."""
+    _check_pipe(length, diameter, flow)
+    return (RENOUARD_FLOW_EXP * RENOUARD_COEFF * rel_density * length
+            * flow ** (RENOUARD_FLOW_EXP - 1.0)
+            / diameter ** RENOUARD_DIAM_EXP)
+
+
+def renouard_drop_ddiam(rel_density: Values, length: Values, flow: Values,
+                        diameter: Values) -> Values:
+    """Diameter derivative of `renouard_drop` (Pa²/m); negative for flow > 0."""
+    _check_pipe(length, diameter, flow)
+    return (-RENOUARD_DIAM_EXP * RENOUARD_COEFF * rel_density * length
+            * flow ** RENOUARD_FLOW_EXP
+            / diameter ** (RENOUARD_DIAM_EXP + 1.0))
+
+
+def reynolds_number(density: Values, viscosity: Values, flow: Values,
+                    diameter: Values) -> Values:
+    """Reynolds number Re = 4·rho·Q / (pi·d·mu) of circular-pipe flow."""
+    _reject(viscosity, np.less_equal(viscosity, 0.0), "viscosity must be > 0 Pa*s")
+    _reject(diameter, np.less_equal(diameter, 0.0), "pipe diameter must be > 0 m")
+    _check_flow(flow)
+    return 4.0 * density * flow / (math.pi * diameter * viscosity)
+
+
+def colebrook_friction_factor(reynolds: Values, rel_roughness: Values) -> Values:
+    """Darcy friction factor from the implicit Colebrook-White relation.
+
+    Solves 1/sqrt(lam) = -2·log10(2.51/(Re·sqrt(lam)) + rr/3.71) for
+    x = 1/sqrt(lam) by Newton's method, which converges in a few steps for
+    every turbulent input.  Below Re = 2300 the laminar value 64/Re is
+    returned; between 2300 and 4000 the two regimes are blended linearly
+    in Re.
+    """
+    re = np.asarray(reynolds, dtype=float)
+    _reject(re, re <= 0.0, "Reynolds number must be > 0")
+    _reject(rel_roughness, np.less(rel_roughness, 0.0),
+            "relative roughness must be >= 0")
+    # Transition elements take the turbulent value at Re = 4000 for the blend.
+    lam = _colebrook_turbulent(np.maximum(re, TURBULENT_RE_LIMIT), rel_roughness)
+    if re.min() < TURBULENT_RE_LIMIT:
+        t = (re - LAMINAR_RE_LIMIT) / (TURBULENT_RE_LIMIT - LAMINAR_RE_LIMIT)
+        blend = (1.0 - t) * (64.0 / LAMINAR_RE_LIMIT) + t * lam
+        lam = np.where(re < LAMINAR_RE_LIMIT, 64.0 / re,
+                       np.where(re < TURBULENT_RE_LIMIT, blend, lam))
+    return lam[()]
+
+
+def _colebrook_turbulent(reynolds: Values, rel_roughness: Values) -> Values:
+    # Newton on f(x) = x + 2·log10(a·x + b), seeded by the explicit
+    # Swamee-Jain approximation, which leaves three steps for the fixture
+    # networks where the Blasius seed needs four.  f is increasing and
+    # concave, so after the first step the iterates approach the root from
+    # below.
+    a = 2.51 / reynolds
+    b = rel_roughness / 3.71
+    slope = _TWO_OVER_LN10 * a         # f'(x) = 1 + slope / (a·x + b)
+    x = -2.0 * np.log10(b + 5.74 / reynolds ** 0.9)
+    for _ in range(COLEBROOK_MAX_ITER):
+        s = a * x + b
+        step = (x + 2.0 * np.log10(s)) / (1.0 + slope / s)
+        x = x - step
+        if np.abs(step).max() <= COLEBROOK_TOL:
+            return 1.0 / (x * x)
+    raise RuntimeError(
+        f"Colebrook iteration did not converge (Re={reynolds}, "
+        f"rel_roughness={rel_roughness})")
+
+
+def darcy_weisbach_drop(friction_factor: Values, length: Values, flow: Values,
+                        diameter: Values, density: Values) -> Values:
+    """Liquid pressure drop (Pa): lam · L/d⁵ · 8·Q²/pi² · rho."""
+    _check_pipe(length, diameter, flow)
+    return (8.0 * density / (math.pi * math.pi) * friction_factor * length
+            * flow * flow / diameter ** 5)
+
+
+def darcy_weisbach_drop_dflow(friction_factor: Values, length: Values,
+                              flow: Values, diameter: Values,
+                              density: Values) -> Values:
+    """Flow derivative of `darcy_weisbach_drop` (Pa·s/m³), friction factor
+    held constant."""
+    _check_pipe(length, diameter, flow)
+    return (16.0 * density / (math.pi * math.pi) * friction_factor * length
+            * flow / diameter ** 5)
+
+
+def darcy_weisbach_drop_ddiam(friction_factor: Values, length: Values,
+                              flow: Values, diameter: Values,
+                              density: Values) -> Values:
+    """Diameter derivative of `darcy_weisbach_drop` (Pa/m), friction factor
+    held constant; negative for flow > 0."""
+    _check_pipe(length, diameter, flow)
+    return (-5.0 * 8.0 * density / (math.pi * math.pi) * friction_factor
+            * length * flow * flow / diameter ** 6)
+
+
+def flow_velocity(pressure_ratio: Values, flow: Values, diameter: Values) -> Values:
+    """Mean velocity (m/s) in a circular pipe: 4·ratio·Q / (d²·pi).
+
+    `pressure_ratio` rescales a flow stated at normal (standard) pressure to
+    the operating pressure (p_normal / p_operating for gas, 1 for liquids).
+    """
+    _reject(diameter, np.less_equal(diameter, 0.0), "pipe diameter must be > 0 m")
+    _check_flow(flow)
+    return 4.0 * pressure_ratio * flow / (diameter * diameter * math.pi)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 NodeId = str | int
 PipeId = int
 
@@ -151,6 +153,34 @@ class FlowState:
         """Largest per-pipe flow difference vs `other`, in m³/h."""
         return max(abs(m3s_to_m3h(self.flows[pid] - other.flows[pid]))
                    for pid in self.flows)
+
+
+@dataclass(frozen=True)
+class PipeArrays:
+    """Pipe geometry as arrays in `Network.pipe_ids` order.
+
+    The geometry fields have the names of `Pipe`'s, so the fluid models
+    evaluate one `Pipe` or every pipe of a network with the same call.
+    """
+    ids: tuple[PipeId, ...]
+    length: np.ndarray
+    diameter: np.ndarray
+    roughness: np.ndarray
+
+    @classmethod
+    def of(cls, net: Network) -> "PipeArrays":
+        return cls(tuple(net.pipe_ids),
+                   np.array([p.length for p in net.pipes]),
+                   np.array([p.diameter for p in net.pipes]),
+                   np.array([p.roughness for p in net.pipes]))
+
+    def flows(self, state: FlowState) -> np.ndarray:
+        """Signed flows of `state` in pipe order, m³/s."""
+        return np.array([state.flows[pid] for pid in self.ids])
+
+    def by_id(self, values: np.ndarray) -> dict[PipeId, float]:
+        """Per-pipe values keyed by pipe id."""
+        return dict(zip(self.ids, values.tolist()))
 
 
 @dataclass

@@ -1,11 +1,13 @@
 """Inverse problem: fix the flows, iterate pipe diameters to loop balance.
 
-The loop corrections mirror the flow solvers, but the adjusted variable is
-the diameter: per loop, correction = imbalance / sum of member |d drop /
-d diameter|, applied to each member with its membership and flow signs and
-clamped to the diameter bounds.  Since drops fall with growing diameter the
-positive-imbalance loops get wider positive-side pipes, which is the Newton
-step for this variable.
+The loop corrections mirror the original Hardy Cross method, but the
+adjusted variable is the diameter: with the loop imbalances
+r(d) = B·(sign q · drop(|q|, d)), the correction per loop is
+Δ = r / (|B|·|d drop/d diameter|), applied to each member with its
+membership and flow signs (d += sign q · BᵀΔ) and clamped to the diameter
+bounds.  Since drops fall with growing diameter the positive-imbalance
+loops get wider positive-side pipes, which is the Newton step for this
+variable.
 
 Pipes outside every loop are unconstrained by the loop equations and are
 left at their input diameter.
@@ -15,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .fluids import make_fluid_model
-from .kernels import darcy_weisbach_drop_ddiam, renouard_drop_ddiam  # noqa: F401  (re-exported surface)
-from .model import FlowState, Network, NODE_BALANCE_TOL_M3S, PipeId, node_imbalances, validate
+from .model import FlowState, Network, NODE_BALANCE_TOL_M3S, PipeArrays, PipeId, node_imbalances, validate
 from .solvers import DEFAULT_RESIDUAL_TOLERANCE
 from .topology import LoopBasis
 
@@ -99,28 +102,22 @@ def optimize_diameters(net: Network, basis: LoopBasis,
     tolerance = (config.residual_tolerance
                  if config.residual_tolerance is not None
                  else DEFAULT_RESIDUAL_TOLERANCE[net.fluid.kind])
-    pipes = {p.id: p for p in net.pipes}
-    diameters = {p.id: p.diameter for p in net.pipes}
-    bounds = {pid: config.bounds_for(pid) for pid in member_ids}
+    pipes = PipeArrays.of(net)
+    loops = basis.matrix(pipes.ids)
+    q = pipes.flows(flows)
+    magnitude = np.abs(q)
+    sign = np.where(q < 0.0, -1.0, 1.0)
     # Sized pipes start inside their bounds; tree pipes keep the input value.
-    for pid, (lo, hi) in bounds.items():
-        diameters[pid] = min(max(diameters[pid], lo), hi)
+    lower, upper = np.array([config.bounds_for(pid) if pid in member_ids
+                             else (-np.inf, np.inf) for pid in pipes.ids]).T
+    diameters = np.clip(pipes.diameter, lower, upper)
 
-    def loop_residuals(diam: dict[PipeId, float]) -> list[float]:
-        out = []
-        for loop in basis.loops:
-            total = 0.0
-            for pid, s in loop:
-                q = flows.flows[pid]
-                sign = -1.0 if q < 0.0 else 1.0
-                total += s * sign * model.drop_at_diameter(pipes[pid], abs(q),
-                                                           diam[pid])
-            out.append(total)
-        return out
+    def loop_residuals(diam: np.ndarray) -> np.ndarray:
+        return loops @ (sign * model.drop_at_diameter(pipes, magnitude, diam))
 
-    history = [dict(diameters)]
+    history = [pipes.by_id(diameters)]
     residuals = loop_residuals(diameters)
-    residual_history = [[abs(r) for r in residuals]]
+    residual_history = [np.abs(residuals).tolist()]
     termination = MAX_ITERATIONS
 
     for _ in range(config.max_iterations):
@@ -129,21 +126,20 @@ def optimize_diameters(net: Network, basis: LoopBasis,
             termination = CONVERGED
             break
 
-        deltas = []
-        for k, loop in enumerate(basis.loops):
-            denom = sum(abs(model.ddrop_ddiam(pipes[pid], abs(flows.flows[pid]),
-                                              diameters[pid]))
-                        for pid, _ in loop)
-            deltas.append(0.0 if denom < 1e-30 else residuals[k] / denom)
+        denom = np.abs(loops) @ np.abs(model.ddrop_ddiam(pipes, magnitude,
+                                                         diameters))
+        deltas = np.divide(residuals, denom, out=np.zeros_like(denom),
+                           where=~(denom < 1e-30))
+        step = sign * (loops.T @ deltas)
 
         # Backtrack on overshoot: the drop grows steeply for shrinking
         # diameters, so a full multi-loop step can overshoot badly.
         scale = 1.0
         improved = False
         for _ in range(30):
-            candidate = _apply(diameters, basis, flows, deltas, scale, bounds)
+            candidate = np.clip(diameters + scale * step, lower, upper)
             cand_residuals = loop_residuals(candidate)
-            if max(abs(r) for r in cand_residuals) < worst:
+            if np.abs(cand_residuals).max() < worst:
                 improved = True
                 break
             scale *= 0.5
@@ -152,37 +148,23 @@ def optimize_diameters(net: Network, basis: LoopBasis,
 
         diameters = candidate
         residuals = cand_residuals
-        history.append(dict(diameters))
-        residual_history.append([abs(r) for r in residuals])
-    else:
-        termination = MAX_ITERATIONS
+        history.append(pipes.by_id(diameters))
+        residual_history.append(np.abs(residuals).tolist())
 
     if termination != CONVERGED and residual_history[-1] and \
             max(residual_history[-1]) <= tolerance:
         termination = CONVERGED
 
-    bounded = {pid for pid in member_ids
-               if diameters[pid] <= bounds[pid][0] or diameters[pid] >= bounds[pid][1]}
+    at_bound = (diameters <= lower) | (diameters >= upper)
+    bounded = {pid for pid, flag in zip(pipes.ids, at_bound) if flag}
     if termination != CONVERGED and bounded:
         termination = INFEASIBLE_BOUNDS
 
     return SizingReport(
-        diameters=diameters,
+        diameters=dict(history[-1]),
         diameter_history=history,
         loop_residual_history=residual_history,
         termination=termination,
         tree_pipes=tree_pipes,
         bounded_pipes=bounded,
     )
-
-
-def _apply(diameters, basis: LoopBasis, flows: FlowState, deltas, scale,
-           bounds) -> dict[PipeId, float]:
-    new = dict(diameters)
-    for k, loop in enumerate(basis.loops):
-        for pid, s in loop:
-            sign = -1.0 if flows.flows[pid] < 0.0 else 1.0
-            new[pid] += s * sign * scale * deltas[k]
-    for pid, (lo, hi) in bounds.items():
-        new[pid] = min(max(new[pid], lo), hi)
-    return new

@@ -1,42 +1,51 @@
 """The three iterative flow solvers plus node-pressure back-propagation.
 
-All three methods iterate on signed pipe flows until two successive
-iterations agree everywhere within the configured flow tolerance:
+Each solve compiles the network once into arrays (`compile_network`): the
+node matrix A with its demands and the signed loop matrix B.  Every pass
+then evaluates all pipes in one call, giving the loop imbalances
+r = B·(sign q · drop(|q|)) and the pipe derivatives D = |d drop/d flow|,
+and the three methods differ only in the linear system they solve:
 
-* node-loop: continuity rows and linearized loop rows stacked into one
-  square system, solved directly for all flows each pass;
-* hardy-cross: one independent correction per loop each pass;
-* hardy-cross-improved: all loop corrections solved simultaneously through
-  the loop Jacobian.
+* node-loop: [A; B·D] q = [demands; B·D·q - r], all flows at once;
+* hardy-cross-improved: (B D Bᵀ) Δ = -r, then q += BᵀΔ;
+* hardy-cross: Δ = -r / diag(B D Bᵀ), one independent correction per
+  loop, then q += BᵀΔ.
 
-Signs are handled uniformly: flows are signed against each pipe's reference
-orientation and loop membership signs come from the basis matrix, which
-replaces the traditional hand bookkeeping of correction directions.
+All three iterate until two successive passes agree everywhere within the
+flow tolerance and the loop imbalances are below theirs.  Flows are signed
+against each pipe's reference orientation and loop membership signs come
+from B, which replaces the traditional hand bookkeeping of correction
+directions.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
-from .fluids import FluidModel, PipeEval, make_fluid_model
+from .fluids import FluidModel, make_fluid_model
 from .model import (
     GAS,
     WATER,
     FlowState,
     Network,
     NodeId,
+    PipeArrays,
     PipeId,
     SolveReport,
     feasible_initial_flows,
     m3h_to_m3s,
+    m3s_to_m3h,
     validate,
 )
 from .numerics import DenseSystem, SingularSystemError, condition_estimate, solve_linear
-from .topology import LoopBasis, NodeMatrix, adopt_explicit_loops, build_node_matrix, derive_loop_basis
+from .topology import LoopBasis, NetworkArrays, adopt_explicit_loops, compile_network, derive_loop_basis
 
 NODE_LOOP = "node-loop"
 HARDY_CROSS = "hardy-cross"
@@ -73,14 +82,27 @@ class SolverConfig:
         return DEFAULT_RESIDUAL_TOLERANCE[fluid_kind]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoopEval:
-    """Signed loop imbalances and member derivative magnitudes, one state."""
-    residuals: list[float]
-    member_dflow: list[dict[PipeId, float]]
+    """Loop imbalances and pipe derivatives of one state.
 
-    def abs_residuals(self) -> list[float]:
-        return [abs(r) for r in self.residuals]
+    `residuals` is r = B·(sign q · drop(|q|)), one entry per loop, and
+    `dflow` is D = |d drop/d flow| per pipe, evaluated away from zero flow.
+    """
+    arrays: NetworkArrays
+    flows: np.ndarray          # q, signed, m³/s
+    residuals: np.ndarray
+    dflow: np.ndarray
+
+    @cached_property
+    def member_dflow(self) -> tuple[Mapping[PipeId, float], ...]:
+        """Per loop, a read-only map from each member pipe to its entry of D."""
+        ids = self.arrays.pipes.ids
+        return tuple(MappingProxyType({ids[j]: self.dflow[j] for j in np.flatnonzero(row)})
+                     for row in self.arrays.loops)
+
+    def worst_residual(self) -> float:
+        return float(np.abs(self.residuals).max(initial=0.0))
 
 
 def select_basis(net: Network) -> LoopBasis:
@@ -90,82 +112,45 @@ def select_basis(net: Network) -> LoopBasis:
     return derive_loop_basis(net)
 
 
-def _sign(value: float) -> float:
-    return -1.0 if value < 0.0 else 1.0
-
-
-def _pipe_evals(net: Network, model: FluidModel, flows: FlowState,
-                floor: float) -> dict[PipeId, PipeEval]:
-    return {p.id: model.evaluate(p, abs(flows.flows[p.id]), floor)
-            for p in net.pipes}
-
-
-def evaluate_loops(net: Network, basis: LoopBasis, flows: FlowState,
+def evaluate_loops(net: Network, basis: LoopBasis, flows: FlowState | np.ndarray,
                    derivative_flow_floor: float = 1e-7,
                    model: FluidModel | None = None,
-                   evals: dict[PipeId, PipeEval] | None = None) -> LoopEval:
-    """Loop imbalances at the given state.
+                   arrays: NetworkArrays | None = None) -> LoopEval:
+    """Loop imbalances and pipe derivatives at the given state.
 
-    Per loop: sum of sign(membership)·sign(flow)·drop(|flow|) over member
-    pipes, plus each member's |d drop/d flow| evaluated away from zero flow.
+    `flows` is a FlowState, or the signed flows in `net.pipe_ids` order.
+    The solvers pass the `arrays` and `model` they built once per run.
     """
     if model is None:
         model = make_fluid_model(net.fluid)
-    if evals is None:
-        evals = _pipe_evals(net, model, flows, derivative_flow_floor)
-    residuals = []
-    member_dflow = []
-    for loop in basis.loops:
-        total = 0.0
-        dflow: dict[PipeId, float] = {}
-        for pid, s in loop:
-            q = flows.flows[pid]
-            total += s * _sign(q) * evals[pid].drop
-            dflow[pid] = evals[pid].ddrop_dflow
-        residuals.append(total)
-        member_dflow.append(dflow)
-    return LoopEval(residuals, member_dflow)
+    if arrays is None:
+        arrays = compile_network(net, basis)
+    q = flows if isinstance(flows, np.ndarray) else arrays.pipes.flows(flows)
+    drop, dflow = model.evaluate(arrays.pipes, np.abs(q), derivative_flow_floor)
+    return LoopEval(arrays, q, arrays.loops @ np.copysign(drop, q), dflow)
 
 
-def assemble_node_loop_system(net: Network, node_matrix: NodeMatrix,
-                              basis: LoopBasis, flows: FlowState,
-                              loop_eval: LoopEval) -> DenseSystem:
+def assemble_node_loop_system(loop_eval: LoopEval) -> DenseSystem:
     """Stack continuity rows over linearized loop rows.
 
-    Top block: node matrix with the node demands (m³/s, supply negative) as
-    right-hand side.  Bottom block, one row per loop: membership sign times
-    |d drop/d flow| per pipe, with right-hand side
-    -imbalance + sum(sign·flow·|d drop/d flow|), the first-order expansion
-    of the loop equation around the current flows.
+    [A; B·D] q = [demands; B·D·q - r]: the loop rows are the first-order
+    expansion of the loop equations around the evaluated flows q.
     """
-    n_nodes, n_pipes = node_matrix.entries.shape
-    n_loops = len(basis)
-    if n_nodes + n_loops != n_pipes:
+    node_matrix, demand = loop_eval.arrays.node_rows
+    loop_rows = loop_eval.arrays.loops * loop_eval.dflow
+    n_nodes, n_pipes = node_matrix.shape
+    if n_nodes + len(loop_rows) != n_pipes:
         raise ValueError(
-            f"dimension mismatch: {n_nodes} node rows + {n_loops} loop rows "
-            f"!= {n_pipes} pipe unknowns")
-    col = {pid: j for j, pid in enumerate(node_matrix.col_pipes)}
-
-    matrix = np.zeros((n_pipes, n_pipes))
-    rhs = np.zeros(n_pipes)
-    matrix[:n_nodes] = node_matrix.entries
-    demand = {n.id: m3h_to_m3s(n.demand_m3h) for n in net.nodes}
-    for i, node in enumerate(node_matrix.row_nodes):
-        rhs[i] = demand[node]
-
-    for k, loop in enumerate(basis.loops):
-        row = n_nodes + k
-        rhs[row] = -loop_eval.residuals[k]
-        for pid, s in loop:
-            d = loop_eval.member_dflow[k][pid]
-            matrix[row, col[pid]] = s * d
-            rhs[row] += s * flows.flows[pid] * d
-    return DenseSystem(matrix, rhs)
+            f"dimension mismatch: {n_nodes} node rows + {len(loop_rows)} loop "
+            f"rows != {n_pipes} pipe unknowns")
+    return DenseSystem(
+        np.vstack([node_matrix, loop_rows]),
+        np.concatenate([demand, loop_rows @ loop_eval.flows - loop_eval.residuals]))
 
 
 def _initial_state(net: Network, initial: FlowState | None) -> FlowState:
     if initial is not None:
-        return FlowState(dict(initial.flows))
+        return initial
     if net.initial_flows_m3h is not None:
         return FlowState({pid: m3h_to_m3s(q)
                           for pid, q in net.initial_flows_m3h.items()})
@@ -190,17 +175,14 @@ def solve_node_loop(net: Network, config: SolverConfig | None = None,
     """Direct flow calculation: each pass solves for all pipe flows at once."""
     logged_condition = False
 
-    def step(flows: FlowState, loop_eval: LoopEval,
-             ctx: _RunContext) -> FlowState:
+    def step(loop_eval: LoopEval) -> np.ndarray:
         nonlocal logged_condition
-        system = assemble_node_loop_system(net, ctx.node_matrix, ctx.basis,
-                                           flows, loop_eval)
+        system = assemble_node_loop_system(loop_eval)
         if not logged_condition and log.isEnabledFor(logging.DEBUG):
             log.debug("stacked system 1-norm condition estimate: %.3g",
                       condition_estimate(system))
             logged_condition = True
-        x = solve_linear(system)
-        return FlowState({pid: x[j] for j, pid in enumerate(ctx.node_matrix.col_pipes)})
+        return solve_linear(system)
 
     return _iterate(net, config or SolverConfig(), initial, NODE_LOOP, step)
 
@@ -209,19 +191,18 @@ def solve_hardy_cross_original(net: Network, config: SolverConfig | None = None,
                                initial: FlowState | None = None) -> SolveReport:
     """One independent flow correction per loop per pass.
 
-    Loop correction = -imbalance / sum of member |d drop/d flow|; every
-    member pipe receives each containing loop's correction with its
-    membership sign, which preserves the node balances exactly.
+    Loop correction Δ = -r / diag(B D Bᵀ), the imbalance over the sum of
+    member |d drop/d flow|; q += BᵀΔ gives every member pipe each containing
+    loop's correction with its membership sign, which preserves the node
+    balances exactly.
     """
 
-    def step(flows: FlowState, loop_eval: LoopEval,
-             ctx: _RunContext) -> FlowState:
-        deltas = []
-        for k in range(len(ctx.basis)):
-            denom = sum(loop_eval.member_dflow[k].values())
-            deltas.append(0.0 if denom < 1e-30
-                          else -loop_eval.residuals[k] / denom)
-        return _apply_corrections(flows, ctx.basis, deltas)
+    def step(loop_eval: LoopEval) -> np.ndarray:
+        loops = loop_eval.arrays.loops
+        denom = np.abs(loops) @ loop_eval.dflow
+        deltas = np.divide(-loop_eval.residuals, denom,
+                           out=np.zeros_like(denom), where=~(denom < 1e-30))
+        return loop_eval.flows + loops.T @ deltas
 
     return _iterate(net, config or SolverConfig(), initial, HARDY_CROSS, step)
 
@@ -230,45 +211,22 @@ def solve_hardy_cross_improved(net: Network, config: SolverConfig | None = None,
                                initial: FlowState | None = None) -> SolveReport:
     """All loop corrections solved simultaneously through the loop Jacobian.
 
-    J[l,l] = sum of member |d drop/d flow|; J[l,m] couples loops l and m
-    through their shared pipes with the product of membership signs.
+    (B D Bᵀ) Δ = -r: the diagonal sums member |d drop/d flow|, and loops
+    that share pipes couple with the product of their membership signs.
+    Then q += BᵀΔ.
     """
 
-    def step(flows: FlowState, loop_eval: LoopEval,
-             ctx: _RunContext) -> FlowState:
-        n = len(ctx.basis)
-        jac = np.zeros((n, n))
-        signs = [dict(loop) for loop in ctx.basis.loops]
-        for l in range(n):
-            jac[l, l] = sum(loop_eval.member_dflow[l].values())
-            for m in range(l + 1, n):
-                coupling = 0.0
-                for pid, s in ctx.basis.loops[l]:
-                    if pid in signs[m]:
-                        coupling += s * signs[m][pid] * loop_eval.member_dflow[l][pid]
-                jac[l, m] = jac[m, l] = coupling
-        deltas = solve_linear(DenseSystem(jac, [-r for r in loop_eval.residuals]))
-        return _apply_corrections(flows, ctx.basis, list(deltas))
+    def step(loop_eval: LoopEval) -> np.ndarray:
+        loops = loop_eval.arrays.loops
+        # B·D·Bᵀ by einsum, not matmul: OpenBLAS runs a product of this
+        # shape on worker threads that then busy-wait for about 0.1 s,
+        # taking a core from everything that runs next.
+        jacobian = np.einsum("lp,mp->lm", loops * loop_eval.dflow, loops)
+        deltas = solve_linear(DenseSystem(jacobian, -loop_eval.residuals))
+        return loop_eval.flows + loops.T @ deltas
 
     return _iterate(net, config or SolverConfig(), initial,
                     HARDY_CROSS_IMPROVED, step)
-
-
-def _apply_corrections(flows: FlowState, basis: LoopBasis,
-                       deltas: list[float]) -> FlowState:
-    new = dict(flows.flows)
-    for k, loop in enumerate(basis.loops):
-        for pid, s in loop:
-            new[pid] += s * deltas[k]
-    return FlowState(new)
-
-
-@dataclass
-class _RunContext:
-    model: FluidModel
-    basis: LoopBasis
-    node_matrix: NodeMatrix
-    config: SolverConfig
 
 
 def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
@@ -277,42 +235,43 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
     if violations:
         raise ValueError("invalid network: " + "; ".join(violations))
 
-    ctx = _RunContext(model=make_fluid_model(net.fluid),
-                      basis=select_basis(net),
-                      node_matrix=build_node_matrix(net),
-                      config=config)
-    flows = _initial_state(net, initial)
-    residual_tol = config.resolved_residual_tolerance(net.fluid.kind)
+    model = make_fluid_model(net.fluid)
+    basis = select_basis(net)
+    arrays = compile_network(net, basis)
+    floor = config.derivative_flow_floor
 
-    loop_eval = evaluate_loops(net, ctx.basis, flows,
-                               config.derivative_flow_floor, model=ctx.model)
-    iterations = [flows]
-    residual_history = [loop_eval.abs_residuals()]
+    def evaluate(q: np.ndarray) -> LoopEval:
+        return evaluate_loops(net, basis, q, floor, model=model, arrays=arrays)
+
+    loop_eval = evaluate(arrays.pipes.flows(_initial_state(net, initial)))
+    residual_tol = config.resolved_residual_tolerance(net.fluid.kind)
+    iterations = [FlowState(arrays.pipes.by_id(loop_eval.flows))]
+    residual_history = [np.abs(loop_eval.residuals).tolist()]
     damped: list[int] = []
     termination = "max-iterations"
 
     while len(iterations) - 1 < config.max_iterations:
-        current = iterations[-1]
+        current = loop_eval.flows
         try:
-            candidate = step(current, loop_eval, ctx)
+            candidate_eval = evaluate(step(loop_eval))
         except SingularSystemError:
             termination = "singular-system"
             break
-        candidate_eval = evaluate_loops(net, ctx.basis, candidate,
-                                        config.derivative_flow_floor,
-                                        model=ctx.model)
         if config.damping:
-            candidate, candidate_eval = _maybe_damp(
-                net, ctx, current, candidate, loop_eval, candidate_eval,
-                config, damped, len(iterations))
-        iterations.append(candidate)
-        residual_history.append(candidate_eval.abs_residuals())
+            before = loop_eval.worst_residual()
+            if before > 0.0 and \
+                    candidate_eval.worst_residual() > DAMPING_TRIGGER * before:
+                damped.append(len(iterations))
+                candidate_eval = evaluate(0.5 * (current + candidate_eval.flows))
         loop_eval = candidate_eval
+        iterations.append(FlowState(arrays.pipes.by_id(loop_eval.flows)))
+        residual_history.append(np.abs(loop_eval.residuals).tolist())
         # Converged when successive flows agree everywhere and the loop
         # imbalances are below tolerance (the flow criterion alone can fire
         # while single-adjustment corrections still carry real imbalance).
-        if candidate.max_change_m3h(current) <= config.flow_tolerance_m3h \
-                and max(loop_eval.abs_residuals(), default=0.0) <= residual_tol:
+        change_m3h = m3s_to_m3h(np.abs(loop_eval.flows - current).max(initial=0.0))
+        if change_m3h <= config.flow_tolerance_m3h \
+                and loop_eval.worst_residual() <= residual_tol:
             termination = "converged"
             break
 
@@ -326,26 +285,10 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
     )
 
 
-def _maybe_damp(net: Network, ctx: _RunContext, current: FlowState,
-                candidate: FlowState, before_eval: LoopEval,
-                after_eval: LoopEval, config: SolverConfig,
-                damped: list[int], iteration: int) -> tuple[FlowState, LoopEval]:
-    before = max(before_eval.abs_residuals(), default=0.0)
-    after = max(after_eval.abs_residuals(), default=0.0)
-    if before > 0.0 and after > DAMPING_TRIGGER * before:
-        damped.append(iteration)
-        halved = FlowState({pid: 0.5 * (current.flows[pid] + candidate.flows[pid])
-                            for pid in current.flows})
-        halved_eval = evaluate_loops(net, ctx.basis, halved,
-                                     config.derivative_flow_floor,
-                                     model=ctx.model)
-        return halved, halved_eval
-    return candidate, after_eval
-
-
 def final_velocities(net: Network, flows: FlowState) -> dict[PipeId, float]:
-    model = make_fluid_model(net.fluid)
-    return {p.id: model.velocity(p, abs(flows.flows[p.id])) for p in net.pipes}
+    pipes = PipeArrays.of(net)
+    speeds = make_fluid_model(net.fluid).velocity(pipes, np.abs(pipes.flows(flows)))
+    return pipes.by_id(speeds)
 
 
 def propagate_pressures(net: Network, flows: FlowState, source_node: NodeId,
@@ -359,7 +302,9 @@ def propagate_pressures(net: Network, flows: FlowState, source_node: NodeId,
     """
     if source_pressure <= 0.0:
         raise ValueError("source pressure must be > 0 Pa")
-    model = make_fluid_model(net.fluid)
+    pipes = PipeArrays.of(net)
+    drops = pipes.by_id(make_fluid_model(net.fluid).drop(
+        pipes, np.abs(pipes.flows(flows))))
     squared = net.fluid.kind == GAS
     incident = net.incident_pipes()
 
@@ -374,9 +319,8 @@ def propagate_pressures(net: Network, flows: FlowState, source_node: NodeId,
         for _, _, other, p in sorted(neighbours, key=lambda t: (t[0], t[1])):
             if other in potentials:
                 continue
-            q = flows.flows[p.id]
-            drop = model.drop(p, abs(q))
-            leaving = (q >= 0.0) == (p.from_node == node)
+            drop = drops[p.id]
+            leaving = (flows.flows[p.id] >= 0.0) == (p.from_node == node)
             value = potentials[node] - drop if leaving else potentials[node] + drop
             if squared and value < 0.0:
                 raise InfeasiblePressureError(

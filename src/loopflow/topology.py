@@ -3,17 +3,20 @@
 The node matrix encodes the flow-continuity equations (one row per node
 except the reference node, whose row is linearly dependent on the others).
 The loop basis encodes the energy-balance equations: pipes - nodes + 1
-independent closed cycles with ±1 orientation signs.
+independent closed cycles with ±1 orientation signs.  `compile_network`
+turns both, with the pipe geometry and the node demands, into the arrays
+the solvers work on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .model import Network, NodeId, Pipe, PipeId, spanning_tree
+from .model import Network, NodeId, Pipe, PipeArrays, PipeId, m3h_to_m3s, spanning_tree
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,26 @@ class LoopBasis:
             for pid, sign in loop:
                 out[i, col[pid]] = sign
         return out
+
+
+@dataclass(frozen=True)
+class NetworkArrays:
+    """A network compiled for one solve, in `Network.pipe_ids` order."""
+    net: Network
+    pipes: PipeArrays
+    loops: np.ndarray          # B: loops × pipes, signed loop membership
+
+    @cached_property
+    def node_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """A, (nodes - 1) × pipes over {-1, 0, +1}, with the demand of each
+        row node in m³/s; built on first use, since only node-loop needs it."""
+        node_matrix = build_node_matrix(self.net)
+        demand = {n.id: m3h_to_m3s(n.demand_m3h) for n in self.net.nodes}
+        return node_matrix.entries, np.array([demand[nid] for nid in node_matrix.row_nodes])
+
+
+def compile_network(net: Network, basis: LoopBasis) -> NetworkArrays:
+    return NetworkArrays(net, PipeArrays.of(net), basis.matrix(net.pipe_ids))
 
 
 def build_node_matrix(net: Network) -> NodeMatrix:

@@ -2,10 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from loopflow import kernels
 from loopflow.fluids import GasModel, WaterModel, make_fluid_model
-from loopflow.model import FluidSpec, Pipe
+from loopflow.model import FluidSpec, Network, NodeSpec, Pipe, PipeArrays
 
 GAS_PIPE = Pipe(1, "A", "B", 0.3048, 100.0, 2e-5)
 
@@ -21,34 +23,39 @@ def test_factory_dispatch():
 
 def test_gas_eval_matches_kernels():
     model = GasModel(rel_density=0.6, pressure_ratio=0.25)
-    result = model.evaluate(GAS_PIPE, 0.0694, 1e-7)
-    assert result.drop == pytest.approx(690438.0, rel=5e-3)
-    assert result.ddrop_dflow == pytest.approx(18094990.0, rel=5e-3)
-    assert result.friction_factor is None and result.reynolds is None
+    drop, ddrop_dflow = model.evaluate(GAS_PIPE, 0.0694, 1e-7)
+    assert drop == pytest.approx(690438.0, rel=5e-3)
+    assert ddrop_dflow == pytest.approx(18094990.0, rel=5e-3)
 
 
 def test_water_eval_reports_diagnostics():
     model = WaterModel(density=1000.0, viscosity=0.00089)
-    result = model.evaluate(GAS_PIPE, 0.0694, 1e-7)
-    assert result.reynolds == pytest.approx(325944.0, rel=1e-3)
-    assert result.friction_factor == pytest.approx(0.01492, abs=1e-5)
-    assert result.drop == pytest.approx(2217.7, rel=1e-2)
+    drop, _ = model.evaluate(GAS_PIPE, 0.0694, 1e-7)
+    re = kernels.reynolds_number(1000.0, 0.00089, 0.0694, GAS_PIPE.diameter)
+    lam = kernels.colebrook_friction_factor(
+        re, GAS_PIPE.roughness / GAS_PIPE.diameter)
+    assert re == pytest.approx(325944.0, rel=1e-3)
+    assert lam == pytest.approx(0.01492, abs=1e-5)
+    assert drop == pytest.approx(2217.7, rel=1e-2)
+    assert drop == pytest.approx(kernels.darcy_weisbach_drop(
+        lam, GAS_PIPE.length, 0.0694, GAS_PIPE.diameter, 1000.0), rel=1e-12)
 
 
 def test_zero_flow_uses_derivative_floor():
     for model in (GasModel(rel_density=0.6, pressure_ratio=0.25),
                   WaterModel(density=1000.0, viscosity=0.00089)):
-        result = model.evaluate(GAS_PIPE, 0.0, 1e-7)
-        assert result.drop == 0.0
-        assert result.ddrop_dflow > 0.0  # floored away from zero
+        drop, ddrop_dflow = model.evaluate(GAS_PIPE, 0.0, 1e-7)
+        assert drop == 0.0
+        assert ddrop_dflow > 0.0  # floored away from zero
 
 
 def test_water_friction_factor_follows_flow():
-    # the factor is recomputed from the current state, not cached
+    # the factor is recomputed from the current state, not cached; the drop
+    # is proportional to factor times flow squared
     model = WaterModel(density=1000.0, viscosity=0.00089)
-    slow = model.evaluate(GAS_PIPE, 0.01, 1e-7)
-    fast = model.evaluate(GAS_PIPE, 1.0, 1e-7)
-    assert slow.friction_factor > fast.friction_factor
+    slow, _ = model.evaluate(GAS_PIPE, 0.01, 1e-7)
+    fast, _ = model.evaluate(GAS_PIPE, 1.0, 1e-7)
+    assert slow / 0.01 ** 2 > fast / 1.0 ** 2
 
 
 @pytest.mark.parametrize("kind", ["gas", "water"])
@@ -69,11 +76,12 @@ def test_flow_derivative_matches_central_difference(kind):
         if kind == "gas":
             fd = (model.drop(pipe, flow + h) - model.drop(pipe, flow - h)) / (2 * h)
         else:
-            lam = model.evaluate(pipe, flow, 1e-7).friction_factor
-            from loopflow.kernels import darcy_weisbach_drop
-            fd = (darcy_weisbach_drop(lam, length, flow + h, diam, 1000.0)
-                  - darcy_weisbach_drop(lam, length, flow - h, diam, 1000.0)) / (2 * h)
-        got = model.evaluate(pipe, flow, 1e-7).ddrop_dflow
+            lam = kernels.colebrook_friction_factor(
+                kernels.reynolds_number(1000.0, 0.00089, flow, diam), 2e-5 / diam)
+            fd = (kernels.darcy_weisbach_drop(lam, length, flow + h, diam, 1000.0)
+                  - kernels.darcy_weisbach_drop(lam, length, flow - h, diam,
+                                                1000.0)) / (2 * h)
+        _, got = model.evaluate(pipe, flow, 1e-7)
         assert got == pytest.approx(fd, rel=1e-5)
 
 
@@ -85,3 +93,24 @@ def test_velocity_dispatch():
     assert gas.velocity(pipe, q) == pytest.approx(0.66, abs=0.01)
     assert water.velocity(pipe, q) == pytest.approx(4 * gas.velocity(pipe, q),
                                                     rel=1e-12)
+
+
+@pytest.mark.parametrize("model", [GasModel(rel_density=0.6, pressure_ratio=0.25),
+                                   WaterModel(density=1000.0, viscosity=0.00089)],
+                         ids=["gas", "water"])
+def test_network_evaluation_matches_pipe_by_pipe(model):
+    # One call over all pipes, mixing zero flows, flows under the derivative
+    # floor (whose water drop takes its own friction factor) and turbulent
+    # flows, equals the per-pipe calls.
+    pipes = [Pipe(k, "A", "B", 0.1 + 0.05 * k, 50.0 + 10.0 * k, 2e-5)
+             for k in range(6)]
+    flows = np.array([0.0, 3e-8, 1e-7, 5e-4, 0.05, 1.2])
+    arrays = PipeArrays.of(Network(pipes, [NodeSpec("A"), NodeSpec("B")],
+                                   FluidSpec(kind="gas", rel_density=0.6)))
+    drop, ddrop_dflow = model.evaluate(arrays, flows, 1e-7)
+    for k, pipe in enumerate(pipes):
+        one_drop, one_ddrop = model.evaluate(pipe, flows[k], 1e-7)
+        assert drop[k] == pytest.approx(one_drop, rel=1e-13, abs=0.0)
+        assert ddrop_dflow[k] == pytest.approx(one_ddrop, rel=1e-13)
+        assert model.drop(arrays, flows)[k] == pytest.approx(
+            model.drop(pipe, flows[k]), rel=1e-13, abs=0.0)

@@ -106,11 +106,8 @@ def _first_fixture_system(gas_network):
     from loopflow.solvers import (
         assemble_node_loop_system, evaluate_loops, select_basis,
     )
-    from loopflow.topology import build_node_matrix
 
     flows = FlowState({pid: m3h_to_m3s(q) for pid, q
                        in gas_network.initial_flows_m3h.items()})
     basis = select_basis(gas_network)
-    loop_eval = evaluate_loops(gas_network, basis, flows)
-    return assemble_node_loop_system(
-        gas_network, build_node_matrix(gas_network), basis, flows, loop_eval)
+    return assemble_node_loop_system(evaluate_loops(gas_network, basis, flows))

@@ -27,8 +27,6 @@ from loopflow.solvers import (
     solve_hardy_cross_original,
     solve_node_loop,
 )
-from loopflow.topology import build_node_matrix
-
 import fixture_tables as tables
 from conftest import node_balance_residuals_m3h
 from test_model import square_net
@@ -96,9 +94,7 @@ class TestAssembleNodeLoopSystem:
     def test_loop_one_row_coefficients(self, gas_network):
         flows = initial_state(gas_network)
         basis = select_basis(gas_network)
-        nm = build_node_matrix(gas_network)
         system = assemble_node_loop_system(
-            gas_network, nm, basis, flows,
             evaluate_loops(gas_network, basis, flows))
         row = system.matrix[10]  # first loop row, after the ten node rows
         expected = {1: 3766062.0, 2: -18094990.0, 3: -2858306918.0,
@@ -110,9 +106,7 @@ class TestAssembleNodeLoopSystem:
     def test_node_rows_rhs_are_demands(self, gas_network):
         flows = initial_state(gas_network)
         basis = select_basis(gas_network)
-        nm = build_node_matrix(gas_network)
         system = assemble_node_loop_system(
-            gas_network, nm, basis, flows,
             evaluate_loops(gas_network, basis, flows))
         demands_m3h = [-6940.0, 2100.0, 170.0, 90.0, 200.0, 2500.0, 300.0,
                        170.0, 850.0, 280.0]
@@ -128,11 +122,9 @@ class TestAssembleNodeLoopSystem:
     def test_dimension_mismatch_rejected(self, gas_network):
         flows = initial_state(gas_network)
         basis = select_basis(gas_network)
-        nm = build_node_matrix(gas_network)
         short_basis = type(basis)(basis.loops[:3])
         with pytest.raises(ValueError, match="dimension mismatch"):
             assemble_node_loop_system(
-                gas_network, nm, short_basis, flows,
                 evaluate_loops(gas_network, short_basis, flows))
 
 
@@ -365,3 +357,43 @@ class TestReportShape:
         report = solve_node_loop(water_network, SolverConfig(max_iterations=2))
         assert report.termination == "max-iterations"
         assert report.iteration_count == 2
+
+
+def grid_network(n: int, kind: str) -> Network:
+    """n×n grid with no explicit loops: the solvers derive the basis.
+
+    The corner node 1 supplies every other node; diameters vary from pipe
+    to pipe so that no flow pattern is symmetric.
+    """
+    def node(r, c):
+        return r * n + c + 1
+
+    pipes = []
+    for r in range(n):
+        for c in range(n):
+            for r2, c2 in ((r, c + 1), (r + 1, c)):
+                if r2 < n and c2 < n:
+                    k = len(pipes) + 1
+                    pipes.append(Pipe(k, node(r, c), node(r2, c2),
+                                      0.1 + 0.02 * (k % 5), 80.0 + 7.0 * k, 2e-5))
+    demands = [20.0 + 3.0 * k for k in range(n * n - 1)]
+    nodes = [NodeSpec(1, -sum(demands))] + [
+        NodeSpec(k + 2, d) for k, d in enumerate(demands)]
+    fluid = (FluidSpec(kind="gas", rel_density=0.6) if kind == "gas"
+             else FluidSpec(kind="water", density=1000.0, viscosity=0.00089))
+    return Network(pipes=pipes, nodes=nodes, fluid=fluid)
+
+
+@pytest.mark.parametrize("kind", ["gas", "water"])
+def test_derived_basis_grid_methods_agree(kind):
+    net = grid_network(4, kind)
+    assert net.explicit_loops is None and net.loop_count == 9
+    config = SolverConfig(flow_tolerance_m3h=1e-9, max_iterations=100)
+    node_loop = solve_node_loop(net, config)
+    improved = solve_hardy_cross_improved(net, config)
+    for report in (node_loop, improved):
+        assert report.termination == "converged"
+        for state in report.iterations:
+            residuals = node_balance_residuals_m3h(net, state.flows)
+            assert max(abs(r) for r in residuals.values()) / 3600.0 <= 1e-9
+    assert node_loop.final_flows.max_change_m3h(improved.final_flows) <= 1e-6
