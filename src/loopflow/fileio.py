@@ -17,6 +17,7 @@ from .model import (
     FluidSpec,
     FlowState,
     Network,
+    NodeId,
     NodeSpec,
     Pipe,
     PipeId,
@@ -32,11 +33,11 @@ FLUID_KEYS = {
     "operating_pressure_pa": (float, False),
     "normal_pressure_pa": (float, False),
 }
-NODE_KEYS = {"id": (None, True), "demand_m3h": (float, True)}
+NODE_KEYS = {"id": (NodeId, True), "demand_m3h": (float, True)}
 PIPE_KEYS = {
     "id": (int, True),
-    "from": (None, True),
-    "to": (None, True),
+    "from": (NodeId, True),
+    "to": (NodeId, True),
     "diameter_m": (float, True),
     "length_m": (float, True),
     "roughness_m": (float, False),
@@ -108,9 +109,19 @@ def network_from_dict(raw: dict, context: str = "network") -> Network:
             pid = _get(row, "pipe", int, ctx)
             initial[pid] = _get(row, "flow_m3h", float, ctx)
 
+    reference = raw.get("reference_node")
+    if reference is not None:
+        reference = _get(raw, "reference_node", NodeId, context)
+    elif len({isinstance(n.id, str) for n in nodes}) > 1:
+        # The default reference node is the largest id, and strings and
+        # integers do not compare.
+        raise NetworkFileError(
+            f"{context}: node ids mix strings and integers, so "
+            f"'reference_node' must be given")
+
     return Network(pipes=pipes, nodes=nodes, fluid=fluid,
                    explicit_loops=loops,
-                   reference_node=raw.get("reference_node"),
+                   reference_node=reference,
                    initial_flows_m3h=initial)
 
 
@@ -145,6 +156,9 @@ def _get(obj: dict, key: str, kind, context: str, default=None,
         return value
     if kind is str and not isinstance(value, str):
         raise NetworkFileError(f"{context}: '{key}' must be a string")
+    if kind is NodeId and (isinstance(value, bool) or not isinstance(value, NodeId)):
+        raise NetworkFileError(
+            f"{context}: '{key}' must be a string or an integer")
     return value
 
 
@@ -167,7 +181,7 @@ def _parse_fluid(obj, context: str) -> FluidSpec:
 
 def _parse_node(obj, context: str) -> NodeSpec:
     _reject_unknown(obj, set(NODE_KEYS), context)
-    return NodeSpec(id=_get(obj, "id", None, context),
+    return NodeSpec(id=_get(obj, "id", NodeId, context),
                     demand_m3h=_get(obj, "demand_m3h", float, context))
 
 
@@ -175,8 +189,8 @@ def _parse_pipe(obj, context: str) -> Pipe:
     _reject_unknown(obj, set(PIPE_KEYS), context)
     return Pipe(
         id=_get(obj, "id", int, context),
-        from_node=_get(obj, "from", None, context),
-        to_node=_get(obj, "to", None, context),
+        from_node=_get(obj, "from", NodeId, context),
+        to_node=_get(obj, "to", NodeId, context),
         diameter=_get(obj, "diameter_m", float, context),
         length=_get(obj, "length_m", float, context),
         roughness=_get(obj, "roughness_m", float, context, default=0.0,

@@ -7,6 +7,8 @@ the library.  The 3600 factor is applied only at file and report boundaries.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -326,20 +328,26 @@ def spanning_tree(net: Network) -> tuple[list[Pipe], list[tuple[NodeId, Pipe]]]:
     visited = {net.reference_node}
     tree: list[Pipe] = []
     attach_order: list[tuple[NodeId, Pipe]] = []
+    # Pipes touching the tree by id; `tie` orders repeated ids of unvalidated input.
+    frontier: list[tuple[PipeId, int, Pipe]] = []
+    tie = itertools.count()
+
+    def reach(node: NodeId) -> None:
+        for p in incident[node]:
+            heapq.heappush(frontier, (p.id, next(tie), p))
+
+    reach(net.reference_node)
     while len(visited) < len(net.nodes):
-        candidate: Pipe | None = None
-        for node in visited:
-            for p in incident[node]:
-                other = p.to_node if p.from_node == node else p.from_node
-                if other not in visited and (candidate is None or p.id < candidate.id):
-                    candidate = p
-        if candidate is None:
+        if not frontier:
             raise ValueError("disconnected graph: no spanning tree exists")
-        new_node = (candidate.to_node if candidate.from_node in visited
-                    else candidate.from_node)
+        _, _, pipe = heapq.heappop(frontier)
+        if pipe.from_node in visited and pipe.to_node in visited:
+            continue
+        new_node = pipe.to_node if pipe.from_node in visited else pipe.from_node
         visited.add(new_node)
-        tree.append(candidate)
-        attach_order.append((new_node, candidate))
+        tree.append(pipe)
+        attach_order.append((new_node, pipe))
+        reach(new_node)
     return tree, attach_order
 
 
@@ -369,10 +377,11 @@ def feasible_initial_flows(net: Network, seed: int = 0) -> FlowState:
                 flows[p.id] = m3h_to_m3s(rng.uniform(-demand_scale, demand_scale) / 2.0)
 
     incident = net.incident_pipes()
+    demand_m3h = {n.id: n.demand_m3h for n in net.nodes}
     # Last-attached nodes are leaves of the attachment order, so every
     # incident pipe except the one toward the root is already resolved.
     for node, parent_pipe in reversed(attach_order):
-        demand = m3h_to_m3s(net.node(node).demand_m3h)
+        demand = m3h_to_m3s(demand_m3h[node])
         known_net_inflow = 0.0
         for p in incident[node]:
             if p.id == parent_pipe.id:

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fluids import make_fluid_model
-from .model import FlowState, Network, NODE_BALANCE_TOL_M3S, PipeArrays, PipeId, node_imbalances, validate
+from .model import FlowState, Network, NODE_BALANCE_TOL_M3S, PipeId, node_imbalances, validate
 from .solvers import DEFAULT_RESIDUAL_TOLERANCE
-from .topology import LoopBasis
+from .topology import LoopBasis, compile_network
 
 DEFAULT_DIAMETER_BOUNDS = (0.01, 2.0)
 
@@ -102,8 +102,8 @@ def optimize_diameters(net: Network, basis: LoopBasis,
     tolerance = (config.residual_tolerance
                  if config.residual_tolerance is not None
                  else DEFAULT_RESIDUAL_TOLERANCE[net.fluid.kind])
-    pipes = PipeArrays.of(net)
-    loops = basis.matrix(pipes.ids)
+    arrays = compile_network(net, basis)
+    pipes, loops = arrays.pipes, arrays.loops
     q = pipes.flows(flows)
     magnitude = np.abs(q)
     sign = np.where(q < 0.0, -1.0, 1.0)

@@ -6,6 +6,10 @@ The loop basis encodes the energy-balance equations: pipes - nodes + 1
 independent closed cycles with ±1 orientation signs.  `compile_network`
 turns both, with the pipe geometry and the node demands, into the arrays
 the solvers work on.
+
+Both loop bases rest on the one spanning tree of `model.spanning_tree`:
+the derived basis holds the fundamental cycle of each link (pipe outside
+the tree); an explicit set is rank-checked on its block of link columns.
 """
 
 from __future__ import annotations
@@ -92,58 +96,36 @@ def derive_loop_basis(net: Network) -> LoopBasis:
 
     One loop per link pipe (taken in ascending id order), oriented so the
     link itself carries sign +1; the rest of the cycle is the unique tree
-    path closing it.
+    path closing it, from the link's head back to its tail.
     """
-    tree, _ = spanning_tree(net)
+    tree, attach_order = spanning_tree(net)
     tree_ids = {p.id for p in tree}
     links = sorted((p for p in net.pipes if p.id not in tree_ids), key=lambda p: p.id)
 
-    adjacency: dict[NodeId, list[Pipe]] = {n.id: [] for n in net.nodes}
-    for p in tree:
-        adjacency[p.from_node].append(p)
-        adjacency[p.to_node].append(p)
+    parent: dict[NodeId, tuple[NodeId, Pipe]] = {}   # node -> (parent node, tree pipe)
+    depth = {net.reference_node: 0}
+    for node, pipe in attach_order:
+        above = pipe.to_node if pipe.from_node == node else pipe.from_node
+        parent[node] = (above, pipe)
+        depth[node] = depth[above] + 1
 
     loops = []
     for link in links:
-        path = _tree_path(adjacency, link.to_node, link.from_node)
-        signed = [(link.id, 1)]
-        node = link.to_node
-        for p in path:
-            if p.from_node == node:
-                signed.append((p.id, 1))
-                node = p.to_node
+        # Climb from both ends of the link to their lowest common ancestor:
+        # the cycle goes up from the link's head, then down to its tail.
+        up, down = [], []
+        a, b = link.to_node, link.from_node
+        while a != b:
+            if depth[a] >= depth[b]:
+                above, pipe = parent[a]
+                up.append((pipe.id, 1 if pipe.from_node == a else -1))
+                a = above
             else:
-                signed.append((p.id, -1))
-                node = p.from_node
-        loops.append(tuple(signed))
+                above, pipe = parent[b]
+                down.append((pipe.id, 1 if pipe.to_node == b else -1))
+                b = above
+        loops.append(((link.id, 1), *up, *reversed(down)))
     return LoopBasis(tuple(loops))
-
-
-def _tree_path(adjacency: dict[NodeId, list[Pipe]], start: NodeId,
-               goal: NodeId) -> list[Pipe]:
-    """Unique pipe path between two nodes of a spanning tree (BFS)."""
-    parent: dict[NodeId, tuple[NodeId, Pipe]] = {}
-    seen = {start}
-    queue = [start]
-    while queue:
-        node = queue.pop(0)
-        if node == goal:
-            break
-        for p in adjacency[node]:
-            other = p.to_node if p.from_node == node else p.from_node
-            if other not in seen:
-                seen.add(other)
-                parent[other] = (node, p)
-                queue.append(other)
-    if goal not in seen:
-        raise ValueError(f"no tree path from {start!r} to {goal!r}")
-    path = []
-    node = goal
-    while node != start:
-        node, pipe = parent[node]
-        path.append(pipe)
-    path.reverse()
-    return path
 
 
 def adopt_explicit_loops(net: Network) -> LoopBasis:
@@ -152,7 +134,9 @@ def adopt_explicit_loops(net: Network) -> LoopBasis:
     Each loop is given as a signed pipe-id sequence in traversal order
     (negative id = traversed against the pipe's reference orientation).
     Raises ValueError on a non-cycle sequence, a wrong loop count, or a
-    rank-deficient set.
+    rank-deficient set.  A closed cycle is fixed by its signs on the links
+    of a spanning tree, so the loops are independent exactly when their
+    loops × links block has full rank.
     """
     if not net.explicit_loops:
         raise ValueError("network definition carries no explicit loops")
@@ -162,18 +146,19 @@ def adopt_explicit_loops(net: Network) -> LoopBasis:
             f"wrong loop count: {len(net.explicit_loops)} supplied, "
             f"{expected} independent loops required (pipes - nodes + 1)")
 
-    loops = []
-    for k, sequence in enumerate(net.explicit_loops, start=1):
-        loops.append(_as_cycle(net, k, sequence))
-    basis = LoopBasis(tuple(loops))
+    pipes = {p.id: p for p in net.pipes}
+    basis = LoopBasis(tuple(_as_cycle(pipes, k, sequence)
+                            for k, sequence in enumerate(net.explicit_loops, start=1)))
 
-    sign_rows = [[int(v) for v in row] for row in basis.matrix(net.pipe_ids)]
+    tree_ids = {p.id for p in spanning_tree(net)[0]}
+    link_columns = [j for j, pid in enumerate(net.pipe_ids) if pid not in tree_ids]
+    sign_rows = basis.matrix(net.pipe_ids)[:, link_columns].astype(int).tolist()
     if exact_rank(sign_rows) != expected:
         raise ValueError("rank-deficient loop set: loops are not independent")
     return basis
 
 
-def _as_cycle(net: Network, k: int, sequence: tuple[int, ...]):
+def _as_cycle(pipes: dict[PipeId, Pipe], k: int, sequence: tuple[int, ...]):
     if not sequence:
         raise ValueError(f"loop {k} is empty")
     signed = []
@@ -186,7 +171,9 @@ def _as_cycle(net: Network, k: int, sequence: tuple[int, ...]):
         if pid in seen_pipes:
             raise ValueError(f"loop {k} repeats pipe {pid}")
         seen_pipes.add(pid)
-        pipe = net.pipe(pid)
+        if pid not in pipes:
+            raise KeyError(f"no pipe {pid!r} in network")
+        pipe = pipes[pid]
         tail = pipe.from_node if sign > 0 else pipe.to_node
         head = pipe.to_node if sign > 0 else pipe.from_node
         if node is None:

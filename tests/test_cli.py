@@ -9,6 +9,8 @@ from loopflow.cli import main
 from loopflow.fileio import write_flows_csv
 from loopflow.solvers import SolverConfig, solve_node_loop
 
+from test_fileio import mixed_node_ids_dict
+
 
 @pytest.fixture()
 def gas_path(tmp_path):
@@ -57,6 +59,15 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(path))
         assert code == 1
         assert "disconnected" in err
+
+    def test_mixed_node_id_kinds_fail(self, tmp_path, capsys):
+        raw = mixed_node_ids_dict()
+        del raw["reference_node"]
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(raw))
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 1
+        assert "mix strings and integers" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent/net.json")

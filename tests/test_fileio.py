@@ -102,6 +102,41 @@ class TestParseNetwork:
         with pytest.raises(NetworkFileError, match="signed pipe ids"):
             parse_network(path)
 
+    @pytest.mark.parametrize("bad", [1.5, True, [1], {"id": "I"}])
+    @pytest.mark.parametrize("where", ["node id", "pipe from", "pipe to",
+                                       "reference_node"])
+    def test_node_ids_must_be_strings_or_integers(self, where, bad):
+        raw = fixture_dict("fixture_gas.json")
+        obj, key = {"node id": (raw["nodes"][0], "id"),
+                    "pipe from": (raw["pipes"][0], "from"),
+                    "pipe to": (raw["pipes"][0], "to"),
+                    "reference_node": (raw, "reference_node")}[where]
+        obj[key] = bad
+        with pytest.raises(NetworkFileError,
+                           match=f"'{key}' must be a string or an integer"):
+            network_from_dict(raw)
+
+    def test_mixed_node_id_kinds_need_reference_node(self, tmp_path):
+        raw = mixed_node_ids_dict()
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(raw))
+        assert parse_network(path).reference_node == "XI"
+        del raw["reference_node"]
+        path.write_text(json.dumps(raw))
+        with pytest.raises(NetworkFileError, match="mix strings and integers"):
+            parse_network(path)
+
+
+def mixed_node_ids_dict() -> dict:
+    """The gas fixture with node "I" renamed to the integer 1."""
+    raw = fixture_dict("fixture_gas.json")
+    raw["nodes"][0]["id"] = 1
+    for pipe in raw["pipes"]:
+        for end in ("from", "to"):
+            if pipe[end] == "I":
+                pipe[end] = 1
+    return raw
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["fixture_gas.json", "fixture_water.json"])

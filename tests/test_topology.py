@@ -1,10 +1,13 @@
 """Node matrix and loop basis construction, with exact-arithmetic oracles."""
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 import sympy
 
-from loopflow.model import Network, NodeSpec, Pipe
+from loopflow.model import Network, NodeSpec, Pipe, spanning_tree
 from loopflow.topology import (
     adopt_explicit_loops,
     build_node_matrix,
@@ -13,6 +16,60 @@ from loopflow.topology import (
 )
 
 from test_model import WATER, square_net
+
+
+def random_mesh(seed: int) -> Network:
+    """Small connected network with shuffled pipe ids, orientations and
+    reference node; parallel pipes are allowed."""
+    rng = random.Random(seed)
+    n_nodes = rng.randint(3, 8)
+    ends = [(rng.randint(1, k - 1), k) for k in range(2, n_nodes + 1)]
+    for _ in range(rng.randint(1, 5)):
+        ends.append(tuple(rng.sample(range(1, n_nodes + 1), 2)))
+    rng.shuffle(ends)
+    ids = rng.sample(range(1, 4 * len(ends)), len(ends))
+    pipes = [Pipe(pid, *(e if rng.random() < 0.5 else e[::-1]), 0.2, 100.0)
+             for pid, e in zip(ids, ends)]
+    return Network(pipes=pipes,
+                   nodes=[NodeSpec(k, 0.0) for k in range(1, n_nodes + 1)],
+                   fluid=WATER, reference_node=rng.randint(1, n_nodes))
+
+
+def brute_force_spanning_tree(net: Network):
+    """The tree rule by exhaustive search: on every step, scan the pipes of
+    every visited node and take the lowest id that reaches a new node."""
+    incident = net.incident_pipes()
+    visited = [net.reference_node]
+    attach_order = []
+    while len(visited) < len(net.nodes):
+        pipe = min((p for node in visited for p in incident[node]
+                    if not {p.from_node, p.to_node} <= set(visited)),
+                   key=lambda p: p.id)
+        new_node = pipe.to_node if pipe.from_node in visited else pipe.from_node
+        visited.append(new_node)
+        attach_order.append((new_node, pipe))
+    return [p for _, p in attach_order], attach_order
+
+
+def brute_force_loops(net: Network):
+    """Fundamental cycles of the brute-force tree: each link with sign +1,
+    then the tree path from its head to its tail, found by search."""
+    tree, _ = brute_force_spanning_tree(net)
+
+    def path(node, goal, used):
+        if node == goal:
+            return []
+        for p in tree:
+            if p.id not in used and node in (p.from_node, p.to_node):
+                other = p.to_node if p.from_node == node else p.from_node
+                rest = path(other, goal, used | {p.id})
+                if rest is not None:
+                    return [(p.id, 1 if p.from_node == node else -1)] + rest
+        return None
+
+    links = sorted((p for p in net.pipes if p not in tree), key=lambda p: p.id)
+    return tuple(((link.id, 1), *path(link.to_node, link.from_node, set()))
+                 for link in links)
 
 
 class TestNodeMatrix:
@@ -69,6 +126,12 @@ class TestDeriveLoopBasis:
     def test_deterministic(self, water_network):
         assert derive_loop_basis(water_network).loops == \
             derive_loop_basis(water_network).loops
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_matches_brute_force_tree_rule(self, seed):
+        net = random_mesh(seed)
+        assert spanning_tree(net) == brute_force_spanning_tree(net)
+        assert derive_loop_basis(net).loops == brute_force_loops(net)
 
     def test_link_pipe_sign_is_positive(self, gas_network):
         basis = derive_loop_basis(gas_network)
@@ -152,11 +215,62 @@ class TestStackedSystemRank:
             assert sympy.Matrix(stacked.astype(int)).rank() == 15
 
     def test_small_random_networks(self):
-        net = square_net()
-        nm = build_node_matrix(net)
-        basis = derive_loop_basis(net)
-        stacked = np.vstack([nm.entries, basis.matrix(net.pipe_ids)])
-        assert sympy.Matrix(stacked.astype(int)).rank() == len(net.pipes)
+        for net in [square_net()] + [random_mesh(seed) for seed in range(50)]:
+            nm = build_node_matrix(net)
+            basis = derive_loop_basis(net)
+            stacked = np.vstack([nm.entries, basis.matrix(net.pipe_ids)])
+            assert sympy.Matrix(stacked.astype(int)).rank() == len(net.pipes)
+
+
+class TestLinkBlockRank:
+    """Explicit loops on a 3×3-node grid, rank-checked on the link columns
+    only, against sympy's rank of the full loops × pipes matrix."""
+
+    # Node k sits at row (k-1)//3, column (k-1)%3; F1-F4 are the faces.
+    CYCLES = {
+        "F1": (1, 2, 5, 4), "F2": (2, 3, 6, 5),
+        "F3": (4, 5, 8, 7), "F4": (5, 6, 9, 8),
+        "F1+F2": (1, 2, 3, 6, 5, 4), "F3+F4": (4, 5, 6, 9, 8, 7),
+        "F1+F3": (1, 2, 5, 8, 7, 4), "F2+F4": (2, 3, 6, 9, 8, 5),
+        "outer": (1, 2, 3, 6, 9, 8, 7, 4),
+    }
+
+    def test_accepts_exactly_the_full_rank_sets(self):
+        rng = random.Random(3)
+        ends = [(k, k + 1) for k in range(1, 10) if k % 3] + \
+            [(k, k + 3) for k in range(1, 7)]
+        ids = rng.sample(range(1, 50), len(ends))
+        pipes = [Pipe(pid, *(e if rng.random() < 0.5 else e[::-1]), 0.2, 100.0)
+                 for pid, e in zip(ids, ends)]
+        between = {frozenset((p.from_node, p.to_node)): p for p in pipes}
+
+        def sequence(cycle):
+            signed = []
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                p = between[frozenset((a, b))]
+                signed.append(p.id if p.from_node == a else -p.id)
+            return tuple(signed)
+
+        rejected = []
+        for names in itertools.combinations(self.CYCLES, 4):
+            loops = [sequence(self.CYCLES[name]) for name in names]
+            rows = [[0] * len(pipes) for _ in loops]
+            for row, loop in zip(rows, loops):
+                for signed in loop:
+                    row[ids.index(abs(signed))] = 1 if signed > 0 else -1
+            net = Network(pipes=pipes, nodes=[NodeSpec(k) for k in range(1, 10)],
+                          fluid=WATER, explicit_loops=loops,
+                          reference_node=rng.randint(1, 9))
+            try:
+                adopt_explicit_loops(net)
+                accepted = True
+            except ValueError as exc:
+                assert "rank-deficient" in str(exc)
+                accepted = False
+                rejected.append(names)
+            assert accepted == (sympy.Matrix(rows).rank() == 4), names
+        assert ("F1", "F2", "F3", "F1+F2") in rejected
+        assert 0 < len(rejected) < 126
 
 
 def test_exact_rank_matches_sympy_on_random_sign_matrices():
