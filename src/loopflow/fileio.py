@@ -93,7 +93,7 @@ def network_from_dict(raw: dict, context: str = "network") -> Network:
         for i, loop in enumerate(_as_list(raw["loops"], f"{context}: loops")):
             seq = _as_list(loop, f"{context}: loops[{i}]")
             for v in seq:
-                if not isinstance(v, int) or v == 0:
+                if isinstance(v, bool) or not isinstance(v, int) or v == 0:
                     raise NetworkFileError(
                         f"{context}: loops[{i}]: entries must be nonzero "
                         f"signed pipe ids, got {v!r}")

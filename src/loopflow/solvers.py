@@ -218,10 +218,7 @@ def solve_hardy_cross_improved(net: Network, config: SolverConfig | None = None,
 
     def step(loop_eval: LoopEval) -> np.ndarray:
         loops = loop_eval.arrays.loops
-        # B·D·Bᵀ by einsum, not matmul: OpenBLAS runs a product of this
-        # shape on worker threads that then busy-wait for about 0.1 s,
-        # taking a core from everything that runs next.
-        jacobian = np.einsum("lp,mp->lm", loops * loop_eval.dflow, loops)
+        jacobian = (loops * loop_eval.dflow) @ loops.T
         deltas = solve_linear(DenseSystem(jacobian, -loop_eval.residuals))
         return loop_eval.flows + loops.T @ deltas
 

@@ -102,6 +102,12 @@ class TestParseNetwork:
         with pytest.raises(NetworkFileError, match="signed pipe ids"):
             parse_network(path)
 
+    def test_bool_loop_entry_rejected(self):
+        raw = fixture_dict("fixture_gas.json")
+        raw["loops"][0][0] = True
+        with pytest.raises(NetworkFileError, match="signed pipe ids"):
+            network_from_dict(raw)
+
     @pytest.mark.parametrize("bad", [1.5, True, [1], {"id": "I"}])
     @pytest.mark.parametrize("where", ["node id", "pipe from", "pipe to",
                                        "reference_node"])

@@ -49,9 +49,14 @@ class TestSolveLinear:
         x_perm = solve_linear(DenseSystem(a[perm], b[perm]))
         assert np.max(np.abs(x - x_perm)) <= 1e-10 * max(1.0, np.max(np.abs(x)))
 
-    def test_singular_raises(self):
+    # The second matrix is singular only up to rounding: elimination leaves
+    # a 1.1e-16 pivot, and a bare LAPACK solve returns entries near 1e16.
+    @pytest.mark.parametrize("matrix", [[[1.0, 2.0], [2.0, 4.0]],
+                                        [[0.1, 0.3], [0.3, 0.9]]],
+                             ids=["exact", "rounding"])
+    def test_singular_raises(self, matrix):
         with pytest.raises(SingularSystemError):
-            solve_linear(DenseSystem([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0]))
+            solve_linear(DenseSystem(matrix, [1.0, 2.0]))
 
     def test_zero_row_raises(self):
         with pytest.raises(SingularSystemError):
