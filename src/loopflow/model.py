@@ -140,6 +140,9 @@ class Network:
         return len(self.pipes) - len(self.nodes) + 1
 
 
+SpanningTree = tuple[list[Pipe], list[tuple[NodeId, Pipe]]]   # see `spanning_tree`
+
+
 @dataclass(frozen=True)
 class FlowState:
     """Signed flow per pipe in m³/s, relative to each pipe's orientation."""
@@ -317,7 +320,7 @@ def _unreachable_nodes(net: Network) -> set[NodeId]:
     return set(net.node_ids) - seen
 
 
-def spanning_tree(net: Network) -> tuple[list[Pipe], list[tuple[NodeId, Pipe]]]:
+def spanning_tree(net: Network) -> SpanningTree:
     """Deterministic spanning tree grown from the reference node.
 
     At each step the lowest-id pipe linking the tree to a new node is taken.
@@ -328,26 +331,25 @@ def spanning_tree(net: Network) -> tuple[list[Pipe], list[tuple[NodeId, Pipe]]]:
     visited = {net.reference_node}
     tree: list[Pipe] = []
     attach_order: list[tuple[NodeId, Pipe]] = []
-    # Pipes touching the tree by id; `tie` orders repeated ids of unvalidated input.
-    frontier: list[tuple[PipeId, int, Pipe]] = []
+    # Pipes from the tree to a node outside it, by id; `tie` orders repeated
+    # ids of unvalidated input.  A pipe enters the heap once, from the first
+    # of its ends to join, and is skipped on popping if its far end joined.
     tie = itertools.count()
-
-    def reach(node: NodeId) -> None:
-        for p in incident[node]:
-            heapq.heappush(frontier, (p.id, next(tie), p))
-
-    reach(net.reference_node)
+    frontier = [(p.id, next(tie), p) for p in incident[net.reference_node]]
+    heapq.heapify(frontier)
     while len(visited) < len(net.nodes):
         if not frontier:
             raise ValueError("disconnected graph: no spanning tree exists")
         _, _, pipe = heapq.heappop(frontier)
-        if pipe.from_node in visited and pipe.to_node in visited:
-            continue
         new_node = pipe.to_node if pipe.from_node in visited else pipe.from_node
+        if new_node in visited:
+            continue
         visited.add(new_node)
         tree.append(pipe)
         attach_order.append((new_node, pipe))
-        reach(new_node)
+        for p in incident[new_node]:
+            if (p.to_node if p.from_node == new_node else p.from_node) not in visited:
+                heapq.heappush(frontier, (p.id, next(tie), p))
     return tree, attach_order
 
 
@@ -362,9 +364,13 @@ def feasible_initial_flows(net: Network, seed: int = 0) -> FlowState:
     violations = validate(net)
     if violations:
         raise ValueError("invalid network: " + "; ".join(violations))
+    return _tree_flows(net, spanning_tree(net), seed)
 
-    tree, attach_order = spanning_tree(net)
-    tree_ids = {p.id for p in tree}
+
+def _tree_flows(net: Network, tree: SpanningTree, seed: int) -> FlowState:
+    """`feasible_initial_flows` of a validated network on its `spanning_tree`."""
+    tree_pipes, attach_order = tree
+    tree_ids = {p.id for p in tree_pipes}
     demand_scale = max((abs(n.demand_m3h) for n in net.nodes), default=0.0)
 
     flows: dict[PipeId, float] = {}

@@ -1,7 +1,9 @@
 """The three iterative flow solvers plus node-pressure back-propagation.
 
-Each solve compiles the network once into arrays (`compile_network`): the
-node matrix A with its demands and the signed loop matrix B.  Every pass
+Each solve validates the network once, takes a derived loop basis and the
+seed-0 start of `feasible_initial_flows` from one spanning tree, and
+compiles the network once into arrays (`compile_network`): the node matrix
+A with its demands and the signed loop matrix B.  Every pass
 then evaluates all pipes in one call, giving the loop imbalances
 r = B·(sign q · drop(|q|)) and the pipe derivatives D = |d drop/d flow|,
 and the three methods differ only in the linear system they solve:
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,13 +42,16 @@ from .model import (
     PipeArrays,
     PipeId,
     SolveReport,
-    feasible_initial_flows,
+    SpanningTree,
+    _tree_flows,
     m3h_to_m3s,
     m3s_to_m3h,
+    spanning_tree,
     validate,
 )
 from .numerics import DenseSystem, SingularSystemError, condition_estimate, solve_linear
-from .topology import LoopBasis, NetworkArrays, adopt_explicit_loops, compile_network, derive_loop_basis
+from .topology import (LoopBasis, NetworkArrays, _fundamental_cycles, adopt_explicit_loops,
+                       compile_network, derive_loop_basis)
 
 NODE_LOOP = "node-loop"
 HARDY_CROSS = "hardy-cross"
@@ -107,9 +113,14 @@ class LoopEval:
 
 def select_basis(net: Network) -> LoopBasis:
     """Explicit loops win over derived ones when the file carries them."""
+    return _select_basis(net, None)
+
+
+def _select_basis(net: Network, tree: SpanningTree | None) -> LoopBasis:
+    """`select_basis`, deriving loops on `tree` (`spanning_tree(net)`) if given."""
     if net.explicit_loops:
         return adopt_explicit_loops(net)
-    return derive_loop_basis(net)
+    return derive_loop_basis(net) if tree is None else _fundamental_cycles(net, tree)
 
 
 def evaluate_loops(net: Network, basis: LoopBasis, flows: FlowState | np.ndarray,
@@ -146,15 +157,6 @@ def assemble_node_loop_system(loop_eval: LoopEval) -> DenseSystem:
     return DenseSystem(
         np.vstack([node_matrix, loop_rows]),
         np.concatenate([demand, loop_rows @ loop_eval.flows - loop_eval.residuals]))
-
-
-def _initial_state(net: Network, initial: FlowState | None) -> FlowState:
-    if initial is not None:
-        return initial
-    if net.initial_flows_m3h is not None:
-        return FlowState({pid: m3h_to_m3s(q)
-                          for pid, q in net.initial_flows_m3h.items()})
-    return feasible_initial_flows(net, seed=0)
 
 
 def solve(net: Network, config: SolverConfig | None = None,
@@ -232,15 +234,20 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
     if violations:
         raise ValueError("invalid network: " + "; ".join(violations))
 
+    if initial is None and net.initial_flows_m3h is not None:
+        initial = FlowState({pid: m3h_to_m3s(q) for pid, q in net.initial_flows_m3h.items()})
+    # The derived basis and a start taken from the tree share one tree.
+    tree = None if initial is not None and net.explicit_loops else spanning_tree(net)
     model = make_fluid_model(net.fluid)
-    basis = select_basis(net)
+    basis = _select_basis(net, tree)
     arrays = compile_network(net, basis)
     floor = config.derivative_flow_floor
 
     def evaluate(q: np.ndarray) -> LoopEval:
         return evaluate_loops(net, basis, q, floor, model=model, arrays=arrays)
 
-    loop_eval = evaluate(arrays.pipes.flows(_initial_state(net, initial)))
+    start = initial if initial is not None else _tree_flows(net, tree, seed=0)
+    loop_eval = evaluate(arrays.pipes.flows(start))
     residual_tol = config.resolved_residual_tolerance(net.fluid.kind)
     iterations = [FlowState(arrays.pipes.by_id(loop_eval.flows))]
     residual_history = [np.abs(loop_eval.residuals).tolist()]
@@ -306,9 +313,9 @@ def propagate_pressures(net: Network, flows: FlowState, source_node: NodeId,
     incident = net.incident_pipes()
 
     potentials = {source_node: source_pressure ** 2 if squared else source_pressure}
-    queue = [source_node]
+    queue = deque([source_node])
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         neighbours = []
         for p in incident[node]:
             other = p.to_node if p.from_node == node else p.from_node

@@ -10,6 +10,7 @@ the solvers work on.
 Both loop bases rest on the one spanning tree of `model.spanning_tree`:
 the derived basis holds the fundamental cycle of each link (pipe outside
 the tree); an explicit set is rank-checked on its block of link columns.
+A solve shares one tree between `_fundamental_cycles` and its start.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Network, NodeId, Pipe, PipeArrays, PipeId, m3h_to_m3s, spanning_tree
+from .model import (Network, NodeId, Pipe, PipeArrays, PipeId, SpanningTree, m3h_to_m3s,
+                    spanning_tree)
 
 
 @dataclass(frozen=True)
@@ -98,8 +100,13 @@ def derive_loop_basis(net: Network) -> LoopBasis:
     link itself carries sign +1; the rest of the cycle is the unique tree
     path closing it, from the link's head back to its tail.
     """
-    tree, attach_order = spanning_tree(net)
-    tree_ids = {p.id for p in tree}
+    return _fundamental_cycles(net, spanning_tree(net))
+
+
+def _fundamental_cycles(net: Network, tree: SpanningTree) -> LoopBasis:
+    """`derive_loop_basis` on the network's `spanning_tree`."""
+    tree_pipes, attach_order = tree
+    tree_ids = {p.id for p in tree_pipes}
     links = sorted((p for p in net.pipes if p.id not in tree_ids), key=lambda p: p.id)
 
     parent: dict[NodeId, tuple[NodeId, Pipe]] = {}   # node -> (parent node, tree pipe)

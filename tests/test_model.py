@@ -14,6 +14,7 @@ from loopflow.model import (
     m3h_to_m3s,
     m3s_to_m3h,
     node_imbalances,
+    spanning_tree,
     validate,
 )
 
@@ -34,6 +35,20 @@ def square_net(fluid=WATER, demands=(-30.0, 10.0, 10.0, 10.0)):
         Pipe(5, 1, 3, 0.15, 70.0, 1e-5),
     ]
     return Network(pipes=pipes, nodes=nodes, fluid=fluid)
+
+
+def disconnected_square():
+    """`square_net` plus a separate two-node segment the reference node misses."""
+    base = square_net()
+    nodes = list(base.nodes) + [NodeSpec(5, 0.0), NodeSpec(6, 0.0)]
+    pipes = list(base.pipes) + [Pipe(6, 5, 6, 0.2, 10.0)]
+    return Network(pipes=pipes, nodes=nodes, fluid=WATER, reference_node=1)
+
+
+def invalid_networks():
+    """An unbalanced and a disconnected network, each with one violation."""
+    return [pytest.param(square_net(demands=(-30.0, 10.0, 10.0, 20.0)), id="unbalanced"),
+            pytest.param(disconnected_square(), id="disconnected")]
 
 
 class TestValidate:
@@ -80,11 +95,7 @@ class TestValidate:
         assert any("unknown fluid kind" in v for v in validate(net))
 
     def test_disconnected(self):
-        base = square_net()
-        nodes = list(base.nodes) + [NodeSpec(5, 0.0), NodeSpec(6, 0.0)]
-        pipes = list(base.pipes) + [Pipe(6, 5, 6, 0.2, 10.0)]
-        net = Network(pipes=pipes, nodes=nodes, fluid=WATER, reference_node=1)
-        assert any("disconnected" in v for v in validate(net))
+        assert any("disconnected" in v for v in validate(disconnected_square()))
 
     def test_tree_has_no_loops(self):
         net = Network(pipes=[Pipe(1, 1, 2, 0.2, 50.0)],
@@ -138,9 +149,19 @@ class TestFeasibleInitialFlows:
         with pytest.raises(ValueError, match="unbalanced"):
             feasible_initial_flows(net, seed=0)
 
+    @pytest.mark.parametrize("net", invalid_networks())
+    def test_validates_first(self, net):
+        with pytest.raises(ValueError, match="invalid network"):
+            feasible_initial_flows(net, seed=0)
+
     def test_deterministic_per_seed(self, water_network):
         assert feasible_initial_flows(water_network, 5).flows == \
             feasible_initial_flows(water_network, 5).flows
+
+
+def test_spanning_tree_of_unvalidated_disconnected_network_raises():
+    with pytest.raises(ValueError, match="disconnected graph"):
+        spanning_tree(disconnected_square())
 
 
 class TestUnits:

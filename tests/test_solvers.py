@@ -1,5 +1,8 @@
 """Solver behaviour on the fixture network and small synthetic networks."""
 
+import sys
+from collections import Counter
+
 import pytest
 
 from loopflow.fluids import make_fluid_model
@@ -11,10 +14,13 @@ from loopflow.model import (
     Pipe,
     feasible_initial_flows,
     m3h_to_m3s,
+    spanning_tree,
+    validate,
 )
 from loopflow.solvers import (
     HARDY_CROSS,
     HARDY_CROSS_IMPROVED,
+    METHODS,
     NODE_LOOP,
     InfeasiblePressureError,
     SolverConfig,
@@ -29,7 +35,7 @@ from loopflow.solvers import (
 )
 import fixture_tables as tables
 from conftest import node_balance_residuals_m3h
-from test_model import square_net
+from test_model import invalid_networks, square_net
 
 
 def initial_state(net) -> FlowState:
@@ -397,3 +403,32 @@ def test_derived_basis_grid_methods_agree(kind):
             residuals = node_balance_residuals_m3h(net, state.flows)
             assert max(abs(r) for r in residuals.values()) / 3600.0 <= 1e-9
     assert node_loop.final_flows.max_change_m3h(improved.final_flows) <= 1e-6
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("net", invalid_networks())
+def test_solve_rejects_invalid_network(net, method):
+    with pytest.raises(ValueError, match="invalid network"):
+        solve(net, SolverConfig(method=method))
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("which", ["derived", "fixture"])
+def test_one_validation_and_one_tree_per_solve(which, method, gas_network, monkeypatch):
+    # square_net derives its basis and start from the tree; the gas fixture
+    # brings explicit loops and initial flows.
+    net = square_net() if which == "derived" else gas_network
+    calls = Counter()
+    modules = [m for name, m in sys.modules.items()
+               if name == "loopflow" or name.startswith("loopflow.")]
+    for original in (validate, spanning_tree):
+        def counted(*args, _original=original, **kwargs):
+            calls[_original.__name__] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    solve(net, SolverConfig(method=method))
+    assert calls == {"validate": 1, "spanning_tree": 1}
