@@ -3,7 +3,14 @@
 A network file holds the sections `fluid`, `nodes`, `pipes`, optional
 `loops` (signed pipe-id cycles), optional `initial_flows`, and an optional
 `reference_node`.  Units are fixed by the key suffixes: `_m3h`, `_m`,
-`_pa`.  Unknown keys are rejected so typos cannot silently change a run.
+`_pa`.  Unknown keys, non-finite numbers and repeated flow rows are
+rejected so typos cannot silently change a run.
+
+The key tables `FLUID_KEYS`, `NODE_KEYS` and `PIPE_KEYS` are the one
+declaration of the fluid, node and pipe records: each maps a JSON key to
+(model field, value kind, required) in the order of the model's fields,
+which is the order keys are checked and written.  Reading gives a missing
+optional key the model's default; writing leaves out fields that are None.
 """
 
 from __future__ import annotations
@@ -11,6 +18,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Set as AbstractSet
+from math import isfinite
 from pathlib import Path
 
 from .model import (
@@ -26,21 +35,21 @@ from .model import (
 )
 
 FLUID_KEYS = {
-    "kind": (str, True),
-    "rel_density": (float, False),
-    "density_kg_m3": (float, False),
-    "viscosity_pa_s": (float, False),
-    "operating_pressure_pa": (float, False),
-    "normal_pressure_pa": (float, False),
+    "kind": ("kind", str, True),
+    "rel_density": ("rel_density", float, False),
+    "density_kg_m3": ("density", float, False),
+    "viscosity_pa_s": ("viscosity", float, False),
+    "operating_pressure_pa": ("operating_pressure", float, False),
+    "normal_pressure_pa": ("normal_pressure", float, False),
 }
-NODE_KEYS = {"id": (NodeId, True), "demand_m3h": (float, True)}
+NODE_KEYS = {"id": ("id", NodeId, True), "demand_m3h": ("demand_m3h", float, True)}
 PIPE_KEYS = {
-    "id": (int, True),
-    "from": (NodeId, True),
-    "to": (NodeId, True),
-    "diameter_m": (float, True),
-    "length_m": (float, True),
-    "roughness_m": (float, False),
+    "id": ("id", int, True),
+    "from": ("from_node", NodeId, True),
+    "to": ("to_node", NodeId, True),
+    "diameter_m": ("diameter", float, True),
+    "length_m": ("length", float, True),
+    "roughness_m": ("roughness", float, False),
 }
 TOP_KEYS = {"fluid", "nodes", "pipes", "loops", "initial_flows", "reference_node"}
 
@@ -65,8 +74,7 @@ def parse_network(path: str | Path) -> Network:
     net = network_from_dict(raw, context=str(path))
     violations = validate(net)
     if violations:
-        detail = "; ".join(violations)
-        raise NetworkFileError(f"{path}: invalid network: {detail}")
+        raise NetworkFileError(f"{path}: invalid network: {'; '.join(violations)}")
     return net
 
 
@@ -75,16 +83,15 @@ def network_from_dict(raw: dict, context: str = "network") -> Network:
         raise NetworkFileError(f"{context}: top level must be an object")
     unknown = set(raw) - TOP_KEYS
     if unknown:
-        raise NetworkFileError(
-            f"{context}: unknown section(s) {sorted(unknown)}")
+        raise NetworkFileError(f"{context}: unknown section(s) {sorted(unknown)}")
     for section in ("fluid", "nodes", "pipes"):
         if section not in raw:
             raise NetworkFileError(f"{context}: missing section '{section}'")
 
-    fluid = _parse_fluid(raw["fluid"], context)
-    nodes = [_parse_node(n, f"{context}: nodes[{i}]")
+    fluid = _parse_record(raw["fluid"], FLUID_KEYS, FluidSpec, f"{context}: fluid")
+    nodes = [_parse_record(n, NODE_KEYS, NodeSpec, f"{context}: nodes[{i}]")
              for i, n in enumerate(_as_list(raw["nodes"], f"{context}: nodes"))]
-    pipes = [_parse_pipe(p, f"{context}: pipes[{i}]")
+    pipes = [_parse_record(p, PIPE_KEYS, Pipe, f"{context}: pipes[{i}]")
              for i, p in enumerate(_as_list(raw["pipes"], f"{context}: pipes"))]
 
     loops = None
@@ -107,7 +114,10 @@ def network_from_dict(raw: dict, context: str = "network") -> Network:
             ctx = f"{context}: initial_flows[{i}]"
             _reject_unknown(row, {"pipe", "flow_m3h"}, ctx)
             pid = _get(row, "pipe", int, ctx)
-            initial[pid] = _get(row, "flow_m3h", float, ctx)
+            flow = _get(row, "flow_m3h", float, ctx)
+            if pid in initial:
+                raise NetworkFileError(f"{ctx}: second flow for pipe {pid}")
+            initial[pid] = flow
 
     reference = raw.get("reference_node")
     if reference is not None:
@@ -119,10 +129,8 @@ def network_from_dict(raw: dict, context: str = "network") -> Network:
             f"{context}: node ids mix strings and integers, so "
             f"'reference_node' must be given")
 
-    return Network(pipes=pipes, nodes=nodes, fluid=fluid,
-                   explicit_loops=loops,
-                   reference_node=reference,
-                   initial_flows_m3h=initial)
+    return Network(pipes=pipes, nodes=nodes, fluid=fluid, explicit_loops=loops,
+                   reference_node=reference, initial_flows_m3h=initial)
 
 
 def _as_list(value, context: str) -> list:
@@ -131,25 +139,24 @@ def _as_list(value, context: str) -> list:
     return value
 
 
-def _reject_unknown(obj: dict, allowed: set[str], context: str) -> None:
+def _reject_unknown(obj: dict, allowed: AbstractSet[str], context: str) -> None:
     if not isinstance(obj, dict):
         raise NetworkFileError(f"{context}: expected an object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise NetworkFileError(f"{context}: unknown key(s) {sorted(unknown)}")
+    if not obj.keys() <= allowed:
+        raise NetworkFileError(f"{context}: unknown key(s) {sorted(obj.keys() - allowed)}")
 
 
-def _get(obj: dict, key: str, kind, context: str, default=None,
-         required: bool = True):
+def _get(obj: dict, key: str, kind, context: str):
     if key not in obj:
-        if required:
-            raise NetworkFileError(f"{context}: missing key '{key}'")
-        return default
+        raise NetworkFileError(f"{context}: missing key '{key}'")
     value = obj[key]
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise NetworkFileError(f"{context}: '{key}' must be a number")
-        return float(value)
+        value = float(value)
+        if not isfinite(value):
+            raise NetworkFileError(f"{context}: '{key}' must be finite, got {value!r}")
+        return value
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise NetworkFileError(f"{context}: '{key}' must be an integer")
@@ -157,67 +164,28 @@ def _get(obj: dict, key: str, kind, context: str, default=None,
     if kind is str and not isinstance(value, str):
         raise NetworkFileError(f"{context}: '{key}' must be a string")
     if kind is NodeId and (isinstance(value, bool) or not isinstance(value, NodeId)):
-        raise NetworkFileError(
-            f"{context}: '{key}' must be a string or an integer")
+        raise NetworkFileError(f"{context}: '{key}' must be a string or an integer")
     return value
 
 
-def _parse_fluid(obj, context: str) -> FluidSpec:
-    ctx = f"{context}: fluid"
-    _reject_unknown(obj, set(FLUID_KEYS), ctx)
-    kind = _get(obj, "kind", str, ctx)
-    spec = FluidSpec(
-        kind=kind,
-        rel_density=_get(obj, "rel_density", float, ctx, required=False),
-        density=_get(obj, "density_kg_m3", float, ctx, required=False),
-        viscosity=_get(obj, "viscosity_pa_s", float, ctx, required=False),
-        operating_pressure=_get(obj, "operating_pressure_pa", float, ctx,
-                                default=4e5, required=False),
-        normal_pressure=_get(obj, "normal_pressure_pa", float, ctx,
-                             default=1e5, required=False),
-    )
-    return spec
-
-
-def _parse_node(obj, context: str) -> NodeSpec:
-    _reject_unknown(obj, set(NODE_KEYS), context)
-    return NodeSpec(id=_get(obj, "id", NodeId, context),
-                    demand_m3h=_get(obj, "demand_m3h", float, context))
-
-
-def _parse_pipe(obj, context: str) -> Pipe:
-    _reject_unknown(obj, set(PIPE_KEYS), context)
-    return Pipe(
-        id=_get(obj, "id", int, context),
-        from_node=_get(obj, "from", NodeId, context),
-        to_node=_get(obj, "to", NodeId, context),
-        diameter=_get(obj, "diameter_m", float, context),
-        length=_get(obj, "length_m", float, context),
-        roughness=_get(obj, "roughness_m", float, context, default=0.0,
-                       required=False),
-    )
+def _parse_record(obj, keys: dict, cls, context: str):
+    """One fluid, node or pipe record, checked and passed on in table order
+    (by position, which is faster than by keyword); a missing optional key
+    takes the field's default, which a dataclass keeps as a class attribute."""
+    _reject_unknown(obj, keys.keys(), context)
+    values = []
+    for key, (name, kind, required) in keys.items():
+        values.append(_get(obj, key, kind, context) if required or key in obj
+                      else getattr(cls, name))
+    return cls(*values)
 
 
 def network_to_dict(net: Network) -> dict:
-    fluid: dict = {"kind": net.fluid.kind}
-    if net.fluid.rel_density is not None:
-        fluid["rel_density"] = net.fluid.rel_density
-    if net.fluid.density is not None:
-        fluid["density_kg_m3"] = net.fluid.density
-    if net.fluid.viscosity is not None:
-        fluid["viscosity_pa_s"] = net.fluid.viscosity
-    fluid["operating_pressure_pa"] = net.fluid.operating_pressure
-    fluid["normal_pressure_pa"] = net.fluid.normal_pressure
-
     out = {
-        "fluid": fluid,
+        "fluid": _record_dict(net.fluid, FLUID_KEYS),
         "reference_node": net.reference_node,
-        "nodes": [{"id": n.id, "demand_m3h": n.demand_m3h} for n in net.nodes],
-        "pipes": [{
-            "id": p.id, "from": p.from_node, "to": p.to_node,
-            "diameter_m": p.diameter, "length_m": p.length,
-            "roughness_m": p.roughness,
-        } for p in net.pipes],
+        "nodes": [_record_dict(n, NODE_KEYS) for n in net.nodes],
+        "pipes": [_record_dict(p, PIPE_KEYS) for p in net.pipes],
     }
     if net.explicit_loops is not None:
         out["loops"] = [list(loop) for loop in net.explicit_loops]
@@ -225,6 +193,11 @@ def network_to_dict(net: Network) -> dict:
         out["initial_flows"] = [{"pipe": pid, "flow_m3h": q}
                                 for pid, q in net.initial_flows_m3h.items()]
     return out
+
+
+def _record_dict(record, keys: dict) -> dict:
+    values = {key: getattr(record, name) for key, (name, _, _) in keys.items()}
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def write_network(net: Network, path: str | Path) -> None:
@@ -263,8 +236,7 @@ def trace_rows(report: SolveReport, net: Network) -> list[list[str]]:
 
 
 def write_trace(report: SolveReport, net: Network, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(trace_rows(report, net))
+    Path(path).write_text(format_trace(report, net), encoding="utf-8", newline="")
 
 
 def format_trace(report: SolveReport, net: Network) -> str:
@@ -295,11 +267,16 @@ def read_flows_csv(path: str | Path) -> dict[PipeId, float]:
                 {"pipe", "flow_m3h"} - set(reader.fieldnames):
             raise NetworkFileError(
                 f"{path}: expected CSV header with columns 'pipe,flow_m3h'")
-        for i, row in enumerate(reader):
+        for i, row in enumerate(reader, start=2):
             try:
-                flows[int(row["pipe"])] = float(row["flow_m3h"])
+                pid, flow = int(row["pipe"]), float(row["flow_m3h"])
             except (TypeError, ValueError) as exc:
-                raise NetworkFileError(f"{path}: bad row {i + 2}: {exc}") from exc
+                raise NetworkFileError(f"{path}: bad row {i}: {exc}") from exc
+            if not isfinite(flow):
+                raise NetworkFileError(f"{path}: row {i}: 'flow_m3h' must be finite, got {flow!r}")
+            if pid in flows:
+                raise NetworkFileError(f"{path}: row {i}: second flow for pipe {pid}")
+            flows[pid] = flow
     return flows
 
 

@@ -11,6 +11,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -224,8 +225,9 @@ class SolveReport:
 def validate(net: Network) -> list[str]:
     """Check all network invariants; returns human-readable violations.
 
-    An empty list means the network is solvable: consistent ids, positive
-    geometry, balanced demands, connected graph with at least one loop.
+    An empty list means the network is solvable: consistent ids, finite
+    numbers, positive geometry, balanced demands, connected graph with at
+    least one loop.
     """
     violations: list[str] = []
     node_ids = set()
@@ -233,6 +235,8 @@ def validate(net: Network) -> list[str]:
         if n.id in node_ids:
             violations.append(f"duplicate node id {n.id!r}")
         node_ids.add(n.id)
+        if not isfinite(n.demand_m3h):
+            violations.append(f"node {n.id!r} demand must be finite, got {n.demand_m3h!r}")
 
     pipe_ids = set()
     for p in net.pipes:
@@ -250,6 +254,10 @@ def validate(net: Network) -> list[str]:
             violations.append(f"pipe {p.id} length must be > 0 m")
         if p.roughness < 0:
             violations.append(f"pipe {p.id} roughness must be >= 0 m")
+        if not (isfinite(p.diameter) and isfinite(p.length) and isfinite(p.roughness)):
+            violations += [f"pipe {p.id} {name} must be finite, got {value!r}"
+                           for name, value in (("diameter", p.diameter), ("length", p.length),
+                                               ("roughness", p.roughness)) if not isfinite(value)]
 
     violations.extend(_fluid_violations(net.fluid))
 
@@ -274,6 +282,9 @@ def validate(net: Network) -> list[str]:
             violations.append(f"initial flow given for unknown pipe {pid}")
         for pid in sorted(pipe_ids - given):
             violations.append(f"initial flow missing for pipe {pid}")
+        for pid, q in net.initial_flows_m3h.items():
+            if not isfinite(q):
+                violations.append(f"initial flow of pipe {pid} must be finite, got {q!r}")
 
     # Structural checks only make sense on otherwise well-formed input.
     if not violations:
@@ -303,6 +314,9 @@ def _fluid_violations(fluid: FluidSpec) -> list[str]:
         violations.append("operating pressure must be > 0 Pa")
     if fluid.normal_pressure <= 0:
         violations.append("normal pressure must be > 0 Pa")
+    for name, value in vars(fluid).items():
+        if isinstance(value, float) and not isfinite(value):
+            violations.append(f"fluid {name} must be finite, got {value!r}")
     return violations
 
 

@@ -86,8 +86,9 @@ def optimize_diameters(net: Network, basis: LoopBasis,
     if violations:
         raise ValueError("invalid network: " + "; ".join(violations))
     flows = config.fixed_flows
-    worst_imbalance = max(abs(r) for r in node_imbalances(net, flows).values())
-    if worst_imbalance > NODE_BALANCE_TOL_M3S:
+    # numpy's max keeps a NaN imbalance; `not <=` then rejects it.
+    worst_imbalance = np.abs(list(node_imbalances(net, flows).values())).max()
+    if not worst_imbalance <= NODE_BALANCE_TOL_M3S:
         raise SizingInfeasibleError(
             f"fixed flows violate node balances by {worst_imbalance:.3e} m3/s")
 

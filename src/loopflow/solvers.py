@@ -1,12 +1,13 @@
 """The three iterative flow solvers plus node-pressure back-propagation.
 
-Each solve validates the network once, takes a derived loop basis and the
-seed-0 start of `feasible_initial_flows` from one spanning tree, and
-compiles the network once into arrays (`compile_network`): the node matrix
-A with its demands and the signed loop matrix B.  Every pass
-then evaluates all pipes in one call, giving the loop imbalances
-r = B·(sign q · drop(|q|)) and the pipe derivatives D = |d drop/d flow|,
-and the three methods differ only in the linear system they solve:
+Each solve validates the network once, takes its loop basis (derived, or
+explicit and rank-checked) and the seed-0 start of `feasible_initial_flows`
+from one spanning tree, and compiles the network once into arrays
+(`compile_network`): the node matrix A with its demands and the signed loop
+matrix B.  Every pass then evaluates all pipes in one call, giving the loop
+imbalances r = B·(sign q · drop(|q|)) and the pipe derivatives
+D = |d drop/d flow|, and the three methods differ only in the linear system
+they solve:
 
 * node-loop: [A; B·D] q = [demands; B·D·q - r], all flows at once;
 * hardy-cross-improved: (B D Bᵀ) Δ = -r, then q += BᵀΔ;
@@ -50,8 +51,8 @@ from .model import (
     validate,
 )
 from .numerics import DenseSystem, SingularSystemError, condition_estimate, solve_linear
-from .topology import (LoopBasis, NetworkArrays, _fundamental_cycles, adopt_explicit_loops,
-                       compile_network, derive_loop_basis)
+from .topology import (LoopBasis, NetworkArrays, _adopt_explicit_loops, _fundamental_cycles,
+                       adopt_explicit_loops, compile_network, derive_loop_basis)
 
 NODE_LOOP = "node-loop"
 HARDY_CROSS = "hardy-cross"
@@ -117,9 +118,9 @@ def select_basis(net: Network) -> LoopBasis:
 
 
 def _select_basis(net: Network, tree: SpanningTree | None) -> LoopBasis:
-    """`select_basis`, deriving loops on `tree` (`spanning_tree(net)`) if given."""
+    """`select_basis` on `tree` (`spanning_tree(net)`) if given."""
     if net.explicit_loops:
-        return adopt_explicit_loops(net)
+        return adopt_explicit_loops(net) if tree is None else _adopt_explicit_loops(net, tree)
     return derive_loop_basis(net) if tree is None else _fundamental_cycles(net, tree)
 
 
@@ -236,8 +237,8 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
 
     if initial is None and net.initial_flows_m3h is not None:
         initial = FlowState({pid: m3h_to_m3s(q) for pid, q in net.initial_flows_m3h.items()})
-    # The derived basis and a start taken from the tree share one tree.
-    tree = None if initial is not None and net.explicit_loops else spanning_tree(net)
+    # The loop basis and a start taken from the tree share one tree.
+    tree = spanning_tree(net)
     model = make_fluid_model(net.fluid)
     basis = _select_basis(net, tree)
     arrays = compile_network(net, basis)

@@ -10,7 +10,8 @@ the solvers work on.
 Both loop bases rest on the one spanning tree of `model.spanning_tree`:
 the derived basis holds the fundamental cycle of each link (pipe outside
 the tree); an explicit set is rank-checked on its block of link columns.
-A solve shares one tree between `_fundamental_cycles` and its start.
+A solve shares one tree between its loop basis (`_fundamental_cycles` or
+`_adopt_explicit_loops`) and its start.
 """
 
 from __future__ import annotations
@@ -145,6 +146,11 @@ def adopt_explicit_loops(net: Network) -> LoopBasis:
     of a spanning tree, so the loops are independent exactly when their
     loops × links block has full rank.
     """
+    return _adopt_explicit_loops(net, None)
+
+
+def _adopt_explicit_loops(net: Network, tree: SpanningTree | None) -> LoopBasis:
+    """`adopt_explicit_loops`, rank-checking on `tree` (`spanning_tree(net)`) if given."""
     if not net.explicit_loops:
         raise ValueError("network definition carries no explicit loops")
     expected = net.loop_count
@@ -157,7 +163,7 @@ def adopt_explicit_loops(net: Network) -> LoopBasis:
     basis = LoopBasis(tuple(_as_cycle(pipes, k, sequence)
                             for k, sequence in enumerate(net.explicit_loops, start=1)))
 
-    tree_ids = {p.id for p in spanning_tree(net)[0]}
+    tree_ids = {p.id for p in (spanning_tree(net) if tree is None else tree)[0]}
     link_columns = [j for j, pid in enumerate(net.pipe_ids) if pid not in tree_ids]
     sign_rows = basis.matrix(net.pipe_ids)[:, link_columns].astype(int).tolist()
     if exact_rank(sign_rows) != expected:

@@ -69,6 +69,16 @@ class TestCheck:
         assert code == 1
         assert "mix strings and integers" in err
 
+    def test_non_finite_diameter_fails(self, gas_path, tmp_path, capsys):
+        raw = json.loads(gas_path.read_text())
+        raw["pipes"][0]["diameter_m"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 1
+        assert "'diameter_m' must be finite" in err
+        assert "valid" not in out
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent/net.json")
         assert code == 3

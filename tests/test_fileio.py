@@ -1,11 +1,17 @@
 """Network file parsing, serialization round-trips, trace emission."""
 
+import dataclasses
 import json
+import math
+import re
 from importlib import resources
 
 import pytest
 
 from loopflow.fileio import (
+    FLUID_KEYS,
+    NODE_KEYS,
+    PIPE_KEYS,
     NetworkFileError,
     network_from_dict,
     network_to_dict,
@@ -16,6 +22,7 @@ from loopflow.fileio import (
     write_network,
     write_trace,
 )
+from loopflow.model import FluidSpec, NodeSpec, Pipe
 from loopflow.solvers import SolverConfig, solve_node_loop
 
 import fixture_tables as tables
@@ -122,6 +129,37 @@ class TestParseNetwork:
                            match=f"'{key}' must be a string or an integer"):
             network_from_dict(raw)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name, section, key", [
+        ("fixture_gas.json", "fluid", "rel_density"),
+        ("fixture_gas.json", "fluid", "operating_pressure_pa"),
+        ("fixture_gas.json", "fluid", "normal_pressure_pa"),
+        ("fixture_water.json", "fluid", "density_kg_m3"),
+        ("fixture_water.json", "fluid", "viscosity_pa_s"),
+        ("fixture_gas.json", "nodes", "demand_m3h"),
+        ("fixture_gas.json", "pipes", "diameter_m"),
+        ("fixture_gas.json", "pipes", "length_m"),
+        ("fixture_gas.json", "pipes", "roughness_m"),
+        ("fixture_gas.json", "initial_flows", "flow_m3h"),
+    ])
+    def test_non_finite_numbers_rejected(self, name, section, key, value, tmp_path):
+        raw = fixture_dict(name)
+        record_of(raw, section)[key] = value
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(raw))     # NaN and Infinity literals
+        context = "fluid" if section == "fluid" else rf"{section}\[1\]"
+        with pytest.raises(NetworkFileError,
+                           match=rf"{context}: '{key}' must be finite"):
+            parse_network(path)
+
+    def test_duplicate_initial_flow_rejected(self):
+        raw = fixture_dict("fixture_gas.json")
+        raw["initial_flows"].append({"pipe": 1, "flow_m3h": 999.0})
+        with pytest.raises(NetworkFileError,
+                           match=r"initial_flows\[15\]: second flow for pipe 1"):
+            network_from_dict(raw)
+
     def test_mixed_node_id_kinds_need_reference_node(self, tmp_path):
         raw = mixed_node_ids_dict()
         path = tmp_path / "mixed.json"
@@ -160,6 +198,62 @@ class TestRoundTrip:
         assert again["loops"] == raw["loops"]
         assert again["reference_node"] == raw["reference_node"]
         assert len(again["initial_flows"]) == 15
+        # The water fixture leaves out the one optional pressure that has a
+        # default; writing states it.
+        raw["fluid"]["normal_pressure_pa"] = 100000.0
+        assert again == raw
+        assert json.dumps(again) == json.dumps(raw)
+        gas = fixture_dict("fixture_gas.json")
+        assert json.dumps(network_to_dict(network_from_dict(gas))) == json.dumps(gas)
+
+
+# Every key of the three record tables: whether a file must give it, and the
+# model field it fills.
+RECORD_KEYS = {
+    "fluid": (FluidSpec, {"kind": ("kind", True),
+                          "rel_density": ("rel_density", False),
+                          "density_kg_m3": ("density", False),
+                          "viscosity_pa_s": ("viscosity", False),
+                          "operating_pressure_pa": ("operating_pressure", False),
+                          "normal_pressure_pa": ("normal_pressure", False)}),
+    "nodes": (NodeSpec, {"id": ("id", True), "demand_m3h": ("demand_m3h", True)}),
+    "pipes": (Pipe, {"id": ("id", True), "from": ("from_node", True),
+                     "to": ("to_node", True), "diameter_m": ("diameter", True),
+                     "length_m": ("length", True),
+                     "roughness_m": ("roughness", False)}),
+}
+
+
+def record_of(raw: dict, section: str) -> dict:
+    """The fluid record, or the second node or pipe record."""
+    return raw["fluid"] if section == "fluid" else raw[section][1]
+
+
+def test_record_tables_cover_every_key():
+    assert set(RECORD_KEYS["fluid"][1]) == set(FLUID_KEYS)
+    assert set(RECORD_KEYS["nodes"][1]) == set(NODE_KEYS)
+    assert set(RECORD_KEYS["pipes"][1]) == set(PIPE_KEYS)
+
+
+@pytest.mark.parametrize("section, key", [(section, key)
+                                          for section, (_, keys) in RECORD_KEYS.items()
+                                          for key in keys])
+def test_missing_key_is_an_error_or_the_model_default(section, key):
+    cls, keys = RECORD_KEYS[section]
+    name, required = keys[key]
+    raw = next(r for r in map(fixture_dict, ["fixture_gas.json", "fixture_water.json"])
+               if key in record_of(r, section))
+    del record_of(raw, section)[key]
+    context = "network: fluid" if section == "fluid" else f"network: {section}[1]"
+    if required:
+        with pytest.raises(NetworkFileError,
+                           match=re.escape(f"{context}: missing key '{key}'")):
+            network_from_dict(raw)
+        return
+    net = network_from_dict(raw)
+    record = net.fluid if section == "fluid" else getattr(net, section)[1]
+    default = {f.name: f.default for f in dataclasses.fields(cls)}[name]
+    assert getattr(record, name) == default
 
 
 class TestTrace:
@@ -203,4 +297,17 @@ class TestFlowsCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(NetworkFileError, match="pipe,flow_m3h"):
+            read_flows_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity"])
+    def test_non_finite_flow_rejected(self, cell, tmp_path):
+        path = tmp_path / "flows.csv"
+        path.write_text(f"pipe,flow_m3h\n1,5.0\n2,{cell}\n")
+        with pytest.raises(NetworkFileError, match="row 3: 'flow_m3h' must be finite"):
+            read_flows_csv(path)
+
+    def test_duplicate_pipe_rejected(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        path.write_text("pipe,flow_m3h\n1,5.0\n2,3.0\n1,999.0\n")
+        with pytest.raises(NetworkFileError, match="row 4: second flow for pipe 1"):
             read_flows_csv(path)

@@ -1,5 +1,7 @@
 """Network model: validation, feasible starting patterns, unit handling."""
 
+import dataclasses
+import math
 import random
 
 import pytest
@@ -93,6 +95,35 @@ class TestValidate:
         assert any("viscosity" in v for v in validate(net))
         net = square_net(fluid=FluidSpec(kind="steam"))
         assert any("unknown fluid kind" in v for v in validate(net))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field, message", [
+        ("diameter", "pipe 1 diameter must be finite"),
+        ("length", "pipe 1 length must be finite"),
+        ("roughness", "pipe 1 roughness must be finite"),
+        ("demand_m3h", "node 1 demand must be finite"),
+        ("density", "fluid density must be finite"),
+        ("viscosity", "fluid viscosity must be finite"),
+        ("rel_density", "fluid rel_density must be finite"),
+        ("operating_pressure", "fluid operating_pressure must be finite"),
+        ("normal_pressure", "fluid normal_pressure must be finite"),
+        ("initial_flow", "initial flow of pipe 1 must be finite"),
+    ])
+    def test_non_finite_numbers(self, field, message, value):
+        base = square_net()
+        pipes, nodes, fluid = list(base.pipes), list(base.nodes), base.fluid
+        initial = {p.id: 0.0 for p in pipes}
+        if field in ("diameter", "length", "roughness"):
+            pipes[0] = dataclasses.replace(pipes[0], **{field: value})
+        elif field == "demand_m3h":
+            nodes[0] = NodeSpec(1, value)
+        elif field == "initial_flow":
+            initial[1] = value
+        else:
+            fluid = dataclasses.replace(fluid, **{field: value})
+        net = Network(pipes=pipes, nodes=nodes, fluid=fluid, initial_flows_m3h=initial)
+        assert any(message in v for v in validate(net))
 
     def test_disconnected(self):
         assert any("disconnected" in v for v in validate(disconnected_square()))

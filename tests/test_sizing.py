@@ -166,6 +166,13 @@ class TestOptimizeDiameters:
             optimize_diameters(gas_network, select_basis(gas_network),
                                SizingConfig(fixed_flows=bad))
 
+    def test_non_finite_fixed_flow_rejected(self, gas_network):
+        flows = dict(solve_node_loop(gas_network, SolverConfig()).final_flows.flows)
+        flows[7] = float("nan")
+        with pytest.raises(SizingInfeasibleError, match="node balances by nan"):
+            optimize_diameters(gas_network, select_basis(gas_network),
+                               SizingConfig(fixed_flows=FlowState(flows)))
+
     def test_zero_flow_loop_pipe_rejected(self):
         net = two_pipe_loop()
         flows = FlowState({1: m3h_to_m3s(800.0), 2: 0.0})

@@ -1,5 +1,6 @@
 """Solver behaviour on the fixture network and small synthetic networks."""
 
+import dataclasses
 import sys
 from collections import Counter
 
@@ -413,11 +414,14 @@ def test_solve_rejects_invalid_network(net, method):
 
 
 @pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("which", ["derived", "fixture"])
+@pytest.mark.parametrize("which", ["derived", "fixture", "fixture-no-initial"])
 def test_one_validation_and_one_tree_per_solve(which, method, gas_network, monkeypatch):
     # square_net derives its basis and start from the tree; the gas fixture
-    # brings explicit loops and initial flows.
-    net = square_net() if which == "derived" else gas_network
+    # brings explicit loops and initial flows, and without the flows it
+    # takes its start from the tree that rank-checks its loops.
+    net = {"derived": square_net(), "fixture": gas_network,
+           "fixture-no-initial": dataclasses.replace(gas_network,
+                                                     initial_flows_m3h=None)}[which]
     calls = Counter()
     modules = [m for name, m in sys.modules.items()
                if name == "loopflow" or name.startswith("loopflow.")]
