@@ -71,6 +71,8 @@ def parse_network(path: str | Path) -> Network:
         raise NetworkFileError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except ValueError as exc:    # an integer with more digits than Python converts
+        raise NetworkFileError(f"{path}: parse error: {exc}") from exc
     net = network_from_dict(raw, context=str(path))
     violations = validate(net)
     if violations:
@@ -153,7 +155,11 @@ def _get(obj: dict, key: str, kind, context: str):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise NetworkFileError(f"{context}: '{key}' must be a number")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise NetworkFileError(
+                f"{context}: '{key}' is too large for a floating-point number") from None
         if not isfinite(value):
             raise NetworkFileError(f"{context}: '{key}' must be finite, got {value!r}")
         return value

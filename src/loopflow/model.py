@@ -3,15 +3,23 @@
 Unit conventions (see README): geometry in m, pressures in Pa, node demands
 in m³/h (the customary reporting unit), pipe flows in m³/s everywhere inside
 the library.  The 3600 factor is applied only at file and report boundaries.
+
+A `Network` indexes itself once, when it is constructed: the end nodes of
+every pipe as node indices, the incident pipes of every node as pipe
+indices (compressed rows, in `incident_pipes` order), the pipes in id
+order, the reference node's index, and read-only geometry arrays
+(`PipeArrays.of`).  Validation, the spanning tree, the loop basis, the
+start and the node balances all work on these integer arrays.  Nothing
+derived from a tree, a basis or a flow is kept: each call derives its own.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import random
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from math import isfinite
+from operator import eq
 
 import numpy as np
 
@@ -107,6 +115,44 @@ class Network:
         object.__setattr__(
             self, "initial_flows_m3h",
             dict(initial_flows_m3h) if initial_flows_m3h else None)
+        # The integer incidence.  An end that names no node gets index -1,
+        # so malformed input still constructs and `validate` reports it; a
+        # repeated node id indexes its last node, as `incident_pipes` keys it.
+        index = {n.id: i for i, n in enumerate(self.nodes)}
+        ends = np.array([[index.get(p.from_node, -1) for p in self.pipes],
+                         [index.get(p.to_node, -1) for p in self.pipes]],
+                        dtype=np.int32).reshape(2, -1)
+        # Per node, its pipes in pipe order, each at its tail before its
+        # head: the ends listed tail, head per pipe and sorted stably by
+        # node, less the unknown ones, which sort first.
+        flat = ends.T.ravel()
+        by_node = np.argsort(flat, kind="stable")[np.count_nonzero(flat < 0):]
+        start = np.searchsorted(flat[by_node], np.arange(len(self.nodes) + 1)).astype(np.int32)
+        incident = (by_node // 2).astype(np.int32)
+        # Pipe indices in ascending id order (repeated ids of unvalidated
+        # input in pipe order), and each pipe's rank in that order.
+        ids = tuple(p.id for p in self.pipes)
+        id_order = np.argsort(np.array(ids), kind="stable").astype(np.int32)
+        id_rank = np.empty_like(id_order)
+        id_rank[id_order] = np.arange(len(ids), dtype=np.int32)
+        arrays = PipeArrays(ids, np.array([p.length for p in self.pipes]),
+                            np.array([p.diameter for p in self.pipes]),
+                            np.array([p.roughness for p in self.pipes]))
+        for array in (ends, start, incident, id_order, id_rank, arrays.length,
+                      arrays.diameter, arrays.roughness):
+            array.setflags(write=False)
+        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_incident_start", start)
+        object.__setattr__(self, "_incident", incident)
+        object.__setattr__(self, "_id_order", id_order)
+        object.__setattr__(self, "_id_rank", id_rank)
+        object.__setattr__(self, "_reference_index", index.get(reference_node, -1))
+        object.__setattr__(self, "_pipe_arrays", arrays)
+
+    def __reduce__(self):
+        # Copies and unpickled networks build their own read-only index.
+        return Network, (self.pipes, self.nodes, self.fluid, self.explicit_loops,
+                         self.reference_node, self.initial_flows_m3h)
 
     @property
     def node_ids(self) -> list[NodeId]:
@@ -129,11 +175,18 @@ class Network:
         raise KeyError(f"no node {node_id!r} in network")
 
     def incident_pipes(self) -> dict[NodeId, list[Pipe]]:
-        incident: dict[NodeId, list[Pipe]] = {n.id: [] for n in self.nodes}
-        for p in self.pipes:
-            incident[p.from_node].append(p)
-            incident[p.to_node].append(p)
-        return incident
+        """Per node id, the pipes ending there, in pipe order."""
+        _, _, start, incident = self._adjacency()
+        pipes = [self.pipes[j] for j in incident]
+        return {n.id: pipes[start[i]:start[i + 1]] for i, n in enumerate(self.nodes)}
+
+    def _adjacency(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """The incidence as lists, which walk faster item by item than
+        arrays: tail and head node index per pipe, then the row offsets
+        and pipe indices of the incident pipes (node i's are
+        `incident[start[i]:start[i + 1]]`)."""
+        tails, heads = self._ends.tolist()
+        return tails, heads, self._incident_start.tolist(), self._incident.tolist()
 
     @property
     def loop_count(self) -> int:
@@ -141,7 +194,11 @@ class Network:
         return len(self.pipes) - len(self.nodes) + 1
 
 
-SpanningTree = tuple[list[Pipe], list[tuple[NodeId, Pipe]]]   # see `spanning_tree`
+class SpanningTree(tuple):
+    """`(tree pipes, attach order)` as `spanning_tree` returns it; `steps`
+    holds the attach order again as (node index, pipe index) pairs, so the
+    helpers that walk the tree look nothing up by id."""
+    steps: list[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -175,10 +232,8 @@ class PipeArrays:
 
     @classmethod
     def of(cls, net: Network) -> "PipeArrays":
-        return cls(tuple(net.pipe_ids),
-                   np.array([p.length for p in net.pipes]),
-                   np.array([p.diameter for p in net.pipes]),
-                   np.array([p.roughness for p in net.pipes]))
+        """The network's own read-only arrays, built with it."""
+        return net._pipe_arrays
 
     def flows(self, state: FlowState) -> np.ndarray:
         """Signed flows of `state` in pipe order, m³/s."""
@@ -230,6 +285,68 @@ def validate(net: Network) -> list[str]:
     least one loop.
     """
     violations: list[str] = []
+    node_ids = [n.id for n in net.nodes]
+    total_demand = sum(n.demand_m3h for n in net.nodes)
+    arrays = PipeArrays.of(net)
+    tails, heads = net._ends.tolist()
+    diameter, length, roughness = (arrays.diameter.tolist(), arrays.length.tolist(),
+                                   arrays.roughness.tolist())
+    # The record-by-record checks run only when a check of whole columns
+    # fails (a sum is finite only if its terms are, and NaN fails it).
+    records_ok = (len(set(node_ids)) == len(node_ids) and isfinite(total_demand)
+                  and len(set(arrays.ids)) == len(arrays.ids)
+                  and min(tails + heads, default=0) >= 0 and not any(map(eq, tails, heads))
+                  and min(diameter, default=1.0) > 0 and min(length, default=1.0) > 0
+                  and min(roughness, default=0.0) >= 0
+                  and isfinite(sum(diameter) + sum(length) + sum(roughness)))
+    if not records_ok:
+        violations += _record_violations(net)
+
+    violations.extend(_fluid_violations(net.fluid))
+
+    if abs(total_demand) > DEMAND_BALANCE_TOL_M3H:
+        violations.append(
+            f"unbalanced demands: node demands sum to {total_demand:+g} m3/h, expected 0")
+
+    if net._reference_index < 0:
+        violations.append(f"reference node {net.reference_node!r} does not exist")
+
+    if net.explicit_loops:
+        pipe_ids = set(arrays.ids)
+        for k, loop in enumerate(net.explicit_loops):
+            for signed in loop:
+                if abs(signed) not in pipe_ids:
+                    violations.append(
+                        f"loop {k + 1} references unknown pipe {abs(signed)}")
+
+    if net.initial_flows_m3h is not None:
+        violations += _initial_flow_violations(net, net.initial_flows_m3h)
+
+    # Structural checks only make sense on otherwise well-formed input.
+    if not violations:
+        if net.loop_count < 1:
+            violations.append(
+                f"network has no loops ({len(net.pipes)} pipes, {len(net.nodes)} nodes)")
+        unreached = _unreachable_nodes(net)
+        if unreached:
+            names = ", ".join(repr(u) for u in sorted(unreached, key=str))
+            violations.append(f"disconnected graph: cannot reach node(s) {names}")
+    return violations
+
+
+def _initial_flow_violations(net: Network, flows: dict[PipeId, float]) -> list[str]:
+    """Problems of a start given per pipe id: one flow per pipe, all finite."""
+    pipe_ids, given = set(PipeArrays.of(net).ids), set(flows)
+    violations = [f"initial flow given for unknown pipe {pid}" for pid in sorted(given - pipe_ids)]
+    violations += [f"initial flow missing for pipe {pid}" for pid in sorted(pipe_ids - given)]
+    violations += [f"initial flow of pipe {pid} must be finite, got {q!r}"
+                   for pid, q in flows.items() if not isfinite(q)]
+    return violations
+
+
+def _record_violations(net: Network) -> list[str]:
+    """`validate`'s checks of the node and pipe records, one at a time."""
+    violations: list[str] = []
     node_ids = set()
     for n in net.nodes:
         if n.id in node_ids:
@@ -258,43 +375,6 @@ def validate(net: Network) -> list[str]:
             violations += [f"pipe {p.id} {name} must be finite, got {value!r}"
                            for name, value in (("diameter", p.diameter), ("length", p.length),
                                                ("roughness", p.roughness)) if not isfinite(value)]
-
-    violations.extend(_fluid_violations(net.fluid))
-
-    total_demand = sum(n.demand_m3h for n in net.nodes)
-    if abs(total_demand) > DEMAND_BALANCE_TOL_M3H:
-        violations.append(
-            f"unbalanced demands: node demands sum to {total_demand:+g} m3/h, expected 0")
-
-    if net.reference_node not in node_ids:
-        violations.append(f"reference node {net.reference_node!r} does not exist")
-
-    if net.explicit_loops:
-        for k, loop in enumerate(net.explicit_loops):
-            for signed in loop:
-                if abs(signed) not in pipe_ids:
-                    violations.append(
-                        f"loop {k + 1} references unknown pipe {abs(signed)}")
-
-    if net.initial_flows_m3h is not None:
-        given = set(net.initial_flows_m3h)
-        for pid in sorted(given - pipe_ids):
-            violations.append(f"initial flow given for unknown pipe {pid}")
-        for pid in sorted(pipe_ids - given):
-            violations.append(f"initial flow missing for pipe {pid}")
-        for pid, q in net.initial_flows_m3h.items():
-            if not isfinite(q):
-                violations.append(f"initial flow of pipe {pid} must be finite, got {q!r}")
-
-    # Structural checks only make sense on otherwise well-formed input.
-    if not violations:
-        if net.loop_count < 1:
-            violations.append(
-                f"network has no loops ({len(net.pipes)} pipes, {len(net.nodes)} nodes)")
-        unreached = _unreachable_nodes(net)
-        if unreached:
-            names = ", ".join(repr(u) for u in sorted(unreached, key=str))
-            violations.append(f"disconnected graph: cannot reach node(s) {names}")
     return violations
 
 
@@ -321,17 +401,32 @@ def _fluid_violations(fluid: FluidSpec) -> list[str]:
 
 
 def _unreachable_nodes(net: Network) -> set[NodeId]:
-    incident = net.incident_pipes()
-    seen = {net.reference_node}
-    stack = [net.reference_node]
-    while stack:
-        node = stack.pop()
-        for p in incident[node]:
-            other = p.to_node if p.from_node == node else p.from_node
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
-    return set(net.node_ids) - seen
+    """Nodes outside the reference node's component, found on the arrays:
+    each root of a tree of nodes hooks onto the smallest root it shares a
+    pipe with, if smaller than itself, then pointer jumping flattens the
+    trees, until no pipe links two trees."""
+    tails, heads = net._ends
+    parent = np.arange(len(net.nodes))
+    while True:
+        a, b = parent[tails], parent[heads]
+        apart = a != b
+        if not apart.any():
+            break
+        # Sorted by root to hook, then by target: the first of each run is
+        # the smallest target (hooking onto any one would leave a star of
+        # roots to unravel one per round).
+        root, onto = np.maximum(a, b)[apart], np.minimum(a, b)[apart]
+        order = np.lexsort((onto, root))
+        root, onto = root[order], onto[order]
+        first = np.concatenate(([True], root[1:] != root[:-1]))
+        parent[root[first]] = onto[first]
+        while True:
+            grandparent = parent[parent]
+            if (grandparent == parent).all():
+                break
+            parent = grandparent
+    outside = np.flatnonzero(parent != parent[net._reference_index])
+    return {net.nodes[i].id for i in outside.tolist()}
 
 
 def spanning_tree(net: Network) -> SpanningTree:
@@ -341,30 +436,40 @@ def spanning_tree(net: Network) -> SpanningTree:
     Returns the tree pipes and the attachment order as (new node, pipe)
     pairs; pipes outside the tree are the network's links.
     """
-    incident = net.incident_pipes()
-    visited = {net.reference_node}
-    tree: list[Pipe] = []
-    attach_order: list[tuple[NodeId, Pipe]] = []
-    # Pipes from the tree to a node outside it, by id; `tie` orders repeated
-    # ids of unvalidated input.  A pipe enters the heap once, from the first
-    # of its ends to join, and is skipped on popping if its far end joined.
-    tie = itertools.count()
-    frontier = [(p.id, next(tie), p) for p in incident[net.reference_node]]
-    heapq.heapify(frontier)
-    while len(visited) < len(net.nodes):
-        if not frontier:
-            raise ValueError("disconnected graph: no spanning tree exists")
-        _, _, pipe = heapq.heappop(frontier)
-        new_node = pipe.to_node if pipe.from_node in visited else pipe.from_node
-        if new_node in visited:
-            continue
-        visited.add(new_node)
-        tree.append(pipe)
-        attach_order.append((new_node, pipe))
-        for p in incident[new_node]:
-            if (p.to_node if p.from_node == new_node else p.from_node) not in visited:
-                heapq.heappush(frontier, (p.id, next(tie), p))
-    return tree, attach_order
+    root = net._reference_index
+    if root < 0:
+        raise ValueError(f"reference node {net.reference_node!r} does not exist")
+    tails, heads, start, incident = net._adjacency()
+    # Heap keys are the pipes' ranks in ascending id order.
+    order, rank = net._id_order.tolist(), net._id_rank.tolist()
+    # The extra last entry stands for index -1, an unknown end: it counts
+    # as joined, so no pipe attaches it.
+    joined = [False] * len(net.nodes) + [True]
+    joined[root] = True
+    steps: list[tuple[int, int]] = []
+    # Pipes from the tree to a node outside it.  A pipe enters the heap
+    # once, from the first of its ends to join, and is skipped on popping
+    # if its far end joined.
+    frontier = [rank[j] for j in incident[start[root]:start[root + 1]]]
+    heapify(frontier)
+    for _ in range(len(net.nodes) - 1):
+        while True:
+            if not frontier:
+                raise ValueError("disconnected graph: no spanning tree exists")
+            pipe = order[heappop(frontier)]
+            new_node = heads[pipe] if joined[tails[pipe]] else tails[pipe]
+            if not joined[new_node]:
+                break
+        joined[new_node] = True
+        steps.append((new_node, pipe))
+        for j in incident[start[new_node]:start[new_node + 1]]:
+            if not joined[heads[j] if tails[j] == new_node else tails[j]]:
+                heappush(frontier, rank[j])
+    pipes, node_ids = net.pipes, net.node_ids
+    tree = SpanningTree(([pipes[j] for _, j in steps],
+                         [(node_ids[i], pipes[j]) for i, j in steps]))
+    tree.steps = steps
+    return tree
 
 
 def feasible_initial_flows(net: Network, seed: int = 0) -> FlowState:
@@ -378,46 +483,49 @@ def feasible_initial_flows(net: Network, seed: int = 0) -> FlowState:
     violations = validate(net)
     if violations:
         raise ValueError("invalid network: " + "; ".join(violations))
-    return _tree_flows(net, spanning_tree(net), seed)
+    return FlowState(dict(zip(PipeArrays.of(net).ids, _tree_flows(net, spanning_tree(net), seed))))
 
 
-def _tree_flows(net: Network, tree: SpanningTree, seed: int) -> FlowState:
-    """`feasible_initial_flows` of a validated network on its `spanning_tree`."""
-    tree_pipes, attach_order = tree
-    tree_ids = {p.id for p in tree_pipes}
-    demand_scale = max((abs(n.demand_m3h) for n in net.nodes), default=0.0)
+def _tree_flows(net: Network, tree: SpanningTree, seed: int) -> list[float]:
+    """`feasible_initial_flows` of a validated network on its `spanning_tree`,
+    in pipe order."""
+    tails, heads, start, incident = net._adjacency()
+    flows = [0.0] * len(net.pipes)
+    if seed != 0:
+        in_tree = [False] * len(net.pipes)
+        for _, j in tree.steps:
+            in_tree[j] = True
+        demand_scale = max((abs(n.demand_m3h) for n in net.nodes), default=0.0)
+        rng = random.Random(seed)
+        for j, tree_pipe in enumerate(in_tree):
+            if not tree_pipe:
+                flows[j] = m3h_to_m3s(rng.uniform(-demand_scale, demand_scale) / 2.0)
 
-    flows: dict[PipeId, float] = {}
-    rng = random.Random(seed)
-    for p in net.pipes:
-        if p.id not in tree_ids:
-            if seed == 0:
-                flows[p.id] = 0.0
-            else:
-                flows[p.id] = m3h_to_m3s(rng.uniform(-demand_scale, demand_scale) / 2.0)
-
-    incident = net.incident_pipes()
-    demand_m3h = {n.id: n.demand_m3h for n in net.nodes}
     # Last-attached nodes are leaves of the attachment order, so every
     # incident pipe except the one toward the root is already resolved.
-    for node, parent_pipe in reversed(attach_order):
-        demand = m3h_to_m3s(demand_m3h[node])
+    demand = m3h_to_m3s(np.array([n.demand_m3h for n in net.nodes], dtype=float)).tolist()
+    for node, parent_pipe in reversed(tree.steps):
         known_net_inflow = 0.0
-        for p in incident[node]:
-            if p.id == parent_pipe.id:
-                continue
-            sign = 1.0 if p.to_node == node else -1.0
-            known_net_inflow += sign * flows[p.id]
-        residual = demand - known_net_inflow
-        flows[parent_pipe.id] = residual if parent_pipe.to_node == node else -residual
-    return FlowState(flows)
+        for j in incident[start[node]:start[node + 1]]:
+            if j != parent_pipe:
+                known_net_inflow += flows[j] if heads[j] == node else -flows[j]
+        residual = demand[node] - known_net_inflow
+        flows[parent_pipe] = residual if heads[parent_pipe] == node else -residual
+    return flows
 
 
 def node_imbalances(net: Network, flows: FlowState) -> dict[NodeId, float]:
     """Net inflow minus demand per node, m³/s (zero for a feasible state)."""
-    residual = {n.id: -m3h_to_m3s(n.demand_m3h) for n in net.nodes}
-    for p in net.pipes:
-        q = flows.flows[p.id]
-        residual[p.to_node] += q
-        residual[p.from_node] -= q
-    return residual
+    q = [flows.flows[pid] for pid in PipeArrays.of(net).ids]
+    return dict(zip(net.node_ids, _imbalances(net, q)))
+
+
+def _imbalances(net: Network, q: list[float]) -> list[float]:
+    """`node_imbalances` per node index, for flows `q` in pipe order; an end
+    that names no node counts nowhere."""
+    residual = [-m3h_to_m3s(n.demand_m3h) for n in net.nodes] + [0.0]
+    tails, heads = net._ends.tolist()
+    for tail, head, flow in zip(tails, heads, q):
+        residual[head] += flow
+        residual[tail] -= flow
+    return residual[:-1]

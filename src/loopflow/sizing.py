@@ -92,25 +92,27 @@ def optimize_diameters(net: Network, basis: LoopBasis,
         raise SizingInfeasibleError(
             f"fixed flows violate node balances by {worst_imbalance:.3e} m3/s")
 
-    member_ids = {pid for loop in basis.loops for pid, _ in loop}
-    for pid in sorted(member_ids):
-        if flows.flows[pid] == 0.0:
-            raise SizingInfeasibleError(
-                f"pipe {pid} lies in a loop but carries zero fixed flow")
-    tree_pipes = set(net.pipe_ids) - member_ids
+    arrays = compile_network(net, basis)
+    pipes, loops = arrays.pipes, arrays.loops
+    q = pipes.flows(flows)
+    member = (loops != 0).any(axis=0)
+    idle = np.flatnonzero(member & (q == 0.0))
+    if idle.size:
+        raise SizingInfeasibleError(
+            f"pipe {min(pipes.ids[j] for j in idle)} lies in a loop but carries "
+            f"zero fixed flow")
+    tree_pipes = {pid for pid, in_loop in zip(pipes.ids, member) if not in_loop}
 
     model = make_fluid_model(net.fluid)
     tolerance = (config.residual_tolerance
                  if config.residual_tolerance is not None
                  else DEFAULT_RESIDUAL_TOLERANCE[net.fluid.kind])
-    arrays = compile_network(net, basis)
-    pipes, loops = arrays.pipes, arrays.loops
-    q = pipes.flows(flows)
     magnitude = np.abs(q)
     sign = np.where(q < 0.0, -1.0, 1.0)
     # Sized pipes start inside their bounds; tree pipes keep the input value.
-    lower, upper = np.array([config.bounds_for(pid) if pid in member_ids
-                             else (-np.inf, np.inf) for pid in pipes.ids]).T
+    lower, upper = np.full((2, len(q)), [[-np.inf], [np.inf]])
+    for j in np.flatnonzero(member):
+        lower[j], upper[j] = config.bounds_for(pipes.ids[j])
     diameters = np.clip(pipes.diameter, lower, upper)
 
     def loop_residuals(diam: np.ndarray) -> np.ndarray:

@@ -1,18 +1,22 @@
 """The three iterative flow solvers plus node-pressure back-propagation.
 
 Each solve validates the network once, takes its loop basis (derived, or
-explicit and rank-checked) and the seed-0 start of `feasible_initial_flows`
-from one spanning tree, and compiles the network once into arrays
-(`compile_network`): the node matrix A with its demands and the signed loop
-matrix B.  Every pass then evaluates all pipes in one call, giving the loop
-imbalances r = B·(sign q · drop(|q|)) and the pipe derivatives
-D = |d drop/d flow|, and the three methods differ only in the linear system
-they solve:
+explicit and rank-checked) and, unless a start is given, the seed-0 start
+of `feasible_initial_flows` from one spanning tree, and compiles the
+network once into arrays (`compile_network`): the node matrix A with its
+demands and the signed loop matrix B.  Every pass then evaluates all pipes
+in one call, giving the loop imbalances r = B·(sign q · drop(|q|)) and the
+pipe derivatives D = |d drop/d flow|, and the three methods differ only in
+the linear system they solve:
 
 * node-loop: [A; B·D] q = [demands; B·D·q - r], all flows at once;
 * hardy-cross-improved: (B D Bᵀ) Δ = -r, then q += BᵀΔ;
 * hardy-cross: Δ = -r / diag(B D Bᵀ), one independent correction per
   loop, then q += BᵀΔ.
+
+A given start (the `initial` argument or the file's initial flows) needs a
+finite flow for every pipe, and both Hardy Cross methods, which keep the
+start's node balances, need it to meet them.
 
 All three iterate until two successive passes agree everywhere within the
 flow tolerance and the loop imbalances are below theirs.  Flows are signed
@@ -36,6 +40,7 @@ import numpy as np
 from .fluids import FluidModel, make_fluid_model
 from .model import (
     GAS,
+    NODE_BALANCE_TOL_M3S,
     WATER,
     FlowState,
     Network,
@@ -44,6 +49,8 @@ from .model import (
     PipeId,
     SolveReport,
     SpanningTree,
+    _imbalances,
+    _initial_flow_violations,
     _tree_flows,
     m3h_to_m3s,
     m3s_to_m3h,
@@ -237,6 +244,17 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
 
     if initial is None and net.initial_flows_m3h is not None:
         initial = FlowState({pid: m3h_to_m3s(q) for pid, q in net.initial_flows_m3h.items()})
+    elif initial is not None:
+        problems = _initial_flow_violations(net, initial.flows)
+        if problems:
+            raise ValueError("invalid initial flows: " + "; ".join(problems))
+    start = None if initial is None else PipeArrays.of(net).flows(initial)
+    # Both Hardy Cross methods change the flows only around loops
+    # (q += BᵀΔ), which leaves every node balance as the start has it.
+    if start is not None and method != NODE_LOOP:
+        worst = max(map(abs, _imbalances(net, start.tolist())), default=0.0)
+        if not worst <= NODE_BALANCE_TOL_M3S:
+            raise ValueError(f"initial flows violate node balances by {worst:.3e} m3/s")
     # The loop basis and a start taken from the tree share one tree.
     tree = spanning_tree(net)
     model = make_fluid_model(net.fluid)
@@ -247,8 +265,9 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
     def evaluate(q: np.ndarray) -> LoopEval:
         return evaluate_loops(net, basis, q, floor, model=model, arrays=arrays)
 
-    start = initial if initial is not None else _tree_flows(net, tree, seed=0)
-    loop_eval = evaluate(arrays.pipes.flows(start))
+    if start is None:
+        start = np.array(_tree_flows(net, tree, seed=0))
+    loop_eval = evaluate(start)
     residual_tol = config.resolved_residual_tolerance(net.fluid.kind)
     iterations = [FlowState(arrays.pipes.by_id(loop_eval.flows))]
     residual_history = [np.abs(loop_eval.residuals).tolist()]
@@ -307,33 +326,35 @@ def propagate_pressures(net: Network, flows: FlowState, source_node: NodeId,
     """
     if source_pressure <= 0.0:
         raise ValueError("source pressure must be > 0 Pa")
+    node_ids = net.node_ids
+    if source_node not in node_ids:
+        raise KeyError(f"no node {source_node!r} in network")
     pipes = PipeArrays.of(net)
-    drops = pipes.by_id(make_fluid_model(net.fluid).drop(
-        pipes, np.abs(pipes.flows(flows))))
+    q = pipes.flows(flows)
+    drops = make_fluid_model(net.fluid).drop(pipes, np.abs(q)).tolist()
+    q = q.tolist()
     squared = net.fluid.kind == GAS
-    incident = net.incident_pipes()
+    tails, heads, start, incident = net._adjacency()
 
-    potentials = {source_node: source_pressure ** 2 if squared else source_pressure}
-    queue = deque([source_node])
+    source = node_ids.index(source_node)
+    potentials = {source: source_pressure ** 2 if squared else source_pressure}
+    queue = deque([source])
     while queue:
         node = queue.popleft()
         neighbours = []
-        for p in incident[node]:
-            other = p.to_node if p.from_node == node else p.from_node
-            neighbours.append((str(other), p.id, other, p))
-        for _, _, other, p in sorted(neighbours, key=lambda t: (t[0], t[1])):
+        for j in incident[start[node]:start[node + 1]]:
+            other = heads[j] if tails[j] == node else tails[j]
+            neighbours.append((str(node_ids[other]), pipes.ids[j], other, j))
+        for _, _, other, j in sorted(neighbours, key=lambda t: (t[0], t[1])):
             if other in potentials:
                 continue
-            drop = drops[p.id]
-            leaving = (flows.flows[p.id] >= 0.0) == (p.from_node == node)
-            value = potentials[node] - drop if leaving else potentials[node] + drop
+            leaving = (q[j] >= 0.0) == (tails[j] == node)
+            value = potentials[node] - drops[j] if leaving else potentials[node] + drops[j]
             if squared and value < 0.0:
                 raise InfeasiblePressureError(
-                    f"negative squared pressure at node {other!r}: the network "
+                    f"negative squared pressure at node {node_ids[other]!r}: the network "
                     f"is infeasible at source pressure {source_pressure:g} Pa")
             potentials[other] = value
             queue.append(other)
 
-    if squared:
-        return {nid: math.sqrt(v) for nid, v in potentials.items()}
-    return potentials
+    return {node_ids[i]: math.sqrt(v) if squared else v for i, v in potentials.items()}

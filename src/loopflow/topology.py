@@ -12,6 +12,11 @@ the derived basis holds the fundamental cycle of each link (pipe outside
 the tree); an explicit set is rank-checked on its block of link columns.
 A solve shares one tree between its loop basis (`_fundamental_cycles` or
 `_adopt_explicit_loops`) and its start.
+
+Everything here works on the integer incidence the `Network` built when it
+was constructed (node indices of each pipe's ends, pipe indices per node)
+and on the tree's (node index, pipe index) steps; nothing derived from a
+tree or a basis is kept between calls.
 """
 
 from __future__ import annotations
@@ -50,13 +55,12 @@ class LoopBasis:
     def __len__(self) -> int:
         return len(self.loops)
 
-    def matrix(self, col_pipes: list[PipeId]) -> np.ndarray:
+    def matrix(self, col_pipes: list[PipeId] | tuple[PipeId, ...]) -> np.ndarray:
         """Dense loops × pipes sign matrix in the given pipe column order."""
         col = {pid: j for j, pid in enumerate(col_pipes)}
         out = np.zeros((len(self.loops), len(col_pipes)))
-        for i, loop in enumerate(self.loops):
-            for pid, sign in loop:
-                out[i, col[pid]] = sign
+        out.flat[[i * len(col_pipes) + col[pid] for i, loop in enumerate(self.loops)
+                  for pid, _ in loop]] = [sign for loop in self.loops for _, sign in loop]
         return out
 
 
@@ -77,21 +81,27 @@ class NetworkArrays:
 
 
 def compile_network(net: Network, basis: LoopBasis) -> NetworkArrays:
-    return NetworkArrays(net, PipeArrays.of(net), basis.matrix(net.pipe_ids))
+    pipes = PipeArrays.of(net)
+    return NetworkArrays(net, pipes, basis.matrix(pipes.ids))
 
 
 def build_node_matrix(net: Network) -> NodeMatrix:
     """Continuity rows for every node except the reference node."""
-    row_nodes = tuple(n.id for n in net.nodes if n.id != net.reference_node)
-    row = {nid: i for i, nid in enumerate(row_nodes)}
-    col_pipes = tuple(net.pipe_ids)
-    entries = np.zeros((len(row_nodes), len(col_pipes)))
-    for j, p in enumerate(net.pipes):
-        if p.to_node in row:
-            entries[row[p.to_node], j] = 1.0
-        if p.from_node in row:
-            entries[row[p.from_node], j] = -1.0
-    return NodeMatrix(entries, row_nodes, col_pipes)
+    row: list[int] = []          # per node index, its row, or -1
+    row_nodes: list[NodeId] = []
+    for n in net.nodes:
+        row.append(-1 if n.id == net.reference_node else len(row_nodes))
+        if n.id != net.reference_node:
+            row_nodes.append(n.id)
+    row.append(-1)                # index -1: an end that names no node
+    entries = np.zeros((len(row_nodes), len(net.pipes)))
+    tails, heads = net._ends.tolist()
+    for j, (tail, head) in enumerate(zip(tails, heads)):
+        if row[head] >= 0:
+            entries[row[head], j] = 1.0
+        if row[tail] >= 0:
+            entries[row[tail], j] = -1.0
+    return NodeMatrix(entries, tuple(row_nodes), PipeArrays.of(net).ids)
 
 
 def derive_loop_basis(net: Network) -> LoopBasis:
@@ -106,33 +116,35 @@ def derive_loop_basis(net: Network) -> LoopBasis:
 
 def _fundamental_cycles(net: Network, tree: SpanningTree) -> LoopBasis:
     """`derive_loop_basis` on the network's `spanning_tree`."""
-    tree_pipes, attach_order = tree
-    tree_ids = {p.id for p in tree_pipes}
-    links = sorted((p for p in net.pipes if p.id not in tree_ids), key=lambda p: p.id)
-
-    parent: dict[NodeId, tuple[NodeId, Pipe]] = {}   # node -> (parent node, tree pipe)
-    depth = {net.reference_node: 0}
-    for node, pipe in attach_order:
-        above = pipe.to_node if pipe.from_node == node else pipe.from_node
-        parent[node] = (above, pipe)
-        depth[node] = depth[above] + 1
+    tails, heads = net._ends.tolist()
+    ids = PipeArrays.of(net).ids
+    in_tree = [False] * len(net.pipes)
+    parent = [0] * len(net.nodes)     # node -> tree pipe toward the root
+    above = [0] * len(net.nodes)      # node -> the far end of that pipe
+    depth = [0] * len(net.nodes)
+    for node, pipe in tree.steps:
+        in_tree[pipe] = True
+        parent[node] = pipe
+        above[node] = heads[pipe] if tails[pipe] == node else tails[pipe]
+        depth[node] = depth[above[node]] + 1
+    links = [j for j in net._id_order.tolist() if not in_tree[j]]
 
     loops = []
     for link in links:
         # Climb from both ends of the link to their lowest common ancestor:
         # the cycle goes up from the link's head, then down to its tail.
         up, down = [], []
-        a, b = link.to_node, link.from_node
+        a, b = heads[link], tails[link]
         while a != b:
             if depth[a] >= depth[b]:
-                above, pipe = parent[a]
-                up.append((pipe.id, 1 if pipe.from_node == a else -1))
-                a = above
+                pipe = parent[a]
+                up.append((ids[pipe], 1 if tails[pipe] == a else -1))
+                a = above[a]
             else:
-                above, pipe = parent[b]
-                down.append((pipe.id, 1 if pipe.to_node == b else -1))
-                b = above
-        loops.append(((link.id, 1), *up, *reversed(down)))
+                pipe = parent[b]
+                down.append((ids[pipe], 1 if heads[pipe] == b else -1))
+                b = above[b]
+        loops.append(((ids[link], 1), *up, *reversed(down)))
     return LoopBasis(tuple(loops))
 
 
@@ -163,8 +175,8 @@ def _adopt_explicit_loops(net: Network, tree: SpanningTree | None) -> LoopBasis:
     basis = LoopBasis(tuple(_as_cycle(pipes, k, sequence)
                             for k, sequence in enumerate(net.explicit_loops, start=1)))
 
-    tree_ids = {p.id for p in (spanning_tree(net) if tree is None else tree)[0]}
-    link_columns = [j for j, pid in enumerate(net.pipe_ids) if pid not in tree_ids]
+    in_tree = {j for _, j in (spanning_tree(net) if tree is None else tree).steps}
+    link_columns = [j for j in range(len(net.pipes)) if j not in in_tree]
     sign_rows = basis.matrix(net.pipe_ids)[:, link_columns].astype(int).tolist()
     if exact_rank(sign_rows) != expected:
         raise ValueError("rank-deficient loop set: loops are not independent")

@@ -79,6 +79,17 @@ class TestCheck:
         assert "'diameter_m' must be finite" in err
         assert "valid" not in out
 
+    @pytest.mark.parametrize("digits", [401, 5000])
+    def test_huge_integer_fails(self, digits, gas_path, tmp_path, capsys):
+        # 401 digits overflow a float; 5000 exceed what Python converts from text.
+        text = gas_path.read_text().replace('"length_m": 100.0', '"length_m": 1' + "0" * (digits - 1), 1)
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent/net.json")
         assert code == 3
@@ -95,6 +106,18 @@ class TestCheck:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("method", ["hardy-cross", "hardy-cross-improved"])
+    def test_unbalanced_initial_flows_fail(self, method, gas_path, tmp_path, capsys):
+        raw = json.loads(gas_path.read_text())
+        raw["initial_flows"][0]["flow_m3h"] += 36.0
+        path = tmp_path / "unbalanced.json"
+        path.write_text(json.dumps(raw))
+        assert run(capsys, "check", str(path))[0] == 0
+        code, out, err = run(capsys, "solve", str(path), "--method", method)
+        assert code == 1
+        assert out == ""
+        assert err == "error: initial flows violate node balances by 1.000e-02 m3/s\n"
+
     def test_gas_defaults(self, gas_path, capsys):
         code, out, _ = run(capsys, "solve", str(gas_path))
         assert code == 0

@@ -153,6 +153,26 @@ class TestParseNetwork:
                            match=rf"{context}: '{key}' must be finite"):
             parse_network(path)
 
+    @pytest.mark.parametrize("section, key", [("fluid", "rel_density"),
+                                              ("nodes", "demand_m3h"),
+                                              ("pipes", "length_m"),
+                                              ("initial_flows", "flow_m3h")])
+    def test_integer_too_large_for_a_float_rejected(self, section, key):
+        raw = fixture_dict("fixture_gas.json")
+        record_of(raw, section)[key] = 10 ** 400
+        context = "fluid" if section == "fluid" else rf"{section}\[1\]"
+        with pytest.raises(NetworkFileError,
+                           match=rf"{context}: '{key}' is too large for a floating-point number"):
+            network_from_dict(raw)
+
+    def test_integer_literal_too_long_to_convert_rejected(self, tmp_path):
+        text = json.dumps(fixture_dict("fixture_gas.json"))
+        path = tmp_path / "long.json"
+        path.write_text(text.replace('"length_m": 100.0', '"length_m": 1' + "0" * 5000, 1))
+        # Python versions that convert any length read it, then find it too large.
+        with pytest.raises(NetworkFileError, match="long.json: (parse error|pipes)"):
+            parse_network(path)
+
     def test_duplicate_initial_flow_rejected(self):
         raw = fixture_dict("fixture_gas.json")
         raw["initial_flows"].append({"pipe": 1, "flow_m3h": 999.0})

@@ -1,9 +1,12 @@
 """Network model: validation, feasible starting patterns, unit handling."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import random
 
+import numpy as np
 import pytest
 
 from loopflow.model import (
@@ -12,6 +15,7 @@ from loopflow.model import (
     Network,
     NodeSpec,
     Pipe,
+    PipeArrays,
     feasible_initial_flows,
     m3h_to_m3s,
     m3s_to_m3h,
@@ -138,6 +142,118 @@ class TestValidate:
         net = Network(pipes=base.pipes, nodes=base.nodes, fluid=WATER,
                       reference_node=99)
         assert any("reference node" in v for v in validate(net))
+
+
+def malformed_networks():
+    """Networks `validate` must reject, each with every message it gives."""
+    def pipes():
+        return list(square_net().pipes)
+
+    def nodes():
+        return list(square_net().nodes)
+
+    return [
+        pytest.param(
+            Network(pipes()[:4] + [Pipe(5, 1, 9, 0.2, 50.0), Pipe(6, 8, 7, 0.2, 50.0)],
+                    nodes(), WATER),
+            ["pipe 5 references unknown node 9", "pipe 6 references unknown node 8",
+             "pipe 6 references unknown node 7"], id="unknown-ends"),
+        pytest.param(
+            Network(pipes() + [Pipe(5, 2, 4, 0.2, 50.0), Pipe(2, 2, 4, 0.2, 50.0)],
+                    nodes() + [NodeSpec(3, 0.0), NodeSpec(2, 0.0)], WATER),
+            ["duplicate node id 3", "duplicate node id 2", "duplicate pipe id 5",
+             "duplicate pipe id 2"], id="duplicate-ids"),
+        pytest.param(
+            Network(pipes() + [Pipe(6, 3, 3, 0.2, 50.0)], nodes(), WATER),
+            ["self-loop pipe 6 at node 3"], id="self-loop"),
+        pytest.param(
+            Network(pipes(), nodes(), WATER, reference_node=99),
+            ["reference node 99 does not exist"], id="missing-reference"),
+        pytest.param(
+            Network(pipes(), [], WATER),
+            [f"pipe {p.id} references unknown node {end}" for p in pipes()
+             for end in (p.from_node, p.to_node)]
+            + ["reference node None does not exist"], id="no-nodes"),
+        pytest.param(
+            Network([], nodes(), WATER),
+            ["network has no loops (0 pipes, 4 nodes)",
+             "disconnected graph: cannot reach node(s) 1, 2, 3"], id="no-pipes"),
+        pytest.param(Network([], [], WATER), ["reference node None does not exist"],
+                     id="empty"),
+        pytest.param(
+            Network([Pipe(1, 1, 1, -0.2, math.nan, -1.0), Pipe(1, 2, "x", math.inf, 0.0)],
+                    [NodeSpec(1, math.nan), NodeSpec(2, 1.0), NodeSpec(1, 2.0)], WATER,
+                    reference_node="y", explicit_loops=[(1, -7)],
+                    initial_flows_m3h={1: 0.0, 3: math.inf}),
+            ["node 1 demand must be finite, got nan", "duplicate node id 1",
+             "self-loop pipe 1 at node 1", "pipe 1 diameter must be > 0 m",
+             "pipe 1 roughness must be >= 0 m", "pipe 1 length must be finite, got nan",
+             "duplicate pipe id 1", "pipe 1 references unknown node 'x'",
+             "pipe 1 length must be > 0 m", "pipe 1 diameter must be finite, got inf",
+             "reference node 'y' does not exist", "loop 1 references unknown pipe 7",
+             "initial flow given for unknown pipe 3",
+             "initial flow of pipe 3 must be finite, got inf"], id="everything"),
+    ]
+
+
+@pytest.mark.parametrize("net, messages", malformed_networks())
+def test_malformed_network_constructs_and_validate_names_every_fault(net, messages):
+    assert validate(net) == messages
+
+
+def test_connectivity_matches_a_walk():
+    """Random graphs, many of them disconnected: the unreached nodes are
+    those a plain walk from the reference node misses."""
+    rng = random.Random(11)
+    for _ in range(300):
+        n_nodes = rng.randint(2, 12)
+        ends = [tuple(rng.sample(range(1, n_nodes + 1), 2))
+                for _ in range(rng.randint(n_nodes - 1, 2 * n_nodes))]
+        net = Network(pipes=[Pipe(k, a, b, 0.2, 10.0) for k, (a, b) in enumerate(ends, 1)],
+                      nodes=[NodeSpec(k, 0.0) for k in range(1, n_nodes + 1)],
+                      fluid=WATER, reference_node=rng.randint(1, n_nodes))
+        reached, stack = {net.reference_node}, [net.reference_node]
+        while stack:
+            node = stack.pop()
+            for a, b in ends:
+                for here, there in ((a, b), (b, a)):
+                    if here == node and there not in reached:
+                        reached.add(there)
+                        stack.append(there)
+        unreached = sorted(set(range(1, n_nodes + 1)) - reached, key=str)
+        expected = [] if not unreached else [
+            "disconnected graph: cannot reach node(s) " + ", ".join(map(str, unreached))]
+        if len(ends) < n_nodes:
+            expected.insert(0, f"network has no loops ({len(ends)} pipes, {n_nodes} nodes)")
+        assert validate(net) == expected
+
+
+class TestStoredArrays:
+    @pytest.mark.parametrize("duplicate", [lambda net: net, copy.copy, copy.deepcopy,
+                                           lambda net: pickle.loads(pickle.dumps(net))],
+                             ids=["network", "copy", "deepcopy", "pickle"])
+    def test_read_only(self, duplicate, gas_network):
+        net = duplicate(gas_network)
+        assert net == gas_network
+        arrays = PipeArrays.of(net)
+        stored = [v for v in vars(net).values() if isinstance(v, np.ndarray)]
+        stored += [arrays.length, arrays.diameter, arrays.roughness]
+        assert len(stored) >= 6
+        for array in stored:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+
+    def test_replace_rebuilds_them(self):
+        net = square_net()
+        wider = dataclasses.replace(
+            net, pipes=[dataclasses.replace(p, diameter=0.3) for p in net.pipes[:4]]
+            + [Pipe(5, 2, 4, 0.15, 70.0)], reference_node=1)
+        assert PipeArrays.of(net).diameter.tolist() == [0.2] * 4 + [0.15]
+        assert PipeArrays.of(wider).diameter.tolist() == [0.3] * 4 + [0.15]
+        assert [p.id for p in wider.incident_pipes()[2]] == [1, 2, 5]
+        assert [p.id for p in net.incident_pipes()[2]] == [1, 2]
+        assert [node for node, _ in spanning_tree(wider)[1]] == [2, 3, 4]
+        assert [node for node, _ in spanning_tree(net)[1]] == [3, 2, 1]
 
 
 class TestReferenceNodeDefault:

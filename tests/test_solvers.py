@@ -436,3 +436,49 @@ def test_one_validation_and_one_tree_per_solve(which, method, gas_network, monke
                     monkeypatch.setattr(module, attr, counted)
     solve(net, SolverConfig(method=method))
     assert calls == {"validate": 1, "spanning_tree": 1}
+
+
+def shifted_start(net, pipe_id=1, extra_m3h=36.0):
+    """`net`'s file start with one pipe's flow raised: 0.01 m3/s off balance
+    at both of its end nodes, which `validate` does not look at."""
+    flows = dict(net.initial_flows_m3h)
+    flows[pipe_id] += extra_m3h
+    return dataclasses.replace(net, initial_flows_m3h=flows)
+
+
+class TestGivenStart:
+    @pytest.mark.parametrize("method", [HARDY_CROSS, HARDY_CROSS_IMPROVED])
+    def test_hardy_cross_rejects_an_unbalanced_file_start(self, method, gas_network):
+        net = shifted_start(gas_network)
+        assert validate(net) == []
+        with pytest.raises(ValueError,
+                           match=r"initial flows violate node balances by 1\.000e-02 m3/s"):
+            solve(net, SolverConfig(method=method))
+
+    @pytest.mark.parametrize("method", [HARDY_CROSS, HARDY_CROSS_IMPROVED])
+    def test_hardy_cross_rejects_an_unbalanced_given_start(self, method, gas_network):
+        start = initial_state(shifted_start(gas_network))
+        with pytest.raises(ValueError, match="initial flows violate node balances"):
+            solve(gas_network, SolverConfig(method=method), initial=start)
+
+    def test_node_loop_restores_continuity(self, gas_network):
+        report = solve(shifted_start(gas_network), SolverConfig(method=NODE_LOOP))
+        assert report.termination == "converged"
+        residuals = node_balance_residuals_m3h(gas_network, report.final_flows.flows)
+        assert max(abs(r) for r in residuals.values()) / 3600.0 <= 1e-9
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("change, message", [
+        ({1: float("nan")}, "initial flow of pipe 1 must be finite, got nan"),
+        ({1: None}, "initial flow missing for pipe 1"),
+        ({999: 0.0}, "initial flow given for unknown pipe 999"),
+    ], ids=["nan", "missing", "unknown"])
+    def test_initial_argument_is_checked(self, method, change, message, gas_network):
+        flows = dict(initial_state(gas_network).flows)
+        for pid, q in change.items():
+            if q is None:
+                del flows[pid]
+            else:
+                flows[pid] = q
+        with pytest.raises(ValueError, match=f"invalid initial flows: {message}$"):
+            solve(gas_network, SolverConfig(method=method), initial=FlowState(flows))

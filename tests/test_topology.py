@@ -1,5 +1,6 @@
 """Node matrix and loop basis construction, with exact-arithmetic oracles."""
 
+import dataclasses
 import itertools
 import random
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 import sympy
 
-from loopflow.model import Network, NodeSpec, Pipe, spanning_tree
+from loopflow.model import (FlowState, Network, NodeSpec, Pipe, feasible_initial_flows,
+                            m3h_to_m3s, node_imbalances, spanning_tree)
 from loopflow.topology import (
     adopt_explicit_loops,
     build_node_matrix,
@@ -70,6 +72,78 @@ def brute_force_loops(net: Network):
     links = sorted((p for p in net.pipes if p not in tree), key=lambda p: p.id)
     return tuple(((link.id, 1), *path(link.to_node, link.from_node, set()))
                  for link in links)
+
+
+def with_demands(net: Network, seed: int) -> Network:
+    """`net` with random whole-number demands that balance exactly."""
+    rng = random.Random(seed)
+    demands = [float(rng.randint(-50, 50)) for _ in net.nodes[1:]]
+    return dataclasses.replace(net, nodes=[NodeSpec(n.id, d) for n, d in
+                                           zip(net.nodes, [-sum(demands)] + demands)])
+
+
+def per_pipe_incidence(net: Network):
+    incident = {n.id: [] for n in net.nodes}
+    for p in net.pipes:
+        incident[p.from_node].append(p)
+        incident[p.to_node].append(p)
+    return incident
+
+
+def per_pipe_imbalances(net: Network, flows: dict):
+    residual = {n.id: -m3h_to_m3s(n.demand_m3h) for n in net.nodes}
+    for p in net.pipes:
+        residual[p.to_node] += flows[p.id]
+        residual[p.from_node] -= flows[p.id]
+    return residual
+
+
+def per_pipe_node_matrix(net: Network):
+    row_nodes = tuple(n.id for n in net.nodes if n.id != net.reference_node)
+    row = {nid: i for i, nid in enumerate(row_nodes)}
+    entries = np.zeros((len(row_nodes), len(net.pipes)))
+    for j, p in enumerate(net.pipes):
+        if p.to_node in row:
+            entries[row[p.to_node], j] = 1.0
+        if p.from_node in row:
+            entries[row[p.from_node], j] = -1.0
+    return entries, row_nodes
+
+
+def per_pipe_start(net: Network, seed: int):
+    """The feasible start by back-substitution over the brute-force tree,
+    leaves inward, summing each node's known pipes in incidence order."""
+    tree, attach_order = brute_force_spanning_tree(net)
+    tree_ids = {p.id for p in tree}
+    scale = max(abs(n.demand_m3h) for n in net.nodes)
+    rng = random.Random(seed)
+    flows = {p.id: 0.0 if seed == 0 else m3h_to_m3s(rng.uniform(-scale, scale) / 2.0)
+             for p in net.pipes if p.id not in tree_ids}
+    incident = per_pipe_incidence(net)
+    demand = {n.id: n.demand_m3h for n in net.nodes}
+    for node, parent in reversed(attach_order):
+        known = 0.0
+        for p in incident[node]:
+            if p.id != parent.id:
+                known += (1.0 if p.to_node == node else -1.0) * flows[p.id]
+        residual = m3h_to_m3s(demand[node]) - known
+        flows[parent.id] = residual if parent.to_node == node else -residual
+    return flows
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_index_space_matches_per_pipe_definitions(seed):
+    net = with_demands(random_mesh(seed), seed)
+    assert net.incident_pipes() == per_pipe_incidence(net)
+    rng = random.Random(seed)
+    flows = {p.id: rng.uniform(-1.0, 1.0) for p in net.pipes}
+    assert node_imbalances(net, FlowState(flows)) == per_pipe_imbalances(net, flows)
+    matrix = build_node_matrix(net)
+    entries, row_nodes = per_pipe_node_matrix(net)
+    assert np.array_equal(matrix.entries, entries) and matrix.row_nodes == row_nodes
+    assert matrix.col_pipes == tuple(net.pipe_ids)
+    for start_seed in (0, 7):
+        assert feasible_initial_flows(net, start_seed).flows == per_pipe_start(net, start_seed)
 
 
 class TestNodeMatrix:
