@@ -320,7 +320,7 @@ def validate(net: Network) -> list[str]:
                         f"loop {k + 1} references unknown pipe {abs(signed)}")
 
     if net.initial_flows_m3h is not None:
-        violations += _initial_flow_violations(net, net.initial_flows_m3h)
+        violations += _flow_violations(net, net.initial_flows_m3h)
 
     # Structural checks only make sense on otherwise well-formed input.
     if not violations:
@@ -334,12 +334,14 @@ def validate(net: Network) -> list[str]:
     return violations
 
 
-def _initial_flow_violations(net: Network, flows: dict[PipeId, float]) -> list[str]:
-    """Problems of a start given per pipe id: one flow per pipe, all finite."""
+def _flow_violations(net: Network, flows: dict[PipeId, float],
+                     what: str = "initial flow") -> list[str]:
+    """Problems of flows given per pipe id (a start, or sizing's fixed
+    flows): one flow per pipe, all finite."""
     pipe_ids, given = set(PipeArrays.of(net).ids), set(flows)
-    violations = [f"initial flow given for unknown pipe {pid}" for pid in sorted(given - pipe_ids)]
-    violations += [f"initial flow missing for pipe {pid}" for pid in sorted(pipe_ids - given)]
-    violations += [f"initial flow of pipe {pid} must be finite, got {q!r}"
+    violations = [f"{what} given for unknown pipe {pid}" for pid in sorted(given - pipe_ids)]
+    violations += [f"{what} missing for pipe {pid}" for pid in sorted(pipe_ids - given)]
+    violations += [f"{what} of pipe {pid} must be finite, got {q!r}"
                    for pid, q in flows.items() if not isfinite(q)]
     return violations
 

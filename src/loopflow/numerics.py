@@ -3,6 +3,10 @@
 The stacked node/loop systems mix O(1) continuity rows with loop rows whose
 derivative entries reach 1e9, so every solve divides each row by its largest
 entry and then calls numpy's LAPACK solver (LU with partial pivoting).
+`solve_linear` never changes the caller's arrays: it divides a copy, and
+skips both the copy and the division when every row already has unit
+maximum, as after `equilibrate`, which divides a caller's own rows in place
+(dividing by 1.0 is exact, so both routes give the same bits).
 LAPACK does not report its pivots, so a system counts as singular when it
 meets an exactly zero pivot, or when the equilibrated solution x̂ is not
 finite or exceeds the equilibrated right side b̂ by more than 1e12, since
@@ -37,21 +41,24 @@ class DenseSystem:
 def solve_linear(system: DenseSystem) -> np.ndarray:
     """Solve A·x = b by LAPACK LU with partial pivoting after row equilibration.
 
+    The system's arrays are left as they are: the rows are divided on a
+    copy, and rows that already have unit maximum are used without one.
     Raises SingularSystemError for a zero row, an exactly zero pivot, a
     non-finite solution, or 1e-12·‖x̂‖∞ > ‖b̂‖∞ on the equilibrated system,
     which flags only condition numbers κ∞ above 1e12.  The inf-norm residual
     stays below 1e-8·(1 + |b|_inf) for the well-conditioned systems in scope.
     """
-    a = np.array(system.matrix, dtype=float)
-    b = np.array(system.rhs, dtype=float)
+    a = np.asarray(system.matrix, dtype=float)
+    b = np.asarray(system.rhs, dtype=float)
     _check_square(a, b)
 
-    scale = np.max(np.abs(a), axis=1)
+    scale = _row_scales(a)
     if np.any(scale == 0.0):
         row = int(np.argmin(scale))
         raise SingularSystemError(f"row {row} of the system matrix is zero")
-    a /= scale[:, None]
-    b /= scale
+    if not (scale == 1.0).all():
+        a = a / scale[:, None]
+        b = b / scale
 
     try:
         x = np.linalg.solve(a, b)
@@ -65,6 +72,19 @@ def solve_linear(system: DenseSystem) -> np.ndarray:
     return x
 
 
+def equilibrate(matrix: np.ndarray, rhs: np.ndarray) -> None:
+    """Divide each row of `matrix` and its entry of `rhs` by the row's
+    largest magnitude, in place, as `solve_linear` would on its copy.
+
+    Rows are left as they are when one of them is zero, so that
+    `solve_linear` still reports that row.
+    """
+    scale = _row_scales(matrix)
+    if scale.all():
+        matrix /= scale[:, None]
+        rhs /= scale
+
+
 def condition_estimate(system: DenseSystem) -> float:
     """1-norm condition number of the matrix; diagnostic only."""
     a = np.asarray(system.matrix, dtype=float)
@@ -73,6 +93,11 @@ def condition_estimate(system: DenseSystem) -> float:
         return float(np.linalg.cond(a, 1))
     except np.linalg.LinAlgError:
         return float("inf")
+
+
+def _row_scales(a: np.ndarray) -> np.ndarray:
+    """Largest |entry| of each row, without an |a| temporary."""
+    return np.maximum(a.max(axis=1), -a.min(axis=1))
 
 
 def _check_square(a: np.ndarray, b: np.ndarray) -> int:

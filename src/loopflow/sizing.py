@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fluids import make_fluid_model
-from .model import FlowState, Network, NODE_BALANCE_TOL_M3S, PipeId, node_imbalances, validate
+from .model import (FlowState, Network, NODE_BALANCE_TOL_M3S, PipeId, _flow_violations,
+                    node_imbalances, validate)
 from .solvers import DEFAULT_RESIDUAL_TOLERANCE
 from .topology import LoopBasis, compile_network
 
@@ -79,13 +80,17 @@ def optimize_diameters(net: Network, basis: LoopBasis,
     """Adjust member-pipe diameters until every loop imbalance is below
     tolerance, never leaving the configured bounds.
 
-    The fixed flows must balance every node and be nonzero on every pipe
-    that belongs to a loop (a zero-flow pipe has zero diameter sensitivity).
+    The fixed flows must give one finite flow per pipe of the network,
+    balance every node and be nonzero on every pipe that belongs to a loop
+    (a zero-flow pipe has zero diameter sensitivity).
     """
     violations = validate(net)
     if violations:
         raise ValueError("invalid network: " + "; ".join(violations))
     flows = config.fixed_flows
+    problems = _flow_violations(net, flows.flows, "fixed flow")
+    if problems:
+        raise SizingInfeasibleError("invalid fixed flows: " + "; ".join(problems))
     # numpy's max keeps a NaN imbalance; `not <=` then rejects it.
     worst_imbalance = np.abs(list(node_imbalances(net, flows).values())).max()
     if not worst_imbalance <= NODE_BALANCE_TOL_M3S:
@@ -129,8 +134,8 @@ def optimize_diameters(net: Network, basis: LoopBasis,
             termination = CONVERGED
             break
 
-        denom = np.abs(loops) @ np.abs(model.ddrop_ddiam(pipes, magnitude,
-                                                         diameters))
+        sensitivity = np.abs(model.ddrop_ddiam(pipes, magnitude, diameters))
+        denom = arrays.loop_magnitudes @ sensitivity
         deltas = np.divide(residuals, denom, out=np.zeros_like(denom),
                            where=~(denom < 1e-30))
         step = sign * (loops.T @ deltas)

@@ -9,10 +9,13 @@ in one call, giving the loop imbalances r = B·(sign q · drop(|q|)) and the
 pipe derivatives D = |d drop/d flow|, and the three methods differ only in
 the linear system they solve:
 
-* node-loop: [A; B·D] q = [demands; B·D·q - r], all flows at once;
+* node-loop: [A; B·D] q = [demands; B·D·q - r], all flows at once, in
+  one stacked buffer per solve whose loop rows every pass rewrites and
+  equilibrates in place;
 * hardy-cross-improved: (B D Bᵀ) Δ = -r, then q += BᵀΔ;
 * hardy-cross: Δ = -r / diag(B D Bᵀ), one independent correction per
-  loop, then q += BᵀΔ.
+  loop, then q += BᵀΔ; the diagonal is |B|·D, with |B| taken once per
+  solve.
 
 A given start (the `initial` argument or the file's initial flows) needs a
 finite flow for every pipe, and both Hardy Cross methods, which keep the
@@ -50,14 +53,15 @@ from .model import (
     SolveReport,
     SpanningTree,
     _imbalances,
-    _initial_flow_violations,
+    _flow_violations,
     _tree_flows,
     m3h_to_m3s,
     m3s_to_m3h,
     spanning_tree,
     validate,
 )
-from .numerics import DenseSystem, SingularSystemError, condition_estimate, solve_linear
+from .numerics import (DenseSystem, SingularSystemError, condition_estimate, equilibrate,
+                       solve_linear)
 from .topology import (LoopBasis, NetworkArrays, _adopt_explicit_loops, _fundamental_cycles,
                        adopt_explicit_loops, compile_network, derive_loop_basis)
 
@@ -149,22 +153,30 @@ def evaluate_loops(net: Network, basis: LoopBasis, flows: FlowState | np.ndarray
     return LoopEval(arrays, q, arrays.loops @ np.copysign(drop, q), dflow)
 
 
-def assemble_node_loop_system(loop_eval: LoopEval) -> DenseSystem:
+def assemble_node_loop_system(loop_eval: LoopEval,
+                              out: DenseSystem | None = None) -> DenseSystem:
     """Stack continuity rows over linearized loop rows.
 
     [A; B·D] q = [demands; B·D·q - r]: the loop rows are the first-order
-    expansion of the loop equations around the evaluated flows q.
+    expansion of the loop equations around the evaluated flows q.  Given
+    `out`, a system this function returned for the same network arrays,
+    only its loop rows are rewritten, in place, and `out` is returned.
     """
-    node_matrix, demand = loop_eval.arrays.node_rows
-    loop_rows = loop_eval.arrays.loops * loop_eval.dflow
-    n_nodes, n_pipes = node_matrix.shape
-    if n_nodes + len(loop_rows) != n_pipes:
-        raise ValueError(
-            f"dimension mismatch: {n_nodes} node rows + {len(loop_rows)} loop "
-            f"rows != {n_pipes} pipe unknowns")
-    return DenseSystem(
-        np.vstack([node_matrix, loop_rows]),
-        np.concatenate([demand, loop_rows @ loop_eval.flows - loop_eval.residuals]))
+    loops = loop_eval.arrays.loops
+    if out is None:
+        node_matrix, demand = loop_eval.arrays.node_rows
+        n_nodes, n_pipes = node_matrix.shape
+        if n_nodes + len(loops) != n_pipes:
+            raise ValueError(
+                f"dimension mismatch: {n_nodes} node rows + {len(loops)} loop "
+                f"rows != {n_pipes} pipe unknowns")
+        out = DenseSystem(np.empty((n_pipes, n_pipes)), np.empty(n_pipes))
+        out.matrix[:n_nodes] = node_matrix
+        out.rhs[:n_nodes] = demand
+    n_nodes = len(out.rhs) - len(loops)
+    loop_rows = np.multiply(loops, loop_eval.dflow, out=out.matrix[n_nodes:])
+    out.rhs[n_nodes:] = loop_rows @ loop_eval.flows - loop_eval.residuals
+    return out
 
 
 def solve(net: Network, config: SolverConfig | None = None,
@@ -182,16 +194,25 @@ def solve(net: Network, config: SolverConfig | None = None,
 
 def solve_node_loop(net: Network, config: SolverConfig | None = None,
                     initial: FlowState | None = None) -> SolveReport:
-    """Direct flow calculation: each pass solves for all pipe flows at once."""
+    """Direct flow calculation: each pass solves for all pipe flows at once.
+
+    The stacked system lives in one buffer per solve: every pass rewrites
+    its loop rows and equilibrates them in place, so `solve_linear` finds
+    unit rows and solves without copying them.
+    """
     logged_condition = False
+    system: DenseSystem | None = None
 
     def step(loop_eval: LoopEval) -> np.ndarray:
-        nonlocal logged_condition
-        system = assemble_node_loop_system(loop_eval)
+        nonlocal logged_condition, system
+        system = assemble_node_loop_system(loop_eval, out=system)
         if not logged_condition and log.isEnabledFor(logging.DEBUG):
             log.debug("stacked system 1-norm condition estimate: %.3g",
                       condition_estimate(system))
             logged_condition = True
+        # The node rows are ±1 and already at unit scale.
+        n_nodes = len(system.rhs) - len(loop_eval.residuals)
+        equilibrate(system.matrix[n_nodes:], system.rhs[n_nodes:])
         return solve_linear(system)
 
     return _iterate(net, config or SolverConfig(), initial, NODE_LOOP, step)
@@ -209,7 +230,7 @@ def solve_hardy_cross_original(net: Network, config: SolverConfig | None = None,
 
     def step(loop_eval: LoopEval) -> np.ndarray:
         loops = loop_eval.arrays.loops
-        denom = np.abs(loops) @ loop_eval.dflow
+        denom = loop_eval.arrays.loop_magnitudes @ loop_eval.dflow
         deltas = np.divide(-loop_eval.residuals, denom,
                            out=np.zeros_like(denom), where=~(denom < 1e-30))
         return loop_eval.flows + loops.T @ deltas
@@ -245,7 +266,7 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
     if initial is None and net.initial_flows_m3h is not None:
         initial = FlowState({pid: m3h_to_m3s(q) for pid, q in net.initial_flows_m3h.items()})
     elif initial is not None:
-        problems = _initial_flow_violations(net, initial.flows)
+        problems = _flow_violations(net, initial.flows)
         if problems:
             raise ValueError("invalid initial flows: " + "; ".join(problems))
     start = None if initial is None else PipeArrays.of(net).flows(initial)

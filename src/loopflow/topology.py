@@ -9,7 +9,9 @@ the solvers work on.
 
 Both loop bases rest on the one spanning tree of `model.spanning_tree`:
 the derived basis holds the fundamental cycle of each link (pipe outside
-the tree); an explicit set is rank-checked on its block of link columns.
+the tree); an explicit set is rank-checked on its block of link columns,
+over GF(2) first and exactly over Q only when that block is singular
+mod 2.
 A solve shares one tree between its loop basis (`_fundamental_cycles` or
 `_adopt_explicit_loops`) and its start.
 
@@ -78,6 +80,11 @@ class NetworkArrays:
         node_matrix = build_node_matrix(self.net)
         demand = {n.id: m3h_to_m3s(n.demand_m3h) for n in self.net.nodes}
         return node_matrix.entries, np.array([demand[nid] for nid in node_matrix.row_nodes])
+
+    @cached_property
+    def loop_magnitudes(self) -> np.ndarray:
+        """|B|, the unsigned loop membership, for sums over loop members."""
+        return np.abs(self.loops)
 
 
 def compile_network(net: Network, basis: LoopBasis) -> NetworkArrays:
@@ -156,7 +163,9 @@ def adopt_explicit_loops(net: Network) -> LoopBasis:
     Raises ValueError on a non-cycle sequence, a wrong loop count, or a
     rank-deficient set.  A closed cycle is fixed by its signs on the links
     of a spanning tree, so the loops are independent exactly when their
-    loops × links block has full rank.
+    loops × links block has full rank.  Full rank mod 2 (an odd
+    determinant) proves it; only a block singular mod 2, such as the three
+    4-cycles of K4, needs `exact_rank`.
     """
     return _adopt_explicit_loops(net, None)
 
@@ -177,6 +186,10 @@ def _adopt_explicit_loops(net: Network, tree: SpanningTree | None) -> LoopBasis:
 
     in_tree = {j for _, j in (spanning_tree(net) if tree is None else tree).steps}
     link_columns = [j for j in range(len(net.pipes)) if j not in in_tree]
+    ids = PipeArrays.of(net).ids
+    bit = {ids[j]: 1 << k for k, j in enumerate(link_columns)}
+    if _gf2_rank([sum(bit.get(pid, 0) for pid, _ in loop) for loop in basis.loops]) == expected:
+        return basis
     sign_rows = basis.matrix(net.pipe_ids)[:, link_columns].astype(int).tolist()
     if exact_rank(sign_rows) != expected:
         raise ValueError("rank-deficient loop set: loops are not independent")
@@ -214,6 +227,19 @@ def _as_cycle(pipes: dict[PipeId, Pipe], k: int, sequence: tuple[int, ...]):
             f"loop {k} is not a closed cycle: walk ends at {node!r}, "
             f"started at {start!r}")
     return tuple(signed)
+
+
+def _gf2_rank(rows: list[int]) -> int:
+    """Rank over GF(2) of rows given as bitmasks of their nonzero columns."""
+    pivots: dict[int, int] = {}          # leading bit -> reduced row
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            row ^= pivots[lead]
+    return len(pivots)
 
 
 def exact_rank(rows: list[list[int]]) -> int:

@@ -251,6 +251,23 @@ class TestSize:
         assert code == 1
         assert "--bounds" in err
 
+    @pytest.mark.parametrize("rows, message", [
+        ("1,100\n", "fixed flow missing for pipe 2"),
+        (None, "fixed flow given for unknown pipe 99"),
+    ], ids=["missing-pipe", "unknown-pipe"])
+    def test_flows_csv_checked_per_pipe(self, rows, message, gas_path, tmp_path, capsys):
+        flows_csv = tmp_path / "flows.csv"
+        if rows is None:
+            write_flows_csv(solve_node_loop(_load(gas_path), SolverConfig()).final_flows,
+                            flows_csv)
+            rows = flows_csv.read_text().split("\n", 1)[1] + "99,5.0\n"
+        flows_csv.write_text("pipe,flow_m3h\n" + rows)
+        code, out, err = run(capsys, "size", str(gas_path), "--flows", str(flows_csv))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: invalid fixed flows: ") and message in err
+        assert err.count("\n") == 1
+
     def test_missing_flows(self, gas_path, tmp_path, capsys):
         raw = json.loads(gas_path.read_text())
         del raw["initial_flows"]

@@ -1,5 +1,7 @@
 """Dense solver: residual bounds, pivoting, equilibration, diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,22 @@ from loopflow.numerics import (
     DenseSystem,
     SingularSystemError,
     condition_estimate,
+    equilibrate,
     solve_linear,
 )
+
+
+def diagonally_dominant(n: int, seed: int):
+    """A well-conditioned system whose rows range over twelve decades."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-3, 9, size=(n, 1))
+    return (rng.normal(size=(n, n)) + n * np.eye(n)) * scale, rng.normal(size=n) * scale[:, 0]
+
+
+def unit_rows(a: np.ndarray, b: np.ndarray):
+    """The system divided by each row's largest |entry|."""
+    scale = np.abs(a).max(axis=1)
+    return a / scale[:, None], b / scale
 
 
 class TestSolveLinear:
@@ -69,6 +85,54 @@ class TestSolveLinear:
             solve_linear(DenseSystem(np.eye(2), [1.0]))
         with pytest.raises(ValueError, match="non-finite"):
             solve_linear(DenseSystem([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0]))
+
+
+class TestNoCopyEquilibration:
+    @pytest.mark.parametrize("prescaled", [False, True], ids=["raw", "unit-rows"])
+    def test_caller_arrays_unchanged(self, prescaled):
+        a, b = diagonally_dominant(30, seed=1)
+        if prescaled:
+            a, b = unit_rows(a, b)
+        a_before, b_before = a.copy(), b.copy()
+        solve_linear(DenseSystem(a, b))
+        assert (a == a_before).all() and (b == b_before).all()
+
+    def test_prescaled_rows_give_the_same_solution(self):
+        for seed in range(20):
+            a, b = diagonally_dominant(25, seed)
+            raw = solve_linear(DenseSystem(a, b))
+            assert (solve_linear(DenseSystem(*unit_rows(a, b))) == raw).all()
+
+    def test_equilibrate_in_place_matches_the_solver(self):
+        a, b = diagonally_dominant(25, seed=3)
+        raw = solve_linear(DenseSystem(a, b))
+        expected = unit_rows(a, b)
+        equilibrate(a, b)
+        assert (a == expected[0]).all() and (b == expected[1]).all()
+        assert (solve_linear(DenseSystem(a, b)) == raw).all()
+
+    def test_equilibrate_leaves_a_zero_row_for_the_solver(self):
+        a = np.array([[0.0, 0.0], [4.0, -8.0]])
+        b = np.array([0.0, 2.0])
+        equilibrate(a, b)
+        assert a.tolist() == [[0.0, 0.0], [4.0, -8.0]] and b.tolist() == [0.0, 2.0]
+        with pytest.raises(SingularSystemError, match="row 0"):
+            solve_linear(DenseSystem(a, b))
+
+    def test_unit_rows_solve_without_a_matrix_copy(self):
+        # numpy's LAPACK wrapper copies the matrix outside tracemalloc's
+        # view; a copy or an |a| temporary of our own would cost P²·8 bytes.
+        n = 220
+        system = DenseSystem(*unit_rows(*diagonally_dominant(n, seed=5)))
+        solve_linear(system)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            solve_linear(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * n * n * 8
 
 
 class TestConditionEstimate:

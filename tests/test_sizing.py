@@ -166,10 +166,22 @@ class TestOptimizeDiameters:
             optimize_diameters(gas_network, select_basis(gas_network),
                                SizingConfig(fixed_flows=bad))
 
-    def test_non_finite_fixed_flow_rejected(self, gas_network):
+    @pytest.mark.parametrize("change, message", [
+        ({7: float("nan")}, "fixed flow of pipe 7 must be finite, got nan"),
+        ({7: float("inf")}, "fixed flow of pipe 7 must be finite, got inf"),
+        ({2: None}, "fixed flow missing for pipe 2"),
+        ({99: 0.0}, "fixed flow given for unknown pipe 99"),
+        ({2: None, 99: 0.0}, "fixed flow given for unknown pipe 99; "
+                             "fixed flow missing for pipe 2"),
+    ], ids=["nan", "inf", "missing", "unknown", "both"])
+    def test_fixed_flows_checked_per_pipe(self, change, message, gas_network):
         flows = dict(solve_node_loop(gas_network, SolverConfig()).final_flows.flows)
-        flows[7] = float("nan")
-        with pytest.raises(SizingInfeasibleError, match="node balances by nan"):
+        for pid, q in change.items():
+            if q is None:
+                del flows[pid]
+            else:
+                flows[pid] = q
+        with pytest.raises(SizingInfeasibleError, match=f"^invalid fixed flows: {message}$"):
             optimize_diameters(gas_network, select_basis(gas_network),
                                SizingConfig(fixed_flows=FlowState(flows)))
 

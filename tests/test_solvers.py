@@ -1,11 +1,18 @@
 """Solver behaviour on the fixture network and small synthetic networks."""
 
 import dataclasses
+import importlib.util
+import logging
+import random
 import sys
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import loopflow.solvers as solvers_module
+from loopflow.fileio import network_from_dict
 from loopflow.fluids import make_fluid_model
 from loopflow.model import (
     FlowState,
@@ -18,6 +25,7 @@ from loopflow.model import (
     spanning_tree,
     validate,
 )
+from loopflow.numerics import condition_estimate, solve_linear
 from loopflow.solvers import (
     HARDY_CROSS,
     HARDY_CROSS_IMPROVED,
@@ -133,6 +141,66 @@ class TestAssembleNodeLoopSystem:
         with pytest.raises(ValueError, match="dimension mismatch"):
             assemble_node_loop_system(
                 evaluate_loops(gas_network, short_basis, flows))
+
+
+def perfbench_grid(rows: int, cols: int, kind: str, seed: int) -> Network:
+    """A street grid from the benchmark's stdlib-only network generators."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "networks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_networks", path)
+    networks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(networks)
+    return network_from_dict(networks.grid(rows, cols, kind, random.Random(seed)))
+
+
+@pytest.fixture(params=["gas-fixture", "grid-11x11"])
+def node_loop_net(request, gas_network):
+    if request.param == "gas-fixture":
+        return gas_network
+    return perfbench_grid(11, 11, "water", seed=0)
+
+
+class TestNodeLoopBuffer:
+    """A node-loop solve assembles its stacked system into one buffer."""
+
+    def test_every_pass_shares_one_buffer(self, node_loop_net, monkeypatch):
+        matrices = []
+
+        def recording(system):
+            matrices.append(system.matrix)
+            return solve_linear(system)
+
+        monkeypatch.setattr(solvers_module, "solve_linear", recording)
+        report = solve_node_loop(node_loop_net, SolverConfig())
+        assert report.termination == "converged"
+        assert len(matrices) == report.iteration_count >= 3
+        assert all(np.shares_memory(m, matrices[0]) for m in matrices[1:])
+
+    def test_iterates_equal_a_fresh_assembly_per_pass(self, node_loop_net):
+        report = solve_node_loop(node_loop_net, SolverConfig())
+        basis = select_basis(node_loop_net)
+        ids = node_loop_net.pipe_ids
+        q = np.array([report.iterations[0].flows[pid] for pid in ids])
+        for state in report.iterations[1:]:
+            system = assemble_node_loop_system(evaluate_loops(node_loop_net, basis, q))
+            q = solve_linear(system)
+            assert [state.flows[pid] for pid in ids] == q.tolist()
+
+    def test_condition_estimate_taken_on_the_raw_system(self, gas_network, monkeypatch,
+                                                        caplog):
+        seen = []
+
+        def recording(system):
+            seen.append((system.matrix.copy(), system.rhs.copy()))
+            return condition_estimate(system)
+
+        monkeypatch.setattr(solvers_module, "condition_estimate", recording)
+        with caplog.at_level(logging.DEBUG, logger="loopflow.solvers"):
+            report = solve_node_loop(gas_network, SolverConfig())
+        raw = assemble_node_loop_system(evaluate_loops(
+            gas_network, select_basis(gas_network), report.iterations[0]))
+        assert len(seen) == 1
+        assert (seen[0][0] == raw.matrix).all() and (seen[0][1] == raw.rhs).all()
+        assert np.abs(raw.matrix).max() > 1e6    # loop rows far from unit scale
 
 
 class TestNodeLoopFixture:

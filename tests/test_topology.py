@@ -11,6 +11,7 @@ import sympy
 from loopflow.model import (FlowState, Network, NodeSpec, Pipe, feasible_initial_flows,
                             m3h_to_m3s, node_imbalances, spanning_tree)
 from loopflow.topology import (
+    _gf2_rank,
     adopt_explicit_loops,
     build_node_matrix,
     derive_loop_basis,
@@ -345,6 +346,67 @@ class TestLinkBlockRank:
             assert accepted == (sympy.Matrix(rows).rank() == 4), names
         assert ("F1", "F2", "F3", "F1+F2") in rejected
         assert 0 < len(rejected) < 126
+
+
+class TestGF2Check:
+    """Explicit loops are checked mod 2 first; only a set dependent mod 2
+    pays for the exact rank over Q."""
+
+    def k4_four_cycles(self):
+        # K4 has three 4-cycles, and every pipe lies on exactly two of them:
+        # their sum vanishes mod 2, yet their determinant over Q is ±2.
+        ends = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+        pipes = [Pipe(k, a, b, 0.2, 100.0) for k, (a, b) in enumerate(ends, start=1)]
+        between = {frozenset((p.from_node, p.to_node)): p for p in pipes}
+
+        def sequence(cycle):
+            signed = []
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                p = between[frozenset((a, b))]
+                signed.append(p.id if p.from_node == a else -p.id)
+            return tuple(signed)
+
+        loops = [sequence(c) for c in ((1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4))]
+        return Network(pipes=pipes, nodes=[NodeSpec(k) for k in range(1, 5)],
+                       fluid=WATER, explicit_loops=loops)
+
+    def test_k4_four_cycles_accepted_through_the_exact_fallback(self, monkeypatch):
+        import loopflow.topology as topology
+
+        net = self.k4_four_cycles()
+        basis = topology.adopt_explicit_loops(net)  # run once unpatched
+        rows = [[int(v) for v in row] for row in basis.matrix(net.pipe_ids)]
+        assert all(sum(abs(row[j]) for row in rows) == 2 for j in range(6))
+        assert sympy.Matrix(rows).rank() == 3
+        in_tree = {j for _, j in spanning_tree(net).steps}
+        links = [j for j in range(6) if j not in in_tree]
+        assert abs(sympy.Matrix(rows).extract([0, 1, 2], links).det()) == 2
+
+        calls = []
+        monkeypatch.setattr(topology, "exact_rank",
+                            lambda rows: calls.append(rows) or exact_rank(rows))
+        assert topology.adopt_explicit_loops(net) == basis
+        assert len(calls) == 1
+
+    def test_fixtures_never_need_the_exact_rank(self, gas_network, water_network,
+                                                monkeypatch):
+        import loopflow.topology as topology
+
+        def exploding(rows):
+            raise AssertionError("exact_rank called")
+
+        monkeypatch.setattr(topology, "exact_rank", exploding)
+        for net in (gas_network, water_network):
+            assert len(topology.adopt_explicit_loops(net)) == net.loop_count
+
+    def test_gf2_rank_by_brute_force(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            rows = [rng.getrandbits(6) for _ in range(rng.randint(0, 6))]
+            spans = {0}
+            for row in rows:
+                spans |= {s ^ row for s in spans}
+            assert 2 ** _gf2_rank(rows) == len(spans)
 
 
 def test_exact_rank_matches_sympy_on_random_sign_matrices():
