@@ -1,7 +1,8 @@
 """Command-line interface: check, solve, and size subcommands.
 
 Exit codes: 0 success, 1 validation/parse failure, 2 solver did not
-converge (or the sizing problem is infeasible), 3 I/O failure.
+converge (a diverged solve prints one error line and no flow table) or the
+sizing problem is infeasible, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -97,6 +98,14 @@ def cmd_solve(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+
+    if report.termination == "diverged":
+        # The kept passes are finite but meaningless as a result.
+        if args.trace:
+            fileio.write_trace(report, net, args.trace)
+            print(f"trace written: {args.trace}")
+        print(f"error: {report.stop_reason}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
 
     unit = RESIDUAL_UNIT[net.fluid.kind]
     print(f"method: {report.method}")

@@ -252,14 +252,20 @@ class SolveReport:
     the state after one solver pass.  `loop_residuals[k]` holds |sum of
     pressure functions| per loop at `iterations[k]` (Pa² for gas, Pa for
     water).
+
+    A run that ends "diverged" keeps only finite states: a pass whose
+    flows or residuals are not finite is dropped, and `stop_reason` says on
+    which pass the run stopped and why ("diverged at pass N: ..."); it is
+    empty for every other termination.
     """
     method: str
     iterations: list[FlowState]
     loop_residuals: list[list[float]]
-    termination: str                      # converged | max-iterations | singular-system
+    termination: str      # converged | max-iterations | singular-system | diverged
     velocities: dict[PipeId, float] = field(default_factory=dict)
     node_pressures: dict[NodeId, float] | None = None
     damped_iterations: list[int] = field(default_factory=list)
+    stop_reason: str = ""
 
     @property
     def final_flows(self) -> FlowState:

@@ -22,7 +22,13 @@ finite flow for every pipe, and both Hardy Cross methods, which keep the
 start's node balances, need it to meet them.
 
 All three iterate until two successive passes agree everywhere within the
-flow tolerance and the loop imbalances are below theirs.  Flows are signed
+flow tolerance and the loop imbalances are below theirs.  A run that
+blows up instead (original Hardy Cross on most meshed networks) ends
+"diverged": at the first pass whose flows or loop imbalances are not
+finite, which it drops, or once the worst imbalance has risen on each of
+the last DIVERGENCE_PASSES passes to over DIVERGENCE_GROWTH times the
+start's.  The pass loop runs under one `np.errstate(all="ignore")`, so the
+overflow on the way warns of nothing.  Flows are signed
 against each pipe's reference orientation and loop membership signs come
 from B, which replaces the traditional hand bookkeeping of correction
 directions.
@@ -40,7 +46,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .fluids import FluidModel, make_fluid_model
+from .fluids import RESIDUAL_UNIT, FluidModel, make_fluid_model
 from .model import (
     GAS,
     NODE_BALANCE_TOL_M3S,
@@ -75,7 +81,14 @@ DEFAULT_RESIDUAL_TOLERANCE = {GAS: 1e3, WATER: 1.0}
 
 # A damped pass is triggered when an iterate inflates the worst loop
 # residual by more than this factor (only with SolverConfig.damping).
-DAMPING_TRIGGER = 10.0
+DAMPING_TRIGGER = 2.0
+
+# A run ends "diverged" when a candidate's worst loop residual or flow
+# change is not finite, or when the worst residual rose on each of the last
+# DIVERGENCE_PASSES passes and exceeds DIVERGENCE_GROWTH times the start's
+# (or the residual tolerance, if the start is already below it).
+DIVERGENCE_PASSES = 3
+DIVERGENCE_GROWTH = 1e3
 
 
 log = logging.getLogger(__name__)
@@ -292,33 +305,58 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
     residual_tol = config.resolved_residual_tolerance(net.fluid.kind)
     iterations = [FlowState(arrays.pipes.by_id(loop_eval.flows))]
     residual_history = [np.abs(loop_eval.residuals).tolist()]
+    start_worst = worst = max(residual_history[0], default=0.0)
+    blowup = DIVERGENCE_GROWTH * max(start_worst, residual_tol)
+    rises = 0
     damped: list[int] = []
     termination = "max-iterations"
+    stop_reason = ""
 
-    while len(iterations) - 1 < config.max_iterations:
-        current = loop_eval.flows
-        try:
-            candidate_eval = evaluate(step(loop_eval))
-        except SingularSystemError:
-            termination = "singular-system"
-            break
-        if config.damping:
-            before = loop_eval.worst_residual()
-            if before > 0.0 and \
-                    candidate_eval.worst_residual() > DAMPING_TRIGGER * before:
-                damped.append(len(iterations))
-                candidate_eval = evaluate(0.5 * (current + candidate_eval.flows))
-        loop_eval = candidate_eval
-        iterations.append(FlowState(arrays.pipes.by_id(loop_eval.flows)))
-        residual_history.append(np.abs(loop_eval.residuals).tolist())
-        # Converged when successive flows agree everywhere and the loop
-        # imbalances are below tolerance (the flow criterion alone can fire
-        # while single-adjustment corrections still carry real imbalance).
-        change_m3h = m3s_to_m3h(np.abs(loop_eval.flows - current).max(initial=0.0))
-        if change_m3h <= config.flow_tolerance_m3h \
-                and loop_eval.worst_residual() <= residual_tol:
-            termination = "converged"
-            break
+    # A diverging run overflows; the checks below stop it, so numpy need
+    # not warn on the way.
+    with np.errstate(all="ignore"):
+        while len(iterations) - 1 < config.max_iterations:
+            current = loop_eval.flows
+            pass_no = len(iterations)
+            try:
+                candidate_eval = evaluate(step(loop_eval))
+            except SingularSystemError:
+                termination = "singular-system"
+                break
+            if config.damping:
+                before = loop_eval.worst_residual()
+                if before > 0.0 and \
+                        candidate_eval.worst_residual() > DAMPING_TRIGGER * before:
+                    damped.append(pass_no)
+                    candidate_eval = evaluate(0.5 * (current + candidate_eval.flows))
+            residuals = np.abs(candidate_eval.residuals).tolist()
+            change_m3h = m3s_to_m3h(np.abs(candidate_eval.flows - current).max(initial=0.0))
+            # A sum carries every NaN or inf among its terms (max need not);
+            # the run keeps its last finite state.
+            if not math.isfinite(change_m3h + sum(residuals)):
+                termination = "diverged"
+                stop_reason = (f"diverged at pass {pass_no}: "
+                               f"non-finite flows or loop residuals")
+                break
+            previous, worst = worst, max(residuals, default=0.0)
+            rises = rises + 1 if worst > previous else 0
+            loop_eval = candidate_eval
+            iterations.append(FlowState(arrays.pipes.by_id(loop_eval.flows)))
+            residual_history.append(residuals)
+            if rises >= DIVERGENCE_PASSES and worst > blowup:
+                termination = "diverged"
+                unit = RESIDUAL_UNIT[net.fluid.kind]
+                stop_reason = (f"diverged at pass {pass_no}: the worst loop residual "
+                               f"rose on {rises} passes in a row, to {worst:.3g} {unit} "
+                               f"from {start_worst:.3g} {unit} at the start")
+                break
+            # Converged when successive flows agree everywhere and the loop
+            # imbalances are below tolerance (the flow criterion alone can
+            # fire while single-adjustment corrections still carry real
+            # imbalance).
+            if change_m3h <= config.flow_tolerance_m3h and worst <= residual_tol:
+                termination = "converged"
+                break
 
     return SolveReport(
         method=method,
@@ -327,6 +365,7 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
         termination=termination,
         velocities=final_velocities(net, iterations[-1]),
         damped_iterations=damped,
+        stop_reason=stop_reason,
     )
 
 

@@ -1,5 +1,8 @@
+import importlib.util
 import json
+from functools import cache
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +35,13 @@ def node_balance_residuals_m3h(net, flows_m3s: dict) -> dict:
         residual[p.to_node] += q_m3h
         residual[p.from_node] -= q_m3h
     return residual
+
+
+@cache
+def perfbench_networks():
+    """The benchmark's stdlib-only network generators (`perfbench/networks.py`)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "networks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_networks", path)
+    networks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(networks)
+    return networks

@@ -1,14 +1,21 @@
 """Command-line interface behaviour and exit codes."""
 
 import json
+import os
+import random
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from loopflow.cli import main
+import loopflow
+from loopflow.cli import EXIT_NO_CONVERGENCE, main
 from loopflow.fileio import write_flows_csv
 from loopflow.solvers import SolverConfig, solve_node_loop
 
+from conftest import perfbench_networks
 from test_fileio import mixed_node_ids_dict
 
 
@@ -193,6 +200,26 @@ class TestSolve:
         assert code == 2
         assert "max-iterations" in out
         assert out_csv.exists()
+
+    def test_diverged_run_prints_one_error_line(self, tmp_path):
+        # Original Hardy Cross diverges on an 8x8 street grid.  A separate
+        # process shows the real stderr, where numpy would print warnings.
+        grid = perfbench_networks().grid(8, 8, "gas", random.Random(0))
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        out_csv = tmp_path / "kept.csv"
+        src = Path(loopflow.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "loopflow.cli", "solve", str(path),
+             "--method", "hardy-cross", "--trace", str(out_csv)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120)
+        assert proc.returncode == EXIT_NO_CONVERGENCE
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: diverged at pass 3: ")
+        assert "Warning" not in proc.stderr
+        assert proc.stdout == f"trace written: {out_csv}\n"
+        assert out_csv.read_text().splitlines()[0] == "pipe,initial,1,2,3,velocity_m_s"
 
 
 class TestSize:

@@ -1,12 +1,10 @@
 """Solver behaviour on the fixture network and small synthetic networks."""
 
 import dataclasses
-import importlib.util
 import logging
 import random
 import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +41,7 @@ from loopflow.solvers import (
     solve_node_loop,
 )
 import fixture_tables as tables
-from conftest import node_balance_residuals_m3h
+from conftest import node_balance_residuals_m3h, perfbench_networks
 from test_model import invalid_networks, square_net
 
 
@@ -145,11 +143,7 @@ class TestAssembleNodeLoopSystem:
 
 def perfbench_grid(rows: int, cols: int, kind: str, seed: int) -> Network:
     """A street grid from the benchmark's stdlib-only network generators."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "networks.py"
-    spec = importlib.util.spec_from_file_location("perfbench_networks", path)
-    networks = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(networks)
-    return network_from_dict(networks.grid(rows, cols, kind, random.Random(seed)))
+    return network_from_dict(perfbench_networks().grid(rows, cols, kind, random.Random(seed)))
 
 
 @pytest.fixture(params=["gas-fixture", "grid-11x11"])
@@ -550,3 +544,96 @@ class TestGivenStart:
                 flows[pid] = q
         with pytest.raises(ValueError, match=f"invalid initial flows: {message}$"):
             solve(gas_network, SolverConfig(method=method), initial=FlowState(flows))
+
+
+class TestDivergence:
+    """Original Hardy Cross diverges on meshed grids; the run stops early."""
+
+    @pytest.mark.parametrize("damping", [False, True], ids=["undamped", "damped"])
+    @pytest.mark.parametrize("kind", ["gas", "water"])
+    @pytest.mark.parametrize("size", [8, 15])
+    def test_diverging_grid_stops_with_finite_balanced_flows(self, size, kind, damping):
+        net = perfbench_grid(size, size, kind, seed=0)
+        report = solve_hardy_cross_original(net, SolverConfig(damping=damping))
+        assert report.termination == "diverged"
+        assert report.iteration_count <= 6
+        assert report.stop_reason.startswith(
+            f"diverged at pass {report.iteration_count}: the worst loop residual rose")
+        assert np.isfinite(report.loop_residuals).all()
+        for state in report.iterations:
+            assert np.isfinite(list(state.flows.values())).all()
+            balances = node_balance_residuals_m3h(net, state.flows)
+            assert max(map(abs, balances.values())) / 3600.0 <= 1e-9
+
+    # 1e200 m³/s is finite, but its pressure drop overflows the residuals.
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e200])
+    def test_non_finite_step_keeps_the_last_finite_state(self, bad, gas_network,
+                                                         monkeypatch):
+        reference = solve_hardy_cross_original(gas_network, SolverConfig())
+        assert reference.iteration_count > 3
+        iterate = solvers_module._iterate
+
+        def spoiling_third_pass(net, config, initial, method, step):
+            passes = 0
+
+            def spoiled(loop_eval):
+                nonlocal passes
+                passes += 1
+                q = step(loop_eval)
+                if passes == 3:
+                    q[0] = bad
+                return q
+
+            return iterate(net, config, initial, method, spoiled)
+
+        monkeypatch.setattr(solvers_module, "_iterate", spoiling_third_pass)
+        report = solve_hardy_cross_original(gas_network, SolverConfig())
+        assert report.termination == "diverged"
+        assert report.stop_reason == "diverged at pass 3: non-finite flows or loop residuals"
+        assert report.iterations == reference.iterations[:3]
+        assert report.loop_residuals == reference.loop_residuals[:3]
+        assert report.velocities == solvers_module.final_velocities(
+            gas_network, reference.iterations[2])
+
+    def test_damping_catches_threefold_growth(self):
+        net = perfbench_grid(5, 5, "gas", seed=2)
+        plain = solve_hardy_cross_original(net, SolverConfig(max_iterations=2))
+        worst = [max(r) for r in plain.loop_residuals]
+        assert worst[1] < worst[0] and 2.0 < worst[2] / worst[1] < 10.0
+        damped = solve_hardy_cross_original(net, SolverConfig(max_iterations=2, damping=True))
+        assert damped.damped_iterations == [2]
+        assert damped.iterations[:2] == plain.iterations[:2]
+        ids = net.pipe_ids
+        q1, q2 = (np.array([s.flows[pid] for pid in ids]) for s in plain.iterations[1:])
+        assert [damped.iterations[2].flows[pid] for pid in ids] == (0.5 * (q1 + q2)).tolist()
+        assert max(damped.loop_residuals[2]) < worst[2]
+
+    def test_rising_residual_below_the_blowup_does_not_stop(self):
+        net = perfbench_grid(4, 4, "gas", seed=0)
+        report = solve_hardy_cross_original(net, SolverConfig())
+        worst = [max(r) for r in report.loop_residuals]
+        rises = [b > a for a, b in zip(worst, worst[1:])]
+        assert any(all(rises[k:k + 3]) for k in range(len(rises) - 2))
+        assert max(worst) <= worst[0]
+        assert report.termination == "max-iterations"
+        assert report.iteration_count == 50
+
+    @pytest.mark.parametrize("kind", ["gas", "water"])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape", ["grid", "ring"])
+    def test_only_original_hardy_cross_stops_on_meshed_networks(self, shape, seed, kind):
+        networks = perfbench_networks()
+        rng = random.Random(seed)
+        data = (networks.grid(11, 11, kind, rng) if shape == "grid"
+                else networks.ring_with_chords(200, 70, kind, rng))
+        net = network_from_dict(data)
+        for method in METHODS:
+            report = solve(net, SolverConfig(method=method))
+            assert report.termination == ("diverged" if method == HARDY_CROSS else "converged")
+
+    @pytest.mark.parametrize("kind", ["gas", "water"])
+    def test_no_stop_on_closed_trees(self, kind):
+        net = network_from_dict(
+            perfbench_networks().tree_with_closures(1200, 10, kind, random.Random(0)))
+        for method in (HARDY_CROSS, HARDY_CROSS_IMPROVED):
+            assert solve(net, SolverConfig(method=method)).termination == "converged"
