@@ -91,6 +91,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.pressures and not 0.0 < args.source_pressure_pa < float("inf"):
+        print(f"error: --source-pressure-pa must be finite and > 0, got "
+              f"{args.source_pressure_pa!r}", file=sys.stderr)
+        return EXIT_VALIDATION
     net = fileio.parse_network(args.path)
     config = SolverConfig(method=args.method)
     try:

@@ -10,7 +10,7 @@ indices (compressed rows, in `incident_pipes` order), the pipes in id
 order, the reference node's index, and read-only geometry arrays
 (`PipeArrays.of`).  Validation, the spanning tree, the loop basis, the
 start and the node balances all work on these integer arrays.  Nothing
-derived from a tree, a basis or a flow is kept: each call derives its own.
+derived from a tree, a basis or a flow is kept on the network.
 """
 
 from __future__ import annotations

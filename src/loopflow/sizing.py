@@ -7,7 +7,8 @@ r(d) = B·(sign q · drop(|q|, d)), the correction per loop is
 membership and flow signs (d += sign q · BᵀΔ) and clamped to the diameter
 bounds.  Since drops fall with growing diameter the positive-imbalance
 loops get wider positive-side pipes, which is the Newton step for this
-variable.
+variable.  B is the loop basis's own dense matrix, |B| is taken once per
+run, and the geometry comes from the network's own arrays.
 
 Pipes outside every loop are unconstrained by the loop equations and are
 left at their input diameter.
@@ -20,10 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fluids import make_fluid_model
-from .model import (FlowState, Network, NODE_BALANCE_TOL_M3S, PipeId, _flow_violations,
-                    node_imbalances, validate)
+from .model import (FlowState, Network, NODE_BALANCE_TOL_M3S, PipeArrays, PipeId,
+                    _flow_violations, node_imbalances, validate)
 from .solvers import DEFAULT_RESIDUAL_TOLERANCE
-from .topology import LoopBasis, compile_network
+from .topology import LoopBasis
 
 DEFAULT_DIAMETER_BOUNDS = (0.01, 2.0)
 
@@ -46,6 +47,8 @@ class SizingConfig:
 
     def bounds_for(self, pipe_id: PipeId) -> tuple[float, float]:
         if isinstance(self.diameter_bounds, dict):
+            if pipe_id not in self.diameter_bounds:
+                raise SizingInfeasibleError(f"no diameter bounds for loop pipe {pipe_id}")
             bounds = self.diameter_bounds[pipe_id]
         else:
             bounds = self.diameter_bounds
@@ -82,11 +85,15 @@ def optimize_diameters(net: Network, basis: LoopBasis,
 
     The fixed flows must give one finite flow per pipe of the network,
     balance every node and be nonzero on every pipe that belongs to a loop
-    (a zero-flow pipe has zero diameter sensitivity).
+    (a zero-flow pipe has zero diameter sensitivity).  Raises ValueError
+    for a basis whose pipe ids, in order, are not the network's.
     """
     violations = validate(net)
     if violations:
         raise ValueError("invalid network: " + "; ".join(violations))
+    pipes = PipeArrays.of(net)
+    if basis.pipe_ids != pipes.ids:
+        raise ValueError("loop basis does not match the network's pipe order")
     flows = config.fixed_flows
     problems = _flow_violations(net, flows.flows, "fixed flow")
     if problems:
@@ -97,8 +104,7 @@ def optimize_diameters(net: Network, basis: LoopBasis,
         raise SizingInfeasibleError(
             f"fixed flows violate node balances by {worst_imbalance:.3e} m3/s")
 
-    arrays = compile_network(net, basis)
-    pipes, loops = arrays.pipes, arrays.loops
+    loops = basis.matrix()
     q = pipes.flows(flows)
     member = (loops != 0).any(axis=0)
     idle = np.flatnonzero(member & (q == 0.0))
@@ -113,6 +119,7 @@ def optimize_diameters(net: Network, basis: LoopBasis,
                  if config.residual_tolerance is not None
                  else DEFAULT_RESIDUAL_TOLERANCE[net.fluid.kind])
     magnitude = np.abs(q)
+    loop_magnitudes = np.abs(loops)
     sign = np.where(q < 0.0, -1.0, 1.0)
     # Sized pipes start inside their bounds; tree pipes keep the input value.
     lower, upper = np.full((2, len(q)), [[-np.inf], [np.inf]])
@@ -135,7 +142,7 @@ def optimize_diameters(net: Network, basis: LoopBasis,
             break
 
         sensitivity = np.abs(model.ddrop_ddiam(pipes, magnitude, diameters))
-        denom = arrays.loop_magnitudes @ sensitivity
+        denom = loop_magnitudes @ sensitivity
         deltas = np.divide(residuals, denom, out=np.zeros_like(denom),
                            where=~(denom < 1e-30))
         step = sign * (loops.T @ deltas)

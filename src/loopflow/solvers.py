@@ -1,13 +1,13 @@
 """The three iterative flow solvers plus node-pressure back-propagation.
 
-Each solve validates the network once, takes its loop basis (derived, or
-explicit and rank-checked) and, unless a start is given, the seed-0 start
-of `feasible_initial_flows` from one spanning tree, and compiles the
-network once into arrays (`compile_network`): the node matrix A with its
-demands and the signed loop matrix B.  Every pass then evaluates all pipes
-in one call, giving the loop imbalances r = B·(sign q · drop(|q|)) and the
-pipe derivatives D = |d drop/d flow|, and the three methods differ only in
-the linear system they solve:
+Each solve validates the network once and takes its loop basis
+(`select_basis`: derived, or explicit and rank-checked), whose spanning
+tree also gives the seed-0 start of `feasible_initial_flows` unless a
+start is given.  B is the basis's own signed loop matrix, and node-loop
+builds the node matrix A with its demands once per solve.  Every pass then
+evaluates all pipes in one call, giving the loop imbalances
+r = B·(sign q · drop(|q|)) and the pipe derivatives D = |d drop/d flow|,
+and the three methods differ only in the linear system they solve:
 
 * node-loop: [A; B·D] q = [demands; B·D·q - r], all flows at once, in
   one stacked buffer per solve whose loop rows every pass rewrites and
@@ -46,7 +46,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .fluids import RESIDUAL_UNIT, FluidModel, make_fluid_model
+from .fluids import RESIDUAL_UNIT, make_fluid_model
 from .model import (
     GAS,
     NODE_BALANCE_TOL_M3S,
@@ -57,19 +57,16 @@ from .model import (
     PipeArrays,
     PipeId,
     SolveReport,
-    SpanningTree,
     _imbalances,
     _flow_violations,
     _tree_flows,
     m3h_to_m3s,
     m3s_to_m3h,
-    spanning_tree,
     validate,
 )
 from .numerics import (DenseSystem, SingularSystemError, condition_estimate, equilibrate,
                        solve_linear)
-from .topology import (LoopBasis, NetworkArrays, _adopt_explicit_loops, _fundamental_cycles,
-                       adopt_explicit_loops, compile_network, derive_loop_basis)
+from .topology import LoopBasis, adopt_explicit_loops, build_node_matrix, derive_loop_basis
 
 NODE_LOOP = "node-loop"
 HARDY_CROSS = "hardy-cross"
@@ -120,7 +117,8 @@ class LoopEval:
     `residuals` is r = B·(sign q · drop(|q|)), one entry per loop, and
     `dflow` is D = |d drop/d flow| per pipe, evaluated away from zero flow.
     """
-    arrays: NetworkArrays
+    net: Network
+    basis: LoopBasis
     flows: np.ndarray          # q, signed, m³/s
     residuals: np.ndarray
     dflow: np.ndarray
@@ -128,9 +126,9 @@ class LoopEval:
     @cached_property
     def member_dflow(self) -> tuple[Mapping[PipeId, float], ...]:
         """Per loop, a read-only map from each member pipe to its entry of D."""
-        ids = self.arrays.pipes.ids
+        ids = self.basis.pipe_ids
         return tuple(MappingProxyType({ids[j]: self.dflow[j] for j in np.flatnonzero(row)})
-                     for row in self.arrays.loops)
+                     for row in self.basis.matrix())
 
     def worst_residual(self) -> float:
         return float(np.abs(self.residuals).max(initial=0.0))
@@ -138,32 +136,23 @@ class LoopEval:
 
 def select_basis(net: Network) -> LoopBasis:
     """Explicit loops win over derived ones when the file carries them."""
-    return _select_basis(net, None)
-
-
-def _select_basis(net: Network, tree: SpanningTree | None) -> LoopBasis:
-    """`select_basis` on `tree` (`spanning_tree(net)`) if given."""
-    if net.explicit_loops:
-        return adopt_explicit_loops(net) if tree is None else _adopt_explicit_loops(net, tree)
-    return derive_loop_basis(net) if tree is None else _fundamental_cycles(net, tree)
+    return adopt_explicit_loops(net) if net.explicit_loops else derive_loop_basis(net)
 
 
 def evaluate_loops(net: Network, basis: LoopBasis, flows: FlowState | np.ndarray,
-                   derivative_flow_floor: float = 1e-7,
-                   model: FluidModel | None = None,
-                   arrays: NetworkArrays | None = None) -> LoopEval:
+                   derivative_flow_floor: float = 1e-7) -> LoopEval:
     """Loop imbalances and pipe derivatives at the given state.
 
     `flows` is a FlowState, or the signed flows in `net.pipe_ids` order.
-    The solvers pass the `arrays` and `model` they built once per run.
+    Raises ValueError for a basis whose pipe ids, in order, are not the
+    network's.
     """
-    if model is None:
-        model = make_fluid_model(net.fluid)
-    if arrays is None:
-        arrays = compile_network(net, basis)
-    q = flows if isinstance(flows, np.ndarray) else arrays.pipes.flows(flows)
-    drop, dflow = model.evaluate(arrays.pipes, np.abs(q), derivative_flow_floor)
-    return LoopEval(arrays, q, arrays.loops @ np.copysign(drop, q), dflow)
+    pipes = PipeArrays.of(net)
+    if basis.pipe_ids != pipes.ids:
+        raise ValueError("loop basis does not match the network's pipe order")
+    q = flows if isinstance(flows, np.ndarray) else pipes.flows(flows)
+    drop, dflow = make_fluid_model(net.fluid).evaluate(pipes, np.abs(q), derivative_flow_floor)
+    return LoopEval(net, basis, q, basis.matrix() @ np.copysign(drop, q), dflow)
 
 
 def assemble_node_loop_system(loop_eval: LoopEval,
@@ -172,20 +161,21 @@ def assemble_node_loop_system(loop_eval: LoopEval,
 
     [A; B·D] q = [demands; B·D·q - r]: the loop rows are the first-order
     expansion of the loop equations around the evaluated flows q.  Given
-    `out`, a system this function returned for the same network arrays,
+    `out`, a system this function returned for the same network and basis,
     only its loop rows are rewritten, in place, and `out` is returned.
     """
-    loops = loop_eval.arrays.loops
+    loops = loop_eval.basis.matrix()
     if out is None:
-        node_matrix, demand = loop_eval.arrays.node_rows
-        n_nodes, n_pipes = node_matrix.shape
+        node_matrix = build_node_matrix(loop_eval.net)
+        n_nodes, n_pipes = node_matrix.entries.shape
         if n_nodes + len(loops) != n_pipes:
             raise ValueError(
                 f"dimension mismatch: {n_nodes} node rows + {len(loops)} loop "
                 f"rows != {n_pipes} pipe unknowns")
         out = DenseSystem(np.empty((n_pipes, n_pipes)), np.empty(n_pipes))
-        out.matrix[:n_nodes] = node_matrix
-        out.rhs[:n_nodes] = demand
+        out.matrix[:n_nodes] = node_matrix.entries
+        out.rhs[:n_nodes] = [m3h_to_m3s(n.demand_m3h) for n in loop_eval.net.nodes
+                             if n.id != loop_eval.net.reference_node]
     n_nodes = len(out.rhs) - len(loops)
     loop_rows = np.multiply(loops, loop_eval.dflow, out=out.matrix[n_nodes:])
     out.rhs[n_nodes:] = loop_rows @ loop_eval.flows - loop_eval.residuals
@@ -240,10 +230,14 @@ def solve_hardy_cross_original(net: Network, config: SolverConfig | None = None,
     loop's correction with its membership sign, which preserves the node
     balances exactly.
     """
+    magnitudes = None    # |B|, taken on the first pass
 
     def step(loop_eval: LoopEval) -> np.ndarray:
-        loops = loop_eval.arrays.loops
-        denom = loop_eval.arrays.loop_magnitudes @ loop_eval.dflow
+        nonlocal magnitudes
+        loops = loop_eval.basis.matrix()
+        if magnitudes is None:
+            magnitudes = np.abs(loops)
+        denom = magnitudes @ loop_eval.dflow
         deltas = np.divide(-loop_eval.residuals, denom,
                            out=np.zeros_like(denom), where=~(denom < 1e-30))
         return loop_eval.flows + loops.T @ deltas
@@ -261,7 +255,7 @@ def solve_hardy_cross_improved(net: Network, config: SolverConfig | None = None,
     """
 
     def step(loop_eval: LoopEval) -> np.ndarray:
-        loops = loop_eval.arrays.loops
+        loops = loop_eval.basis.matrix()
         jacobian = (loops * loop_eval.dflow) @ loops.T
         deltas = solve_linear(DenseSystem(jacobian, -loop_eval.residuals))
         return loop_eval.flows + loops.T @ deltas
@@ -282,28 +276,22 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
         problems = _flow_violations(net, initial.flows)
         if problems:
             raise ValueError("invalid initial flows: " + "; ".join(problems))
-    start = None if initial is None else PipeArrays.of(net).flows(initial)
+    pipes = PipeArrays.of(net)
+    start = None if initial is None else pipes.flows(initial)
     # Both Hardy Cross methods change the flows only around loops
     # (q += BᵀΔ), which leaves every node balance as the start has it.
     if start is not None and method != NODE_LOOP:
         worst = max(map(abs, _imbalances(net, start.tolist())), default=0.0)
         if not worst <= NODE_BALANCE_TOL_M3S:
             raise ValueError(f"initial flows violate node balances by {worst:.3e} m3/s")
-    # The loop basis and a start taken from the tree share one tree.
-    tree = spanning_tree(net)
-    model = make_fluid_model(net.fluid)
-    basis = _select_basis(net, tree)
-    arrays = compile_network(net, basis)
+    # A start taken from the tree shares the loop basis's tree.
+    basis = select_basis(net)
     floor = config.derivative_flow_floor
-
-    def evaluate(q: np.ndarray) -> LoopEval:
-        return evaluate_loops(net, basis, q, floor, model=model, arrays=arrays)
-
     if start is None:
-        start = np.array(_tree_flows(net, tree, seed=0))
-    loop_eval = evaluate(start)
+        start = np.array(_tree_flows(net, basis.tree, seed=0))
+    loop_eval = evaluate_loops(net, basis, start, floor)
     residual_tol = config.resolved_residual_tolerance(net.fluid.kind)
-    iterations = [FlowState(arrays.pipes.by_id(loop_eval.flows))]
+    iterations = [FlowState(pipes.by_id(loop_eval.flows))]
     residual_history = [np.abs(loop_eval.residuals).tolist()]
     start_worst = worst = max(residual_history[0], default=0.0)
     blowup = DIVERGENCE_GROWTH * max(start_worst, residual_tol)
@@ -319,7 +307,7 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
             current = loop_eval.flows
             pass_no = len(iterations)
             try:
-                candidate_eval = evaluate(step(loop_eval))
+                candidate_eval = evaluate_loops(net, basis, step(loop_eval), floor)
             except SingularSystemError:
                 termination = "singular-system"
                 break
@@ -328,7 +316,8 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
                 if before > 0.0 and \
                         candidate_eval.worst_residual() > DAMPING_TRIGGER * before:
                     damped.append(pass_no)
-                    candidate_eval = evaluate(0.5 * (current + candidate_eval.flows))
+                    midpoint = 0.5 * (current + candidate_eval.flows)
+                    candidate_eval = evaluate_loops(net, basis, midpoint, floor)
             residuals = np.abs(candidate_eval.residuals).tolist()
             change_m3h = m3s_to_m3h(np.abs(candidate_eval.flows - current).max(initial=0.0))
             # A sum carries every NaN or inf among its terms (max need not);
@@ -341,7 +330,7 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
             previous, worst = worst, max(residuals, default=0.0)
             rises = rises + 1 if worst > previous else 0
             loop_eval = candidate_eval
-            iterations.append(FlowState(arrays.pipes.by_id(loop_eval.flows)))
+            iterations.append(FlowState(pipes.by_id(loop_eval.flows)))
             residual_history.append(residuals)
             if rises >= DIVERGENCE_PASSES and worst > blowup:
                 termination = "diverged"
@@ -384,8 +373,8 @@ def propagate_pressures(net: Network, flows: FlowState, source_node: NodeId,
     networks propagate squared pressures (the Renouard drop is a difference
     of squared pressures) and fail if one would go negative.
     """
-    if source_pressure <= 0.0:
-        raise ValueError("source pressure must be > 0 Pa")
+    if not 0.0 < source_pressure < math.inf:
+        raise ValueError(f"source pressure must be finite and > 0 Pa, got {source_pressure!r}")
     node_ids = net.node_ids
     if source_node not in node_ids:
         raise KeyError(f"no node {source_node!r} in network")

@@ -3,22 +3,20 @@
 The node matrix encodes the flow-continuity equations (one row per node
 except the reference node, whose row is linearly dependent on the others).
 The loop basis encodes the energy-balance equations: pipes - nodes + 1
-independent closed cycles with ±1 orientation signs.  `compile_network`
-turns both, with the pipe geometry and the node demands, into the arrays
-the solvers work on.
+independent closed cycles with ±1 orientation signs.  A `LoopBasis` holds
+the loop matrix B as index arrays (the co-tree view of Elhay et al. 2014)
+and builds the dense B the solvers work on from them once, on first use.
 
-Both loop bases rest on the one spanning tree of `model.spanning_tree`:
-the derived basis holds the fundamental cycle of each link (pipe outside
-the tree); an explicit set is rank-checked on its block of link columns,
-over GF(2) first and exactly over Q only when that block is singular
-mod 2.
-A solve shares one tree between its loop basis (`_fundamental_cycles` or
-`_adopt_explicit_loops`) and its start.
+Both loop bases rest on the one spanning tree of `model.spanning_tree`,
+which the basis keeps: the derived basis holds the fundamental cycle of
+each link (pipe outside the tree); an explicit set is rank-checked on its
+block of link columns, over GF(2) first and exactly over Q only when that
+block is singular mod 2.  A solve takes its start from the basis's tree,
+so it grows one tree.
 
 Everything here works on the integer incidence the `Network` built when it
 was constructed (node indices of each pipe's ends, pipe indices per node)
-and on the tree's (node index, pipe index) steps; nothing derived from a
-tree or a basis is kept between calls.
+and on the tree's (node index, pipe index) steps.
 """
 
 from __future__ import annotations
@@ -29,8 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import (Network, NodeId, Pipe, PipeArrays, PipeId, SpanningTree, m3h_to_m3s,
-                    spanning_tree)
+from .model import Network, NodeId, PipeArrays, PipeId, SpanningTree, spanning_tree
 
 
 @dataclass(frozen=True)
@@ -45,51 +42,52 @@ class NodeMatrix:
     col_pipes: tuple[PipeId, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoopBasis:
-    """Ordered signed pipe memberships of the independent loops.
+    """The independent loops of one network, by pipe index.
 
-    Each loop is a sequence of (pipe id, sign) pairs in traversal order;
-    sign +1 means the loop runs along the pipe's reference orientation.
+    Loop k's members are `columns[starts[k]:starts[k + 1]]`, indices into
+    the network's pipes (whose ids are `pipe_ids`), in traversal order,
+    with their `signs`: +1 where the loop runs along the pipe's reference
+    orientation, -1 against it.  `tree` is the spanning tree the loops were
+    derived on or rank-checked on.  `loops` gives the same memberships as
+    (pipe id, sign) pairs, and two bases are equal when their `loops` are.
     """
-    loops: tuple[tuple[tuple[PipeId, int], ...], ...]
+    pipe_ids: tuple[PipeId, ...]
+    columns: np.ndarray
+    signs: np.ndarray
+    starts: np.ndarray
+    tree: SpanningTree
+
+    def __post_init__(self):
+        for name in ("columns", "signs", "starts"):
+            array = np.array(getattr(self, name), dtype=np.int32)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
-        return len(self.loops)
+        return len(self.starts) - 1
 
-    def matrix(self, col_pipes: list[PipeId] | tuple[PipeId, ...]) -> np.ndarray:
-        """Dense loops × pipes sign matrix in the given pipe column order."""
-        col = {pid: j for j, pid in enumerate(col_pipes)}
-        out = np.zeros((len(self.loops), len(col_pipes)))
-        out.flat[[i * len(col_pipes) + col[pid] for i, loop in enumerate(self.loops)
-                  for pid, _ in loop]] = [sign for loop in self.loops for _, sign in loop]
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LoopBasis) and self.loops == other.loops
+
+    @cached_property
+    def loops(self) -> tuple[tuple[tuple[PipeId, int], ...], ...]:
+        """Each loop as a sequence of (pipe id, sign) pairs in traversal order."""
+        ids, starts = self.pipe_ids, self.starts.tolist()
+        members = [(ids[j], sign) for j, sign in zip(self.columns.tolist(), self.signs.tolist())]
+        return tuple(tuple(members[a:b]) for a, b in zip(starts, starts[1:]))
+
+    def matrix(self) -> np.ndarray:
+        """B: the read-only loops × pipes sign matrix in pipe order."""
+        return self._matrix
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        out = np.zeros((len(self), len(self.pipe_ids)))
+        out[np.repeat(np.arange(len(self)), np.diff(self.starts)), self.columns] = self.signs
+        out.setflags(write=False)
         return out
-
-
-@dataclass(frozen=True)
-class NetworkArrays:
-    """A network compiled for one solve, in `Network.pipe_ids` order."""
-    net: Network
-    pipes: PipeArrays
-    loops: np.ndarray          # B: loops × pipes, signed loop membership
-
-    @cached_property
-    def node_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """A, (nodes - 1) × pipes over {-1, 0, +1}, with the demand of each
-        row node in m³/s; built on first use, since only node-loop needs it."""
-        node_matrix = build_node_matrix(self.net)
-        demand = {n.id: m3h_to_m3s(n.demand_m3h) for n in self.net.nodes}
-        return node_matrix.entries, np.array([demand[nid] for nid in node_matrix.row_nodes])
-
-    @cached_property
-    def loop_magnitudes(self) -> np.ndarray:
-        """|B|, the unsigned loop membership, for sums over loop members."""
-        return np.abs(self.loops)
-
-
-def compile_network(net: Network, basis: LoopBasis) -> NetworkArrays:
-    pipes = PipeArrays.of(net)
-    return NetworkArrays(net, pipes, basis.matrix(pipes.ids))
 
 
 def build_node_matrix(net: Network) -> NodeMatrix:
@@ -118,41 +116,41 @@ def derive_loop_basis(net: Network) -> LoopBasis:
     link itself carries sign +1; the rest of the cycle is the unique tree
     path closing it, from the link's head back to its tail.
     """
-    return _fundamental_cycles(net, spanning_tree(net))
-
-
-def _fundamental_cycles(net: Network, tree: SpanningTree) -> LoopBasis:
-    """`derive_loop_basis` on the network's `spanning_tree`."""
+    tree = spanning_tree(net)
     tails, heads = net._ends.tolist()
-    ids = PipeArrays.of(net).ids
-    in_tree = [False] * len(net.pipes)
+    in_tree = {pipe for _, pipe in tree.steps}
     parent = [0] * len(net.nodes)     # node -> tree pipe toward the root
     above = [0] * len(net.nodes)      # node -> the far end of that pipe
     depth = [0] * len(net.nodes)
     for node, pipe in tree.steps:
-        in_tree[pipe] = True
         parent[node] = pipe
         above[node] = heads[pipe] if tails[pipe] == node else tails[pipe]
         depth[node] = depth[above[node]] + 1
-    links = [j for j in net._id_order.tolist() if not in_tree[j]]
+    links = [j for j in net._id_order.tolist() if j not in in_tree]
 
-    loops = []
+    columns, signs, starts = [], [], [0]
     for link in links:
         # Climb from both ends of the link to their lowest common ancestor:
         # the cycle goes up from the link's head, then down to its tail.
-        up, down = [], []
+        columns.append(link)
+        signs.append(1)
+        down = []
         a, b = heads[link], tails[link]
         while a != b:
             if depth[a] >= depth[b]:
                 pipe = parent[a]
-                up.append((ids[pipe], 1 if tails[pipe] == a else -1))
+                columns.append(pipe)
+                signs.append(1 if tails[pipe] == a else -1)
                 a = above[a]
             else:
                 pipe = parent[b]
-                down.append((ids[pipe], 1 if heads[pipe] == b else -1))
+                down.append((pipe, 1 if heads[pipe] == b else -1))
                 b = above[b]
-        loops.append(((ids[link], 1), *up, *reversed(down)))
-    return LoopBasis(tuple(loops))
+        for pipe, sign in reversed(down):
+            columns.append(pipe)
+            signs.append(sign)
+        starts.append(len(columns))
+    return LoopBasis(PipeArrays.of(net).ids, columns, signs, starts, tree)
 
 
 def adopt_explicit_loops(net: Network) -> LoopBasis:
@@ -167,11 +165,6 @@ def adopt_explicit_loops(net: Network) -> LoopBasis:
     determinant) proves it; only a block singular mod 2, such as the three
     4-cycles of K4, needs `exact_rank`.
     """
-    return _adopt_explicit_loops(net, None)
-
-
-def _adopt_explicit_loops(net: Network, tree: SpanningTree | None) -> LoopBasis:
-    """`adopt_explicit_loops`, rank-checking on `tree` (`spanning_tree(net)`) if given."""
     if not net.explicit_loops:
         raise ValueError("network definition carries no explicit loops")
     expected = net.loop_count
@@ -180,23 +173,29 @@ def _adopt_explicit_loops(net: Network, tree: SpanningTree | None) -> LoopBasis:
             f"wrong loop count: {len(net.explicit_loops)} supplied, "
             f"{expected} independent loops required (pipes - nodes + 1)")
 
-    pipes = {p.id: p for p in net.pipes}
-    basis = LoopBasis(tuple(_as_cycle(pipes, k, sequence)
-                            for k, sequence in enumerate(net.explicit_loops, start=1)))
+    index = {p.id: j for j, p in enumerate(net.pipes)}
+    members, starts = [], [0]
+    for k, sequence in enumerate(net.explicit_loops, start=1):
+        members += _as_cycle(net, index, k, sequence)
+        starts.append(len(members))
+    columns, signs = zip(*members)
+    basis = LoopBasis(PipeArrays.of(net).ids, columns, signs, starts, spanning_tree(net))
 
-    in_tree = {j for _, j in (spanning_tree(net) if tree is None else tree).steps}
+    in_tree = {j for _, j in basis.tree.steps}
     link_columns = [j for j in range(len(net.pipes)) if j not in in_tree]
-    ids = PipeArrays.of(net).ids
-    bit = {ids[j]: 1 << k for k, j in enumerate(link_columns)}
-    if _gf2_rank([sum(bit.get(pid, 0) for pid, _ in loop) for loop in basis.loops]) == expected:
+    bit = {j: 1 << k for k, j in enumerate(link_columns)}
+    if _gf2_rank([sum(bit.get(j, 0) for j in columns[a:b])
+                  for a, b in zip(starts, starts[1:])]) == expected:
         return basis
-    sign_rows = basis.matrix(net.pipe_ids)[:, link_columns].astype(int).tolist()
+    sign_rows = basis.matrix()[:, link_columns].astype(int).tolist()
     if exact_rank(sign_rows) != expected:
         raise ValueError("rank-deficient loop set: loops are not independent")
     return basis
 
 
-def _as_cycle(pipes: dict[PipeId, Pipe], k: int, sequence: tuple[int, ...]):
+def _as_cycle(net: Network, index: dict[PipeId, int], k: int,
+              sequence: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Loop `k` as (pipe index, sign) pairs, checked to be a closed walk."""
     if not sequence:
         raise ValueError(f"loop {k} is empty")
     signed = []
@@ -209,9 +208,9 @@ def _as_cycle(pipes: dict[PipeId, Pipe], k: int, sequence: tuple[int, ...]):
         if pid in seen_pipes:
             raise ValueError(f"loop {k} repeats pipe {pid}")
         seen_pipes.add(pid)
-        if pid not in pipes:
+        if pid not in index:
             raise KeyError(f"no pipe {pid!r} in network")
-        pipe = pipes[pid]
+        pipe = net.pipes[index[pid]]
         tail = pipe.from_node if sign > 0 else pipe.to_node
         head = pipe.to_node if sign > 0 else pipe.from_node
         if node is None:
@@ -221,12 +220,12 @@ def _as_cycle(pipes: dict[PipeId, Pipe], k: int, sequence: tuple[int, ...]):
                 f"loop {k} is not a closed cycle: pipe {pid} starts at "
                 f"{tail!r} but the walk is at {node!r}")
         node = head
-        signed.append((pid, sign))
+        signed.append((index[pid], sign))
     if node != start:
         raise ValueError(
             f"loop {k} is not a closed cycle: walk ends at {node!r}, "
             f"started at {start!r}")
-    return tuple(signed)
+    return signed
 
 
 def _gf2_rank(rows: list[int]) -> int:

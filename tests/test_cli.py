@@ -173,6 +173,15 @@ class TestSolve:
         assert "node pressures (source I at 400000 Pa abs):" in out
         assert "XI:" in out
 
+    @pytest.mark.parametrize("value", ["-5", "0", "nan", "inf"])
+    def test_bad_source_pressure_fails_before_solving(self, value, gas_path, capsys):
+        code, out, err = run(capsys, "solve", str(gas_path), "--pressures",
+                             f"--source-pressure-pa={value}")
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: --source-pressure-pa must be finite and > 0, "
+                       f"got {float(value)!r}\n")
+
     def test_deterministic_output(self, gas_path, capsys):
         _, first, _ = run(capsys, "solve", str(gas_path), "--pressures")
         _, second, _ = run(capsys, "solve", str(gas_path), "--pressures")

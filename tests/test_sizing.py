@@ -1,5 +1,6 @@
 """Diameter sizing: derivative kernels and the loop-balance iteration."""
 
+import dataclasses
 import random
 
 import pytest
@@ -198,6 +199,20 @@ class TestOptimizeDiameters:
             optimize_diameters(gas_network, select_basis(gas_network),
                                SizingConfig(fixed_flows=flows,
                                             diameter_bounds=(0.5, 0.1)))
+
+    def test_bounds_missing_a_loop_pipe_rejected(self, gas_network):
+        flows = solve_node_loop(gas_network, SolverConfig()).final_flows
+        with pytest.raises(SizingInfeasibleError, match="^no diameter bounds for loop pipe 2$"):
+            optimize_diameters(gas_network, select_basis(gas_network),
+                               SizingConfig(fixed_flows=flows,
+                                            diameter_bounds={1: (0.05, 1.0)}))
+
+    def test_basis_of_reordered_pipes_rejected(self, gas_network):
+        flows = solve_node_loop(gas_network, SolverConfig()).final_flows
+        reordered = dataclasses.replace(gas_network, pipes=gas_network.pipes[::-1])
+        with pytest.raises(ValueError, match="pipe order"):
+            optimize_diameters(reordered, select_basis(gas_network),
+                               SizingConfig(fixed_flows=flows))
 
 
 def _scaled(net: Network, scales: dict) -> Network:

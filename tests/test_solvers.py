@@ -24,6 +24,7 @@ from loopflow.model import (
     validate,
 )
 from loopflow.numerics import condition_estimate, solve_linear
+from loopflow.topology import adopt_explicit_loops, derive_loop_basis
 from loopflow.solvers import (
     HARDY_CROSS,
     HARDY_CROSS_IMPROVED,
@@ -87,6 +88,11 @@ class TestEvaluateLoops:
                 assert result.member_dflow[k][pid] == \
                     pytest.approx(tables.GAS_LOOP_ANALYSIS[pid][1], rel=5e-3)
 
+    def test_basis_of_reordered_pipes_rejected(self, gas_network):
+        reordered = dataclasses.replace(gas_network, pipes=gas_network.pipes[::-1])
+        with pytest.raises(ValueError, match="pipe order"):
+            evaluate_loops(reordered, select_basis(gas_network), initial_state(reordered))
+
     def test_zero_flows_zero_residuals(self):
         net = square_net(demands=(0.0, 0.0, 0.0, 0.0))
         basis = select_basis(net)
@@ -135,7 +141,9 @@ class TestAssembleNodeLoopSystem:
     def test_dimension_mismatch_rejected(self, gas_network):
         flows = initial_state(gas_network)
         basis = select_basis(gas_network)
-        short_basis = type(basis)(basis.loops[:3])
+        end = basis.starts[3]
+        short_basis = dataclasses.replace(basis, columns=basis.columns[:end],
+                                          signs=basis.signs[:end], starts=basis.starts[:4])
         with pytest.raises(ValueError, match="dimension mismatch"):
             assemble_node_loop_system(
                 evaluate_loops(gas_network, short_basis, flows))
@@ -397,6 +405,12 @@ class TestPropagatePressures:
         with pytest.raises(InfeasiblePressureError):
             propagate_pressures(gas_network, report.final_flows, "I", 500.0)
 
+    @pytest.mark.parametrize("value", [-5.0, 0.0, float("nan"), float("inf")])
+    def test_source_pressure_must_be_finite_and_positive(self, value, gas_network):
+        report = solve_node_loop(gas_network, SolverConfig())
+        with pytest.raises(ValueError, match="source pressure must be finite and > 0 Pa"):
+            propagate_pressures(gas_network, report.final_flows, "I", value)
+
     def test_deterministic(self, gas_network):
         report = solve_node_loop(gas_network, SolverConfig())
         first = propagate_pressures(gas_network, report.final_flows, "I", 4e5)
@@ -487,7 +501,8 @@ def test_one_validation_and_one_tree_per_solve(which, method, gas_network, monke
     calls = Counter()
     modules = [m for name, m in sys.modules.items()
                if name == "loopflow" or name.startswith("loopflow.")]
-    for original in (validate, spanning_tree):
+    for original in (validate, spanning_tree, select_basis, derive_loop_basis,
+                     adopt_explicit_loops):
         def counted(*args, _original=original, **kwargs):
             calls[_original.__name__] += 1
             return _original(*args, **kwargs)
@@ -497,7 +512,8 @@ def test_one_validation_and_one_tree_per_solve(which, method, gas_network, monke
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     solve(net, SolverConfig(method=method))
-    assert calls == {"validate": 1, "spanning_tree": 1}
+    basis = "derive_loop_basis" if which == "derived" else "adopt_explicit_loops"
+    assert calls == {"validate": 1, "spanning_tree": 1, "select_basis": 1, basis: 1}
 
 
 def shifted_start(net, pipe_id=1, extra_m3h=36.0):

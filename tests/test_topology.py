@@ -38,6 +38,16 @@ def random_mesh(seed: int) -> Network:
                    fluid=WATER, reference_node=rng.randint(1, n_nodes))
 
 
+def matrix_by_pipe_id(net: Network, basis) -> np.ndarray:
+    """B from `basis.loops`, one (pipe id, sign) entry at a time."""
+    column = {pid: j for j, pid in enumerate(net.pipe_ids)}
+    out = np.zeros((len(basis.loops), len(net.pipes)))
+    for k, loop in enumerate(basis.loops):
+        for pid, sign in loop:
+            out[k, column[pid]] = sign
+    return out
+
+
 def brute_force_spanning_tree(net: Network):
     """The tree rule by exhaustive search: on every step, scan the pipes of
     every visited node and take the lowest id that reaches a new node."""
@@ -187,7 +197,7 @@ class TestDeriveLoopBasis:
     def test_full_rank_by_exact_elimination(self, gas_network):
         basis = derive_loop_basis(gas_network)
         rows = [[int(v) for v in row]
-                for row in basis.matrix(gas_network.pipe_ids)]
+                for row in basis.matrix()]
         assert exact_rank(rows) == 5
         assert sympy.Matrix(rows).rank() == 5
 
@@ -206,7 +216,16 @@ class TestDeriveLoopBasis:
     def test_matches_brute_force_tree_rule(self, seed):
         net = random_mesh(seed)
         assert spanning_tree(net) == brute_force_spanning_tree(net)
-        assert derive_loop_basis(net).loops == brute_force_loops(net)
+        basis = derive_loop_basis(net)
+        assert basis.loops == brute_force_loops(net)
+        assert basis.tree == spanning_tree(net)
+        assert (basis.matrix() == matrix_by_pipe_id(net, basis)).all()
+
+    def test_fixture_matrices_match_their_loops(self, gas_network, water_network):
+        for net in (gas_network, water_network):
+            for basis in (derive_loop_basis(net), adopt_explicit_loops(net)):
+                assert basis.matrix().shape == (5, 15)
+                assert (basis.matrix() == matrix_by_pipe_id(net, basis)).all()
 
     def test_link_pipe_sign_is_positive(self, gas_network):
         basis = derive_loop_basis(gas_network)
@@ -229,7 +248,7 @@ class TestDeriveLoopBasis:
 class TestAdoptExplicitLoops:
     def test_fixture_loop_rows(self, gas_network):
         basis = adopt_explicit_loops(gas_network)
-        matrix = basis.matrix(gas_network.pipe_ids)
+        matrix = basis.matrix()
         first = {pid: matrix[0][pid - 1] for pid in range(1, 16)}
         assert first[1] == 1 and first[2] == -1 and first[3] == -1 and first[4] == 1
         assert all(first[p] == 0 for p in range(5, 16))
@@ -285,7 +304,7 @@ class TestStackedSystemRank:
         nm = build_node_matrix(gas_network)
         for basis in (derive_loop_basis(gas_network),
                       adopt_explicit_loops(gas_network)):
-            stacked = np.vstack([nm.entries, basis.matrix(gas_network.pipe_ids)])
+            stacked = np.vstack([nm.entries, basis.matrix()])
             assert stacked.shape == (15, 15)
             assert sympy.Matrix(stacked.astype(int)).rank() == 15
 
@@ -293,7 +312,7 @@ class TestStackedSystemRank:
         for net in [square_net()] + [random_mesh(seed) for seed in range(50)]:
             nm = build_node_matrix(net)
             basis = derive_loop_basis(net)
-            stacked = np.vstack([nm.entries, basis.matrix(net.pipe_ids)])
+            stacked = np.vstack([nm.entries, basis.matrix()])
             assert sympy.Matrix(stacked.astype(int)).rank() == len(net.pipes)
 
 
@@ -375,7 +394,7 @@ class TestGF2Check:
 
         net = self.k4_four_cycles()
         basis = topology.adopt_explicit_loops(net)  # run once unpatched
-        rows = [[int(v) for v in row] for row in basis.matrix(net.pipe_ids)]
+        rows = [[int(v) for v in row] for row in basis.matrix()]
         assert all(sum(abs(row[j]) for row in rows) == 2 for j in range(6))
         assert sympy.Matrix(rows).rank() == 3
         in_tree = {j for _, j in spanning_tree(net).steps}
