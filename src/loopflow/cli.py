@@ -157,10 +157,9 @@ def cmd_size(args) -> int:
               file=sys.stderr)
         return EXIT_VALIDATION
 
-    basis = solvers.select_basis(net)
     config = sizing.SizingConfig(fixed_flows=fixed, diameter_bounds=(lo, hi))
     try:
-        report = sizing.optimize_diameters(net, basis, config)
+        report = sizing.optimize_diameters(net, solvers.select_basis(net), config)
     except (sizing.SizingInfeasibleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -6,7 +6,7 @@ the library.  The 3600 factor is applied only at file and report boundaries.
 
 A `Network` indexes itself once, when it is constructed: the end nodes of
 every pipe as node indices, the incident pipes of every node as pipe
-indices (compressed rows, in `incident_pipes` order), the pipes in id
+indices (compressed rows, each in pipe order), the pipes in id
 order, the reference node's index, and read-only geometry arrays
 (`PipeArrays.of`).  Validation, the spanning tree, the loop basis, the
 start and the node balances all work on these integer arrays.  Nothing
@@ -16,6 +16,7 @@ derived from a tree, a basis or a flow is kept on the network.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import isfinite
@@ -117,7 +118,7 @@ class Network:
             dict(initial_flows_m3h) if initial_flows_m3h else None)
         # The integer incidence.  An end that names no node gets index -1,
         # so malformed input still constructs and `validate` reports it; a
-        # repeated node id indexes its last node, as `incident_pipes` keys it.
+        # repeated node id indexes its last node.
         index = {n.id: i for i, n in enumerate(self.nodes)}
         ends = np.array([[index.get(p.from_node, -1) for p in self.pipes],
                          [index.get(p.to_node, -1) for p in self.pipes]],
@@ -168,18 +169,6 @@ class Network:
                 return p
         raise KeyError(f"no pipe {pipe_id!r} in network")
 
-    def node(self, node_id: NodeId) -> NodeSpec:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(f"no node {node_id!r} in network")
-
-    def incident_pipes(self) -> dict[NodeId, list[Pipe]]:
-        """Per node id, the pipes ending there, in pipe order."""
-        _, _, start, incident = self._adjacency()
-        pipes = [self.pipes[j] for j in incident]
-        return {n.id: pipes[start[i]:start[i + 1]] for i, n in enumerate(self.nodes)}
-
     def _adjacency(self) -> tuple[list[int], list[int], list[int], list[int]]:
         """The incidence as lists, which walk faster item by item than
         arrays: tail and head node index per pipe, then the row offsets
@@ -194,11 +183,8 @@ class Network:
         return len(self.pipes) - len(self.nodes) + 1
 
 
-class SpanningTree(tuple):
-    """`(tree pipes, attach order)` as `spanning_tree` returns it; `steps`
-    holds the attach order again as (node index, pipe index) pairs, so the
-    helpers that walk the tree look nothing up by id."""
-    steps: list[tuple[int, int]]
+# A spanning tree as its attach order: (node index, pipe index) pairs.
+SpanningTree = list[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -244,14 +230,41 @@ class PipeArrays:
         return dict(zip(self.ids, values.tolist()))
 
 
+class History(Sequence):
+    """A read-only sequence kept as arrays: entry k is `build(arrays[k])`,
+    built on its first read and kept.  It reads, slices (into lists) and
+    compares with lists as the list of its entries, which a copy becomes."""
+
+    def __init__(self, arrays: list[np.ndarray], build: Callable[[np.ndarray], object]):
+        self._arrays, self._build, self._entries = arrays, build, [None] * len(arrays)
+
+    def __len__(self) -> int:
+        return len(self._arrays)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        k = range(len(self))[k]
+        if self._entries[k] is None:
+            self._entries[k] = self._build(self._arrays[k])
+        return self._entries[k]
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, (list, History)) else NotImplemented
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+
 @dataclass
 class SolveReport:
     """Iteration trace and final state of one solver run.
 
     `iterations[0]` is the initial (feasible) pattern; each further entry is
-    the state after one solver pass.  `loop_residuals[k]` holds |sum of
-    pressure functions| per loop at `iterations[k]` (Pa² for gas, Pa for
-    water).
+    the state after one solver pass (a `History` when a solver made it; both
+    Hardy Cross methods leave each pipe that lies in no loop at its start).
+    `loop_residuals[k]` holds |sum of pressure functions| per loop at
+    `iterations[k]` (Pa² for gas, Pa for water).
 
     A run that ends "diverged" keeps only finite states: a pass whose
     flows or residuals are not finite is dropped, and `stop_reason` says on
@@ -259,7 +272,7 @@ class SolveReport:
     empty for every other termination.
     """
     method: str
-    iterations: list[FlowState]
+    iterations: Sequence[FlowState]
     loop_residuals: list[list[float]]
     termination: str      # converged | max-iterations | singular-system | diverged
     velocities: dict[PipeId, float] = field(default_factory=dict)
@@ -441,8 +454,8 @@ def spanning_tree(net: Network) -> SpanningTree:
     """Deterministic spanning tree grown from the reference node.
 
     At each step the lowest-id pipe linking the tree to a new node is taken.
-    Returns the tree pipes and the attachment order as (new node, pipe)
-    pairs; pipes outside the tree are the network's links.
+    Returns the attachment order as (new node index, pipe index) pairs; the
+    pipes outside the tree are the network's links.
     """
     root = net._reference_index
     if root < 0:
@@ -454,7 +467,7 @@ def spanning_tree(net: Network) -> SpanningTree:
     # as joined, so no pipe attaches it.
     joined = [False] * len(net.nodes) + [True]
     joined[root] = True
-    steps: list[tuple[int, int]] = []
+    steps: SpanningTree = []
     # Pipes from the tree to a node outside it.  A pipe enters the heap
     # once, from the first of its ends to join, and is skipped on popping
     # if its far end joined.
@@ -473,11 +486,7 @@ def spanning_tree(net: Network) -> SpanningTree:
         for j in incident[start[new_node]:start[new_node + 1]]:
             if not joined[heads[j] if tails[j] == new_node else tails[j]]:
                 heappush(frontier, rank[j])
-    pipes, node_ids = net.pipes, net.node_ids
-    tree = SpanningTree(([pipes[j] for _, j in steps],
-                         [(node_ids[i], pipes[j]) for i, j in steps]))
-    tree.steps = steps
-    return tree
+    return steps
 
 
 def feasible_initial_flows(net: Network, seed: int = 0) -> FlowState:
@@ -501,7 +510,7 @@ def _tree_flows(net: Network, tree: SpanningTree, seed: int) -> list[float]:
     flows = [0.0] * len(net.pipes)
     if seed != 0:
         in_tree = [False] * len(net.pipes)
-        for _, j in tree.steps:
+        for _, j in tree:
             in_tree[j] = True
         demand_scale = max((abs(n.demand_m3h) for n in net.nodes), default=0.0)
         rng = random.Random(seed)
@@ -512,7 +521,7 @@ def _tree_flows(net: Network, tree: SpanningTree, seed: int) -> list[float]:
     # Last-attached nodes are leaves of the attachment order, so every
     # incident pipe except the one toward the root is already resolved.
     demand = m3h_to_m3s(np.array([n.demand_m3h for n in net.nodes], dtype=float)).tolist()
-    for node, parent_pipe in reversed(tree.steps):
+    for node, parent_pipe in reversed(tree):
         known_net_inflow = 0.0
         for j in incident[start[node]:start[node + 1]]:
             if j != parent_pipe:

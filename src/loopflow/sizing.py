@@ -1,27 +1,24 @@
 """Inverse problem: fix the flows, iterate pipe diameters to loop balance.
 
-The loop corrections mirror the original Hardy Cross method, but the
-adjusted variable is the diameter: with the loop imbalances
-r(d) = B·(sign q · drop(|q|, d)), the correction per loop is
-Δ = r / (|B|·|d drop/d diameter|), applied to each member with its
-membership and flow signs (d += sign q · BᵀΔ) and clamped to the diameter
-bounds.  Since drops fall with growing diameter the positive-imbalance
-loops get wider positive-side pipes, which is the Newton step for this
-variable.  B is the loop basis's own dense matrix, |B| is taken once per
-run, and the geometry comes from the network's own arrays.
-
-Pipes outside every loop are unconstrained by the loop equations and are
-left at their input diameter.
+The loop corrections mirror the original Hardy Cross method with the
+diameter as the variable: with r(d) = B·(sign q · drop(|q|, d)), loop k's
+correction is Δ_k = r_k / (|B|·|d drop/d diameter|)_k, applied to each
+member with its membership and flow signs (d += sign q · BᵀΔ) and clamped
+to the bounds; drops fall as diameters grow, so this is the Newton step
+for the diameter.  Only the core (the pipes that lie in a loop) is sized
+and evaluated: the other pipes are unconstrained by the loop equations
+and keep their input diameter.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fluids import make_fluid_model
-from .model import (FlowState, Network, NODE_BALANCE_TOL_M3S, PipeArrays, PipeId,
+from .model import (FlowState, History, Network, NODE_BALANCE_TOL_M3S, PipeArrays, PipeId,
                     _flow_violations, node_imbalances, validate)
 from .solvers import DEFAULT_RESIDUAL_TOLERANCE
 from .topology import LoopBasis
@@ -62,8 +59,10 @@ class SizingConfig:
 
 @dataclass
 class SizingReport:
+    """`diameter_history[k]` is every pipe's diameter after k passes, a `History`
+    of the core's arrays; `tree_pipes`, the pipes in no loop, keep theirs."""
     diameters: dict[PipeId, float]
-    diameter_history: list[dict[PipeId, float]]
+    diameter_history: Sequence[dict[PipeId, float]]
     loop_residual_history: list[list[float]]
     termination: str
     tree_pipes: set[PipeId] = field(default_factory=set)
@@ -92,8 +91,7 @@ def optimize_diameters(net: Network, basis: LoopBasis,
     if violations:
         raise ValueError("invalid network: " + "; ".join(violations))
     pipes = PipeArrays.of(net)
-    if basis.pipe_ids != pipes.ids:
-        raise ValueError("loop basis does not match the network's pipe order")
+    basis.check_network(net)
     flows = config.fixed_flows
     problems = _flow_violations(net, flows.flows, "fixed flow")
     if problems:
@@ -104,33 +102,32 @@ def optimize_diameters(net: Network, basis: LoopBasis,
         raise SizingInfeasibleError(
             f"fixed flows violate node balances by {worst_imbalance:.3e} m3/s")
 
-    loops = basis.matrix()
-    q = pipes.flows(flows)
-    member = (loops != 0).any(axis=0)
-    idle = np.flatnonzero(member & (q == 0.0))
-    if idle.size:
+    # Everything below runs on the core: its flows, geometry and diameters.
+    loops = basis.core_matrix
+    q = pipes.flows(flows)[basis.core]
+    core_ids = basis.core_ids
+    idle = [pid for pid, flow in zip(core_ids, q.tolist()) if flow == 0.0]
+    if idle:
         raise SizingInfeasibleError(
-            f"pipe {min(pipes.ids[j] for j in idle)} lies in a loop but carries "
-            f"zero fixed flow")
-    tree_pipes = {pid for pid, in_loop in zip(pipes.ids, member) if not in_loop}
+            f"pipe {min(idle)} lies in a loop but carries zero fixed flow")
+    tree_pipes = set(pipes.ids) - set(core_ids)
 
     model = make_fluid_model(net.fluid)
     tolerance = (config.residual_tolerance
                  if config.residual_tolerance is not None
                  else DEFAULT_RESIDUAL_TOLERANCE[net.fluid.kind])
+    core_pipes = basis.core_pipes(pipes)
     magnitude = np.abs(q)
     loop_magnitudes = np.abs(loops)
     sign = np.where(q < 0.0, -1.0, 1.0)
     # Sized pipes start inside their bounds; tree pipes keep the input value.
-    lower, upper = np.full((2, len(q)), [[-np.inf], [np.inf]])
-    for j in np.flatnonzero(member):
-        lower[j], upper[j] = config.bounds_for(pipes.ids[j])
-    diameters = np.clip(pipes.diameter, lower, upper)
+    lower, upper = np.array([config.bounds_for(pid) for pid in core_ids]).reshape(-1, 2).T
+    diameters = np.clip(core_pipes.diameter, lower, upper)
 
     def loop_residuals(diam: np.ndarray) -> np.ndarray:
-        return loops @ (sign * model.drop_at_diameter(pipes, magnitude, diam))
+        return loops @ (sign * model.drop_at_diameter(core_pipes, magnitude, diam))
 
-    history = [pipes.by_id(diameters)]
+    history = [diameters]
     residuals = loop_residuals(diameters)
     residual_history = [np.abs(residuals).tolist()]
     termination = MAX_ITERATIONS
@@ -141,7 +138,7 @@ def optimize_diameters(net: Network, basis: LoopBasis,
             termination = CONVERGED
             break
 
-        sensitivity = np.abs(model.ddrop_ddiam(pipes, magnitude, diameters))
+        sensitivity = np.abs(model.ddrop_ddiam(core_pipes, magnitude, diameters))
         denom = loop_magnitudes @ sensitivity
         deltas = np.divide(residuals, denom, out=np.zeros_like(denom),
                            where=~(denom < 1e-30))
@@ -163,7 +160,7 @@ def optimize_diameters(net: Network, basis: LoopBasis,
 
         diameters = candidate
         residuals = cand_residuals
-        history.append(pipes.by_id(diameters))
+        history.append(diameters)
         residual_history.append(np.abs(residuals).tolist())
 
     if termination != CONVERGED and residual_history[-1] and \
@@ -171,10 +168,12 @@ def optimize_diameters(net: Network, basis: LoopBasis,
         termination = CONVERGED
 
     at_bound = (diameters <= lower) | (diameters >= upper)
-    bounded = {pid for pid, flag in zip(pipes.ids, at_bound) if flag}
+    bounded = {pid for pid, flag in zip(core_ids, at_bound) if flag}
     if termination != CONVERGED and bounded:
         termination = INFEASIBLE_BOUNDS
 
+    given = pipes.by_id(pipes.diameter)
+    history = History(history, lambda diam: {**given, **dict(zip(core_ids, diam.tolist()))})
     return SizingReport(
         diameters=dict(history[-1]),
         diameter_history=history,

@@ -1,37 +1,23 @@
 """The three iterative flow solvers plus node-pressure back-propagation.
 
 Each solve validates the network once and takes its loop basis
-(`select_basis`: derived, or explicit and rank-checked), whose spanning
-tree also gives the seed-0 start of `feasible_initial_flows` unless a
-start is given.  B is the basis's own signed loop matrix, and node-loop
-builds the node matrix A with its demands once per solve.  Every pass then
-evaluates all pipes in one call, giving the loop imbalances
-r = B·(sign q · drop(|q|)) and the pipe derivatives D = |d drop/d flow|,
-and the three methods differ only in the linear system they solve:
+(`select_basis`), whose spanning tree also gives the seed-0 start.  Every
+pass evaluates the basis's core (the pipes in a loop) in one call, giving
+r = B·(sign q · drop(|q|)) and D = |d drop/d flow| on the core, and the
+three methods differ only in the linear system they solve:
 
 * node-loop: [A; B·D] q = [demands; B·D·q - r], all flows at once, in
-  one stacked buffer per solve whose loop rows every pass rewrites and
-  equilibrates in place;
+  one stacked buffer per solve whose loop rows every pass rewrites;
 * hardy-cross-improved: (B D Bᵀ) Δ = -r, then q += BᵀΔ;
-* hardy-cross: Δ = -r / diag(B D Bᵀ), one independent correction per
-  loop, then q += BᵀΔ; the diagonal is |B|·D, with |B| taken once per
-  solve.
+* hardy-cross: Δ = -r / (|B|·D) per loop, then q += BᵀΔ.
 
-A given start (the `initial` argument or the file's initial flows) needs a
-finite flow for every pipe, and both Hardy Cross methods, which keep the
-start's node balances, need it to meet them.
-
-All three iterate until two successive passes agree everywhere within the
-flow tolerance and the loop imbalances are below theirs.  A run that
-blows up instead (original Hardy Cross on most meshed networks) ends
-"diverged": at the first pass whose flows or loop imbalances are not
-finite, which it drops, or once the worst imbalance has risen on each of
-the last DIVERGENCE_PASSES passes to over DIVERGENCE_GROWTH times the
-start's.  The pass loop runs under one `np.errstate(all="ignore")`, so the
-overflow on the way warns of nothing.  Flows are signed
-against each pipe's reference orientation and loop membership signs come
-from B, which replaces the traditional hand bookkeeping of correction
-directions.
+Both Hardy Cross methods change only the core flows and keep the start's
+node balances, which a given start must meet.  A run stops when two
+successive passes agree within the flow tolerance and the imbalances are
+below theirs, or ends "diverged": at the first pass whose flows or
+imbalances are not finite, which it drops, or once the worst imbalance has
+risen on each of the last DIVERGENCE_PASSES passes to over
+DIVERGENCE_GROWTH times the start's.
 """
 
 from __future__ import annotations
@@ -52,6 +38,7 @@ from .model import (
     NODE_BALANCE_TOL_M3S,
     WATER,
     FlowState,
+    History,
     Network,
     NodeId,
     PipeArrays,
@@ -114,8 +101,10 @@ class SolverConfig:
 class LoopEval:
     """Loop imbalances and pipe derivatives of one state.
 
-    `residuals` is r = B·(sign q · drop(|q|)), one entry per loop, and
-    `dflow` is D = |d drop/d flow| per pipe, evaluated away from zero flow.
+    `flows` is q on every pipe, `residuals` is r = B·(sign q · drop(|q|)),
+    one entry per loop, and `dflow` is D = |d drop/d flow|, evaluated away
+    from zero flow, on the core only (in `basis.core` order): D holds
+    nothing for a pipe in no loop, which enters neither r nor B D Bᵀ.
     """
     net: Network
     basis: LoopBasis
@@ -126,9 +115,18 @@ class LoopEval:
     @cached_property
     def member_dflow(self) -> tuple[Mapping[PipeId, float], ...]:
         """Per loop, a read-only map from each member pipe to its entry of D."""
-        ids = self.basis.pipe_ids
-        return tuple(MappingProxyType({ids[j]: self.dflow[j] for j in np.flatnonzero(row)})
-                     for row in self.basis.matrix())
+        ids = self.basis.core_ids
+        return tuple(MappingProxyType({ids[c]: self.dflow[c] for c in np.flatnonzero(row)})
+                     for row in self.basis.core_matrix)
+
+    def corrected(self, deltas: np.ndarray) -> np.ndarray:
+        """q + BᵀΔ, a new array; the pipes off the core keep their flows."""
+        change = self.basis.core_matrix.T @ deltas
+        if self.basis.spans_all:
+            return self.flows + change
+        flows = self.flows.copy()
+        flows[self.basis.core] += change
+        return flows
 
     def worst_residual(self) -> float:
         return float(np.abs(self.residuals).max(initial=0.0))
@@ -143,16 +141,17 @@ def evaluate_loops(net: Network, basis: LoopBasis, flows: FlowState | np.ndarray
                    derivative_flow_floor: float = 1e-7) -> LoopEval:
     """Loop imbalances and pipe derivatives at the given state.
 
-    `flows` is a FlowState, or the signed flows in `net.pipe_ids` order.
-    Raises ValueError for a basis whose pipe ids, in order, are not the
-    network's.
+    `flows` is a FlowState, or the signed flows in `net.pipe_ids` order;
+    only the basis's core is evaluated.  Raises ValueError for a basis
+    built on another network (`LoopBasis.check_network`).
     """
     pipes = PipeArrays.of(net)
-    if basis.pipe_ids != pipes.ids:
-        raise ValueError("loop basis does not match the network's pipe order")
+    basis.check_network(net)
     q = flows if isinstance(flows, np.ndarray) else pipes.flows(flows)
-    drop, dflow = make_fluid_model(net.fluid).evaluate(pipes, np.abs(q), derivative_flow_floor)
-    return LoopEval(net, basis, q, basis.matrix() @ np.copysign(drop, q), dflow)
+    q_core = q if basis.spans_all else q[basis.core]
+    drop, dflow = make_fluid_model(net.fluid).evaluate(
+        basis.core_pipes(pipes), np.abs(q_core), derivative_flow_floor)
+    return LoopEval(net, basis, q, basis.core_matrix @ np.copysign(drop, q_core), dflow)
 
 
 def assemble_node_loop_system(loop_eval: LoopEval,
@@ -162,22 +161,27 @@ def assemble_node_loop_system(loop_eval: LoopEval,
     [A; B·D] q = [demands; B·D·q - r]: the loop rows are the first-order
     expansion of the loop equations around the evaluated flows q.  Given
     `out`, a system this function returned for the same network and basis,
-    only its loop rows are rewritten, in place, and `out` is returned.
+    only its loop rows are rewritten, in place (zero off the core), and
+    `out` is returned.
     """
-    loops = loop_eval.basis.matrix()
+    basis = loop_eval.basis
     if out is None:
         node_matrix = build_node_matrix(loop_eval.net)
         n_nodes, n_pipes = node_matrix.entries.shape
-        if n_nodes + len(loops) != n_pipes:
+        if n_nodes + len(basis) != n_pipes:
             raise ValueError(
-                f"dimension mismatch: {n_nodes} node rows + {len(loops)} loop "
+                f"dimension mismatch: {n_nodes} node rows + {len(basis)} loop "
                 f"rows != {n_pipes} pipe unknowns")
-        out = DenseSystem(np.empty((n_pipes, n_pipes)), np.empty(n_pipes))
+        out = DenseSystem(np.zeros((n_pipes, n_pipes)), np.empty(n_pipes))
         out.matrix[:n_nodes] = node_matrix.entries
         out.rhs[:n_nodes] = [m3h_to_m3s(n.demand_m3h) for n in loop_eval.net.nodes
                              if n.id != loop_eval.net.reference_node]
-    n_nodes = len(out.rhs) - len(loops)
-    loop_rows = np.multiply(loops, loop_eval.dflow, out=out.matrix[n_nodes:])
+    n_nodes = len(out.rhs) - len(basis)
+    loop_rows = out.matrix[n_nodes:]
+    if basis.spans_all:
+        np.multiply(basis.core_matrix, loop_eval.dflow, out=loop_rows)
+    else:
+        loop_rows[:, basis.core] = basis.core_matrix * loop_eval.dflow
     out.rhs[n_nodes:] = loop_rows @ loop_eval.flows - loop_eval.residuals
     return out
 
@@ -234,13 +238,12 @@ def solve_hardy_cross_original(net: Network, config: SolverConfig | None = None,
 
     def step(loop_eval: LoopEval) -> np.ndarray:
         nonlocal magnitudes
-        loops = loop_eval.basis.matrix()
         if magnitudes is None:
-            magnitudes = np.abs(loops)
+            magnitudes = np.abs(loop_eval.basis.core_matrix)
         denom = magnitudes @ loop_eval.dflow
         deltas = np.divide(-loop_eval.residuals, denom,
                            out=np.zeros_like(denom), where=~(denom < 1e-30))
-        return loop_eval.flows + loops.T @ deltas
+        return loop_eval.corrected(deltas)
 
     return _iterate(net, config or SolverConfig(), initial, HARDY_CROSS, step)
 
@@ -255,10 +258,10 @@ def solve_hardy_cross_improved(net: Network, config: SolverConfig | None = None,
     """
 
     def step(loop_eval: LoopEval) -> np.ndarray:
-        loops = loop_eval.basis.matrix()
+        loops = loop_eval.basis.core_matrix
         jacobian = (loops * loop_eval.dflow) @ loops.T
         deltas = solve_linear(DenseSystem(jacobian, -loop_eval.residuals))
-        return loop_eval.flows + loops.T @ deltas
+        return loop_eval.corrected(deltas)
 
     return _iterate(net, config or SolverConfig(), initial,
                     HARDY_CROSS_IMPROVED, step)
@@ -291,7 +294,7 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
         start = np.array(_tree_flows(net, basis.tree, seed=0))
     loop_eval = evaluate_loops(net, basis, start, floor)
     residual_tol = config.resolved_residual_tolerance(net.fluid.kind)
-    iterations = [FlowState(pipes.by_id(loop_eval.flows))]
+    flow_history = [loop_eval.flows]
     residual_history = [np.abs(loop_eval.residuals).tolist()]
     start_worst = worst = max(residual_history[0], default=0.0)
     blowup = DIVERGENCE_GROWTH * max(start_worst, residual_tol)
@@ -303,9 +306,9 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
     # A diverging run overflows; the checks below stop it, so numpy need
     # not warn on the way.
     with np.errstate(all="ignore"):
-        while len(iterations) - 1 < config.max_iterations:
+        while len(flow_history) - 1 < config.max_iterations:
             current = loop_eval.flows
-            pass_no = len(iterations)
+            pass_no = len(flow_history)
             try:
                 candidate_eval = evaluate_loops(net, basis, step(loop_eval), floor)
             except SingularSystemError:
@@ -330,7 +333,7 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
             previous, worst = worst, max(residuals, default=0.0)
             rises = rises + 1 if worst > previous else 0
             loop_eval = candidate_eval
-            iterations.append(FlowState(pipes.by_id(loop_eval.flows)))
+            flow_history.append(loop_eval.flows)
             residual_history.append(residuals)
             if rises >= DIVERGENCE_PASSES and worst > blowup:
                 termination = "diverged"
@@ -349,18 +352,19 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
 
     return SolveReport(
         method=method,
-        iterations=iterations,
+        iterations=History(flow_history, lambda q: FlowState(pipes.by_id(q))),
         loop_residuals=residual_history,
         termination=termination,
-        velocities=final_velocities(net, iterations[-1]),
+        velocities=final_velocities(net, flow_history[-1]),
         damped_iterations=damped,
         stop_reason=stop_reason,
     )
 
 
-def final_velocities(net: Network, flows: FlowState) -> dict[PipeId, float]:
+def final_velocities(net: Network, flows: FlowState | np.ndarray) -> dict[PipeId, float]:
     pipes = PipeArrays.of(net)
-    speeds = make_fluid_model(net.fluid).velocity(pipes, np.abs(pipes.flows(flows)))
+    q = flows if isinstance(flows, np.ndarray) else pipes.flows(flows)
+    speeds = make_fluid_model(net.fluid).velocity(pipes, np.abs(q))
     return pipes.by_id(speeds)
 
 

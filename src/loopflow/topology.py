@@ -1,22 +1,11 @@
 """Incidence structure of a network: node matrix and independent loop basis.
 
 The node matrix encodes the flow-continuity equations (one row per node
-except the reference node, whose row is linearly dependent on the others).
-The loop basis encodes the energy-balance equations: pipes - nodes + 1
-independent closed cycles with ±1 orientation signs.  A `LoopBasis` holds
-the loop matrix B as index arrays (the co-tree view of Elhay et al. 2014)
-and builds the dense B the solvers work on from them once, on first use.
-
-Both loop bases rest on the one spanning tree of `model.spanning_tree`,
-which the basis keeps: the derived basis holds the fundamental cycle of
-each link (pipe outside the tree); an explicit set is rank-checked on its
-block of link columns, over GF(2) first and exactly over Q only when that
-block is singular mod 2.  A solve takes its start from the basis's tree,
-so it grows one tree.
-
-Everything here works on the integer incidence the `Network` built when it
-was constructed (node indices of each pipe's ends, pipe indices per node)
-and on the tree's (node index, pipe index) steps.
+except the reference node).  The loop basis encodes the energy-balance
+equations: pipes - nodes + 1 independent cycles with ±1 signs, held as
+index arrays (the co-tree view of Elhay et al. 2014) with the spanning
+tree they rest on.  The solvers work on B restricted to the core, the
+pipes that lie in a loop, and never build the dense loops × pipes B.
 """
 
 from __future__ import annotations
@@ -50,14 +39,20 @@ class LoopBasis:
     the network's pipes (whose ids are `pipe_ids`), in traversal order,
     with their `signs`: +1 where the loop runs along the pipe's reference
     orientation, -1 against it.  `tree` is the spanning tree the loops were
-    derived on or rank-checked on.  `loops` gives the same memberships as
-    (pipe id, sign) pairs, and two bases are equal when their `loops` are.
+    derived on or rank-checked on, and `ends` the pipe ends of the network
+    they were built on (`Network._ends`).  `loops` gives the same
+    memberships as (pipe id, sign) pairs, and two bases are equal when
+    their `loops` are.  The `core` is the pipes that lie in a loop; the
+    others form a forest whose flows the demands fix and whose drops enter
+    no loop equation (Simpson, Elhay and Alexander 2014), so the solvers
+    and the sizing evaluate the core alone, on `core_matrix`.
     """
     pipe_ids: tuple[PipeId, ...]
     columns: np.ndarray
     signs: np.ndarray
     starts: np.ndarray
     tree: SpanningTree
+    ends: np.ndarray
 
     def __post_init__(self):
         for name in ("columns", "signs", "starts"):
@@ -78,6 +73,39 @@ class LoopBasis:
         members = [(ids[j], sign) for j, sign in zip(self.columns.tolist(), self.signs.tolist())]
         return tuple(tuple(members[a:b]) for a, b in zip(starts, starts[1:]))
 
+    @cached_property
+    def core(self) -> np.ndarray:
+        """The indices of the pipes that lie in a loop, ascending."""
+        member = np.zeros(len(self.pipe_ids), dtype=bool)
+        member[self.columns] = True
+        core = np.flatnonzero(member)
+        core.setflags(write=False)
+        return core
+
+    @cached_property
+    def spans_all(self) -> bool:
+        """Whether every pipe lies in a loop, so the core needs no gathering."""
+        return len(self.core) == len(self.pipe_ids)
+
+    @cached_property
+    def core_ids(self) -> tuple[PipeId, ...]:
+        return tuple(self.pipe_ids[j] for j in self.core.tolist())
+
+    def core_pipes(self, pipes: PipeArrays) -> PipeArrays:
+        """The geometry of the core pipes (`pipes` itself if that is all)."""
+        core = self.core
+        return pipes if self.spans_all else PipeArrays(
+            self.core_ids, pipes.length[core], pipes.diameter[core], pipes.roughness[core])
+
+    @cached_property
+    def core_matrix(self) -> np.ndarray:
+        """B on the core: the read-only loops × core pipes sign matrix."""
+        out = np.zeros((len(self), len(self.core)))
+        out[np.repeat(np.arange(len(self)), np.diff(self.starts)),
+            np.searchsorted(self.core, self.columns)] = self.signs
+        out.setflags(write=False)
+        return out
+
     def matrix(self) -> np.ndarray:
         """B: the read-only loops × pipes sign matrix in pipe order."""
         return self._matrix
@@ -89,24 +117,24 @@ class LoopBasis:
         out.setflags(write=False)
         return out
 
+    def check_network(self, net: Network) -> None:
+        """Raise ValueError unless the basis was built on `net`'s pipe order
+        and ends, testing identity first: O(1) on its own network."""
+        ids = PipeArrays.of(net).ids
+        if not ((self.pipe_ids is ids or self.pipe_ids == ids)
+                and (self.ends is net._ends or np.array_equal(self.ends, net._ends))):
+            raise ValueError("loop basis was built on another network: pipe order or ends differ")
+
 
 def build_node_matrix(net: Network) -> NodeMatrix:
     """Continuity rows for every node except the reference node."""
-    row: list[int] = []          # per node index, its row, or -1
-    row_nodes: list[NodeId] = []
-    for n in net.nodes:
-        row.append(-1 if n.id == net.reference_node else len(row_nodes))
-        if n.id != net.reference_node:
-            row_nodes.append(n.id)
-    row.append(-1)                # index -1: an end that names no node
-    entries = np.zeros((len(row_nodes), len(net.pipes)))
-    tails, heads = net._ends.tolist()
-    for j, (tail, head) in enumerate(zip(tails, heads)):
-        if row[head] >= 0:
-            entries[row[head], j] = 1.0
-        if row[tail] >= 0:
-            entries[row[tail], j] = -1.0
-    return NodeMatrix(entries, tuple(row_nodes), PipeArrays.of(net).ids)
+    kept = [i for i, n in enumerate(net.nodes) if n.id != net.reference_node]
+    # A row per node index and a last one for index -1, an end that names
+    # no node; a pipe's tail entry overwrites its head entry.
+    entries = np.zeros((len(net.nodes) + 1, len(net.pipes)))
+    entries[net._ends[1], np.arange(len(net.pipes))] = 1.0
+    entries[net._ends[0], np.arange(len(net.pipes))] = -1.0
+    return NodeMatrix(entries[kept], tuple(net.nodes[i].id for i in kept), PipeArrays.of(net).ids)
 
 
 def derive_loop_basis(net: Network) -> LoopBasis:
@@ -118,11 +146,11 @@ def derive_loop_basis(net: Network) -> LoopBasis:
     """
     tree = spanning_tree(net)
     tails, heads = net._ends.tolist()
-    in_tree = {pipe for _, pipe in tree.steps}
+    in_tree = {pipe for _, pipe in tree}
     parent = [0] * len(net.nodes)     # node -> tree pipe toward the root
     above = [0] * len(net.nodes)      # node -> the far end of that pipe
     depth = [0] * len(net.nodes)
-    for node, pipe in tree.steps:
+    for node, pipe in tree:
         parent[node] = pipe
         above[node] = heads[pipe] if tails[pipe] == node else tails[pipe]
         depth[node] = depth[above[node]] + 1
@@ -150,7 +178,7 @@ def derive_loop_basis(net: Network) -> LoopBasis:
             columns.append(pipe)
             signs.append(sign)
         starts.append(len(columns))
-    return LoopBasis(PipeArrays.of(net).ids, columns, signs, starts, tree)
+    return LoopBasis(PipeArrays.of(net).ids, columns, signs, starts, tree, net._ends)
 
 
 def adopt_explicit_loops(net: Network) -> LoopBasis:
@@ -179,9 +207,10 @@ def adopt_explicit_loops(net: Network) -> LoopBasis:
         members += _as_cycle(net, index, k, sequence)
         starts.append(len(members))
     columns, signs = zip(*members)
-    basis = LoopBasis(PipeArrays.of(net).ids, columns, signs, starts, spanning_tree(net))
+    basis = LoopBasis(PipeArrays.of(net).ids, columns, signs, starts, spanning_tree(net),
+                      net._ends)
 
-    in_tree = {j for _, j in basis.tree.steps}
+    in_tree = {j for _, j in basis.tree}
     link_columns = [j for j in range(len(net.pipes)) if j not in in_tree]
     bit = {j: 1 << k for k, j in enumerate(link_columns)}
     if _gf2_rank([sum(bit.get(j, 0) for j in columns[a:b])

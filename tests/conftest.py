@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import random
 from functools import cache
 from importlib import resources
 from pathlib import Path
@@ -37,6 +38,14 @@ def node_balance_residuals_m3h(net, flows_m3s: dict) -> dict:
     return residual
 
 
+def incident_pipes(net) -> dict:
+    """Per node id, the pipes ending there, read from the network's
+    compressed incidence rows."""
+    _, _, start, incident = net._adjacency()
+    pipes = [net.pipes[j] for j in incident]
+    return {n.id: pipes[start[i]:start[i + 1]] for i, n in enumerate(net.nodes)}
+
+
 @cache
 def perfbench_networks():
     """The benchmark's stdlib-only network generators (`perfbench/networks.py`)."""
@@ -45,3 +54,14 @@ def perfbench_networks():
     networks = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(networks)
     return networks
+
+
+@pytest.fixture(params=[(kind, seed) for kind in ("gas", "water") for seed in range(4)],
+                ids=lambda p: f"{p[0]}-{p[1]}")
+def branched(request):
+    """A 300-node tree closed by 5 pipes, so that most pipes lie in no loop,
+    and a balanced flow pattern on it (m³/h per pipe id)."""
+    networks = perfbench_networks()
+    rng = random.Random(request.param[1])
+    raw = networks.tree_with_closures(300, 5, request.param[0], rng)
+    return network_from_dict(raw), networks.balanced_flows(raw, rng)

@@ -304,6 +304,21 @@ class TestSize:
         assert err.startswith("error: invalid fixed flows: ") and message in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["size", "check", "solve"])
+    @pytest.mark.parametrize("k, loop, message", [
+        (4, [-4, 3, 2, -1], "error: rank-deficient loop set: loops are not independent\n"),
+        (0, [1, -2, -3], "error: loop 1 is not a closed cycle: walk ends at 'I', started at 'II'\n"),
+    ], ids=["rank-deficient", "not-a-cycle"])
+    def test_bad_explicit_loops_print_one_error_line(self, command, k, loop, message,
+                                                     gas_path, tmp_path, capsys):
+        raw = json.loads(gas_path.read_text())
+        raw["loops"][k] = loop
+        path = tmp_path / "badloops.json"
+        path.write_text(json.dumps(raw))
+        code, _, err = run(capsys, command, str(path))
+        assert code == 1
+        assert err == message
+
     def test_missing_flows(self, gas_path, tmp_path, capsys):
         raw = json.loads(gas_path.read_text())
         del raw["initial_flows"]

@@ -23,8 +23,10 @@ from loopflow.model import (
     spanning_tree,
     validate,
 )
+from loopflow.sizing import SizingConfig, optimize_diameters
+from loopflow.solvers import SolverConfig, select_basis, solve
 
-from conftest import node_balance_residuals_m3h
+from conftest import incident_pipes, node_balance_residuals_m3h
 
 WATER = FluidSpec(kind="water", density=1000.0, viscosity=0.00089)
 GAS = FluidSpec(kind="gas", rel_density=0.6)
@@ -250,10 +252,10 @@ class TestStoredArrays:
             + [Pipe(5, 2, 4, 0.15, 70.0)], reference_node=1)
         assert PipeArrays.of(net).diameter.tolist() == [0.2] * 4 + [0.15]
         assert PipeArrays.of(wider).diameter.tolist() == [0.3] * 4 + [0.15]
-        assert [p.id for p in wider.incident_pipes()[2]] == [1, 2, 5]
-        assert [p.id for p in net.incident_pipes()[2]] == [1, 2]
-        assert [node for node, _ in spanning_tree(wider)[1]] == [2, 3, 4]
-        assert [node for node, _ in spanning_tree(net)[1]] == [3, 2, 1]
+        assert [p.id for p in incident_pipes(wider)[2]] == [1, 2, 5]
+        assert [p.id for p in incident_pipes(net)[2]] == [1, 2]
+        assert [wider.nodes[i].id for i, _ in spanning_tree(wider)] == [2, 3, 4]
+        assert [net.nodes[i].id for i, _ in spanning_tree(net)] == [3, 2, 1]
 
 
 class TestReferenceNodeDefault:
@@ -354,3 +356,45 @@ class TestFlowState:
             termination="converged")
         assert report.reversed_pipes() == {2}
         assert report.iteration_count == 1
+
+
+class TestHistory:
+    """A report's iterates and diameters are kept as arrays and read like lists."""
+
+    @pytest.fixture(params=["iterations", "diameter_history"])
+    def history(self, request, gas_network):
+        report = solve(gas_network, SolverConfig(method="hardy-cross-improved"))
+        if request.param == "iterations":
+            return report.iterations, FlowState
+        sizing = optimize_diameters(gas_network, select_basis(gas_network),
+                                    SizingConfig(fixed_flows=report.iterations[2]))
+        return sizing.diameter_history, dict
+
+    def test_reads_like_the_list_of_its_entries(self, history):
+        history, entry_type = history
+        entries = list(history)
+        assert len(entries) == len(history) >= 3
+        assert all(type(entry) is entry_type for entry in entries)
+        assert history[-1] == entries[-1] and history[-len(history)] == entries[0]
+        assert history[1:] == entries[1:] and type(history[1:]) is list
+        assert history[::-2] == entries[::-2]
+        assert history == entries and entries == history
+        assert history != entries[:-1] and history != tuple(entries)
+        assert list(reversed(history)) == entries[::-1]
+        with pytest.raises(IndexError):
+            history[len(history)]
+
+    def test_is_read_only(self, history):
+        history, _ = history
+        assert not hasattr(history, "append")
+        with pytest.raises(TypeError):
+            history[0] = history[1]
+
+    def test_two_reads_of_an_entry_are_equal(self, history):
+        history, _ = history
+        assert history[1] == history[1] and history[-1] is history[len(history) - 1]
+
+    def test_copies_and_pickles_are_lists(self, history):
+        history, _ = history
+        for duplicate in (copy.copy(history), pickle.loads(pickle.dumps(history))):
+            assert type(duplicate) is list and duplicate == history

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from loopflow import kernels
-from loopflow.model import FlowState, Network, NodeSpec, Pipe, m3h_to_m3s
+from loopflow.model import FlowState, Network, NodeSpec, Pipe, feasible_initial_flows, m3h_to_m3s
 from loopflow.sizing import (
     INFEASIBLE_BOUNDS,
     SizingConfig,
@@ -14,8 +14,9 @@ from loopflow.sizing import (
     optimize_diameters,
 )
 from loopflow.solvers import SolverConfig, select_basis, solve_node_loop
+from loopflow.topology import derive_loop_basis
 
-from test_solvers import two_pipe_loop
+from test_solvers import flipped_pipe_one, two_pipe_loop
 
 
 def central_difference(func, x, h):
@@ -207,12 +208,32 @@ class TestOptimizeDiameters:
                                SizingConfig(fixed_flows=flows,
                                             diameter_bounds={1: (0.05, 1.0)}))
 
+    def test_basis_of_another_network_rejected(self, gas_network):
+        plain, flipped = flipped_pipe_one(gas_network)
+        fixed = feasible_initial_flows(flipped)
+        with pytest.raises(ValueError, match="^loop basis was built on another network"):
+            optimize_diameters(flipped, derive_loop_basis(plain), SizingConfig(fixed_flows=fixed))
+
     def test_basis_of_reordered_pipes_rejected(self, gas_network):
         flows = solve_node_loop(gas_network, SolverConfig()).final_flows
         reordered = dataclasses.replace(gas_network, pipes=gas_network.pipes[::-1])
         with pytest.raises(ValueError, match="pipe order"):
             optimize_diameters(reordered, select_basis(gas_network),
                                SizingConfig(fixed_flows=flows))
+
+
+def test_sizing_keeps_every_diameter_off_the_core(branched):
+    net, flows_m3h = branched
+    basis = select_basis(net)
+    fixed = FlowState({pid: m3h_to_m3s(q) for pid, q in flows_m3h.items()})
+    report = optimize_diameters(net, basis, SizingConfig(fixed_flows=fixed))
+    assert report.iteration_count >= 1
+    off_core = {pid for pid in net.pipe_ids if pid not in basis.core_ids}
+    assert report.tree_pipes == off_core
+    given = {p.id: p.diameter for p in net.pipes if p.id in off_core}
+    for diameters in report.diameter_history:
+        assert {pid: diameters[pid] for pid in off_core} == given
+    assert report.diameter_history[-1] == report.diameters
 
 
 def _scaled(net: Network, scales: dict) -> Network:

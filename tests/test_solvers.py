@@ -1,5 +1,6 @@
 """Solver behaviour on the fixture network and small synthetic networks."""
 
+import copy
 import dataclasses
 import logging
 import random
@@ -18,12 +19,14 @@ from loopflow.model import (
     Network,
     NodeSpec,
     Pipe,
+    PipeArrays,
     feasible_initial_flows,
     m3h_to_m3s,
     spanning_tree,
     validate,
 )
 from loopflow.numerics import condition_estimate, solve_linear
+from loopflow.sizing import SizingConfig, optimize_diameters
 from loopflow.topology import adopt_explicit_loops, derive_loop_basis
 from loopflow.solvers import (
     HARDY_CROSS,
@@ -44,6 +47,16 @@ from loopflow.solvers import (
 import fixture_tables as tables
 from conftest import node_balance_residuals_m3h, perfbench_networks
 from test_model import invalid_networks, square_net
+
+
+def flipped_pipe_one(net):
+    """`net` without its explicit loops, and the same with pipe 1 reversed."""
+    plain = dataclasses.replace(net, explicit_loops=None)
+    first = plain.pipes[0]
+    flipped = dataclasses.replace(plain, pipes=(
+        dataclasses.replace(first, from_node=first.to_node, to_node=first.from_node),
+        *plain.pipes[1:]))
+    return plain, flipped
 
 
 def initial_state(net) -> FlowState:
@@ -92,6 +105,28 @@ class TestEvaluateLoops:
         reordered = dataclasses.replace(gas_network, pipes=gas_network.pipes[::-1])
         with pytest.raises(ValueError, match="pipe order"):
             evaluate_loops(reordered, select_basis(gas_network), initial_state(reordered))
+
+    def test_basis_of_another_network_rejected(self, gas_network):
+        plain, flipped = flipped_pipe_one(gas_network)
+        with pytest.raises(ValueError, match="^loop basis was built on another network"):
+            evaluate_loops(flipped, derive_loop_basis(plain), feasible_initial_flows(flipped))
+        own = evaluate_loops(flipped, derive_loop_basis(flipped), feasible_initial_flows(flipped))
+        assert own.residuals[0] == pytest.approx(-8.556e9, rel=1e-3)
+
+    def test_basis_of_an_equal_network_accepted(self, gas_network):
+        basis = select_basis(gas_network)
+        copied = copy.copy(gas_network)
+        assert copied._ends is not gas_network._ends
+        expected = evaluate_loops(gas_network, basis, initial_state(gas_network))
+        result = evaluate_loops(copied, basis, initial_state(copied))
+        assert result.residuals.tolist() == expected.residuals.tolist()
+
+    def test_own_network_checked_by_identity(self, gas_network, monkeypatch):
+        compared = []
+        monkeypatch.setattr(np, "array_equal", lambda *args: compared.append(args))
+        report = solve(gas_network, SolverConfig(method=HARDY_CROSS_IMPROVED))
+        assert report.termination == "converged"
+        assert compared == []
 
     def test_zero_flows_zero_residuals(self):
         net = square_net(demands=(0.0, 0.0, 0.0, 0.0))
@@ -159,6 +194,65 @@ def node_loop_net(request, gas_network):
     if request.param == "gas-fixture":
         return gas_network
     return perfbench_grid(11, 11, "water", seed=0)
+
+
+class TestLoopCore:
+    """On a tree closed by a few pipes, only the pipes in a loop are evaluated."""
+
+    def test_core_is_the_pipes_of_some_loop(self, branched):
+        net, _ = branched
+        basis = select_basis(net)
+        dense = basis.matrix()
+        assert basis.core.tolist() == np.flatnonzero(dense.any(axis=0)).tolist()
+        assert 0 < len(basis.core) < len(net.pipes)
+        assert basis.core_matrix.tolist() == dense[:, basis.core].tolist()
+        assert basis.core_ids == tuple(net.pipe_ids[j] for j in basis.core)
+
+    @pytest.mark.parametrize("method", [HARDY_CROSS, HARDY_CROSS_IMPROVED])
+    def test_hardy_cross_keeps_every_flow_off_the_core(self, method, branched):
+        net, _ = branched
+        core = set(select_basis(net).core_ids)
+        off_core = [pid for pid in net.pipe_ids if pid not in core]
+        report = solve(net, SolverConfig(method=method))
+        assert report.iteration_count >= 2
+        start = report.iterations[0]
+        for state in report.iterations[1:]:
+            assert [state[pid] for pid in off_core] == [start[pid] for pid in off_core]
+
+    def test_fluid_model_sees_only_the_core(self, branched, monkeypatch):
+        net, flows_m3h = branched
+        basis = select_basis(net)
+        model = type(make_fluid_model(net.fluid))
+        sizes = Counter()
+        for name in ("evaluate", "drop_at_diameter", "ddrop_ddiam"):
+            def recording(self, pipe, flow, *args, _original=getattr(model, name), _name=name):
+                sizes[_name, len(pipe.length), len(flow)] += 1
+                return _original(self, pipe, flow, *args)
+            monkeypatch.setattr(model, name, recording)
+        for method in METHODS:
+            solve(net, SolverConfig(method=method))
+        fixed = FlowState({pid: m3h_to_m3s(q) for pid, q in flows_m3h.items()})
+        optimize_diameters(net, basis, SizingConfig(fixed_flows=fixed))
+        assert {name for name, _, _ in sizes} == {"evaluate", "drop_at_diameter", "ddrop_ddiam"}
+        assert {(n, m) for _, n, m in sizes} == {(len(basis.core),) * 2}
+
+    @pytest.mark.parametrize("state", ["random-start", "converged"])
+    def test_core_evaluation_matches_a_dense_one(self, state, branched):
+        net, _ = branched
+        basis = select_basis(net)
+        if state == "converged":
+            flows = solve(net, SolverConfig(method=HARDY_CROSS_IMPROVED)).final_flows
+        else:
+            flows = feasible_initial_flows(net, seed=3)
+        pipes = PipeArrays.of(net)
+        q = pipes.flows(flows)
+        drop, dflow = make_fluid_model(net.fluid).evaluate(pipes, np.abs(q), 1e-7)
+        dense = basis.matrix()
+        result = evaluate_loops(net, basis, flows)
+        np.testing.assert_allclose(result.dflow, dflow[basis.core], rtol=1e-12, atol=0.0)
+        # r cancels near convergence, so its error is bounded by the terms it sums.
+        bound = 1e-12 * (np.abs(dense) @ drop)
+        assert (np.abs(result.residuals - dense @ np.copysign(drop, q)) <= bound).all()
 
 
 class TestNodeLoopBuffer:
