@@ -1,8 +1,11 @@
 """Command-line interface behaviour and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -332,6 +335,53 @@ class TestSize:
 def _load(path):
     from loopflow.fileio import parse_network
     return parse_network(path)
+
+
+# Golden runs of both bundled fixtures: each case's stdout (the echoed
+# trace path replaced by GOLDEN_TRACE) and its CSV, kept in tests/golden/.
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_TRACE = "<trace.csv>"
+RESIDUAL = re.compile(r"^max loop residual: (\S+) ", re.MULTILINE)
+GOLDEN_CASES = [(fluid, command) for fluid in ("gas", "water") for command in (
+    "check", "solve-node-loop", "solve-hardy-cross", "solve-hardy-cross-improved", "size")]
+
+
+def golden_run(fluid, command, tmp_path):
+    """Exit code, stdout and CSV text of one golden case."""
+    path = resources.files("loopflow").joinpath(f"data/fixture_{fluid}.json")
+    trace = tmp_path / "trace.csv"
+    if command == "check":
+        argv = ["check", str(path)]
+    elif command == "size":
+        argv = ["size", str(path), "--trace", str(trace)]
+    else:
+        argv = ["solve", str(path), "--method", command.removeprefix("solve-"),
+                "--trace", str(trace), "--pressures"]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    csv = trace.read_bytes() if trace.exists() else None
+    return code, stdout.getvalue().replace(str(trace), GOLDEN_TRACE), csv
+
+
+def residuals_apart(text):
+    """`text` with each `max loop residual:` value cut out, and those values."""
+    values = [float(v) for v in RESIDUAL.findall(text)]
+    return RESIDUAL.sub("max loop residual: <value> ", text), values
+
+
+@pytest.mark.parametrize("fluid, command", GOLDEN_CASES, ids=lambda v: v)
+def test_golden_output(fluid, command, tmp_path):
+    code, out, csv = golden_run(fluid, command, tmp_path)
+    assert code == 0
+    # The residual's sixth digit can move with the BLAS build, so it is
+    # compared as a number; everything else by its bytes.
+    text, values = residuals_apart(out)
+    golden_text, golden_values = residuals_apart((GOLDEN / f"{fluid}-{command}.out").read_text())
+    assert text == golden_text
+    assert values == pytest.approx(golden_values, rel=1e-9)
+    golden_csv = GOLDEN / f"{fluid}-{command}.csv"
+    assert csv == (golden_csv.read_bytes() if golden_csv.exists() else None)
 
 
 def test_console_script_installed():
