@@ -187,7 +187,7 @@ def cmd_size(args) -> int:
     if report.termination == sizing.INFEASIBLE_BOUNDS:
         print("error: infeasible within bounds", file=sys.stderr)
     else:
-        print("error: sizing did not converge", file=sys.stderr)
+        print(f"error: {report.stop_reason or 'sizing did not converge'}", file=sys.stderr)
     return EXIT_NO_CONVERGENCE
 
 

@@ -9,18 +9,22 @@ every pipe as node indices, the incident pipes of every node as pipe
 indices (compressed rows, each in pipe order), the pipes in id
 order, the reference node's index, and read-only geometry arrays
 (`PipeArrays.of`).  Validation, the spanning tree, the loop basis, the
-start and the node balances all work on these integer arrays.  Nothing
-derived from a tree, a basis or a flow is kept on the network.
+start and the node balances all work on these integer arrays.
+
+A network checks itself once, on first ask: the first `validate` call
+finds its violations and the network keeps them.  Nothing derived from a
+tree, a basis or a flow is kept on the network.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import isfinite
-from operator import eq
+from types import MappingProxyType
 
 import numpy as np
 
@@ -94,13 +98,14 @@ class FluidSpec:
 
 @dataclass(frozen=True)
 class Network:
-    """Immutable pipe network; shareable across threads once constructed."""
+    """Immutable pipe network; shareable across threads once constructed.
+    Its `initial_flows_m3h` is a read-only mapping (a copy of the one given)."""
     pipes: tuple[Pipe, ...]
     nodes: tuple[NodeSpec, ...]
     fluid: FluidSpec
     explicit_loops: tuple[tuple[int, ...], ...] | None = None
     reference_node: NodeId | None = None
-    initial_flows_m3h: dict[PipeId, float] | None = None
+    initial_flows_m3h: Mapping[PipeId, float] | None = None
 
     def __init__(self, pipes, nodes, fluid, explicit_loops=None,
                  reference_node=None, initial_flows_m3h=None):
@@ -115,7 +120,7 @@ class Network:
         object.__setattr__(self, "reference_node", reference_node)
         object.__setattr__(
             self, "initial_flows_m3h",
-            dict(initial_flows_m3h) if initial_flows_m3h else None)
+            MappingProxyType(dict(initial_flows_m3h)) if initial_flows_m3h else None)
         # The integer incidence.  An end that names no node gets index -1,
         # so malformed input still constructs and `validate` reports it; a
         # repeated node id indexes its last node.
@@ -151,9 +156,11 @@ class Network:
         object.__setattr__(self, "_pipe_arrays", arrays)
 
     def __reduce__(self):
-        # Copies and unpickled networks build their own read-only index.
+        # Copies and unpickled networks index and check themselves afresh;
+        # the flows go as a dict, since a mapping proxy does not pickle.
+        flows = self.initial_flows_m3h and dict(self.initial_flows_m3h)
         return Network, (self.pipes, self.nodes, self.fluid, self.explicit_loops,
-                         self.reference_node, self.initial_flows_m3h)
+                         self.reference_node, flows)
 
     @property
     def node_ids(self) -> list[NodeId]:
@@ -176,6 +183,11 @@ class Network:
         `incident[start[i]:start[i + 1]]`)."""
         tails, heads = self._ends.tolist()
         return tails, heads, self._incident_start.tolist(), self._incident.tolist()
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        """What `validate` reports, found on the first ask and kept."""
+        return tuple(_check(self))
 
     @property
     def loop_count(self) -> int:
@@ -297,32 +309,23 @@ class SolveReport:
 
 
 def validate(net: Network) -> list[str]:
-    """Check all network invariants; returns human-readable violations.
+    """Check all network invariants; returns human-readable violations, as
+    a new list each call.
 
     An empty list means the network is solvable: consistent ids, finite
     numbers, positive geometry, balanced demands, connected graph with at
-    least one loop.
+    least one loop.  A network checks itself on the first call and keeps
+    what it found.
     """
-    violations: list[str] = []
-    node_ids = [n.id for n in net.nodes]
-    total_demand = sum(n.demand_m3h for n in net.nodes)
-    arrays = PipeArrays.of(net)
-    tails, heads = net._ends.tolist()
-    diameter, length, roughness = (arrays.diameter.tolist(), arrays.length.tolist(),
-                                   arrays.roughness.tolist())
-    # The record-by-record checks run only when a check of whole columns
-    # fails (a sum is finite only if its terms are, and NaN fails it).
-    records_ok = (len(set(node_ids)) == len(node_ids) and isfinite(total_demand)
-                  and len(set(arrays.ids)) == len(arrays.ids)
-                  and min(tails + heads, default=0) >= 0 and not any(map(eq, tails, heads))
-                  and min(diameter, default=1.0) > 0 and min(length, default=1.0) > 0
-                  and min(roughness, default=0.0) >= 0
-                  and isfinite(sum(diameter) + sum(length) + sum(roughness)))
-    if not records_ok:
-        violations += _record_violations(net)
+    return list(net._violations)
 
+
+def _check(net: Network) -> list[str]:
+    """`validate`'s checks, in the order of its messages."""
+    violations = _record_violations(net)
     violations.extend(_fluid_violations(net.fluid))
 
+    total_demand = sum(n.demand_m3h for n in net.nodes)
     if abs(total_demand) > DEMAND_BALANCE_TOL_M3H:
         violations.append(
             f"unbalanced demands: node demands sum to {total_demand:+g} m3/h, expected 0")
@@ -330,13 +333,10 @@ def validate(net: Network) -> list[str]:
     if net._reference_index < 0:
         violations.append(f"reference node {net.reference_node!r} does not exist")
 
-    if net.explicit_loops:
-        pipe_ids = set(arrays.ids)
-        for k, loop in enumerate(net.explicit_loops):
-            for signed in loop:
-                if abs(signed) not in pipe_ids:
-                    violations.append(
-                        f"loop {k + 1} references unknown pipe {abs(signed)}")
+    pipe_ids = set(net.pipe_ids)
+    violations += [f"loop {k + 1} references unknown pipe {abs(signed)}"
+                   for k, loop in enumerate(net.explicit_loops or ()) for signed in loop
+                   if abs(signed) not in pipe_ids]
 
     if net.initial_flows_m3h is not None:
         violations += _flow_violations(net, net.initial_flows_m3h)
@@ -353,7 +353,7 @@ def validate(net: Network) -> list[str]:
     return violations
 
 
-def _flow_violations(net: Network, flows: dict[PipeId, float],
+def _flow_violations(net: Network, flows: Mapping[PipeId, float],
                      what: str = "initial flow") -> list[str]:
     """Problems of flows given per pipe id (a start, or sizing's fixed
     flows): one flow per pipe, all finite."""
@@ -422,32 +422,20 @@ def _fluid_violations(fluid: FluidSpec) -> list[str]:
 
 
 def _unreachable_nodes(net: Network) -> set[NodeId]:
-    """Nodes outside the reference node's component, found on the arrays:
-    each root of a tree of nodes hooks onto the smallest root it shares a
-    pipe with, if smaller than itself, then pointer jumping flattens the
-    trees, until no pipe links two trees."""
-    tails, heads = net._ends
-    parent = np.arange(len(net.nodes))
-    while True:
-        a, b = parent[tails], parent[heads]
-        apart = a != b
-        if not apart.any():
-            break
-        # Sorted by root to hook, then by target: the first of each run is
-        # the smallest target (hooking onto any one would leave a star of
-        # roots to unravel one per round).
-        root, onto = np.maximum(a, b)[apart], np.minimum(a, b)[apart]
-        order = np.lexsort((onto, root))
-        root, onto = root[order], onto[order]
-        first = np.concatenate(([True], root[1:] != root[:-1]))
-        parent[root[first]] = onto[first]
-        while True:
-            grandparent = parent[parent]
-            if (grandparent == parent).all():
-                break
-            parent = grandparent
-    outside = np.flatnonzero(parent != parent[net._reference_index])
-    return {net.nodes[i].id for i in outside.tolist()}
+    """Nodes a walk along the pipes from the reference node misses, on a
+    network whose pipe ends all name nodes."""
+    tails, heads, start, incident = net._adjacency()
+    reached = [False] * len(net.nodes)
+    reached[net._reference_index] = True
+    stack = [net._reference_index]
+    while stack:
+        node = stack.pop()
+        for j in incident[start[node]:start[node + 1]]:
+            other = heads[j] if tails[j] == node else tails[j]
+            if not reached[other]:
+                reached[other] = True
+                stack.append(other)
+    return {n.id for n, seen in zip(net.nodes, reached) if not seen}
 
 
 def spanning_tree(net: Network) -> SpanningTree:

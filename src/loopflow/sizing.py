@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fluids import make_fluid_model
+from .fluids import RESIDUAL_UNIT, make_fluid_model
 from .model import (FlowState, History, Network, NODE_BALANCE_TOL_M3S, PipeArrays, PipeId,
                     _flow_violations, node_imbalances, validate)
 from .solvers import DEFAULT_RESIDUAL_TOLERANCE
@@ -27,7 +27,10 @@ DEFAULT_DIAMETER_BOUNDS = (0.01, 2.0)
 
 CONVERGED = "converged"
 MAX_ITERATIONS = "max-iterations"
+STALLED = "stalled"
 INFEASIBLE_BOUNDS = "infeasible-bounds"
+
+STEP_HALVINGS = 30     # of a pass's step, before the run stalls
 
 
 class SizingInfeasibleError(ValueError):
@@ -60,13 +63,17 @@ class SizingConfig:
 @dataclass
 class SizingReport:
     """`diameter_history[k]` is every pipe's diameter after k passes, a `History`
-    of the core's arrays; `tree_pipes`, the pipes in no loop, keep theirs."""
+    of the core's arrays; `tree_pipes`, the pipes in no loop, keep theirs.
+    A run in which no step lowers the worst loop residual ends "stalled"
+    (or "infeasible-bounds", with a pipe at a bound); only then does
+    `stop_reason` say why ("stalled at pass N: ...")."""
     diameters: dict[PipeId, float]
     diameter_history: Sequence[dict[PipeId, float]]
     loop_residual_history: list[list[float]]
-    termination: str
+    termination: str      # converged | max-iterations | stalled | infeasible-bounds
     tree_pipes: set[PipeId] = field(default_factory=set)
     bounded_pipes: set[PipeId] = field(default_factory=set)
+    stop_reason: str = ""
 
     @property
     def iteration_count(self) -> int:
@@ -131,6 +138,7 @@ def optimize_diameters(net: Network, basis: LoopBasis,
     residuals = loop_residuals(diameters)
     residual_history = [np.abs(residuals).tolist()]
     termination = MAX_ITERATIONS
+    stop_reason = ""
 
     for _ in range(config.max_iterations):
         worst = max(residual_history[-1], default=0.0)
@@ -147,15 +155,17 @@ def optimize_diameters(net: Network, basis: LoopBasis,
         # Backtrack on overshoot: the drop grows steeply for shrinking
         # diameters, so a full multi-loop step can overshoot badly.
         scale = 1.0
-        improved = False
-        for _ in range(30):
+        for _ in range(STEP_HALVINGS):
             candidate = np.clip(diameters + scale * step, lower, upper)
             cand_residuals = loop_residuals(candidate)
             if np.abs(cand_residuals).max() < worst:
-                improved = True
                 break
             scale *= 0.5
-        if not improved:
+        else:
+            termination = STALLED
+            stop_reason = (f"stalled at pass {len(history)}: no step of {STEP_HALVINGS} "
+                           f"halvings lowered the worst loop residual "
+                           f"({worst:.3g} {RESIDUAL_UNIT[net.fluid.kind]})")
             break
 
         diameters = candidate
@@ -170,7 +180,7 @@ def optimize_diameters(net: Network, basis: LoopBasis,
     at_bound = (diameters <= lower) | (diameters >= upper)
     bounded = {pid for pid, flag in zip(core_ids, at_bound) if flag}
     if termination != CONVERGED and bounded:
-        termination = INFEASIBLE_BOUNDS
+        termination, stop_reason = INFEASIBLE_BOUNDS, ""
 
     given = pipes.by_id(pipes.diameter)
     history = History(history, lambda diam: {**given, **dict(zip(core_ids, diam.tolist()))})
@@ -181,4 +191,5 @@ def optimize_diameters(net: Network, basis: LoopBasis,
         termination=termination,
         tree_pipes=tree_pipes,
         bounded_pipes=bounded,
+        stop_reason=stop_reason,
     )

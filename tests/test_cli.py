@@ -20,6 +20,7 @@ from loopflow.solvers import SolverConfig, solve_node_loop
 
 from conftest import perfbench_networks
 from test_fileio import mixed_node_ids_dict
+from test_sizing import stalling_tree
 
 
 @pytest.fixture()
@@ -322,6 +323,16 @@ class TestSize:
         assert code == 1
         assert err == message
 
+    def test_stall_prints_its_reason(self, tmp_path, capsys):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(stalling_tree()))
+        code, out, err = run(capsys, "size", str(path))
+        assert code == EXIT_NO_CONVERGENCE
+        assert out.startswith("iterations: 2 (stalled)\n")
+        assert err.startswith("error: stalled at pass 3: no step of 30 halvings lowered "
+                              "the worst loop residual (")
+        assert err.endswith(" Pa2)\n") and err.count("\n") == 1
+
     def test_missing_flows(self, gas_path, tmp_path, capsys):
         raw = json.loads(gas_path.read_text())
         del raw["initial_flows"]
@@ -347,7 +358,7 @@ GOLDEN_CASES = [(fluid, command) for fluid in ("gas", "water") for command in (
 
 
 def golden_run(fluid, command, tmp_path):
-    """Exit code, stdout and CSV text of one golden case."""
+    """Exit code, stdout and CSV bytes (None without a CSV) of one golden case."""
     path = resources.files("loopflow").joinpath(f"data/fixture_{fluid}.json")
     trace = tmp_path / "trace.csv"
     if command == "check":

@@ -5,10 +5,14 @@ import dataclasses
 import math
 import pickle
 import random
+from collections import Counter
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from loopflow import model
+from loopflow.fileio import parse_network
 from loopflow.model import (
     FlowState,
     FluidSpec,
@@ -228,6 +232,56 @@ def test_connectivity_matches_a_walk():
         if len(ends) < n_nodes:
             expected.insert(0, f"network has no loops ({len(ends)} pipes, {n_nodes} nodes)")
         assert validate(net) == expected
+
+
+class TestCheckedOnce:
+    """A network checks itself on the first `validate` and keeps the result."""
+
+    @pytest.fixture()
+    def checks(self, monkeypatch):
+        """Per network, how often the record checks and the connectivity
+        walk ran."""
+        counts = {"records": Counter(), "walk": Counter()}
+        for name, kind in (("_record_violations", "records"), ("_unreachable_nodes", "walk")):
+            def counted(net, check=getattr(model, name), kind=kind):
+                counts[kind][id(net)] += 1
+                return check(net)
+            monkeypatch.setattr(model, name, counted)
+        return counts
+
+    def test_each_check_runs_once_per_network(self, checks):
+        net = parse_network(resources.files("loopflow").joinpath("data/fixture_gas.json"))
+        for method in ("node-loop", "hardy-cross", "hardy-cross-improved"):
+            assert solve(net, SolverConfig(method=method)).termination == "converged"
+        fixed = FlowState({pid: m3h_to_m3s(q) for pid, q in net.initial_flows_m3h.items()})
+        optimize_diameters(net, select_basis(net), SizingConfig(fixed_flows=fixed))
+        feasible_initial_flows(net)
+        assert checks == {"records": {id(net): 1}, "walk": {id(net): 1}}
+
+        duplicates = [dataclasses.replace(net), copy.copy(net), copy.deepcopy(net),
+                      pickle.loads(pickle.dumps(net))]
+        for duplicate in duplicates:
+            assert duplicate == net and validate(duplicate) == [] and validate(duplicate) == []
+        once = dict.fromkeys([id(net)] + [id(d) for d in duplicates], 1)
+        assert checks == {"records": once, "walk": once}
+
+    def test_initial_flows_are_read_only(self, gas_network):
+        with pytest.raises(TypeError):
+            gas_network.initial_flows_m3h[1] = 0.0
+        given = {p.id: 0.0 for p in square_net().pipes}
+        net = dataclasses.replace(square_net(), initial_flows_m3h=given)
+        given[1] = math.nan
+        assert net.initial_flows_m3h == dict.fromkeys(given, 0.0)
+        with pytest.raises(TypeError):
+            pickle.loads(pickle.dumps(net)).initial_flows_m3h[1] = 0.0
+
+    def test_returns_a_new_list_each_call(self):
+        net = disconnected_square()
+        first = validate(net)
+        first.append("tampered")
+        first[0] = "tampered"
+        assert validate(net) == ["disconnected graph: cannot reach node(s) 5, 6"]
+        assert validate(net) is not validate(net)
 
 
 class TestStoredArrays:

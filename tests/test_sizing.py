@@ -6,16 +6,20 @@ import random
 import pytest
 
 from loopflow import kernels
+from loopflow.fileio import network_from_dict
 from loopflow.model import FlowState, Network, NodeSpec, Pipe, feasible_initial_flows, m3h_to_m3s
 from loopflow.sizing import (
     INFEASIBLE_BOUNDS,
+    STALLED,
     SizingConfig,
     SizingInfeasibleError,
     optimize_diameters,
 )
-from loopflow.solvers import SolverConfig, select_basis, solve_node_loop
+from loopflow.solvers import (DEFAULT_RESIDUAL_TOLERANCE, SolverConfig, select_basis,
+                              solve_node_loop)
 from loopflow.topology import derive_loop_basis
 
+from conftest import perfbench_networks
 from test_solvers import flipped_pipe_one, two_pipe_loop
 
 
@@ -136,6 +140,7 @@ class TestOptimizeDiameters:
         report = optimize_diameters(net, select_basis(net), config)
         assert report.termination == INFEASIBLE_BOUNDS
         assert report.bounded_pipes
+        assert report.stop_reason == ""
 
     def test_tree_pipes_untouched_and_flagged(self):
         # ring with a spur: pipe 6 hangs off the loop and cannot be sized
@@ -242,3 +247,27 @@ def _scaled(net: Network, scales: dict) -> Network:
     return Network(pipes=pipes, nodes=net.nodes, fluid=net.fluid,
                    explicit_loops=net.explicit_loops,
                    reference_node=net.reference_node)
+
+
+def stalling_tree():
+    """A 60-node gas tree closed by 3 pipes, as a network file's dict with
+    balanced flows as its initial flows, on which sizing stalls at pass 3
+    with every sized pipe inside the default bounds."""
+    networks = perfbench_networks()
+    rng = random.Random(1)
+    raw = networks.tree_with_closures(60, 3, "gas", rng)
+    raw["initial_flows"] = [{"pipe": pid, "flow_m3h": q}
+                            for pid, q in networks.balanced_flows(raw, rng).items()]
+    return raw
+
+
+def test_a_stall_ends_stalled_and_says_where():
+    net = network_from_dict(stalling_tree())
+    fixed = FlowState({pid: m3h_to_m3s(q) for pid, q in net.initial_flows_m3h.items()})
+    report = optimize_diameters(net, select_basis(net), SizingConfig(fixed_flows=fixed))
+    assert report.termination == STALLED
+    assert report.iteration_count == 2 and not report.bounded_pipes
+    assert report.max_residual > DEFAULT_RESIDUAL_TOLERANCE["gas"]
+    assert report.stop_reason == (
+        f"stalled at pass 3: no step of 30 halvings lowered the worst loop residual "
+        f"({report.max_residual:.3g} Pa2)")

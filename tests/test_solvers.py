@@ -747,3 +747,47 @@ class TestDivergence:
             perfbench_networks().tree_with_closures(1200, 10, kind, random.Random(0)))
         for method in (HARDY_CROSS, HARDY_CROSS_IMPROVED):
             assert solve(net, SolverConfig(method=method)).termination == "converged"
+
+
+def reversed_pipe(net: Network, pipe_id) -> Network:
+    """`net` with one pipe's orientation reversed: its ends swapped, and its
+    sign in the explicit loops and in the initial flows negated."""
+    def turn(p):
+        return dataclasses.replace(p, from_node=p.to_node, to_node=p.from_node) \
+            if p.id == pipe_id else p
+
+    loops = net.explicit_loops and [tuple(-s if abs(s) == pipe_id else s for s in loop)
+                                    for loop in net.explicit_loops]
+    flows = net.initial_flows_m3h and {pid: -q if pid == pipe_id else q
+                                       for pid, q in net.initial_flows_m3h.items()}
+    return dataclasses.replace(net, pipes=[turn(p) for p in net.pipes],
+                               explicit_loops=loops, initial_flows_m3h=flows)
+
+
+def orientation_cases():
+    cases = [pytest.param(fluid, None, 0, id=f"{fluid}-fixture") for fluid in ("gas", "water")]
+    return cases + [pytest.param(kind, shape, seed, id=f"{kind}-{shape}-{seed}")
+                    for shape in ("grid", "ring") for kind in ("gas", "water")
+                    for seed in range(2)]
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("kind, shape, seed", orientation_cases())
+def test_reversing_a_pipe_negates_its_flow(kind, shape, seed, method, request):
+    """A pipe's orientation is a sign convention: reversing it negates its
+    flow and leaves every other flow and the course of the run as it was."""
+    if shape is None:
+        net = request.getfixturevalue(f"{kind}_network")
+    else:
+        networks, rng = perfbench_networks(), random.Random(seed)
+        net = network_from_dict(networks.grid(11, 11, kind, rng) if shape == "grid"
+                                else networks.ring_with_chords(200, 70, kind, rng))
+    config = SolverConfig(method=method)
+    report = solve(net, config)
+    final = report.final_flows.as_m3h()
+    for pipe_id in random.Random(seed).sample(net.pipe_ids, 3):
+        turned = solve(reversed_pipe(net, pipe_id), config)
+        assert (turned.termination, turned.iteration_count) == \
+            (report.termination, report.iteration_count)
+        expected = {**final, pipe_id: -final[pipe_id]}
+        assert turned.final_flows.as_m3h() == pytest.approx(expected, rel=0, abs=1e-9)
