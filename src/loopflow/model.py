@@ -11,9 +11,11 @@ order, the reference node's index, and read-only geometry arrays
 (`PipeArrays.of`).  Validation, the spanning tree, the loop basis, the
 start and the node balances all work on these integer arrays.
 
-A network checks itself once, on first ask: the first `validate` call
-finds its violations and the network keeps them.  Nothing derived from a
-tree, a basis or a flow is kept on the network.
+A network derives what depends on it alone once, on first ask, and keeps
+it: its `validate` violations, and as read-only arrays its demands in m³/s
+and its spanning tree with that tree's fundamental cycles and seed-0 flows.
+A copy, a pickle or a `dataclasses.replace` goes through the constructor
+(`__reduce__`), so it derives them afresh.
 """
 
 from __future__ import annotations
@@ -25,11 +27,13 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import isfinite
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
 NodeId = str | int
 PipeId = int
+Adjacency = tuple[list[int], list[int], list[int], list[int]]  # see `Network._adjacency`
 
 M3H_PER_M3S = 3600.0
 
@@ -176,7 +180,7 @@ class Network:
                 return p
         raise KeyError(f"no pipe {pipe_id!r} in network")
 
-    def _adjacency(self) -> tuple[list[int], list[int], list[int], list[int]]:
+    def _adjacency(self) -> Adjacency:
         """The incidence as lists, which walk faster item by item than
         arrays: tail and head node index per pipe, then the row offsets
         and pipe indices of the incident pipes (node i's are
@@ -189,6 +193,22 @@ class Network:
         """What `validate` reports, found on the first ask and kept."""
         return tuple(_check(self))
 
+    @cached_property
+    def _demands(self) -> np.ndarray:
+        """Node demands in m³/s, per node index."""
+        return _frozen(m3h_to_m3s(np.array([n.demand_m3h for n in self.nodes], dtype=float)))
+
+    @cached_property
+    def _topology(self) -> Topology:
+        """The spanning tree, its fundamental cycles and its seed-0 flows, all
+        from the tree walk's lists.  A walk that raises keeps nothing."""
+        from .topology import _fundamental_cycles  # topology imports this module
+        adjacency = self._adjacency()
+        nodes, pipes = _grow_tree(self, adjacency)
+        return Topology(_frozen(np.array((nodes, pipes), dtype=np.int32)),
+                        _fundamental_cycles(self, adjacency, nodes, pipes),
+                        _frozen(np.array(_tree_flows(self, adjacency, nodes, pipes, 0))))
+
     @property
     def loop_count(self) -> int:
         """Independent loops of a connected graph: pipes - nodes + 1."""
@@ -197,6 +217,19 @@ class Network:
 
 # A spanning tree as its attach order: (node index, pipe index) pairs.
 SpanningTree = list[tuple[int, int]]
+
+
+class Topology(NamedTuple):
+    """What a network derives from its spanning tree, as read-only arrays
+    (`Network._topology`).  The flows are only meaningful on a valid network."""
+    tree: np.ndarray        # the attach order: node indices over pipe indices
+    cycles: tuple[np.ndarray, np.ndarray, np.ndarray]   # `LoopBasis` columns, signs, starts
+    start: np.ndarray       # seed-0 tree flows in pipe order, m³/s
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -442,20 +475,25 @@ def spanning_tree(net: Network) -> SpanningTree:
     """Deterministic spanning tree grown from the reference node.
 
     At each step the lowest-id pipe linking the tree to a new node is taken.
-    Returns the attachment order as (new node index, pipe index) pairs; the
-    pipes outside the tree are the network's links.
+    Returns the attachment order as a new list of (new node index, pipe
+    index) pairs; the pipes outside the tree are the network's links.
     """
+    return list(zip(*net._topology.tree.tolist()))
+
+
+def _grow_tree(net: Network, adjacency: Adjacency) -> tuple[list[int], list[int]]:
+    """`spanning_tree` grown, as its new nodes and their pipes."""
     root = net._reference_index
     if root < 0:
         raise ValueError(f"reference node {net.reference_node!r} does not exist")
-    tails, heads, start, incident = net._adjacency()
+    tails, heads, start, incident = adjacency
     # Heap keys are the pipes' ranks in ascending id order.
     order, rank = net._id_order.tolist(), net._id_rank.tolist()
     # The extra last entry stands for index -1, an unknown end: it counts
     # as joined, so no pipe attaches it.
     joined = [False] * len(net.nodes) + [True]
     joined[root] = True
-    steps: SpanningTree = []
+    nodes, pipes = [], []
     # Pipes from the tree to a node outside it.  A pipe enters the heap
     # once, from the first of its ends to join, and is skipped on popping
     # if its far end joined.
@@ -470,11 +508,12 @@ def spanning_tree(net: Network) -> SpanningTree:
             if not joined[new_node]:
                 break
         joined[new_node] = True
-        steps.append((new_node, pipe))
+        nodes.append(new_node)
+        pipes.append(pipe)
         for j in incident[start[new_node]:start[new_node + 1]]:
             if not joined[heads[j] if tails[j] == new_node else tails[j]]:
                 heappush(frontier, rank[j])
-    return steps
+    return nodes, pipes
 
 
 def feasible_initial_flows(net: Network, seed: int = 0) -> FlowState:
@@ -488,28 +527,29 @@ def feasible_initial_flows(net: Network, seed: int = 0) -> FlowState:
     violations = validate(net)
     if violations:
         raise ValueError("invalid network: " + "; ".join(violations))
-    return FlowState(dict(zip(PipeArrays.of(net).ids, _tree_flows(net, spanning_tree(net), seed))))
+    flows = (net._topology.start.tolist() if seed == 0 else
+             _tree_flows(net, net._adjacency(), *net._topology.tree.tolist(), seed))
+    return FlowState(dict(zip(PipeArrays.of(net).ids, flows)))
 
 
-def _tree_flows(net: Network, tree: SpanningTree, seed: int) -> list[float]:
-    """`feasible_initial_flows` of a validated network on its `spanning_tree`,
+def _tree_flows(net: Network, adjacency: Adjacency, nodes: list[int], pipes: list[int],
+                seed: int) -> list[float]:
+    """`feasible_initial_flows` on the tree grown as `nodes` and `pipes`,
     in pipe order."""
-    tails, heads, start, incident = net._adjacency()
+    tails, heads, start, incident = adjacency
     flows = [0.0] * len(net.pipes)
     if seed != 0:
-        in_tree = [False] * len(net.pipes)
-        for _, j in tree:
-            in_tree[j] = True
+        in_tree = set(pipes)
         demand_scale = max((abs(n.demand_m3h) for n in net.nodes), default=0.0)
         rng = random.Random(seed)
-        for j, tree_pipe in enumerate(in_tree):
-            if not tree_pipe:
+        for j in range(len(net.pipes)):
+            if j not in in_tree:
                 flows[j] = m3h_to_m3s(rng.uniform(-demand_scale, demand_scale) / 2.0)
 
     # Last-attached nodes are leaves of the attachment order, so every
     # incident pipe except the one toward the root is already resolved.
-    demand = m3h_to_m3s(np.array([n.demand_m3h for n in net.nodes], dtype=float)).tolist()
-    for node, parent_pipe in reversed(tree):
+    demand = net._demands.tolist()
+    for node, parent_pipe in zip(reversed(nodes), reversed(pipes)):
         known_net_inflow = 0.0
         for j in incident[start[node]:start[node + 1]]:
             if j != parent_pipe:
@@ -528,7 +568,7 @@ def node_imbalances(net: Network, flows: FlowState) -> dict[NodeId, float]:
 def _imbalances(net: Network, q: list[float]) -> list[float]:
     """`node_imbalances` per node index, for flows `q` in pipe order; an end
     that names no node counts nowhere."""
-    residual = [-m3h_to_m3s(n.demand_m3h) for n in net.nodes] + [0.0]
+    residual = (-net._demands).tolist() + [0.0]
     tails, heads = net._ends.tolist()
     for tail, head, flow in zip(tails, heads, q):
         residual[head] += flow

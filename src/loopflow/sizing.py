@@ -19,7 +19,7 @@ import numpy as np
 
 from .fluids import RESIDUAL_UNIT, make_fluid_model
 from .model import (FlowState, History, Network, NODE_BALANCE_TOL_M3S, PipeArrays, PipeId,
-                    _flow_violations, node_imbalances, validate)
+                    _flow_violations, _imbalances, validate)
 from .solvers import DEFAULT_RESIDUAL_TOLERANCE
 from .topology import LoopBasis
 
@@ -103,15 +103,16 @@ def optimize_diameters(net: Network, basis: LoopBasis,
     problems = _flow_violations(net, flows.flows, "fixed flow")
     if problems:
         raise SizingInfeasibleError("invalid fixed flows: " + "; ".join(problems))
+    q = pipes.flows(flows)
     # numpy's max keeps a NaN imbalance; `not <=` then rejects it.
-    worst_imbalance = np.abs(list(node_imbalances(net, flows).values())).max()
+    worst_imbalance = np.abs(_imbalances(net, q.tolist())).max()
     if not worst_imbalance <= NODE_BALANCE_TOL_M3S:
         raise SizingInfeasibleError(
             f"fixed flows violate node balances by {worst_imbalance:.3e} m3/s")
 
     # Everything below runs on the core: its flows, geometry and diameters.
     loops = basis.core_matrix
-    q = pipes.flows(flows)[basis.core]
+    q = q[basis.core]
     core_ids = basis.core_ids
     idle = [pid for pid, flow in zip(core_ids, q.tolist()) if flow == 0.0]
     if idle:

@@ -1,7 +1,8 @@
 """The three iterative flow solvers plus node-pressure back-propagation.
 
 Each solve validates the network once and takes its loop basis
-(`select_basis`), whose spanning tree also gives the seed-0 start.  Every
+(`select_basis`); the start, unless one is given, is the seed-0 tree
+flows the network keeps on the basis's spanning tree.  Every
 pass evaluates the basis's core (the pipes in a loop) in one call, giving
 r = B·(sign q · drop(|q|)) and D = |d drop/d flow| on the core, and the
 three methods differ only in the linear system they solve:
@@ -46,7 +47,6 @@ from .model import (
     SolveReport,
     _imbalances,
     _flow_violations,
-    _tree_flows,
     m3h_to_m3s,
     m3s_to_m3h,
     validate,
@@ -174,8 +174,8 @@ def assemble_node_loop_system(loop_eval: LoopEval,
                 f"rows != {n_pipes} pipe unknowns")
         out = DenseSystem(np.zeros((n_pipes, n_pipes)), np.empty(n_pipes))
         out.matrix[:n_nodes] = node_matrix.entries
-        out.rhs[:n_nodes] = [m3h_to_m3s(n.demand_m3h) for n in loop_eval.net.nodes
-                             if n.id != loop_eval.net.reference_node]
+        net = loop_eval.net
+        out.rhs[:n_nodes] = net._demands[[n.id != net.reference_node for n in net.nodes]]
     n_nodes = len(out.rhs) - len(basis)
     loop_rows = out.matrix[n_nodes:]
     if basis.spans_all:
@@ -291,7 +291,7 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
     basis = select_basis(net)
     floor = config.derivative_flow_floor
     if start is None:
-        start = np.array(_tree_flows(net, basis.tree, seed=0))
+        start = net._topology.start
     loop_eval = evaluate_loops(net, basis, start, floor)
     residual_tol = config.resolved_residual_tolerance(net.fluid.kind)
     flow_history = [loop_eval.flows]

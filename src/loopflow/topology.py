@@ -4,8 +4,9 @@ The node matrix encodes the flow-continuity equations (one row per node
 except the reference node).  The loop basis encodes the energy-balance
 equations: pipes - nodes + 1 independent cycles with ±1 signs, held as
 index arrays (the co-tree view of Elhay et al. 2014) with the spanning
-tree they rest on.  The solvers work on B restricted to the core, the
-pipes that lie in a loop, and never build the dense loops × pipes B.
+tree they rest on; a network walks its fundamental cycles once and keeps
+them.  The solvers work on B restricted to the core, the pipes that lie
+in a loop, and never build the dense loops × pipes B.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Network, NodeId, PipeArrays, PipeId, SpanningTree, spanning_tree
+from .model import (Adjacency, Network, NodeId, PipeArrays, PipeId, SpanningTree, _frozen,
+                    spanning_tree)
 
 
 @dataclass(frozen=True)
@@ -56,9 +58,7 @@ class LoopBasis:
 
     def __post_init__(self):
         for name in ("columns", "signs", "starts"):
-            array = np.array(getattr(self, name), dtype=np.int32)
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=np.int32)))
 
     def __len__(self) -> int:
         return len(self.starts) - 1
@@ -78,9 +78,7 @@ class LoopBasis:
         """The indices of the pipes that lie in a loop, ascending."""
         member = np.zeros(len(self.pipe_ids), dtype=bool)
         member[self.columns] = True
-        core = np.flatnonzero(member)
-        core.setflags(write=False)
-        return core
+        return _frozen(np.flatnonzero(member))
 
     @cached_property
     def spans_all(self) -> bool:
@@ -103,8 +101,7 @@ class LoopBasis:
         out = np.zeros((len(self), len(self.core)))
         out[np.repeat(np.arange(len(self)), np.diff(self.starts)),
             np.searchsorted(self.core, self.columns)] = self.signs
-        out.setflags(write=False)
-        return out
+        return _frozen(out)
 
     def matrix(self) -> np.ndarray:
         """B: the read-only loops × pipes sign matrix in pipe order."""
@@ -114,8 +111,7 @@ class LoopBasis:
     def _matrix(self) -> np.ndarray:
         out = np.zeros((len(self), len(self.pipe_ids)))
         out[np.repeat(np.arange(len(self)), np.diff(self.starts)), self.columns] = self.signs
-        out.setflags(write=False)
-        return out
+        return _frozen(out)
 
     def check_network(self, net: Network) -> None:
         """Raise ValueError unless the basis was built on `net`'s pipe order
@@ -142,15 +138,23 @@ def derive_loop_basis(net: Network) -> LoopBasis:
 
     One loop per link pipe (taken in ascending id order), oriented so the
     link itself carries sign +1; the rest of the cycle is the unique tree
-    path closing it, from the link's head back to its tail.
+    path closing it, from the link's head back to its tail.  Each call
+    returns a new basis on the cycles the network keeps.
     """
     tree = spanning_tree(net)
-    tails, heads = net._ends.tolist()
-    in_tree = {pipe for _, pipe in tree}
+    return LoopBasis(PipeArrays.of(net).ids, *net._topology.cycles, tree, net._ends)
+
+
+def _fundamental_cycles(net: Network, adjacency: Adjacency, nodes: list[int],
+                        pipes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`derive_loop_basis`'s loops on the tree grown as `nodes` and
+    `pipes`, as `LoopBasis` columns, signs and starts."""
+    tails, heads = adjacency[:2]
+    in_tree = set(pipes)
     parent = [0] * len(net.nodes)     # node -> tree pipe toward the root
     above = [0] * len(net.nodes)      # node -> the far end of that pipe
     depth = [0] * len(net.nodes)
-    for node, pipe in tree:
+    for node, pipe in zip(nodes, pipes):
         parent[node] = pipe
         above[node] = heads[pipe] if tails[pipe] == node else tails[pipe]
         depth[node] = depth[above[node]] + 1
@@ -178,7 +182,7 @@ def derive_loop_basis(net: Network) -> LoopBasis:
             columns.append(pipe)
             signs.append(sign)
         starts.append(len(columns))
-    return LoopBasis(PipeArrays.of(net).ids, columns, signs, starts, tree, net._ends)
+    return tuple(_frozen(np.array(a, dtype=np.int32)) for a in (columns, signs, starts))
 
 
 def adopt_explicit_loops(net: Network) -> LoopBasis:

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import json
 import math
 import pickle
 import random
@@ -11,7 +12,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from loopflow import model
+from loopflow import model, topology
 from loopflow.fileio import parse_network
 from loopflow.model import (
     FlowState,
@@ -28,7 +29,8 @@ from loopflow.model import (
     validate,
 )
 from loopflow.sizing import SizingConfig, optimize_diameters
-from loopflow.solvers import SolverConfig, select_basis, solve
+from loopflow.solvers import METHODS, SolverConfig, select_basis, solve
+from loopflow.topology import derive_loop_basis
 
 from conftest import incident_pipes, node_balance_residuals_m3h
 
@@ -282,6 +284,96 @@ class TestCheckedOnce:
         first[0] = "tampered"
         assert validate(net) == ["disconnected graph: cannot reach node(s) 5, 6"]
         assert validate(net) is not validate(net)
+
+
+class TestTopologyKept:
+    """A network grows its spanning tree and walks its fundamental cycles
+    once, on first ask, and keeps them with its seed-0 start."""
+
+    @pytest.fixture()
+    def walks(self, monkeypatch):
+        """Per network, how often the tree and the cycle walk ran."""
+        counts = {"tree": Counter(), "cycles": Counter()}
+        for module, name, kind in ((model, "_grow_tree", "tree"),
+                                   (topology, "_fundamental_cycles", "cycles")):
+            def counted(net, *args, walk=getattr(module, name), kind=kind):
+                counts[kind][id(net)] += 1
+                return walk(net, *args)
+            monkeypatch.setattr(module, name, counted)
+        return counts
+
+    @pytest.fixture()
+    def derived_gas(self, tmp_path):
+        """The gas fixture without its loops and initial flows, as a file."""
+        data = json.loads(resources.files("loopflow").joinpath("data/fixture_gas.json")
+                          .read_text())
+        del data["loops"], data["initial_flows"]
+        path = tmp_path / "derived_gas.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    def test_each_walk_runs_once_per_network(self, walks, derived_gas, gas_network):
+        net = parse_network(derived_gas)
+        reports = [solve(net, SolverConfig(method=method)) for method in METHODS]
+        assert reports[0].termination == "converged"
+        optimize_diameters(net, select_basis(net),
+                           SizingConfig(fixed_flows=reports[0].final_flows))
+        start = feasible_initial_flows(net)
+        assert start == reports[1].iterations[0]
+        assert walks == {"tree": {id(net): 1}, "cycles": {id(net): 1}}
+
+        duplicates = [dataclasses.replace(net), copy.copy(net), copy.deepcopy(net),
+                      pickle.loads(pickle.dumps(net))]
+        for duplicate in duplicates:
+            assert select_basis(duplicate) == select_basis(net)
+            assert feasible_initial_flows(duplicate) == start
+        once = dict.fromkeys([id(net)] + [id(d) for d in duplicates], 1)
+        assert walks == {"tree": once, "cycles": once}
+
+        # Explicit loops are adopted anew on each call, on the kept tree.
+        walks["tree"].clear()
+        walks["cycles"].clear()
+        fixture = copy.copy(gas_network)
+        for method in METHODS:
+            solve(fixture, SolverConfig(method=method))
+        select_basis(fixture)
+        assert walks == {"tree": {id(fixture): 1}, "cycles": {id(fixture): 1}}
+
+    def test_results_are_new_each_call(self):
+        net = square_net()
+        tree, start = spanning_tree(net), feasible_initial_flows(net)
+        first_tree, first_start = list(tree), dict(start.flows)
+        tree[0] = (9, 9)
+        tree.append((7, 7))
+        start.flows[1] = math.nan
+        start.flows.pop(2)
+        solve(net).iterations[0].flows[3] = math.nan
+        assert spanning_tree(net) == first_tree
+        assert derive_loop_basis(net).tree == first_tree
+        assert feasible_initial_flows(net).flows == first_start
+        assert solve(net).iterations[0].flows == first_start
+
+    def test_kept_arrays_are_read_only(self):
+        net = square_net()
+        solve(net)
+        kept = [net._demands, net._topology.tree, *net._topology.cycles, net._topology.start]
+        assert [a.dtype for a in kept] == [np.float64] + [np.int32] * 4 + [np.float64]
+        for array in kept:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+
+    def test_a_disconnected_network_raises_each_time(self, walks):
+        net = disconnected_square()
+        for _ in range(2):
+            assert validate(net) == ["disconnected graph: cannot reach node(s) 5, 6"]
+            with pytest.raises(ValueError, match="disconnected graph"):
+                spanning_tree(net)
+            with pytest.raises(ValueError, match="disconnected graph"):
+                derive_loop_basis(net)
+            with pytest.raises(ValueError, match="disconnected graph"):
+                feasible_initial_flows(net)
+        # A walk that raises keeps nothing: each call walks again.
+        assert walks == {"tree": {id(net): 4}, "cycles": {}}
 
 
 class TestStoredArrays:

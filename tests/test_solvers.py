@@ -610,6 +610,27 @@ def test_one_validation_and_one_tree_per_solve(which, method, gas_network, monke
     assert calls == {"validate": 1, "spanning_tree": 1, "select_basis": 1, basis: 1}
 
 
+@pytest.mark.parametrize("kind", ["gas", "water"])
+@pytest.mark.parametrize("shape", ["tree", "grid", "ring"])
+def test_repeat_runs_match_the_first(shape, kind):
+    """A network keeps its tree, loops and start, and repeat solves and
+    sizings of the benchmark's shapes answer from them as the first did."""
+    networks, rng = perfbench_networks(), random.Random(0)
+    raw = {"tree": lambda: networks.tree_with_closures(1200, 10, kind, rng),
+           "grid": lambda: networks.grid(11, 11, kind, rng),
+           "ring": lambda: networks.ring_with_chords(200, 70, kind, rng)}[shape]()
+    net = network_from_dict(raw)
+    for method in METHODS:
+        first, repeat = (solve(net, SolverConfig(method=method)) for _ in range(2))
+        assert (repeat.iterations, repeat.loop_residuals, repeat.termination) == \
+            (first.iterations, first.loop_residuals, first.termination)
+    config = SizingConfig(fixed_flows=FlowState(
+        {pid: m3h_to_m3s(q) for pid, q in networks.balanced_flows(raw, rng).items()}))
+    first, repeat = (optimize_diameters(net, select_basis(net), config) for _ in range(2))
+    assert (repeat.diameters, repeat.diameter_history, repeat.termination) == \
+        (first.diameters, first.diameter_history, first.termination)
+
+
 def shifted_start(net, pipe_id=1, extra_m3h=36.0):
     """`net`'s file start with one pipe's flow raised: 0.01 m3/s off balance
     at both of its end nodes, which `validate` does not look at."""
