@@ -7,6 +7,10 @@ drop for distribution gas, the Colebrook/Darcy-Weisbach drop for water.
 whole network with one flow per pipe, so a solver pass evaluates every
 pipe in one call.  Solvers only talk to this interface, so the two fluids
 share every solver path.
+
+The models trust their input: the pipes of a network that `model.validate`
+has passed and flow magnitudes |q|, so they call the kernels' unchecked
+bodies.  Only the public functions of `kernels` check their inputs.
 """
 
 from __future__ import annotations
@@ -58,24 +62,21 @@ class GasModel(FluidModel):
     kind: str = GAS
 
     def evaluate(self, pipe, flow, dflow_floor):
-        return (kernels.renouard_drop(self.rel_density, pipe.length, flow,
-                                      pipe.diameter),
-                kernels.renouard_drop_dflow(self.rel_density, pipe.length,
-                                            np.maximum(flow, dflow_floor),
-                                            pipe.diameter))
+        return (kernels._renouard_drop(self.rel_density, pipe.length, flow, pipe.diameter),
+                kernels._renouard_drop_dflow(self.rel_density, pipe.length,
+                                             np.maximum(flow, dflow_floor), pipe.diameter))
 
     def drop(self, pipe, flow):
         return self.drop_at_diameter(pipe, flow, pipe.diameter)
 
     def drop_at_diameter(self, pipe, flow, diameter):
-        return kernels.renouard_drop(self.rel_density, pipe.length, flow, diameter)
+        return kernels._renouard_drop(self.rel_density, pipe.length, flow, diameter)
 
     def ddrop_ddiam(self, pipe, flow, diameter):
-        return kernels.renouard_drop_ddiam(self.rel_density, pipe.length, flow,
-                                           diameter)
+        return kernels._renouard_drop_ddiam(self.rel_density, pipe.length, flow, diameter)
 
     def velocity(self, pipe, flow):
-        return kernels.flow_velocity(self.pressure_ratio, flow, pipe.diameter)
+        return kernels._flow_velocity(self.pressure_ratio, flow, pipe.diameter)
 
 
 @dataclass(frozen=True)
@@ -88,20 +89,20 @@ class WaterModel(FluidModel):
                          roughness: Values) -> Values:
         # A zero flow has zero drop and zero derivatives whatever its
         # friction factor; a unit stand-in flow keeps that factor defined.
-        re = kernels.reynolds_number(self.density, self.viscosity,
-                                     np.where(flow > 0.0, flow, 1.0), diameter)
-        return kernels.colebrook_friction_factor(re, roughness / diameter)
+        re = kernels._reynolds_number(self.density, self.viscosity,
+                                      np.where(flow > 0.0, flow, 1.0), diameter)
+        return kernels._colebrook_friction_factor(re, roughness / diameter)
 
     def evaluate(self, pipe, flow, dflow_floor):
         floored = np.maximum(flow, dflow_floor)
         lam = self._friction_factor(floored, pipe.diameter, pipe.roughness)
-        ddrop = kernels.darcy_weisbach_drop_dflow(
+        ddrop = kernels._darcy_weisbach_drop_dflow(
             lam, pipe.length, floored, pipe.diameter, self.density)
         if ((flow > 0.0) & (floored > flow)).any():
             # The drop of a flow under the floor takes its own friction factor.
             lam = self._friction_factor(flow, pipe.diameter, pipe.roughness)
-        drop = kernels.darcy_weisbach_drop(lam, pipe.length, flow, pipe.diameter,
-                                           self.density)
+        drop = kernels._darcy_weisbach_drop(lam, pipe.length, flow, pipe.diameter,
+                                            self.density)
         return drop, ddrop
 
     def drop(self, pipe, flow):
@@ -109,18 +110,17 @@ class WaterModel(FluidModel):
 
     def drop_at_diameter(self, pipe, flow, diameter):
         lam = self._friction_factor(flow, diameter, pipe.roughness)
-        return kernels.darcy_weisbach_drop(lam, pipe.length, flow, diameter,
-                                           self.density)
+        return kernels._darcy_weisbach_drop(lam, pipe.length, flow, diameter, self.density)
 
     def ddrop_ddiam(self, pipe, flow, diameter):
         # Friction factor frozen at the current state, as in the flow
         # derivative: only the explicit diameter dependence is followed.
         lam = self._friction_factor(flow, diameter, pipe.roughness)
-        return kernels.darcy_weisbach_drop_ddiam(lam, pipe.length, flow,
-                                                 diameter, self.density)
+        return kernels._darcy_weisbach_drop_ddiam(lam, pipe.length, flow, diameter,
+                                                  self.density)
 
     def velocity(self, pipe, flow):
-        return kernels.flow_velocity(1.0, flow, pipe.diameter)
+        return kernels._flow_velocity(1.0, flow, pipe.diameter)
 
 
 def make_fluid_model(fluid: FluidSpec) -> FluidModel:

@@ -1,9 +1,9 @@
 """Hydraulic kernels: pressure functions, their derivatives, Colebrook.
 
 Every function evaluates elementwise over numpy arrays (one element per
-pipe) and also accepts plain scalars.  The fluid models call each kernel
-once per solver pass for all pipes of a network.  Any element outside a
-function's domain raises ValueError.
+pipe) and also accepts plain scalars.  A public kernel raises ValueError
+for any element outside its domain, then calls the private body holding its
+formula, which the fluid models call unchecked on validated networks.
 
 Units are strict SI throughout: flows in m³/s, lengths and diameters in m,
 pressures in Pa (gas pressure functions are differences of squared
@@ -55,26 +55,35 @@ def renouard_drop(rel_density: Values, length: Values, flow: Values,
                   diameter: Values) -> Values:
     """Gas pseudo-pressure drop p1² - p2² (Pa²) at flow magnitude `flow`."""
     _check_pipe(length, diameter, flow)
-    return (RENOUARD_COEFF * rel_density * length
-            * flow ** RENOUARD_FLOW_EXP / diameter ** RENOUARD_DIAM_EXP)
+    return _renouard_drop(rel_density, length, flow, diameter)
+
+
+def _renouard_drop(rho_r, length, flow, diam):
+    return RENOUARD_COEFF * rho_r * length * flow ** RENOUARD_FLOW_EXP / diam ** RENOUARD_DIAM_EXP
 
 
 def renouard_drop_dflow(rel_density: Values, length: Values, flow: Values,
                         diameter: Values) -> Values:
     """Flow derivative of `renouard_drop` (Pa²·s/m³)."""
     _check_pipe(length, diameter, flow)
-    return (RENOUARD_FLOW_EXP * RENOUARD_COEFF * rel_density * length
-            * flow ** (RENOUARD_FLOW_EXP - 1.0)
-            / diameter ** RENOUARD_DIAM_EXP)
+    return _renouard_drop_dflow(rel_density, length, flow, diameter)
+
+
+def _renouard_drop_dflow(rho_r, length, flow, diam):
+    return (RENOUARD_FLOW_EXP * RENOUARD_COEFF * rho_r * length
+            * flow ** (RENOUARD_FLOW_EXP - 1.0) / diam ** RENOUARD_DIAM_EXP)
 
 
 def renouard_drop_ddiam(rel_density: Values, length: Values, flow: Values,
                         diameter: Values) -> Values:
     """Diameter derivative of `renouard_drop` (Pa²/m); negative for flow > 0."""
     _check_pipe(length, diameter, flow)
-    return (-RENOUARD_DIAM_EXP * RENOUARD_COEFF * rel_density * length
-            * flow ** RENOUARD_FLOW_EXP
-            / diameter ** (RENOUARD_DIAM_EXP + 1.0))
+    return _renouard_drop_ddiam(rel_density, length, flow, diameter)
+
+
+def _renouard_drop_ddiam(rho_r, length, flow, diam):
+    return (-RENOUARD_DIAM_EXP * RENOUARD_COEFF * rho_r * length
+            * flow ** RENOUARD_FLOW_EXP / diam ** (RENOUARD_DIAM_EXP + 1.0))
 
 
 def reynolds_number(density: Values, viscosity: Values, flow: Values,
@@ -83,6 +92,10 @@ def reynolds_number(density: Values, viscosity: Values, flow: Values,
     _reject(viscosity, np.less_equal(viscosity, 0.0), "viscosity must be > 0 Pa*s")
     _reject(diameter, np.less_equal(diameter, 0.0), "pipe diameter must be > 0 m")
     _check_flow(flow)
+    return _reynolds_number(density, viscosity, flow, diameter)
+
+
+def _reynolds_number(density, viscosity, flow, diameter):
     return 4.0 * density * flow / (math.pi * diameter * viscosity)
 
 
@@ -99,6 +112,11 @@ def colebrook_friction_factor(reynolds: Values, rel_roughness: Values) -> Values
     _reject(re, re <= 0.0, "Reynolds number must be > 0")
     _reject(rel_roughness, np.less(rel_roughness, 0.0),
             "relative roughness must be >= 0")
+    return _colebrook_friction_factor(re, rel_roughness)
+
+
+def _colebrook_friction_factor(reynolds, rel_roughness):
+    re = np.asarray(reynolds, dtype=float)
     # Transition elements take the turbulent value at Re = 4000 for the blend.
     lam = _colebrook_turbulent(np.maximum(re, TURBULENT_RE_LIMIT), rel_roughness)
     if re.min() < TURBULENT_RE_LIMIT:
@@ -134,8 +152,11 @@ def darcy_weisbach_drop(friction_factor: Values, length: Values, flow: Values,
                         diameter: Values, density: Values) -> Values:
     """Liquid pressure drop (Pa): lam · L/d⁵ · 8·Q²/pi² · rho."""
     _check_pipe(length, diameter, flow)
-    return (8.0 * density / (math.pi * math.pi) * friction_factor * length
-            * flow * flow / diameter ** 5)
+    return _darcy_weisbach_drop(friction_factor, length, flow, diameter, density)
+
+
+def _darcy_weisbach_drop(lam, length, flow, diam, density):
+    return 8.0 * density / (math.pi * math.pi) * lam * length * flow * flow / diam ** 5
 
 
 def darcy_weisbach_drop_dflow(friction_factor: Values, length: Values,
@@ -144,8 +165,11 @@ def darcy_weisbach_drop_dflow(friction_factor: Values, length: Values,
     """Flow derivative of `darcy_weisbach_drop` (Pa·s/m³), friction factor
     held constant."""
     _check_pipe(length, diameter, flow)
-    return (16.0 * density / (math.pi * math.pi) * friction_factor * length
-            * flow / diameter ** 5)
+    return _darcy_weisbach_drop_dflow(friction_factor, length, flow, diameter, density)
+
+
+def _darcy_weisbach_drop_dflow(lam, length, flow, diam, density):
+    return 16.0 * density / (math.pi * math.pi) * lam * length * flow / diam ** 5
 
 
 def darcy_weisbach_drop_ddiam(friction_factor: Values, length: Values,
@@ -154,8 +178,11 @@ def darcy_weisbach_drop_ddiam(friction_factor: Values, length: Values,
     """Diameter derivative of `darcy_weisbach_drop` (Pa/m), friction factor
     held constant; negative for flow > 0."""
     _check_pipe(length, diameter, flow)
-    return (-5.0 * 8.0 * density / (math.pi * math.pi) * friction_factor
-            * length * flow * flow / diameter ** 6)
+    return _darcy_weisbach_drop_ddiam(friction_factor, length, flow, diameter, density)
+
+
+def _darcy_weisbach_drop_ddiam(lam, length, flow, diam, density):
+    return -5.0 * 8.0 * density / (math.pi * math.pi) * lam * length * flow * flow / diam ** 6
 
 
 def flow_velocity(pressure_ratio: Values, flow: Values, diameter: Values) -> Values:
@@ -166,4 +193,8 @@ def flow_velocity(pressure_ratio: Values, flow: Values, diameter: Values) -> Val
     """
     _reject(diameter, np.less_equal(diameter, 0.0), "pipe diameter must be > 0 m")
     _check_flow(flow)
+    return _flow_velocity(pressure_ratio, flow, diameter)
+
+
+def _flow_velocity(pressure_ratio, flow, diameter):
     return 4.0 * pressure_ratio * flow / (diameter * diameter * math.pi)

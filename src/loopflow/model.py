@@ -313,8 +313,9 @@ class SolveReport:
 
     A run that ends "diverged" keeps only finite states: a pass whose
     flows or residuals are not finite is dropped, and `stop_reason` says on
-    which pass the run stopped and why ("diverged at pass N: ..."); it is
-    empty for every other termination.
+    which pass the run stopped and why ("diverged at pass N: ..."); after
+    "max-iterations" it gives the pass count, the worst residual against the
+    start's, and on how many of the last passes it rose; else it is empty.
     """
     method: str
     iterations: Sequence[FlowState]

@@ -51,11 +51,12 @@ def solve_linear(system: DenseSystem) -> np.ndarray:
     a = np.asarray(system.matrix, dtype=float)
     b = np.asarray(system.rhs, dtype=float)
     _check_square(a, b)
-
+    # A row's max or min carries its NaN or inf into the row's scale.
     scale = _row_scales(a)
-    if np.any(scale == 0.0):
-        row = int(np.argmin(scale))
-        raise SingularSystemError(f"row {row} of the system matrix is zero")
+    if not (np.isfinite(scale).all() and np.isfinite(b).all()):
+        raise ValueError("system contains non-finite entries")
+    if not scale.all():
+        raise SingularSystemError(f"row {int(scale.argmin())} of the system matrix is zero")
     if not (scale == 1.0).all():
         a = a / scale[:, None]
         b = b / scale
@@ -64,7 +65,7 @@ def solve_linear(system: DenseSystem) -> np.ndarray:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"singular system: {exc}") from None
-    x_norm, b_norm = np.max(np.abs(x)), np.max(np.abs(b))
+    x_norm, b_norm = np.abs(x).max(), np.abs(b).max()
     if not np.isfinite(x_norm) or SINGULAR_TOL * x_norm > b_norm:
         raise SingularSystemError(
             f"singular system: solution norm {x_norm:.3e} against right "
@@ -89,6 +90,8 @@ def condition_estimate(system: DenseSystem) -> float:
     """1-norm condition number of the matrix; diagnostic only."""
     a = np.asarray(system.matrix, dtype=float)
     _check_square(a, np.zeros(a.shape[0]))
+    if not np.isfinite(a).all():
+        raise ValueError("system contains non-finite entries")
     try:
         return float(np.linalg.cond(a, 1))
     except np.linalg.LinAlgError:
@@ -100,12 +103,9 @@ def _row_scales(a: np.ndarray) -> np.ndarray:
     return np.maximum(a.max(axis=1), -a.min(axis=1))
 
 
-def _check_square(a: np.ndarray, b: np.ndarray) -> int:
+def _check_square(a: np.ndarray, b: np.ndarray) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if b.shape != (a.shape[0],):
         raise ValueError(
             f"rhs length {b.shape} does not match matrix size {a.shape[0]}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("system contains non-finite entries")
-    return a.shape[0]

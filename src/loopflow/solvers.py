@@ -141,9 +141,10 @@ def evaluate_loops(net: Network, basis: LoopBasis, flows: FlowState | np.ndarray
                    derivative_flow_floor: float = 1e-7) -> LoopEval:
     """Loop imbalances and pipe derivatives at the given state.
 
-    `flows` is a FlowState, or the signed flows in `net.pipe_ids` order;
-    only the basis's core is evaluated.  Raises ValueError for a basis
-    built on another network (`LoopBasis.check_network`).
+    `flows` is a FlowState, or the signed flows in `net.pipe_ids` order, on
+    a network that passes `validate` (the fluid models do not check the
+    geometry again); only the basis's core is evaluated.  Raises ValueError
+    for a basis built on another network (`LoopBasis.check_network`).
     """
     pipes = PipeArrays.of(net)
     basis.check_network(net)
@@ -300,7 +301,7 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
     blowup = DIVERGENCE_GROWTH * max(start_worst, residual_tol)
     rises = 0
     damped: list[int] = []
-    termination = "max-iterations"
+    unit = RESIDUAL_UNIT[net.fluid.kind]
     stop_reason = ""
 
     # A diverging run overflows; the checks below stop it, so numpy need
@@ -337,7 +338,6 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
             residual_history.append(residuals)
             if rises >= DIVERGENCE_PASSES and worst > blowup:
                 termination = "diverged"
-                unit = RESIDUAL_UNIT[net.fluid.kind]
                 stop_reason = (f"diverged at pass {pass_no}: the worst loop residual "
                                f"rose on {rises} passes in a row, to {worst:.3g} {unit} "
                                f"from {start_worst:.3g} {unit} at the start")
@@ -349,6 +349,11 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
             if change_m3h <= config.flow_tolerance_m3h and worst <= residual_tol:
                 termination = "converged"
                 break
+        else:
+            termination = "max-iterations"
+            stop_reason = (f"max-iterations after {len(flow_history) - 1} passes: the worst "
+                           f"loop residual is {worst:.3g} {unit}, from {start_worst:.3g} "
+                           f"{unit} at the start, and rose on the last {rises} passes")
 
     return SolveReport(
         method=method,

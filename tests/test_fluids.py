@@ -114,3 +114,81 @@ def test_network_evaluation_matches_pipe_by_pipe(model):
         assert ddrop_dflow[k] == pytest.approx(one_ddrop, rel=1e-13)
         assert model.drop(arrays, flows)[k] == pytest.approx(
             model.drop(pipe, flows[k]), rel=1e-13, abs=0.0)
+
+
+def checked_reference(model):
+    """The model's methods written with the public, input-checking kernels."""
+    if isinstance(model, GasModel):
+        rd, ratio = model.rel_density, model.pressure_ratio
+        return {
+            "evaluate": lambda p, q, floor: (
+                kernels.renouard_drop(rd, p.length, q, p.diameter),
+                kernels.renouard_drop_dflow(rd, p.length, np.maximum(q, floor), p.diameter)),
+            "drop": lambda p, q: kernels.renouard_drop(rd, p.length, q, p.diameter),
+            "drop_at_diameter": lambda p, q, d: kernels.renouard_drop(rd, p.length, q, d),
+            "ddrop_ddiam": lambda p, q, d: kernels.renouard_drop_ddiam(rd, p.length, q, d),
+            "velocity": lambda p, q: kernels.flow_velocity(ratio, q, p.diameter),
+        }
+    rho, mu = model.density, model.viscosity
+
+    def lam(q, d, roughness):
+        re = kernels.reynolds_number(rho, mu, np.where(q > 0.0, q, 1.0), d)
+        return kernels.colebrook_friction_factor(re, roughness / d)
+
+    def evaluate(p, q, floor):
+        floored = np.maximum(q, floor)
+        ddrop = kernels.darcy_weisbach_drop_dflow(
+            lam(floored, p.diameter, p.roughness), p.length, floored, p.diameter, rho)
+        factor = (lam(q, p.diameter, p.roughness) if ((q > 0.0) & (floored > q)).any()
+                  else lam(floored, p.diameter, p.roughness))
+        return kernels.darcy_weisbach_drop(factor, p.length, q, p.diameter, rho), ddrop
+
+    return {
+        "evaluate": evaluate,
+        "drop": lambda p, q: kernels.darcy_weisbach_drop(
+            lam(q, p.diameter, p.roughness), p.length, q, p.diameter, rho),
+        "drop_at_diameter": lambda p, q, d: kernels.darcy_weisbach_drop(
+            lam(q, d, p.roughness), p.length, q, d, rho),
+        "ddrop_ddiam": lambda p, q, d: kernels.darcy_weisbach_drop_ddiam(
+            lam(q, d, p.roughness), p.length, q, d, rho),
+        "velocity": lambda p, q: kernels.flow_velocity(1.0, q, p.diameter),
+    }
+
+
+def bits(result) -> bytes:
+    """The float64 bytes of a method's result: one value or array, or a pair."""
+    parts = result if isinstance(result, tuple) else (result,)
+    return b"".join(np.asarray(part, dtype=float).tobytes() for part in parts)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("model", [GasModel(rel_density=0.6, pressure_ratio=0.25),
+                                   WaterModel(density=1000.0, viscosity=0.00089)],
+                         ids=["gas", "water"])
+def test_models_match_the_checked_kernels_bitwise(model, seed):
+    # The models call the kernels' unchecked bodies; on valid input every
+    # method gives the bits the public kernels give, over the arrays of many
+    # pipes (a zero flow, flows under the derivative floor, and laminar,
+    # transition and turbulent flows) and over single pipes.
+    rng = np.random.default_rng(seed)
+    n, floor = 64, 1e-7
+    pipes = PipeArrays(tuple(range(1, n + 1)), rng.uniform(5.0, 1000.0, n),
+                       rng.uniform(0.05, 1.0, n), rng.uniform(0.0, 1e-3, n))
+    flows = 10.0 ** rng.uniform(-9.0, 0.5, n)
+    flows[0] = 0.0
+    diameters = rng.uniform(0.05, 1.0, n)
+    re = kernels.reynolds_number(1000.0, 0.00089, flows[1:], pipes.diameter[1:])
+    assert (flows[1:] < floor).any() and (re < 2300.0).any() and (re > 4000.0).any()
+    assert ((re >= 2300.0) & (re <= 4000.0)).any()
+
+    reference = checked_reference(model)
+    cases = [(pipes, flows, diameters)] + [
+        (Pipe(k + 1, "A", "B", pipes.diameter[k].item(), pipes.length[k].item(),
+              pipes.roughness[k].item()), flows[k].item(), diameters[k].item())
+        for k in range(8)]
+    for pipe, q, d in cases:
+        for name, args in [("evaluate", (q, floor)), ("drop", (q,)),
+                           ("drop_at_diameter", (q, d)), ("ddrop_ddiam", (q, d)),
+                           ("velocity", (q,))]:
+            assert bits(getattr(model, name)(pipe, *args)) == \
+                bits(reference[name](pipe, *args)), (name, pipe)

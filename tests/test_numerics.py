@@ -86,6 +86,26 @@ class TestSolveLinear:
         with pytest.raises(ValueError, match="non-finite"):
             solve_linear(DenseSystem([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0]))
 
+    # The matrix's finiteness is read off its row scales: a row's max or
+    # min carries its NaN or inf.
+    @pytest.mark.parametrize("matrix, rhs", [
+        ([[1.0, 0.0], [0.0, np.nan]], [1.0, 1.0]),
+        ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+        ([[1.0, -np.inf], [0.0, 1.0]], [1.0, 1.0]),
+        ([[1.0, 0.0], [0.0, 1.0]], [np.nan, 1.0]),
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, np.inf]),
+        ([[0.0, 0.0], [np.nan, 1.0]], [1.0, 1.0]),
+    ], ids=["nan", "nan-first", "minus-inf", "rhs-nan", "rhs-inf", "zero-row-and-nan"])
+    def test_non_finite_entries_raise(self, matrix, rhs):
+        with pytest.raises(ValueError, match="non-finite") as raised:
+            solve_linear(DenseSystem(matrix, rhs))
+        assert not isinstance(raised.value, SingularSystemError)
+
+    def test_zero_row_is_named(self):
+        with pytest.raises(SingularSystemError, match="^row 1 of the system matrix is zero$"):
+            solve_linear(DenseSystem([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [3.0, 1.0, 1.0]],
+                                    [1.0, 1.0, 1.0]))
+
 
 class TestNoCopyEquilibration:
     @pytest.mark.parametrize("prescaled", [False, True], ids=["raw", "unit-rows"])

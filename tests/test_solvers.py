@@ -749,6 +749,19 @@ class TestDivergence:
         assert report.termination == "max-iterations"
         assert report.iteration_count == 50
 
+    def test_max_iterations_states_its_reason(self):
+        # Damped original Hardy Cross climbs every pass on this grid, too
+        # slowly to reach the divergence stop.
+        net = perfbench_grid(8, 8, "gas", seed=2)
+        report = solve_hardy_cross_original(net, SolverConfig(damping=True))
+        worst = [max(r) for r in report.loop_residuals]
+        assert report.termination == "max-iterations"
+        assert all(b > a for a, b in zip(worst, worst[1:]))
+        assert (worst[0], worst[-1]) == pytest.approx((1.52e9, 6.19e10), rel=1e-2)
+        assert report.stop_reason == (
+            f"max-iterations after 50 passes: the worst loop residual is {worst[-1]:.3g} "
+            f"Pa2, from {worst[0]:.3g} Pa2 at the start, and rose on the last 50 passes")
+
     @pytest.mark.parametrize("kind", ["gas", "water"])
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("shape", ["grid", "ring"])
