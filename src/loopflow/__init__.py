@@ -35,7 +35,7 @@ from .solvers import (
     solve_hardy_cross_original,
     solve_node_loop,
 )
-from .topology import LoopBasis, NodeMatrix, adopt_explicit_loops, build_node_matrix, derive_loop_basis
+from .topology import LoopBasis, adopt_explicit_loops, build_node_matrix, derive_loop_basis
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,6 @@ __all__ = [
     "METHODS",
     "Network",
     "NetworkFileError",
-    "NodeMatrix",
     "NodeSpec",
     "NODE_LOOP",
     "Pipe",

@@ -64,14 +64,14 @@ def parse_network(path: str | Path) -> Network:
     Raises NetworkFileError naming the offending section/element for both
     structural problems and network-invariant violations.
     """
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise NetworkFileError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
-    except ValueError as exc:    # an integer with more digits than Python converts
+    # Not UTF-8, an integer too long to convert, or arrays nested too deep.
+    except (ValueError, RecursionError) as exc:
         raise NetworkFileError(f"{path}: parse error: {exc}") from exc
     net = network_from_dict(raw, context=str(path))
     violations = validate(net)
@@ -267,22 +267,26 @@ def write_sizing_trace(report, net: Network, path: str | Path) -> None:
 def read_flows_csv(path: str | Path) -> dict[PipeId, float]:
     """Fixed-flow table for the sizing command: columns pipe, flow_m3h."""
     flows: dict[PipeId, float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or \
-                {"pipe", "flow_m3h"} - set(reader.fieldnames):
-            raise NetworkFileError(
-                f"{path}: expected CSV header with columns 'pipe,flow_m3h'")
-        for i, row in enumerate(reader, start=2):
-            try:
-                pid, flow = int(row["pipe"]), float(row["flow_m3h"])
-            except (TypeError, ValueError) as exc:
-                raise NetworkFileError(f"{path}: bad row {i}: {exc}") from exc
-            if not isfinite(flow):
-                raise NetworkFileError(f"{path}: row {i}: 'flow_m3h' must be finite, got {flow!r}")
-            if pid in flows:
-                raise NetworkFileError(f"{path}: row {i}: second flow for pipe {pid}")
-            flows[pid] = flow
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or \
+                    {"pipe", "flow_m3h"} - set(reader.fieldnames):
+                raise NetworkFileError(
+                    f"{path}: expected CSV header with columns 'pipe,flow_m3h'")
+            for i, row in enumerate(reader, start=2):
+                try:
+                    pid, flow = int(row["pipe"]), float(row["flow_m3h"])
+                except (TypeError, ValueError) as exc:
+                    raise NetworkFileError(f"{path}: bad row {i}: {exc}") from exc
+                if not isfinite(flow):
+                    raise NetworkFileError(
+                        f"{path}: row {i}: 'flow_m3h' must be finite, got {flow!r}")
+                if pid in flows:
+                    raise NetworkFileError(f"{path}: row {i}: second flow for pipe {pid}")
+                flows[pid] = flow
+    except (csv.Error, UnicodeDecodeError) as exc:    # a field over the csv limit, or not UTF-8
+        raise NetworkFileError(f"{path}: unreadable table: {exc}") from exc
     return flows
 
 

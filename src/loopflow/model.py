@@ -11,10 +11,13 @@ order, the reference node's index, and read-only geometry arrays
 (`PipeArrays.of`).  Validation, the spanning tree, the loop basis, the
 start and the node balances all work on these integer arrays.
 
-A network derives what depends on it alone once, on first ask, and keeps
-it: its `validate` violations, and as read-only arrays its demands in m³/s
-and its spanning tree with that tree's fundamental cycles and seed-0 flows.
-A copy, a pickle or a `dataclasses.replace` goes through the constructor
+A network derives each fact that depends on it alone once, when it is
+first asked for, and keeps it: its `validate` violations, and as read-only
+arrays its demands in m³/s, its tree walk from the reference node, that
+tree's fundamental cycles and its seed-0 flows.  One walk gives both the
+nodes `validate` finds unreachable and the spanning tree, which every tree
+request takes from it (and refuses while it misses a node).  A copy, a
+pickle or a `dataclasses.replace` goes through the constructor
 (`__reduce__`), so it derives them afresh.
 """
 
@@ -27,7 +30,6 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import isfinite
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -199,15 +201,28 @@ class Network:
         return _frozen(m3h_to_m3s(np.array([n.demand_m3h for n in self.nodes], dtype=float)))
 
     @cached_property
-    def _topology(self) -> Topology:
-        """The spanning tree, its fundamental cycles and its seed-0 flows, all
-        from the tree walk's lists.  A walk that raises keeps nothing."""
-        from .topology import _fundamental_cycles  # topology imports this module
-        adjacency = self._adjacency()
-        nodes, pipes = _grow_tree(self, adjacency)
-        return Topology(_frozen(np.array((nodes, pipes), dtype=np.int32)),
-                        _fundamental_cycles(self, adjacency, nodes, pipes),
-                        _frozen(np.array(_tree_flows(self, adjacency, nodes, pipes, 0))))
+    def _walk(self) -> np.ndarray:
+        """The tree walk from the reference node, as its new nodes over their
+        pipes; on a disconnected graph it ends where the pipes stop reaching."""
+        return _frozen(np.array(_grow_tree(self, self._adjacency()), dtype=np.int32))
+
+    @property
+    def _tree(self) -> np.ndarray:
+        """The spanning tree: the walk, which must reach every node."""
+        if self._walk.shape[1] < len(self.nodes) - 1:
+            raise ValueError("disconnected graph: no spanning tree exists")
+        return self._walk
+
+    @cached_property
+    def _cycles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The tree's fundamental cycles as `LoopBasis` columns, signs and starts."""
+        return _fundamental_cycles(self, *self._tree.tolist())
+
+    @cached_property
+    def _start(self) -> np.ndarray:
+        """The seed-0 tree flows in pipe order, m³/s; only meaningful on a
+        valid network."""
+        return _frozen(np.array(_tree_flows(self, self._adjacency(), *self._tree.tolist(), 0)))
 
     @property
     def loop_count(self) -> int:
@@ -217,14 +232,6 @@ class Network:
 
 # A spanning tree as its attach order: (node index, pipe index) pairs.
 SpanningTree = list[tuple[int, int]]
-
-
-class Topology(NamedTuple):
-    """What a network derives from its spanning tree, as read-only arrays
-    (`Network._topology`).  The flows are only meaningful on a valid network."""
-    tree: np.ndarray        # the attach order: node indices over pipe indices
-    cycles: tuple[np.ndarray, np.ndarray, np.ndarray]   # `LoopBasis` columns, signs, starts
-    start: np.ndarray       # seed-0 tree flows in pipe order, m³/s
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -354,6 +361,13 @@ def validate(net: Network) -> list[str]:
     return list(net._violations)
 
 
+def _require_valid(net: Network) -> None:
+    """Raise ValueError listing `validate`'s violations, if it finds any."""
+    violations = validate(net)
+    if violations:
+        raise ValueError("invalid network: " + "; ".join(violations))
+
+
 def _check(net: Network) -> list[str]:
     """`validate`'s checks, in the order of its messages."""
     violations = _record_violations(net)
@@ -380,7 +394,8 @@ def _check(net: Network) -> list[str]:
         if net.loop_count < 1:
             violations.append(
                 f"network has no loops ({len(net.pipes)} pipes, {len(net.nodes)} nodes)")
-        unreached = _unreachable_nodes(net)
+        reached = {net._reference_index, *net._walk[0].tolist()}
+        unreached = {n.id for i, n in enumerate(net.nodes) if i not in reached}
         if unreached:
             names = ", ".join(repr(u) for u in sorted(unreached, key=str))
             violations.append(f"disconnected graph: cannot reach node(s) {names}")
@@ -455,23 +470,6 @@ def _fluid_violations(fluid: FluidSpec) -> list[str]:
     return violations
 
 
-def _unreachable_nodes(net: Network) -> set[NodeId]:
-    """Nodes a walk along the pipes from the reference node misses, on a
-    network whose pipe ends all name nodes."""
-    tails, heads, start, incident = net._adjacency()
-    reached = [False] * len(net.nodes)
-    reached[net._reference_index] = True
-    stack = [net._reference_index]
-    while stack:
-        node = stack.pop()
-        for j in incident[start[node]:start[node + 1]]:
-            other = heads[j] if tails[j] == node else tails[j]
-            if not reached[other]:
-                reached[other] = True
-                stack.append(other)
-    return {n.id for n, seen in zip(net.nodes, reached) if not seen}
-
-
 def spanning_tree(net: Network) -> SpanningTree:
     """Deterministic spanning tree grown from the reference node.
 
@@ -479,11 +477,12 @@ def spanning_tree(net: Network) -> SpanningTree:
     Returns the attachment order as a new list of (new node index, pipe
     index) pairs; the pipes outside the tree are the network's links.
     """
-    return list(zip(*net._topology.tree.tolist()))
+    return list(zip(*net._tree.tolist()))
 
 
 def _grow_tree(net: Network, adjacency: Adjacency) -> tuple[list[int], list[int]]:
-    """`spanning_tree` grown, as its new nodes and their pipes."""
+    """`spanning_tree` grown, as its new nodes and their pipes; on a
+    disconnected graph, only as far as the pipes reach."""
     root = net._reference_index
     if root < 0:
         raise ValueError(f"reference node {net.reference_node!r} does not exist")
@@ -503,7 +502,7 @@ def _grow_tree(net: Network, adjacency: Adjacency) -> tuple[list[int], list[int]
     for _ in range(len(net.nodes) - 1):
         while True:
             if not frontier:
-                raise ValueError("disconnected graph: no spanning tree exists")
+                return nodes, pipes
             pipe = order[heappop(frontier)]
             new_node = heads[pipe] if joined[tails[pipe]] else tails[pipe]
             if not joined[new_node]:
@@ -525,11 +524,9 @@ def feasible_initial_flows(net: Network, seed: int = 0) -> FlowState:
     from the node demands by back-substitution, leaves inward.  Any seed
     yields a valid starting state for the solvers.
     """
-    violations = validate(net)
-    if violations:
-        raise ValueError("invalid network: " + "; ".join(violations))
-    flows = (net._topology.start.tolist() if seed == 0 else
-             _tree_flows(net, net._adjacency(), *net._topology.tree.tolist(), seed))
+    _require_valid(net)
+    flows = (net._start.tolist() if seed == 0 else
+             _tree_flows(net, net._adjacency(), *net._tree.tolist(), seed))
     return FlowState(dict(zip(PipeArrays.of(net).ids, flows)))
 
 
@@ -558,6 +555,46 @@ def _tree_flows(net: Network, adjacency: Adjacency, nodes: list[int], pipes: lis
         residual = demand[node] - known_net_inflow
         flows[parent_pipe] = residual if heads[parent_pipe] == node else -residual
     return flows
+
+
+def _fundamental_cycles(net: Network, nodes: list[int],
+                        pipes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`derive_loop_basis`'s loops on the tree grown as `nodes` and
+    `pipes`, as `LoopBasis` columns, signs and starts."""
+    tails, heads = net._ends.tolist()
+    in_tree = set(pipes)
+    parent = [0] * len(net.nodes)     # node -> tree pipe toward the root
+    above = [0] * len(net.nodes)      # node -> the far end of that pipe
+    depth = [0] * len(net.nodes)
+    for node, pipe in zip(nodes, pipes):
+        parent[node] = pipe
+        above[node] = heads[pipe] if tails[pipe] == node else tails[pipe]
+        depth[node] = depth[above[node]] + 1
+    links = [j for j in net._id_order.tolist() if j not in in_tree]
+
+    columns, signs, starts = [], [], [0]
+    for link in links:
+        # Climb from both ends of the link to their lowest common ancestor:
+        # the cycle goes up from the link's head, then down to its tail.
+        columns.append(link)
+        signs.append(1)
+        down = []
+        a, b = heads[link], tails[link]
+        while a != b:
+            if depth[a] >= depth[b]:
+                pipe = parent[a]
+                columns.append(pipe)
+                signs.append(1 if tails[pipe] == a else -1)
+                a = above[a]
+            else:
+                pipe = parent[b]
+                down.append((pipe, 1 if heads[pipe] == b else -1))
+                b = above[b]
+        for pipe, sign in reversed(down):
+            columns.append(pipe)
+            signs.append(sign)
+        starts.append(len(columns))
+    return tuple(_frozen(np.array(a, dtype=np.int32)) for a in (columns, signs, starts))
 
 
 def node_imbalances(net: Network, flows: FlowState) -> dict[NodeId, float]:

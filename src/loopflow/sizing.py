@@ -19,7 +19,7 @@ import numpy as np
 
 from .fluids import RESIDUAL_UNIT, make_fluid_model
 from .model import (FlowState, History, Network, NODE_BALANCE_TOL_M3S, PipeArrays, PipeId,
-                    _flow_violations, _imbalances, validate)
+                    _flow_violations, _imbalances, _require_valid)
 from .solvers import DEFAULT_RESIDUAL_TOLERANCE
 from .topology import LoopBasis
 
@@ -94,9 +94,7 @@ def optimize_diameters(net: Network, basis: LoopBasis,
     (a zero-flow pipe has zero diameter sensitivity).  Raises ValueError
     for a basis whose pipe ids, in order, are not the network's.
     """
-    violations = validate(net)
-    if violations:
-        raise ValueError("invalid network: " + "; ".join(violations))
+    _require_valid(net)
     pipes = PipeArrays.of(net)
     basis.check_network(net)
     flows = config.fixed_flows

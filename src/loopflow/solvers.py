@@ -2,10 +2,10 @@
 
 Each solve validates the network once and takes its loop basis
 (`select_basis`); the start, unless one is given, is the seed-0 tree
-flows the network keeps on the basis's spanning tree.  Every
-pass evaluates the basis's core (the pipes in a loop) in one call, giving
-r = B·(sign q · drop(|q|)) and D = |d drop/d flow| on the core, and the
-three methods differ only in the linear system they solve:
+flows the network keeps.  Every pass evaluates the basis's core (the
+pipes in a loop) in one call, giving r = B·(sign q · drop(|q|)) and
+D = |d drop/d flow| on the core, and the three methods differ only in the
+linear system they solve:
 
 * node-loop: [A; B·D] q = [demands; B·D·q - r], all flows at once, in
   one stacked buffer per solve whose loop rows every pass rewrites;
@@ -45,11 +45,11 @@ from .model import (
     PipeArrays,
     PipeId,
     SolveReport,
-    _imbalances,
     _flow_violations,
+    _imbalances,
+    _require_valid,
     m3h_to_m3s,
     m3s_to_m3h,
-    validate,
 )
 from .numerics import (DenseSystem, SingularSystemError, condition_estimate, equilibrate,
                        solve_linear)
@@ -168,13 +168,13 @@ def assemble_node_loop_system(loop_eval: LoopEval,
     basis = loop_eval.basis
     if out is None:
         node_matrix = build_node_matrix(loop_eval.net)
-        n_nodes, n_pipes = node_matrix.entries.shape
+        n_nodes, n_pipes = node_matrix.shape
         if n_nodes + len(basis) != n_pipes:
             raise ValueError(
                 f"dimension mismatch: {n_nodes} node rows + {len(basis)} loop "
                 f"rows != {n_pipes} pipe unknowns")
         out = DenseSystem(np.zeros((n_pipes, n_pipes)), np.empty(n_pipes))
-        out.matrix[:n_nodes] = node_matrix.entries
+        out.matrix[:n_nodes] = node_matrix
         net = loop_eval.net
         out.rhs[:n_nodes] = net._demands[[n.id != net.reference_node for n in net.nodes]]
     n_nodes = len(out.rhs) - len(basis)
@@ -270,9 +270,7 @@ def solve_hardy_cross_improved(net: Network, config: SolverConfig | None = None,
 
 def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
              method: str, step) -> SolveReport:
-    violations = validate(net)
-    if violations:
-        raise ValueError("invalid network: " + "; ".join(violations))
+    _require_valid(net)
 
     if initial is None and net.initial_flows_m3h is not None:
         initial = FlowState({pid: m3h_to_m3s(q) for pid, q in net.initial_flows_m3h.items()})
@@ -288,11 +286,10 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
         worst = max(map(abs, _imbalances(net, start.tolist())), default=0.0)
         if not worst <= NODE_BALANCE_TOL_M3S:
             raise ValueError(f"initial flows violate node balances by {worst:.3e} m3/s")
-    # A start taken from the tree shares the loop basis's tree.
     basis = select_basis(net)
     floor = config.derivative_flow_floor
     if start is None:
-        start = net._topology.start
+        start = net._start
     loop_eval = evaluate_loops(net, basis, start, floor)
     residual_tol = config.resolved_residual_tolerance(net.fluid.kind)
     flow_history = [loop_eval.flows]

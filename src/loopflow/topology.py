@@ -3,10 +3,10 @@
 The node matrix encodes the flow-continuity equations (one row per node
 except the reference node).  The loop basis encodes the energy-balance
 equations: pipes - nodes + 1 independent cycles with ±1 signs, held as
-index arrays (the co-tree view of Elhay et al. 2014) with the spanning
-tree they rest on; a network walks its fundamental cycles once and keeps
-them.  The solvers work on B restricted to the core, the pipes that lie
-in a loop, and never build the dense loops × pipes B.
+index arrays (the co-tree view of Elhay et al. 2014).  The spanning tree
+the loops rest on is the network's own, and so are its fundamental cycles,
+which a network walks once, on first ask.  B is only ever built on the
+core, the pipes that lie in a loop.
 """
 
 from __future__ import annotations
@@ -17,20 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import (Adjacency, Network, NodeId, PipeArrays, PipeId, SpanningTree, _frozen,
-                    spanning_tree)
-
-
-@dataclass(frozen=True)
-class NodeMatrix:
-    """(nodes-1) × pipes matrix over {-1, 0, +1}.
-
-    Entry is +1 where the pipe's reference orientation enters the row's
-    node, -1 where it leaves, 0 elsewhere.
-    """
-    entries: np.ndarray
-    row_nodes: tuple[NodeId, ...]
-    col_pipes: tuple[PipeId, ...]
+from .model import Network, PipeArrays, PipeId, _frozen
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,8 +27,7 @@ class LoopBasis:
     Loop k's members are `columns[starts[k]:starts[k + 1]]`, indices into
     the network's pipes (whose ids are `pipe_ids`), in traversal order,
     with their `signs`: +1 where the loop runs along the pipe's reference
-    orientation, -1 against it.  `tree` is the spanning tree the loops were
-    derived on or rank-checked on, and `ends` the pipe ends of the network
+    orientation, -1 against it.  `ends` are the pipe ends of the network
     they were built on (`Network._ends`).  `loops` gives the same
     memberships as (pipe id, sign) pairs, and two bases are equal when
     their `loops` are.  The `core` is the pipes that lie in a loop; the
@@ -53,7 +39,6 @@ class LoopBasis:
     columns: np.ndarray
     signs: np.ndarray
     starts: np.ndarray
-    tree: SpanningTree
     ends: np.ndarray
 
     def __post_init__(self):
@@ -103,16 +88,6 @@ class LoopBasis:
             np.searchsorted(self.core, self.columns)] = self.signs
         return _frozen(out)
 
-    def matrix(self) -> np.ndarray:
-        """B: the read-only loops × pipes sign matrix in pipe order."""
-        return self._matrix
-
-    @cached_property
-    def _matrix(self) -> np.ndarray:
-        out = np.zeros((len(self), len(self.pipe_ids)))
-        out[np.repeat(np.arange(len(self)), np.diff(self.starts)), self.columns] = self.signs
-        return _frozen(out)
-
     def check_network(self, net: Network) -> None:
         """Raise ValueError unless the basis was built on `net`'s pipe order
         and ends, testing identity first: O(1) on its own network."""
@@ -122,15 +97,17 @@ class LoopBasis:
             raise ValueError("loop basis was built on another network: pipe order or ends differ")
 
 
-def build_node_matrix(net: Network) -> NodeMatrix:
-    """Continuity rows for every node except the reference node."""
+def build_node_matrix(net: Network) -> np.ndarray:
+    """Continuity rows for every node except the reference node, in node
+    order: a (nodes-1) × pipes matrix that is +1 where a pipe's reference
+    orientation enters the row's node, -1 where it leaves, 0 elsewhere."""
     kept = [i for i, n in enumerate(net.nodes) if n.id != net.reference_node]
     # A row per node index and a last one for index -1, an end that names
     # no node; a pipe's tail entry overwrites its head entry.
     entries = np.zeros((len(net.nodes) + 1, len(net.pipes)))
     entries[net._ends[1], np.arange(len(net.pipes))] = 1.0
     entries[net._ends[0], np.arange(len(net.pipes))] = -1.0
-    return NodeMatrix(entries[kept], tuple(net.nodes[i].id for i in kept), PipeArrays.of(net).ids)
+    return entries[kept]
 
 
 def derive_loop_basis(net: Network) -> LoopBasis:
@@ -141,48 +118,7 @@ def derive_loop_basis(net: Network) -> LoopBasis:
     path closing it, from the link's head back to its tail.  Each call
     returns a new basis on the cycles the network keeps.
     """
-    tree = spanning_tree(net)
-    return LoopBasis(PipeArrays.of(net).ids, *net._topology.cycles, tree, net._ends)
-
-
-def _fundamental_cycles(net: Network, adjacency: Adjacency, nodes: list[int],
-                        pipes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`derive_loop_basis`'s loops on the tree grown as `nodes` and
-    `pipes`, as `LoopBasis` columns, signs and starts."""
-    tails, heads = adjacency[:2]
-    in_tree = set(pipes)
-    parent = [0] * len(net.nodes)     # node -> tree pipe toward the root
-    above = [0] * len(net.nodes)      # node -> the far end of that pipe
-    depth = [0] * len(net.nodes)
-    for node, pipe in zip(nodes, pipes):
-        parent[node] = pipe
-        above[node] = heads[pipe] if tails[pipe] == node else tails[pipe]
-        depth[node] = depth[above[node]] + 1
-    links = [j for j in net._id_order.tolist() if j not in in_tree]
-
-    columns, signs, starts = [], [], [0]
-    for link in links:
-        # Climb from both ends of the link to their lowest common ancestor:
-        # the cycle goes up from the link's head, then down to its tail.
-        columns.append(link)
-        signs.append(1)
-        down = []
-        a, b = heads[link], tails[link]
-        while a != b:
-            if depth[a] >= depth[b]:
-                pipe = parent[a]
-                columns.append(pipe)
-                signs.append(1 if tails[pipe] == a else -1)
-                a = above[a]
-            else:
-                pipe = parent[b]
-                down.append((pipe, 1 if heads[pipe] == b else -1))
-                b = above[b]
-        for pipe, sign in reversed(down):
-            columns.append(pipe)
-            signs.append(sign)
-        starts.append(len(columns))
-    return tuple(_frozen(np.array(a, dtype=np.int32)) for a in (columns, signs, starts))
+    return LoopBasis(PipeArrays.of(net).ids, *net._cycles, net._ends)
 
 
 def adopt_explicit_loops(net: Network) -> LoopBasis:
@@ -195,7 +131,9 @@ def adopt_explicit_loops(net: Network) -> LoopBasis:
     of a spanning tree, so the loops are independent exactly when their
     loops × links block has full rank.  Full rank mod 2 (an odd
     determinant) proves it; only a block singular mod 2, such as the three
-    4-cycles of K4, needs `exact_rank`.
+    4-cycles of K4, needs `exact_rank`, on the links among B's core
+    columns (a link in no loop would be a zero column, which leaves the
+    rank as it is).
     """
     if not net.explicit_loops:
         raise ValueError("network definition carries no explicit loops")
@@ -211,17 +149,16 @@ def adopt_explicit_loops(net: Network) -> LoopBasis:
         members += _as_cycle(net, index, k, sequence)
         starts.append(len(members))
     columns, signs = zip(*members)
-    basis = LoopBasis(PipeArrays.of(net).ids, columns, signs, starts, spanning_tree(net),
-                      net._ends)
+    basis = LoopBasis(PipeArrays.of(net).ids, columns, signs, starts, net._ends)
 
-    in_tree = {j for _, j in basis.tree}
+    in_tree = set(net._tree[1].tolist())
     link_columns = [j for j in range(len(net.pipes)) if j not in in_tree]
     bit = {j: 1 << k for k, j in enumerate(link_columns)}
     if _gf2_rank([sum(bit.get(j, 0) for j in columns[a:b])
                   for a, b in zip(starts, starts[1:])]) == expected:
         return basis
-    sign_rows = basis.matrix()[:, link_columns].astype(int).tolist()
-    if exact_rank(sign_rows) != expected:
+    core_links = [c for c, j in enumerate(basis.core.tolist()) if j not in in_tree]
+    if exact_rank(basis.core_matrix[:, core_links].astype(int).tolist()) != expected:
         raise ValueError("rank-deficient loop set: loops are not independent")
     return basis
 

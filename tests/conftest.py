@@ -5,6 +5,7 @@ from functools import cache
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from loopflow.fileio import network_from_dict
@@ -36,6 +37,16 @@ def node_balance_residuals_m3h(net, flows_m3s: dict) -> dict:
         residual[p.to_node] += q_m3h
         residual[p.from_node] -= q_m3h
     return residual
+
+
+def matrix_by_pipe_id(net, basis) -> np.ndarray:
+    """B from `basis.loops`, one (pipe id, sign) entry at a time."""
+    column = {pid: j for j, pid in enumerate(net.pipe_ids)}
+    out = np.zeros((len(basis.loops), len(net.pipes)))
+    for k, loop in enumerate(basis.loops):
+        for pid, sign in loop:
+            out[k, column[pid]] = sign
+    return out
 
 
 def incident_pipes(net) -> dict:

@@ -19,7 +19,7 @@ from loopflow.fileio import write_flows_csv
 from loopflow.solvers import SolverConfig, solve_node_loop
 
 from conftest import perfbench_networks
-from test_fileio import mixed_node_ids_dict
+from test_fileio import UNREADABLE_NETWORKS, UNREADABLE_TABLES, mixed_node_ids_dict
 from test_sizing import stalling_tree
 
 
@@ -100,6 +100,16 @@ class TestCheck:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["check", "solve", "size"])
+    @pytest.mark.parametrize("content", UNREADABLE_NETWORKS.values(), ids=UNREADABLE_NETWORKS)
+    def test_unreadable_file_prints_one_error_line(self, command, content, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}: parse error: ") and err.count("\n") == 1
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent/net.json")
@@ -322,6 +332,15 @@ class TestSize:
         code, _, err = run(capsys, command, str(path))
         assert code == 1
         assert err == message
+
+    @pytest.mark.parametrize("content", UNREADABLE_TABLES.values(), ids=UNREADABLE_TABLES)
+    def test_unreadable_flows_print_one_error_line(self, content, gas_path, tmp_path, capsys):
+        flows_csv = tmp_path / "flows.csv"
+        flows_csv.write_bytes(content)
+        code, out, err = run(capsys, "size", str(gas_path), "--flows", str(flows_csv))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {flows_csv}: unreadable table: ") and err.count("\n") == 1
 
     def test_stall_prints_its_reason(self, tmp_path, capsys):
         path = tmp_path / "tree.json"

@@ -27,6 +27,11 @@ from loopflow.solvers import SolverConfig, solve_node_loop
 
 import fixture_tables as tables
 
+# Input files no reader can take as text, each with the message's start.
+UNREADABLE_NETWORKS = {"not-utf8": b"\xff\xfe{}", "nested-too-deep": b"[" * 100000}
+UNREADABLE_TABLES = {"field-over-limit": b"pipe,flow_m3h\n1," + b"9" * 200000 + b"\n",
+                     "not-utf8": b"pipe,flow_m3h\n1,\xff\n"}
+
 
 def fixture_path(name: str, tmp_path):
     data = resources.files("loopflow").joinpath(f"data/{name}").read_text()
@@ -171,6 +176,13 @@ class TestParseNetwork:
         path.write_text(text.replace('"length_m": 100.0', '"length_m": 1' + "0" * 5000, 1))
         # Python versions that convert any length read it, then find it too large.
         with pytest.raises(NetworkFileError, match="long.json: (parse error|pipes)"):
+            parse_network(path)
+
+    @pytest.mark.parametrize("content", UNREADABLE_NETWORKS.values(), ids=UNREADABLE_NETWORKS)
+    def test_unreadable_text_rejected(self, content, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(NetworkFileError, match="bad.json: parse error: "):
             parse_network(path)
 
     def test_duplicate_initial_flow_rejected(self):
@@ -330,4 +342,11 @@ class TestFlowsCsv:
         path = tmp_path / "flows.csv"
         path.write_text("pipe,flow_m3h\n1,5.0\n2,3.0\n1,999.0\n")
         with pytest.raises(NetworkFileError, match="row 4: second flow for pipe 1"):
+            read_flows_csv(path)
+
+    @pytest.mark.parametrize("content", UNREADABLE_TABLES.values(), ids=UNREADABLE_TABLES)
+    def test_unreadable_table_rejected(self, content, tmp_path):
+        path = tmp_path / "flows.csv"
+        path.write_bytes(content)
+        with pytest.raises(NetworkFileError, match="flows.csv: unreadable table: "):
             read_flows_csv(path)

@@ -12,7 +12,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from loopflow import model, topology
+from loopflow import model
 from loopflow.fileio import parse_network
 from loopflow.model import (
     FlowState,
@@ -242,12 +242,12 @@ class TestCheckedOnce:
     @pytest.fixture()
     def checks(self, monkeypatch):
         """Per network, how often the record checks and the connectivity
-        walk ran."""
+        walk (the tree walk) ran."""
         counts = {"records": Counter(), "walk": Counter()}
-        for name, kind in (("_record_violations", "records"), ("_unreachable_nodes", "walk")):
-            def counted(net, check=getattr(model, name), kind=kind):
+        for name, kind in (("_record_violations", "records"), ("_grow_tree", "walk")):
+            def counted(net, *args, check=getattr(model, name), kind=kind):
                 counts[kind][id(net)] += 1
-                return check(net)
+                return check(net, *args)
             monkeypatch.setattr(model, name, counted)
         return counts
 
@@ -287,19 +287,20 @@ class TestCheckedOnce:
 
 
 class TestTopologyKept:
-    """A network grows its spanning tree and walks its fundamental cycles
-    once, on first ask, and keeps them with its seed-0 start."""
+    """A network grows its spanning tree, walks its fundamental cycles and
+    finds its seed-0 start each once, when first asked for, and keeps them."""
 
     @pytest.fixture()
     def walks(self, monkeypatch):
-        """Per network, how often the tree and the cycle walk ran."""
-        counts = {"tree": Counter(), "cycles": Counter()}
-        for module, name, kind in ((model, "_grow_tree", "tree"),
-                                   (topology, "_fundamental_cycles", "cycles")):
-            def counted(net, *args, walk=getattr(module, name), kind=kind):
+        """Per network, how often the tree walk, the cycle walk and the
+        tree flows ran."""
+        counts = {"tree": Counter(), "cycles": Counter(), "flows": Counter()}
+        for name, kind in (("_grow_tree", "tree"), ("_fundamental_cycles", "cycles"),
+                           ("_tree_flows", "flows")):
+            def counted(net, *args, walk=getattr(model, name), kind=kind):
                 counts[kind][id(net)] += 1
                 return walk(net, *args)
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(model, name, counted)
         return counts
 
     @pytest.fixture()
@@ -320,7 +321,7 @@ class TestTopologyKept:
                            SizingConfig(fixed_flows=reports[0].final_flows))
         start = feasible_initial_flows(net)
         assert start == reports[1].iterations[0]
-        assert walks == {"tree": {id(net): 1}, "cycles": {id(net): 1}}
+        assert walks == {"tree": {id(net): 1}, "cycles": {id(net): 1}, "flows": {id(net): 1}}
 
         duplicates = [dataclasses.replace(net), copy.copy(net), copy.deepcopy(net),
                       pickle.loads(pickle.dumps(net))]
@@ -328,16 +329,24 @@ class TestTopologyKept:
             assert select_basis(duplicate) == select_basis(net)
             assert feasible_initial_flows(duplicate) == start
         once = dict.fromkeys([id(net)] + [id(d) for d in duplicates], 1)
-        assert walks == {"tree": once, "cycles": once}
+        assert walks == {"tree": once, "cycles": once, "flows": once}
 
-        # Explicit loops are adopted anew on each call, on the kept tree.
-        walks["tree"].clear()
-        walks["cycles"].clear()
+        # Explicit loops are adopted anew on each call, on the kept tree,
+        # and never need the cycles; flows from the file need no start.
+        for counts in walks.values():
+            counts.clear()
         fixture = copy.copy(gas_network)
         for method in METHODS:
             solve(fixture, SolverConfig(method=method))
-        select_basis(fixture)
-        assert walks == {"tree": {id(fixture): 1}, "cycles": {id(fixture): 1}}
+        fixed = FlowState({pid: m3h_to_m3s(q) for pid, q in fixture.initial_flows_m3h.items()})
+        optimize_diameters(fixture, select_basis(fixture), SizingConfig(fixed_flows=fixed))
+        assert validate(fixture) == []
+        assert walks == {"tree": {id(fixture): 1}, "cycles": {}, "flows": {}}
+        # Without its flows, the fixture starts from the tree.
+        unstarted = dataclasses.replace(fixture, initial_flows_m3h=None)
+        for method in METHODS:
+            solve(unstarted, SolverConfig(method=method))
+        assert walks["cycles"] == {} and walks["flows"] == {id(unstarted): 1}
 
     def test_results_are_new_each_call(self):
         net = square_net()
@@ -349,14 +358,13 @@ class TestTopologyKept:
         start.flows.pop(2)
         solve(net).iterations[0].flows[3] = math.nan
         assert spanning_tree(net) == first_tree
-        assert derive_loop_basis(net).tree == first_tree
         assert feasible_initial_flows(net).flows == first_start
         assert solve(net).iterations[0].flows == first_start
 
     def test_kept_arrays_are_read_only(self):
         net = square_net()
         solve(net)
-        kept = [net._demands, net._topology.tree, *net._topology.cycles, net._topology.start]
+        kept = [net._demands, net._tree, *net._cycles, net._start]
         assert [a.dtype for a in kept] == [np.float64] + [np.int32] * 4 + [np.float64]
         for array in kept:
             with pytest.raises(ValueError, match="read-only"):
@@ -372,8 +380,9 @@ class TestTopologyKept:
                 derive_loop_basis(net)
             with pytest.raises(ValueError, match="disconnected graph"):
                 feasible_initial_flows(net)
-        # A walk that raises keeps nothing: each call walks again.
-        assert walks == {"tree": {id(net): 4}, "cycles": {}}
+        # The network keeps the walk that stopped short, and each tree
+        # request reads it and raises again.
+        assert walks == {"tree": {id(net): 1}, "cycles": {}, "flows": {}}
 
 
 class TestStoredArrays:

@@ -45,7 +45,7 @@ from loopflow.solvers import (
     solve_node_loop,
 )
 import fixture_tables as tables
-from conftest import node_balance_residuals_m3h, perfbench_networks
+from conftest import matrix_by_pipe_id, node_balance_residuals_m3h, perfbench_networks
 from test_model import invalid_networks, square_net
 
 
@@ -202,7 +202,7 @@ class TestLoopCore:
     def test_core_is_the_pipes_of_some_loop(self, branched):
         net, _ = branched
         basis = select_basis(net)
-        dense = basis.matrix()
+        dense = matrix_by_pipe_id(net, basis)
         assert basis.core.tolist() == np.flatnonzero(dense.any(axis=0)).tolist()
         assert 0 < len(basis.core) < len(net.pipes)
         assert basis.core_matrix.tolist() == dense[:, basis.core].tolist()
@@ -247,7 +247,7 @@ class TestLoopCore:
         pipes = PipeArrays.of(net)
         q = pipes.flows(flows)
         drop, dflow = make_fluid_model(net.fluid).evaluate(pipes, np.abs(q), 1e-7)
-        dense = basis.matrix()
+        dense = matrix_by_pipe_id(net, basis)
         result = evaluate_loops(net, basis, flows)
         np.testing.assert_allclose(result.dflow, dflow[basis.core], rtol=1e-12, atol=0.0)
         # r cancels near convergence, so its error is bounded by the terms it sums.
@@ -588,7 +588,9 @@ def test_solve_rejects_invalid_network(net, method):
 def test_one_validation_and_one_tree_per_solve(which, method, gas_network, monkeypatch):
     # square_net derives its basis and start from the tree; the gas fixture
     # brings explicit loops and initial flows, and without the flows it
-    # takes its start from the tree that rank-checks its loops.
+    # takes its start from the tree that rank-checks its loops.  Either way
+    # the tree is the network's own, so no solve asks `spanning_tree` for
+    # a copy of it.
     net = {"derived": square_net(), "fixture": gas_network,
            "fixture-no-initial": dataclasses.replace(gas_network,
                                                      initial_flows_m3h=None)}[which]
@@ -607,7 +609,7 @@ def test_one_validation_and_one_tree_per_solve(which, method, gas_network, monke
                     monkeypatch.setattr(module, attr, counted)
     solve(net, SolverConfig(method=method))
     basis = "derive_loop_basis" if which == "derived" else "adopt_explicit_loops"
-    assert calls == {"validate": 1, "spanning_tree": 1, "select_basis": 1, basis: 1}
+    assert calls == {"validate": 1, "select_basis": 1, basis: 1}
 
 
 @pytest.mark.parametrize("kind", ["gas", "water"])

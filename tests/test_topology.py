@@ -18,7 +18,7 @@ from loopflow.topology import (
     exact_rank,
 )
 
-from conftest import incident_pipes
+from conftest import incident_pipes, matrix_by_pipe_id
 from test_model import WATER, square_net
 
 
@@ -37,16 +37,6 @@ def random_mesh(seed: int) -> Network:
     return Network(pipes=pipes,
                    nodes=[NodeSpec(k, 0.0) for k in range(1, n_nodes + 1)],
                    fluid=WATER, reference_node=rng.randint(1, n_nodes))
-
-
-def matrix_by_pipe_id(net: Network, basis) -> np.ndarray:
-    """B from `basis.loops`, one (pipe id, sign) entry at a time."""
-    column = {pid: j for j, pid in enumerate(net.pipe_ids)}
-    out = np.zeros((len(basis.loops), len(net.pipes)))
-    for k, loop in enumerate(basis.loops):
-        for pid, sign in loop:
-            out[k, column[pid]] = sign
-    return out
 
 
 def brute_force_spanning_tree(net: Network):
@@ -111,7 +101,7 @@ def per_pipe_imbalances(net: Network, flows: dict):
 
 
 def per_pipe_node_matrix(net: Network):
-    row_nodes = tuple(n.id for n in net.nodes if n.id != net.reference_node)
+    row_nodes = [n.id for n in net.nodes if n.id != net.reference_node]
     row = {nid: i for i, nid in enumerate(row_nodes)}
     entries = np.zeros((len(row_nodes), len(net.pipes)))
     for j, p in enumerate(net.pipes):
@@ -119,7 +109,7 @@ def per_pipe_node_matrix(net: Network):
             entries[row[p.to_node], j] = 1.0
         if p.from_node in row:
             entries[row[p.from_node], j] = -1.0
-    return entries, row_nodes
+    return entries
 
 
 def per_pipe_start(net: Network, seed: int):
@@ -150,10 +140,7 @@ def test_index_space_matches_per_pipe_definitions(seed):
     rng = random.Random(seed)
     flows = {p.id: rng.uniform(-1.0, 1.0) for p in net.pipes}
     assert node_imbalances(net, FlowState(flows)) == per_pipe_imbalances(net, flows)
-    matrix = build_node_matrix(net)
-    entries, row_nodes = per_pipe_node_matrix(net)
-    assert np.array_equal(matrix.entries, entries) and matrix.row_nodes == row_nodes
-    assert matrix.col_pipes == tuple(net.pipe_ids)
+    assert np.array_equal(build_node_matrix(net), per_pipe_node_matrix(net))
     for start_seed in (0, 7):
         assert feasible_initial_flows(net, start_seed).flows == per_pipe_start(net, start_seed)
 
@@ -161,33 +148,34 @@ def test_index_space_matches_per_pipe_definitions(seed):
 class TestNodeMatrix:
     def test_fixture_shape(self, gas_network):
         nm = build_node_matrix(gas_network)
-        assert nm.entries.shape == (10, 15)
-        assert nm.row_nodes == tuple("I II III IV V VI VII VIII IX X".split())
+        assert nm.shape == (10, 15)
+        # Rows I to X in node order; XI is the reference node.
+        assert np.array_equal(nm, per_pipe_node_matrix(gas_network))
 
     def test_fixture_first_row(self, gas_network):
         nm = build_node_matrix(gas_network)
         expected = np.zeros(15)
         for pid in (3, 4, 14):
             expected[pid - 1] = -1.0
-        assert np.array_equal(nm.entries[0], expected)
+        assert np.array_equal(nm[0], expected)
 
     def test_column_structure(self, gas_network):
         nm = build_node_matrix(gas_network)
-        for j in range(nm.entries.shape[1]):
-            column = nm.entries[:, j]
+        for j in range(nm.shape[1]):
+            column = nm[:, j]
             assert np.count_nonzero(column) <= 2
             assert set(np.unique(column)).issubset({-1.0, 0.0, 1.0})
 
     def test_rows_linearly_independent(self, gas_network):
         nm = build_node_matrix(gas_network)
-        assert sympy.Matrix(nm.entries.astype(int)).rank() == 10
+        assert sympy.Matrix(nm.astype(int)).rank() == 10
 
     def test_two_node_single_pipe(self):
         net = Network(pipes=[Pipe(1, 1, 2, 0.2, 10.0)],
                       nodes=[NodeSpec(1, -5.0), NodeSpec(2, 5.0)],
                       fluid=WATER, reference_node=2)
         nm = build_node_matrix(net)
-        assert nm.entries.tolist() == [[-1.0]]
+        assert nm.tolist() == [[-1.0]]
 
 
 class TestDeriveLoopBasis:
@@ -198,7 +186,7 @@ class TestDeriveLoopBasis:
     def test_full_rank_by_exact_elimination(self, gas_network):
         basis = derive_loop_basis(gas_network)
         rows = [[int(v) for v in row]
-                for row in basis.matrix()]
+                for row in matrix_by_pipe_id(gas_network, basis)]
         assert exact_rank(rows) == 5
         assert sympy.Matrix(rows).rank() == 5
 
@@ -220,14 +208,13 @@ class TestDeriveLoopBasis:
             brute_force_spanning_tree(net)[1]
         basis = derive_loop_basis(net)
         assert basis.loops == brute_force_loops(net)
-        assert basis.tree == spanning_tree(net)
-        assert (basis.matrix() == matrix_by_pipe_id(net, basis)).all()
+        assert (basis.core_matrix == matrix_by_pipe_id(net, basis)[:, basis.core]).all()
 
     def test_fixture_matrices_match_their_loops(self, gas_network, water_network):
         for net in (gas_network, water_network):
             for basis in (derive_loop_basis(net), adopt_explicit_loops(net)):
-                assert basis.matrix().shape == (5, 15)
-                assert (basis.matrix() == matrix_by_pipe_id(net, basis)).all()
+                assert basis.core_matrix.shape == (5, len(basis.core))
+                assert (basis.core_matrix == matrix_by_pipe_id(net, basis)[:, basis.core]).all()
 
     def test_link_pipe_sign_is_positive(self, gas_network):
         basis = derive_loop_basis(gas_network)
@@ -250,7 +237,7 @@ class TestDeriveLoopBasis:
 class TestAdoptExplicitLoops:
     def test_fixture_loop_rows(self, gas_network):
         basis = adopt_explicit_loops(gas_network)
-        matrix = basis.matrix()
+        matrix = matrix_by_pipe_id(gas_network, basis)
         first = {pid: matrix[0][pid - 1] for pid in range(1, 16)}
         assert first[1] == 1 and first[2] == -1 and first[3] == -1 and first[4] == 1
         assert all(first[p] == 0 for p in range(5, 16))
@@ -306,7 +293,7 @@ class TestStackedSystemRank:
         nm = build_node_matrix(gas_network)
         for basis in (derive_loop_basis(gas_network),
                       adopt_explicit_loops(gas_network)):
-            stacked = np.vstack([nm.entries, basis.matrix()])
+            stacked = np.vstack([nm, matrix_by_pipe_id(gas_network, basis)])
             assert stacked.shape == (15, 15)
             assert sympy.Matrix(stacked.astype(int)).rank() == 15
 
@@ -314,7 +301,7 @@ class TestStackedSystemRank:
         for net in [square_net()] + [random_mesh(seed) for seed in range(50)]:
             nm = build_node_matrix(net)
             basis = derive_loop_basis(net)
-            stacked = np.vstack([nm.entries, basis.matrix()])
+            stacked = np.vstack([nm, matrix_by_pipe_id(net, basis)])
             assert sympy.Matrix(stacked.astype(int)).rank() == len(net.pipes)
 
 
@@ -373,7 +360,7 @@ class TestGF2Check:
     """Explicit loops are checked mod 2 first; only a set dependent mod 2
     pays for the exact rank over Q."""
 
-    def k4_four_cycles(self):
+    def k4_four_cycles(self, cycles=((1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4))):
         # K4 has three 4-cycles, and every pipe lies on exactly two of them:
         # their sum vanishes mod 2, yet their determinant over Q is ±2.
         ends = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
@@ -387,7 +374,7 @@ class TestGF2Check:
                 signed.append(p.id if p.from_node == a else -p.id)
             return tuple(signed)
 
-        loops = [sequence(c) for c in ((1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4))]
+        loops = [sequence(c) for c in cycles]
         return Network(pipes=pipes, nodes=[NodeSpec(k) for k in range(1, 5)],
                        fluid=WATER, explicit_loops=loops)
 
@@ -396,7 +383,7 @@ class TestGF2Check:
 
         net = self.k4_four_cycles()
         basis = topology.adopt_explicit_loops(net)  # run once unpatched
-        rows = [[int(v) for v in row] for row in basis.matrix()]
+        rows = [[int(v) for v in row] for row in matrix_by_pipe_id(net, basis)]
         assert all(sum(abs(row[j]) for row in rows) == 2 for j in range(6))
         assert sympy.Matrix(rows).rank() == 3
         in_tree = {j for _, j in spanning_tree(net)}
@@ -407,7 +394,23 @@ class TestGF2Check:
         monkeypatch.setattr(topology, "exact_rank",
                             lambda rows: calls.append(rows) or exact_rank(rows))
         assert topology.adopt_explicit_loops(net) == basis
-        assert len(calls) == 1
+        # The fallback sees the loops × links block, one column per link.
+        assert calls == [[[row[j] for j in links] for row in rows]]
+
+    def test_a_link_in_no_loop_is_rank_deficient(self, monkeypatch):
+        import loopflow.topology as topology
+
+        # Three cycles that avoid pipe 6, from 3 to 4: a link, since the
+        # tree grows from node 4 along pipe 3 first.
+        net = self.k4_four_cycles(((1, 2, 3), (1, 2, 4), (1, 3, 2, 4)))
+        assert 5 not in {j for _, j in spanning_tree(net)}
+        calls = []
+        monkeypatch.setattr(topology, "exact_rank",
+                            lambda rows: calls.append(rows) or exact_rank(rows))
+        with pytest.raises(ValueError, match="rank-deficient"):
+            topology.adopt_explicit_loops(net)
+        # Pipe 6 lies in no loop, so the exact rank never sees its column.
+        assert [len(row) for row in calls[0]] == [2, 2, 2]
 
     def test_fixtures_never_need_the_exact_rank(self, gas_network, water_network,
                                                 monkeypatch):
