@@ -19,7 +19,7 @@ from .model import (
     node_imbalances,
     validate,
 )
-from .numerics import DenseSystem, SingularSystemError, condition_estimate, solve_linear
+from .numerics import SingularSystemError, condition_estimate, solve_linear
 from .sizing import SizingConfig, SizingReport, optimize_diameters
 from .solvers import (
     HARDY_CROSS,
@@ -40,7 +40,6 @@ from .topology import LoopBasis, adopt_explicit_loops, build_node_matrix, derive
 __version__ = "0.1.0"
 
 __all__ = [
-    "DenseSystem",
     "FlowState",
     "FluidSpec",
     "GasModel",

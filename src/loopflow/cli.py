@@ -103,33 +103,31 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    if report.termination == "diverged":
-        # The kept passes are finite but meaningless as a result.
-        if args.trace:
-            fileio.write_trace(report, net, args.trace)
-            print(f"trace written: {args.trace}")
-        print(f"error: {report.stop_reason}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-
-    unit = RESIDUAL_UNIT[net.fluid.kind]
-    print(f"method: {report.method}")
-    print(f"fluid: {net.fluid.kind}")
-    print(f"iterations: {report.iteration_count} ({report.termination})")
-    print(f"max loop residual: {max(report.loop_residuals[-1]):.6g} {unit}")
-    if report.damped_iterations:
-        print(f"damped iterations: {report.damped_iterations}")
-
-    reversed_pipes = report.reversed_pipes()
-    final = report.final_flows.as_m3h()
-    print(f"{'pipe':>4}  {'flow_m3h':>12}  {'velocity_m_s':>12}  direction")
-    for p in net.pipes:
-        direction = "reversed" if p.id in reversed_pipes else "forward"
-        print(f"{p.id:>4}  {final[p.id]:>12.2f}  "
-              f"{report.velocities[p.id]:>12.2f}  {direction}")
+    # The kept passes of a diverged run are finite but meaningless as a
+    # result: it prints only its trace note and one error line.
+    diverged = report.termination == "diverged"
+    if not diverged:
+        unit = RESIDUAL_UNIT[net.fluid.kind]
+        print(f"method: {report.method}")
+        print(f"fluid: {net.fluid.kind}")
+        print(f"iterations: {report.iteration_count} ({report.termination})")
+        print(f"max loop residual: {max(report.loop_residuals[-1]):.6g} {unit}")
+        if report.damped_iterations:
+            print(f"damped iterations: {report.damped_iterations}")
+        reversed_pipes = report.reversed_pipes()
+        final = report.final_flows.as_m3h()
+        print(f"{'pipe':>4}  {'flow_m3h':>12}  {'velocity_m_s':>12}  direction")
+        for p in net.pipes:
+            direction = "reversed" if p.id in reversed_pipes else "forward"
+            print(f"{p.id:>4}  {final[p.id]:>12.2f}  "
+                  f"{report.velocities[p.id]:>12.2f}  {direction}")
 
     if args.trace:
         fileio.write_trace(report, net, args.trace)
         print(f"trace written: {args.trace}")
+    if diverged:
+        print(f"error: {report.stop_reason}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
 
     if args.pressures:
         source = min(net.nodes, key=lambda n: (n.demand_m3h, str(n.id))).id
@@ -209,11 +207,8 @@ def _velocity_note(net: Network, fixed: FlowState, pipe_id: int,
     v = flow_velocity(net.fluid.pressure_ratio, abs(fixed.flows[pipe_id]),
                       diameter)
     lo, hi = VELOCITY_BAND
-    if v < lo:
-        return [f"velocity {v:.2f} m/s below {lo:.0f}-{hi:.0f} band"]
-    if v > hi:
-        return [f"velocity {v:.2f} m/s above {lo:.0f}-{hi:.0f} band"]
-    return [f"velocity {v:.2f} m/s within {lo:.0f}-{hi:.0f} band"]
+    where = "below" if v < lo else "above" if v > hi else "within"
+    return [f"velocity {v:.2f} m/s {where} {lo:.0f}-{hi:.0f} band"]
 
 
 if __name__ == "__main__":

@@ -171,6 +171,13 @@ def _get(obj: dict, key: str, kind, context: str):
         raise NetworkFileError(f"{context}: '{key}' must be a string")
     if kind is NodeId and (isinstance(value, bool) or not isinstance(value, NodeId)):
         raise NetworkFileError(f"{context}: '{key}' must be a string or an integer")
+    # A JSON escape can spell a lone surrogate, which no UTF-8 output can encode.
+    if isinstance(value, str) and not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise NetworkFileError(
+                f"{context}: '{key}' is not valid UTF-8 text (a lone surrogate)") from None
     return value
 
 
@@ -246,9 +253,7 @@ def write_trace(report: SolveReport, net: Network, path: str | Path) -> None:
 
 
 def format_trace(report: SolveReport, net: Network) -> str:
-    buffer = io.StringIO()
-    csv.writer(buffer).writerows(trace_rows(report, net))
-    return buffer.getvalue()
+    return _csv_text(trace_rows(report, net))
 
 
 def write_sizing_trace(report, net: Network, path: str | Path) -> None:
@@ -260,8 +265,14 @@ def write_sizing_trace(report, net: Network, path: str | Path) -> None:
         cells = [str(p.id)]
         cells += [f"{diam[p.id]:.6f}" for diam in report.diameter_history]
         rows.append(cells)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
+    Path(path).write_text(_csv_text(rows), encoding="utf-8", newline="")
+
+
+def _csv_text(rows) -> str:
+    """The rows as CSV text, with the CRLF line ends that `csv` writes."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
 
 
 def read_flows_csv(path: str | Path) -> dict[PipeId, float]:
@@ -291,8 +302,5 @@ def read_flows_csv(path: str | Path) -> dict[PipeId, float]:
 
 
 def write_flows_csv(flows: FlowState, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pipe", "flow_m3h"])
-        for pid, q in flows.as_m3h().items():
-            writer.writerow([pid, f"{q:.6f}"])
+    rows = [["pipe", "flow_m3h"]] + [[pid, f"{q:.6f}"] for pid, q in flows.as_m3h().items()]
+    Path(path).write_text(_csv_text(rows), encoding="utf-8", newline="")

@@ -1,12 +1,16 @@
 """Pressure functions of the two supported fluids, over arrays of pipes.
 
-A `FluidModel` turns pipe geometry and flow magnitudes into the pressure
-function used by the network equations: the squared-pressure (Renouard)
-drop for distribution gas, the Colebrook/Darcy-Weisbach drop for water.
-`pipe` is either one `Pipe` with scalar flows or the `PipeArrays` of a
-whole network with one flow per pipe, so a solver pass evaluates every
-pipe in one call.  Solvers only talk to this interface, so the two fluids
-share every solver path.
+`GasModel` and `WaterModel` turn pipe geometry and flow magnitudes into the
+pressure function used by the network equations: the squared-pressure
+(Renouard) drop for distribution gas, the Colebrook/Darcy-Weisbach drop
+for water.  Both are stateless and offer the same five methods, so the two
+fluids share every solver path.  `pipe` is either one `Pipe` with scalar
+flows or the `PipeArrays` of a whole network with one flow per pipe, so a
+solver pass evaluates every pipe in one call.  `evaluate(pipe, flow,
+dflow_floor)` gives the drop at the flow magnitude `flow` and |d drop/d
+flow| at the magnitude floored to `dflow_floor` (a zero derivative would
+zero out a loop row); `ddrop_ddiam` is the drop's diameter sensitivity at
+fixed flow, for sizing.
 
 The models trust their input: the pipes of a network that `model.validate`
 has passed and flow magnitudes |q|, so they call the kernels' unchecked
@@ -21,42 +25,14 @@ import numpy as np
 
 from . import kernels
 from .kernels import Values
-from .model import GAS, WATER, FluidSpec, Pipe, PipeArrays
+from .model import GAS, WATER, FluidSpec
 
 # Residual units of the loop equations per fluid kind.
 RESIDUAL_UNIT = {GAS: "Pa2", WATER: "Pa"}
 
 
-class FluidModel:
-    """Pressure-function evaluator; stateless and thread-safe."""
-
-    kind: str
-
-    def evaluate(self, pipe: Pipe | PipeArrays, flow: Values,
-                 dflow_floor: float) -> tuple[Values, Values]:
-        """Drop at the flow magnitude `flow`, and |d drop/d flow| at the
-        magnitude floored to `dflow_floor` (a zero derivative would zero
-        out a loop row)."""
-        raise NotImplementedError
-
-    def drop(self, pipe: Pipe | PipeArrays, flow: Values) -> Values:
-        raise NotImplementedError
-
-    def ddrop_ddiam(self, pipe: Pipe | PipeArrays, flow: Values,
-                    diameter: Values) -> Values:
-        """Diameter sensitivity of the drop at fixed flow (sizing problem)."""
-        raise NotImplementedError
-
-    def drop_at_diameter(self, pipe: Pipe | PipeArrays, flow: Values,
-                         diameter: Values) -> Values:
-        raise NotImplementedError
-
-    def velocity(self, pipe: Pipe | PipeArrays, flow: Values) -> Values:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class GasModel(FluidModel):
+class GasModel:
     rel_density: float
     pressure_ratio: float
     kind: str = GAS
@@ -80,7 +56,7 @@ class GasModel(FluidModel):
 
 
 @dataclass(frozen=True)
-class WaterModel(FluidModel):
+class WaterModel:
     density: float
     viscosity: float
     kind: str = WATER
@@ -123,7 +99,7 @@ class WaterModel(FluidModel):
         return kernels._flow_velocity(1.0, flow, pipe.diameter)
 
 
-def make_fluid_model(fluid: FluidSpec) -> FluidModel:
+def make_fluid_model(fluid: FluidSpec) -> GasModel | WaterModel:
     if fluid.kind == GAS:
         return GasModel(rel_density=fluid.rel_density,
                         pressure_ratio=fluid.pressure_ratio)

@@ -10,13 +10,11 @@ maximum, as after `equilibrate`, which divides a caller's own rows in place
 LAPACK does not report its pivots, so a system counts as singular when it
 meets an exactly zero pivot, or when the equilibrated solution x̂ is not
 finite or exceeds the equilibrated right side b̂ by more than 1e12, since
-‖x̂‖∞/‖b̂‖∞ bounds κ∞ from below.  Systems here are small (one row per
-pipe), dense storage is deliberate.
+‖x̂‖∞/‖b̂‖∞ bounds κ∞ from below.  A system is a plain (matrix, rhs) pair
+of arrays, small (one row per pipe) and dense on purpose.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,28 +26,18 @@ class SingularSystemError(ValueError):
     """Raised when a system is singular or indistinguishable from it."""
 
 
-@dataclass
-class DenseSystem:
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-    def __init__(self, matrix, rhs):
-        self.matrix = np.asarray(matrix, dtype=float)
-        self.rhs = np.asarray(rhs, dtype=float)
-
-
-def solve_linear(system: DenseSystem) -> np.ndarray:
+def solve_linear(matrix, rhs) -> np.ndarray:
     """Solve A·x = b by LAPACK LU with partial pivoting after row equilibration.
 
-    The system's arrays are left as they are: the rows are divided on a
+    The caller's arrays are left as they are: the rows are divided on a
     copy, and rows that already have unit maximum are used without one.
     Raises SingularSystemError for a zero row, an exactly zero pivot, a
     non-finite solution, or 1e-12·‖x̂‖∞ > ‖b̂‖∞ on the equilibrated system,
     which flags only condition numbers κ∞ above 1e12.  The inf-norm residual
     stays below 1e-8·(1 + |b|_inf) for the well-conditioned systems in scope.
     """
-    a = np.asarray(system.matrix, dtype=float)
-    b = np.asarray(system.rhs, dtype=float)
+    a = np.asarray(matrix, dtype=float)
+    b = np.asarray(rhs, dtype=float)
     _check_square(a, b)
     # A row's max or min carries its NaN or inf into the row's scale.
     scale = _row_scales(a)
@@ -86,9 +74,9 @@ def equilibrate(matrix: np.ndarray, rhs: np.ndarray) -> None:
         rhs /= scale
 
 
-def condition_estimate(system: DenseSystem) -> float:
+def condition_estimate(matrix) -> float:
     """1-norm condition number of the matrix; diagnostic only."""
-    a = np.asarray(system.matrix, dtype=float)
+    a = np.asarray(matrix, dtype=float)
     _check_square(a, np.zeros(a.shape[0]))
     if not np.isfinite(a).all():
         raise ValueError("system contains non-finite entries")

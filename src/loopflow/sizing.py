@@ -136,15 +136,14 @@ def optimize_diameters(net: Network, basis: LoopBasis,
     history = [diameters]
     residuals = loop_residuals(diameters)
     residual_history = [np.abs(residuals).tolist()]
-    termination = MAX_ITERATIONS
+    worst = max(residual_history[0], default=0.0)
     stop_reason = ""
 
-    for _ in range(config.max_iterations):
-        worst = max(residual_history[-1], default=0.0)
-        if worst <= tolerance:
-            termination = CONVERGED
+    # `not <=` keeps a NaN residual from passing for convergence.
+    while not worst <= tolerance:
+        if len(history) > config.max_iterations:
+            termination = MAX_ITERATIONS
             break
-
         sensitivity = np.abs(model.ddrop_ddiam(core_pipes, magnitude, diameters))
         denom = loop_magnitudes @ sensitivity
         deltas = np.divide(residuals, denom, out=np.zeros_like(denom),
@@ -171,9 +170,8 @@ def optimize_diameters(net: Network, basis: LoopBasis,
         residuals = cand_residuals
         history.append(diameters)
         residual_history.append(np.abs(residuals).tolist())
-
-    if termination != CONVERGED and residual_history[-1] and \
-            max(residual_history[-1]) <= tolerance:
+        worst = max(residual_history[-1], default=0.0)
+    else:
         termination = CONVERGED
 
     at_bound = (diameters <= lower) | (diameters >= upper)

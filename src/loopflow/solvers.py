@@ -7,8 +7,8 @@ pipes in a loop) in one call, giving r = B·(sign q · drop(|q|)) and
 D = |d drop/d flow| on the core, and the three methods differ only in the
 linear system they solve:
 
-* node-loop: [A; B·D] q = [demands; B·D·q - r], all flows at once, in
-  one stacked buffer per solve whose loop rows every pass rewrites;
+* node-loop: [A; B·D] q = [demands; B·D·q - r], all flows at once, from
+  one stacked (matrix, rhs) pair per solve whose loop rows every pass rewrites;
 * hardy-cross-improved: (B D Bᵀ) Δ = -r, then q += BᵀΔ;
 * hardy-cross: Δ = -r / (|B|·D) per loop, then q += BᵀΔ.
 
@@ -51,8 +51,7 @@ from .model import (
     m3h_to_m3s,
     m3s_to_m3h,
 )
-from .numerics import (DenseSystem, SingularSystemError, condition_estimate, equilibrate,
-                       solve_linear)
+from .numerics import SingularSystemError, condition_estimate, equilibrate, solve_linear
 from .topology import LoopBasis, adopt_explicit_loops, build_node_matrix, derive_loop_basis
 
 NODE_LOOP = "node-loop"
@@ -128,9 +127,6 @@ class LoopEval:
         flows[self.basis.core] += change
         return flows
 
-    def worst_residual(self) -> float:
-        return float(np.abs(self.residuals).max(initial=0.0))
-
 
 def select_basis(net: Network) -> LoopBasis:
     """Explicit loops win over derived ones when the file carries them."""
@@ -156,8 +152,9 @@ def evaluate_loops(net: Network, basis: LoopBasis, flows: FlowState | np.ndarray
 
 
 def assemble_node_loop_system(loop_eval: LoopEval,
-                              out: DenseSystem | None = None) -> DenseSystem:
-    """Stack continuity rows over linearized loop rows.
+                              out: tuple[np.ndarray, np.ndarray] | None = None,
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """Stack continuity rows over linearized loop rows, as (matrix, rhs).
 
     [A; B·D] q = [demands; B·D·q - r]: the loop rows are the first-order
     expansion of the loop equations around the evaluated flows q.  Given
@@ -173,17 +170,18 @@ def assemble_node_loop_system(loop_eval: LoopEval,
             raise ValueError(
                 f"dimension mismatch: {n_nodes} node rows + {len(basis)} loop "
                 f"rows != {n_pipes} pipe unknowns")
-        out = DenseSystem(np.zeros((n_pipes, n_pipes)), np.empty(n_pipes))
-        out.matrix[:n_nodes] = node_matrix
+        out = np.zeros((n_pipes, n_pipes)), np.empty(n_pipes)
+        out[0][:n_nodes] = node_matrix
         net = loop_eval.net
-        out.rhs[:n_nodes] = net._demands[[n.id != net.reference_node for n in net.nodes]]
-    n_nodes = len(out.rhs) - len(basis)
-    loop_rows = out.matrix[n_nodes:]
+        out[1][:n_nodes] = net._demands[[n.id != net.reference_node for n in net.nodes]]
+    matrix, rhs = out
+    n_nodes = len(rhs) - len(basis)
+    loop_rows = matrix[n_nodes:]
     if basis.spans_all:
         np.multiply(basis.core_matrix, loop_eval.dflow, out=loop_rows)
     else:
         loop_rows[:, basis.core] = basis.core_matrix * loop_eval.dflow
-    out.rhs[n_nodes:] = loop_rows @ loop_eval.flows - loop_eval.residuals
+    rhs[n_nodes:] = loop_rows @ loop_eval.flows - loop_eval.residuals
     return out
 
 
@@ -209,19 +207,19 @@ def solve_node_loop(net: Network, config: SolverConfig | None = None,
     unit rows and solves without copying them.
     """
     logged_condition = False
-    system: DenseSystem | None = None
+    system = None
 
     def step(loop_eval: LoopEval) -> np.ndarray:
         nonlocal logged_condition, system
-        system = assemble_node_loop_system(loop_eval, out=system)
+        system = matrix, rhs = assemble_node_loop_system(loop_eval, out=system)
         if not logged_condition and log.isEnabledFor(logging.DEBUG):
             log.debug("stacked system 1-norm condition estimate: %.3g",
-                      condition_estimate(system))
+                      condition_estimate(matrix))
             logged_condition = True
         # The node rows are ±1 and already at unit scale.
-        n_nodes = len(system.rhs) - len(loop_eval.residuals)
-        equilibrate(system.matrix[n_nodes:], system.rhs[n_nodes:])
-        return solve_linear(system)
+        n_nodes = len(rhs) - len(loop_eval.residuals)
+        equilibrate(matrix[n_nodes:], rhs[n_nodes:])
+        return solve_linear(matrix, rhs)
 
     return _iterate(net, config or SolverConfig(), initial, NODE_LOOP, step)
 
@@ -261,7 +259,7 @@ def solve_hardy_cross_improved(net: Network, config: SolverConfig | None = None,
     def step(loop_eval: LoopEval) -> np.ndarray:
         loops = loop_eval.basis.core_matrix
         jacobian = (loops * loop_eval.dflow) @ loops.T
-        deltas = solve_linear(DenseSystem(jacobian, -loop_eval.residuals))
+        deltas = solve_linear(jacobian, -loop_eval.residuals)
         return loop_eval.corrected(deltas)
 
     return _iterate(net, config or SolverConfig(), initial,
@@ -312,13 +310,12 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
             except SingularSystemError:
                 termination = "singular-system"
                 break
-            if config.damping:
-                before = loop_eval.worst_residual()
-                if before > 0.0 and \
-                        candidate_eval.worst_residual() > DAMPING_TRIGGER * before:
-                    damped.append(pass_no)
-                    midpoint = 0.5 * (current + candidate_eval.flows)
-                    candidate_eval = evaluate_loops(net, basis, midpoint, floor)
+            # `worst` is the current state's worst loop residual.
+            if config.damping and worst > 0.0 and \
+                    np.abs(candidate_eval.residuals).max() > DAMPING_TRIGGER * worst:
+                damped.append(pass_no)
+                midpoint = 0.5 * (current + candidate_eval.flows)
+                candidate_eval = evaluate_loops(net, basis, midpoint, floor)
             residuals = np.abs(candidate_eval.residuals).tolist()
             change_m3h = m3s_to_m3h(np.abs(candidate_eval.flows - current).max(initial=0.0))
             # A sum carries every NaN or inf among its terms (max need not);

@@ -58,13 +58,18 @@ def incident_pipes(net) -> dict:
 
 
 @cache
+def perfbench_module(name: str):
+    """A stdlib-only module of the benchmark, `perfbench/<name>.py`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def perfbench_networks():
-    """The benchmark's stdlib-only network generators (`perfbench/networks.py`)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "networks.py"
-    spec = importlib.util.spec_from_file_location("perfbench_networks", path)
-    networks = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(networks)
-    return networks
+    """The benchmark's network generators (`perfbench/networks.py`)."""
+    return perfbench_module("networks")
 
 
 @pytest.fixture(params=[(kind, seed) for kind in ("gas", "water") for seed in range(4)],

@@ -111,6 +111,16 @@ class TestCheck:
         assert out == ""
         assert err.startswith(f"error: {path}: parse error: ") and err.count("\n") == 1
 
+    def test_lone_surrogate_node_id_prints_one_error_line(self, gas_path, capsys):
+        # Once parsed, the id would reach the pressure table on stdout,
+        # which cannot encode it.
+        gas_path.write_text(gas_path.read_text().replace('"I"', '"\\ud800"'))
+        code, out, err = run(capsys, "solve", str(gas_path), "--pressures")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'id' is not valid UTF-8 text" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent/net.json")
         assert code == 3

@@ -134,6 +134,22 @@ class TestParseNetwork:
                            match=f"'{key}' must be a string or an integer"):
             network_from_dict(raw)
 
+    @pytest.mark.parametrize("where", ["node id", "pipe from", "pipe to",
+                                       "reference_node", "fluid kind"])
+    def test_lone_surrogate_rejected(self, where, tmp_path):
+        raw = fixture_dict("fixture_gas.json")
+        obj, key, context = {"node id": (raw["nodes"][0], "id", r"nodes\[0\]"),
+                             "pipe from": (raw["pipes"][0], "from", r"pipes\[0\]"),
+                             "pipe to": (raw["pipes"][0], "to", r"pipes\[0\]"),
+                             "reference_node": (raw, "reference_node", "lone.json"),
+                             "fluid kind": (raw["fluid"], "kind", "fluid")}[where]
+        obj[key] = "\ud800"
+        path = tmp_path / "lone.json"
+        path.write_text(json.dumps(raw))     # as the escape \ud800
+        with pytest.raises(NetworkFileError,
+                           match=rf"{context}: '{key}' is not valid UTF-8 text"):
+            parse_network(path)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("name, section, key", [

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from loopflow.numerics import (
-    DenseSystem,
     SingularSystemError,
     condition_estimate,
     equilibrate,
@@ -30,11 +29,11 @@ def unit_rows(a: np.ndarray, b: np.ndarray):
 class TestSolveLinear:
     def test_identity(self):
         b = np.array([3.0, -1.0, 7.5])
-        x = solve_linear(DenseSystem(np.eye(3), b))
+        x = solve_linear(np.eye(3), b)
         assert np.allclose(x, b, rtol=0, atol=0)
 
     def test_diagonal(self):
-        x = solve_linear(DenseSystem([[2.0, 0.0], [0.0, 4.0]], [2.0, 8.0]))
+        x = solve_linear([[2.0, 0.0], [0.0, 4.0]], [2.0, 8.0])
         assert x == pytest.approx([1.0, 2.0])
 
     def test_random_systems_meet_residual_bound(self):
@@ -43,7 +42,7 @@ class TestSolveLinear:
             n = int(rng.integers(1, 51))
             a = rng.normal(size=(n, n)) + n * np.eye(n)
             b = rng.normal(size=n)
-            x = solve_linear(DenseSystem(a, b))
+            x = solve_linear(a, b)
             residual = np.max(np.abs(a @ x - b))
             assert residual <= 1e-8 * (1.0 + np.max(np.abs(b)))
 
@@ -53,16 +52,16 @@ class TestSolveLinear:
                       [0.0, 1.0, -1.0],
                       [2.5e9, 1.1e9, 4.2e9]])
         b = np.array([0.1, 0.2, 3.3e9])
-        x = solve_linear(DenseSystem(a, b))
+        x = solve_linear(a, b)
         assert np.max(np.abs(a @ x - b)) <= 1e-8 * (1.0 + np.max(np.abs(b)))
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(12, 12)) + 12 * np.eye(12)
         b = rng.normal(size=12)
-        x = solve_linear(DenseSystem(a, b))
+        x = solve_linear(a, b)
         perm = rng.permutation(12)
-        x_perm = solve_linear(DenseSystem(a[perm], b[perm]))
+        x_perm = solve_linear(a[perm], b[perm])
         assert np.max(np.abs(x - x_perm)) <= 1e-10 * max(1.0, np.max(np.abs(x)))
 
     # The second matrix is singular only up to rounding: elimination leaves
@@ -72,19 +71,19 @@ class TestSolveLinear:
                              ids=["exact", "rounding"])
     def test_singular_raises(self, matrix):
         with pytest.raises(SingularSystemError):
-            solve_linear(DenseSystem(matrix, [1.0, 2.0]))
+            solve_linear(matrix, [1.0, 2.0])
 
     def test_zero_row_raises(self):
         with pytest.raises(SingularSystemError):
-            solve_linear(DenseSystem([[0.0, 0.0], [1.0, 1.0]], [0.0, 2.0]))
+            solve_linear([[0.0, 0.0], [1.0, 1.0]], [0.0, 2.0])
 
     def test_shape_and_finiteness_checks(self):
         with pytest.raises(ValueError, match="square"):
-            solve_linear(DenseSystem([[1.0, 2.0]], [1.0]))
+            solve_linear([[1.0, 2.0]], [1.0])
         with pytest.raises(ValueError, match="rhs"):
-            solve_linear(DenseSystem(np.eye(2), [1.0]))
+            solve_linear(np.eye(2), [1.0])
         with pytest.raises(ValueError, match="non-finite"):
-            solve_linear(DenseSystem([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0]))
+            solve_linear([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0])
 
     # The matrix's finiteness is read off its row scales: a row's max or
     # min carries its NaN or inf.
@@ -98,13 +97,13 @@ class TestSolveLinear:
     ], ids=["nan", "nan-first", "minus-inf", "rhs-nan", "rhs-inf", "zero-row-and-nan"])
     def test_non_finite_entries_raise(self, matrix, rhs):
         with pytest.raises(ValueError, match="non-finite") as raised:
-            solve_linear(DenseSystem(matrix, rhs))
+            solve_linear(matrix, rhs)
         assert not isinstance(raised.value, SingularSystemError)
 
     def test_zero_row_is_named(self):
         with pytest.raises(SingularSystemError, match="^row 1 of the system matrix is zero$"):
-            solve_linear(DenseSystem([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [3.0, 1.0, 1.0]],
-                                    [1.0, 1.0, 1.0]))
+            solve_linear([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [3.0, 1.0, 1.0]],
+                         [1.0, 1.0, 1.0])
 
 
 class TestNoCopyEquilibration:
@@ -114,22 +113,22 @@ class TestNoCopyEquilibration:
         if prescaled:
             a, b = unit_rows(a, b)
         a_before, b_before = a.copy(), b.copy()
-        solve_linear(DenseSystem(a, b))
+        solve_linear(a, b)
         assert (a == a_before).all() and (b == b_before).all()
 
     def test_prescaled_rows_give_the_same_solution(self):
         for seed in range(20):
             a, b = diagonally_dominant(25, seed)
-            raw = solve_linear(DenseSystem(a, b))
-            assert (solve_linear(DenseSystem(*unit_rows(a, b))) == raw).all()
+            raw = solve_linear(a, b)
+            assert (solve_linear(*unit_rows(a, b)) == raw).all()
 
     def test_equilibrate_in_place_matches_the_solver(self):
         a, b = diagonally_dominant(25, seed=3)
-        raw = solve_linear(DenseSystem(a, b))
+        raw = solve_linear(a, b)
         expected = unit_rows(a, b)
         equilibrate(a, b)
         assert (a == expected[0]).all() and (b == expected[1]).all()
-        assert (solve_linear(DenseSystem(a, b)) == raw).all()
+        assert (solve_linear(a, b) == raw).all()
 
     def test_equilibrate_leaves_a_zero_row_for_the_solver(self):
         a = np.array([[0.0, 0.0], [4.0, -8.0]])
@@ -137,18 +136,18 @@ class TestNoCopyEquilibration:
         equilibrate(a, b)
         assert a.tolist() == [[0.0, 0.0], [4.0, -8.0]] and b.tolist() == [0.0, 2.0]
         with pytest.raises(SingularSystemError, match="row 0"):
-            solve_linear(DenseSystem(a, b))
+            solve_linear(a, b)
 
     def test_unit_rows_solve_without_a_matrix_copy(self):
         # numpy's LAPACK wrapper copies the matrix outside tracemalloc's
         # view; a copy or an |a| temporary of our own would cost P²·8 bytes.
         n = 220
-        system = DenseSystem(*unit_rows(*diagonally_dominant(n, seed=5)))
-        solve_linear(system)
+        system = unit_rows(*diagonally_dominant(n, seed=5))
+        solve_linear(*system)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            solve_linear(system)
+            solve_linear(*system)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -157,17 +156,15 @@ class TestNoCopyEquilibration:
 
 class TestConditionEstimate:
     def test_identity(self):
-        assert condition_estimate(DenseSystem(np.eye(4), np.zeros(4))) == \
-            pytest.approx(1.0)
+        assert condition_estimate(np.eye(4)) == pytest.approx(1.0)
 
     def test_diagonal_ratio(self):
-        est = condition_estimate(
-            DenseSystem([[1.0, 0.0], [0.0, 1e9]], [0.0, 0.0]))
+        est = condition_estimate([[1.0, 0.0], [0.0, 1e9]])
         assert est == pytest.approx(1e9, rel=1e-6)
 
     def test_fixture_system_is_finite(self, gas_network):
-        system = _first_fixture_system(gas_network)
-        estimate = condition_estimate(system)
+        matrix, _ = _first_fixture_system(gas_network)
+        estimate = condition_estimate(matrix)
         assert np.isfinite(estimate) and estimate > 1.0
 
     def test_estimate_logged_during_solve(self, gas_network, caplog):
@@ -182,7 +179,7 @@ class TestConditionEstimate:
 def test_first_fixture_pass_solves_to_known_flows(gas_network):
     # The stacked 15x15 system at the assumed starting pattern has the
     # second trace column as its solution.
-    x = solve_linear(_first_fixture_system(gas_network))
+    x = solve_linear(*_first_fixture_system(gas_network))
     flows_m3h = {pid: x[j] * 3600.0
                  for j, pid in enumerate(gas_network.pipe_ids)}
     assert flows_m3h[1] == pytest.approx(687.38, abs=1.0)

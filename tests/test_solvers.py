@@ -148,9 +148,9 @@ class TestAssembleNodeLoopSystem:
     def test_loop_one_row_coefficients(self, gas_network):
         flows = initial_state(gas_network)
         basis = select_basis(gas_network)
-        system = assemble_node_loop_system(
+        matrix, _ = assemble_node_loop_system(
             evaluate_loops(gas_network, basis, flows))
-        row = system.matrix[10]  # first loop row, after the ten node rows
+        row = matrix[10]  # first loop row, after the ten node rows
         expected = {1: 3766062.0, 2: -18094990.0, 3: -2858306918.0,
                     4: 111651451.0}
         for pid, value in expected.items():
@@ -160,12 +160,12 @@ class TestAssembleNodeLoopSystem:
     def test_node_rows_rhs_are_demands(self, gas_network):
         flows = initial_state(gas_network)
         basis = select_basis(gas_network)
-        system = assemble_node_loop_system(
+        _, rhs = assemble_node_loop_system(
             evaluate_loops(gas_network, basis, flows))
         demands_m3h = [-6940.0, 2100.0, 170.0, 90.0, 200.0, 2500.0, 300.0,
                        170.0, 850.0, 280.0]
         for i, d in enumerate(demands_m3h):
-            assert system.rhs[i] == pytest.approx(d / 3600.0, rel=1e-12)
+            assert rhs[i] == pytest.approx(d / 3600.0, rel=1e-12)
 
     def test_zero_network_solves_to_zero(self):
         net = square_net(demands=(0.0, 0.0, 0.0, 0.0))
@@ -261,9 +261,9 @@ class TestNodeLoopBuffer:
     def test_every_pass_shares_one_buffer(self, node_loop_net, monkeypatch):
         matrices = []
 
-        def recording(system):
-            matrices.append(system.matrix)
-            return solve_linear(system)
+        def recording(matrix, rhs):
+            matrices.append(matrix)
+            return solve_linear(matrix, rhs)
 
         monkeypatch.setattr(solvers_module, "solve_linear", recording)
         report = solve_node_loop(node_loop_net, SolverConfig())
@@ -277,26 +277,25 @@ class TestNodeLoopBuffer:
         ids = node_loop_net.pipe_ids
         q = np.array([report.iterations[0].flows[pid] for pid in ids])
         for state in report.iterations[1:]:
-            system = assemble_node_loop_system(evaluate_loops(node_loop_net, basis, q))
-            q = solve_linear(system)
+            q = solve_linear(*assemble_node_loop_system(evaluate_loops(node_loop_net, basis, q)))
             assert [state.flows[pid] for pid in ids] == q.tolist()
 
     def test_condition_estimate_taken_on_the_raw_system(self, gas_network, monkeypatch,
                                                         caplog):
         seen = []
 
-        def recording(system):
-            seen.append((system.matrix.copy(), system.rhs.copy()))
-            return condition_estimate(system)
+        def recording(matrix):
+            seen.append(matrix.copy())
+            return condition_estimate(matrix)
 
         monkeypatch.setattr(solvers_module, "condition_estimate", recording)
         with caplog.at_level(logging.DEBUG, logger="loopflow.solvers"):
             report = solve_node_loop(gas_network, SolverConfig())
-        raw = assemble_node_loop_system(evaluate_loops(
+        raw, _ = assemble_node_loop_system(evaluate_loops(
             gas_network, select_basis(gas_network), report.iterations[0]))
         assert len(seen) == 1
-        assert (seen[0][0] == raw.matrix).all() and (seen[0][1] == raw.rhs).all()
-        assert np.abs(raw.matrix).max() > 1e6    # loop rows far from unit scale
+        assert (seen[0] == raw).all()
+        assert np.abs(raw).max() > 1e6    # loop rows far from unit scale
 
 
 class TestNodeLoopFixture:
@@ -517,7 +516,7 @@ class TestReportShape:
         import loopflow.solvers as solvers_module
         from loopflow.numerics import SingularSystemError
 
-        def explode(system):
+        def explode(matrix, rhs):
             raise SingularSystemError("forced")
 
         monkeypatch.setattr(solvers_module, "solve_linear", explode)
