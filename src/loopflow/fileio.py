@@ -11,6 +11,8 @@ declaration of the fluid, node and pipe records: each maps a JSON key to
 (model field, value kind, required) in the order of the model's fields,
 which is the order keys are checked and written.  Reading gives a missing
 optional key the model's default; writing leaves out fields that are None.
+Sections and flow tables are read a column at a time, or one record at a
+time to name the first bad one.  A UTF-8 byte-order mark is skipped.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Set as AbstractSet
 from math import isfinite
+from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .model import (
     FluidSpec,
@@ -51,6 +55,10 @@ PIPE_KEYS = {
     "length_m": ("length", float, True),
     "roughness_m": ("roughness", float, False),
 }
+FLOW_KEYS = {"pipe": ("pipe", int, True), "flow_m3h": ("flow_m3h", float, True)}
+# Per value kind, the types it takes (a bool is none of them) and its name.
+KINDS = {float: ((int, float), "a number"), int: ((int,), "an integer"),
+         str: ((str,), "a string"), NodeId: ((str, int), "a string or an integer")}
 TOP_KEYS = {"fluid", "nodes", "pipes", "loops", "initial_flows", "reference_node"}
 
 
@@ -65,7 +73,7 @@ def parse_network(path: str | Path) -> Network:
     structural problems and network-invariant violations.
     """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise NetworkFileError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
@@ -91,10 +99,8 @@ def network_from_dict(raw: dict, context: str = "network") -> Network:
             raise NetworkFileError(f"{context}: missing section '{section}'")
 
     fluid = _parse_record(raw["fluid"], FLUID_KEYS, FluidSpec, f"{context}: fluid")
-    nodes = [_parse_record(n, NODE_KEYS, NodeSpec, f"{context}: nodes[{i}]")
-             for i, n in enumerate(_as_list(raw["nodes"], f"{context}: nodes"))]
-    pipes = [_parse_record(p, PIPE_KEYS, Pipe, f"{context}: pipes[{i}]")
-             for i, p in enumerate(_as_list(raw["pipes"], f"{context}: pipes"))]
+    nodes = _parse_section(raw["nodes"], NODE_KEYS, NodeSpec, f"{context}: nodes")
+    pipes = _parse_section(raw["pipes"], PIPE_KEYS, Pipe, f"{context}: pipes")
 
     loops = None
     if "loops" in raw:
@@ -111,15 +117,14 @@ def network_from_dict(raw: dict, context: str = "network") -> Network:
     initial = None
     if "initial_flows" in raw:
         initial = {}
-        for i, row in enumerate(_as_list(raw["initial_flows"],
-                                         f"{context}: initial_flows")):
-            ctx = f"{context}: initial_flows[{i}]"
-            _reject_unknown(row, {"pipe", "flow_m3h"}, ctx)
-            pid = _get(row, "pipe", int, ctx)
-            flow = _get(row, "flow_m3h", float, ctx)
+
+        def add_flow(pid, flow):    # once per row, in order, as either path builds it
             if pid in initial:
-                raise NetworkFileError(f"{ctx}: second flow for pipe {pid}")
+                raise NetworkFileError(f"{context}: initial_flows[{len(initial)}]: "
+                                       f"second flow for pipe {pid}")
             initial[pid] = flow
+
+        _parse_section(raw["initial_flows"], FLOW_KEYS, add_flow, f"{context}: initial_flows")
 
     reference = raw.get("reference_node")
     if reference is not None:
@@ -141,20 +146,14 @@ def _as_list(value, context: str) -> list:
     return value
 
 
-def _reject_unknown(obj: dict, allowed: AbstractSet[str], context: str) -> None:
-    if not isinstance(obj, dict):
-        raise NetworkFileError(f"{context}: expected an object")
-    if not obj.keys() <= allowed:
-        raise NetworkFileError(f"{context}: unknown key(s) {sorted(obj.keys() - allowed)}")
-
-
 def _get(obj: dict, key: str, kind, context: str):
     if key not in obj:
         raise NetworkFileError(f"{context}: missing key '{key}'")
     value = obj[key]
+    types, name = KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise NetworkFileError(f"{context}: '{key}' must be {name}")
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise NetworkFileError(f"{context}: '{key}' must be a number")
         try:
             value = float(value)
         except OverflowError:
@@ -162,17 +161,8 @@ def _get(obj: dict, key: str, kind, context: str):
                 f"{context}: '{key}' is too large for a floating-point number") from None
         if not isfinite(value):
             raise NetworkFileError(f"{context}: '{key}' must be finite, got {value!r}")
-        return value
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise NetworkFileError(f"{context}: '{key}' must be an integer")
-        return value
-    if kind is str and not isinstance(value, str):
-        raise NetworkFileError(f"{context}: '{key}' must be a string")
-    if kind is NodeId and (isinstance(value, bool) or not isinstance(value, NodeId)):
-        raise NetworkFileError(f"{context}: '{key}' must be a string or an integer")
     # A JSON escape can spell a lone surrogate, which no UTF-8 output can encode.
-    if isinstance(value, str) and not value.isascii():
+    elif isinstance(value, str) and not value.isascii():
         try:
             value.encode("utf-8")
         except UnicodeEncodeError:
@@ -182,15 +172,54 @@ def _get(obj: dict, key: str, kind, context: str):
 
 
 def _parse_record(obj, keys: dict, cls, context: str):
-    """One fluid, node or pipe record, checked and passed on in table order
+    """One fluid, node, pipe or flow record, checked and passed on in table order
     (by position, which is faster than by keyword); a missing optional key
     takes the field's default, which a dataclass keeps as a class attribute."""
-    _reject_unknown(obj, keys.keys(), context)
+    if not isinstance(obj, dict):
+        raise NetworkFileError(f"{context}: expected an object")
+    if not obj.keys() <= keys.keys():
+        raise NetworkFileError(f"{context}: unknown key(s) {sorted(obj.keys() - keys.keys())}")
     values = []
     for key, (name, kind, required) in keys.items():
         values.append(_get(obj, key, kind, context) if required or key in obj
                       else getattr(cls, name))
     return cls(*values)
+
+
+def _parse_section(records, keys: dict, cls, context: str) -> list:
+    """A section's records, built a column at a time, or one record at a
+    time when a column check fails, so that the first bad one is named."""
+    records = _as_list(records, context)
+    columns = _columns(records, keys, cls)
+    if columns is None:
+        return [_parse_record(r, keys, cls, f"{context}[{i}]") for i, r in enumerate(records)]
+    return list(map(cls, *columns))
+
+
+def _columns(records: list, keys: dict, cls) -> list[list] | None:
+    """The values `_parse_record` would pass on, one column per key, or None
+    where it could reject a record.  A non-ASCII string is left to it, for
+    its lone-surrogate check."""
+    if not (set(map(type, records)) <= {dict} and set().union(*records) <= keys.keys()):
+        return None
+    columns = []
+    for key, (name, kind, required) in keys.items():
+        # A missing required key reads as None, which is of no kind.
+        column = [r.get(key, None if required else getattr(cls, name)) for r in records]
+        types = set(map(type, column))
+        if not types <= set(KINDS[kind][0]) or str in types and \
+                not "".join([v for v in column if type(v) is str]).isascii():
+            return None
+        if kind is float:
+            try:
+                column = np.array(column, dtype=float)
+            except OverflowError:
+                return None
+            if not np.isfinite(column).all():
+                return None
+            column = column.tolist()
+        columns.append(column)
+    return columns
 
 
 def network_to_dict(net: Network) -> dict:
@@ -276,10 +305,26 @@ def _csv_text(rows) -> str:
 
 
 def read_flows_csv(path: str | Path) -> dict[PipeId, float]:
-    """Fixed-flow table for the sizing command: columns pipe, flow_m3h."""
-    flows: dict[PipeId, float] = {}
+    """Fixed-flow table for the sizing command: columns pipe, flow_m3h,
+    found by name in the header.  Blank lines are skipped and not counted
+    in the row numbers of messages."""
+    # A column at a time, read as `csv.DictReader` reads: the first line is
+    # the header, the last column of a name counts, a blank line is no row.
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header, *body = csv.reader(fh)
+        column = {name: i for i, name in enumerate(header)}
+        body = list(filter(None, body))
+        pids = list(map(int, map(itemgetter(column["pipe"]), body)))
+        values = list(map(float, map(itemgetter(column["flow_m3h"]), body)))
+        flows = dict(zip(pids, values))
+        if len(flows) == len(body) and all(map(isfinite, values)):
+            return flows
+    except (csv.Error, LookupError, ValueError):    # also not UTF-8, or no header line
+        pass
+    flows = {}      # The row loop names the first bad row.
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or \
                     {"pipe", "flow_m3h"} - set(reader.fieldnames):

@@ -49,6 +49,14 @@ def matrix_by_pipe_id(net, basis) -> np.ndarray:
     return out
 
 
+def field_types(net) -> list[tuple[type, ...]]:
+    """The type of every field of every node and pipe record, and of every
+    initial flow's pipe id and flow, of a parsed network."""
+    flows = (net.initial_flows_m3h or {}).items()
+    return ([tuple(map(type, vars(record).values())) for record in net.nodes + net.pipes]
+            + [(type(pid), type(q)) for pid, q in flows])
+
+
 def incident_pipes(net) -> dict:
     """Per node id, the pipes ending there, read from the network's
     compressed incidence rows."""

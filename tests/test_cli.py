@@ -352,6 +352,15 @@ class TestSize:
         assert out == ""
         assert err.startswith(f"error: {flows_csv}: unreadable table: ") and err.count("\n") == 1
 
+    def test_flows_csv_with_byte_order_mark(self, gas_path, tmp_path, capsys):
+        flows_csv = tmp_path / "bom.csv"
+        write_flows_csv(solve_node_loop(_load(gas_path), SolverConfig()).final_flows,
+                        flows_csv)
+        flows_csv.write_bytes(b"\xef\xbb\xbf" + flows_csv.read_bytes())
+        code, out, err = run(capsys, "size", str(gas_path), "--flows", str(flows_csv))
+        assert code == 0, err
+        assert "(converged)" in out
+
     def test_stall_prints_its_reason(self, tmp_path, capsys):
         path = tmp_path / "tree.json"
         path.write_text(json.dumps(stalling_tree()))

@@ -3,11 +3,14 @@
 import dataclasses
 import json
 import math
+import random
 import re
 from importlib import resources
+from unittest import mock
 
 import pytest
 
+from loopflow import fileio
 from loopflow.fileio import (
     FLUID_KEYS,
     NODE_KEYS,
@@ -22,10 +25,11 @@ from loopflow.fileio import (
     write_network,
     write_trace,
 )
-from loopflow.model import FluidSpec, NodeSpec, Pipe
+from loopflow.model import FluidSpec, NodeSpec, Pipe, validate
 from loopflow.solvers import SolverConfig, solve_node_loop
 
 import fixture_tables as tables
+from conftest import field_types, perfbench_networks
 
 # Input files no reader can take as text, each with the message's start.
 UNREADABLE_NETWORKS = {"not-utf8": b"\xff\xfe{}", "nested-too-deep": b"[" * 100000}
@@ -201,6 +205,14 @@ class TestParseNetwork:
         with pytest.raises(NetworkFileError, match="bad.json: parse error: "):
             parse_network(path)
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # Excel's "CSV UTF-8" and some editors start a UTF-8 file with one.
+        path = tmp_path / "bom.json"
+        path.write_text("\ufeff" + json.dumps(fixture_dict("fixture_gas.json")),
+                        encoding="utf-8")
+        assert parse_network(path) == parse_network(fixture_path("fixture_gas.json",
+                                                                 tmp_path))
+
     def test_duplicate_initial_flow_rejected(self):
         raw = fixture_dict("fixture_gas.json")
         raw["initial_flows"].append({"pipe": 1, "flow_m3h": 999.0})
@@ -217,6 +229,29 @@ class TestParseNetwork:
         path.write_text(json.dumps(raw))
         with pytest.raises(NetworkFileError, match="mix strings and integers"):
             parse_network(path)
+
+
+@pytest.mark.parametrize("workload", ["branched", "meshed"])
+def test_column_path_parses_benchmark_networks_as_the_record_path(workload):
+    # The first network of each workload's seed-0 batch: a 1200-node tree
+    # with its fixed flows as the initial flows, or an 11 x 11 grid.
+    networks = perfbench_networks()
+    rng = random.Random(f"{workload}:0")
+    if workload == "branched":
+        raw = networks.tree_with_closures(1200, 10, "gas", rng)
+        raw["initial_flows"] = [{"pipe": pid, "flow_m3h": q}
+                                for pid, q in networks.balanced_flows(raw, rng).items()]
+    else:
+        raw = networks.grid(11, 11, "gas", rng)
+    for section, keys, cls in (("nodes", NODE_KEYS, NodeSpec), ("pipes", PIPE_KEYS, Pipe),
+                               ("initial_flows", fileio.FLOW_KEYS, None)):
+        assert fileio._columns(raw.get(section, []), keys, cls) is not None
+    by_column = network_from_dict(raw)
+    with mock.patch.object(fileio, "_columns", return_value=None):
+        by_record = network_from_dict(raw)
+    assert by_column == by_record
+    assert field_types(by_column) == field_types(by_record)
+    assert validate(by_column) == validate(by_record) == []
 
 
 def mixed_node_ids_dict() -> dict:
@@ -366,3 +401,32 @@ class TestFlowsCsv:
         path.write_bytes(content)
         with pytest.raises(NetworkFileError, match="flows.csv: unreadable table: "):
             read_flows_csv(path)
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        path.write_bytes(b"\xef\xbb\xbfpipe,flow_m3h\n1,5.0\n2,-2.5\n")
+        assert read_flows_csv(path) == {1: 5.0, 2: -2.5}
+
+    def test_blank_lines_skipped_and_not_counted(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        path.write_text("pipe,flow_m3h\n1,5.0\n\n2,-2.5\n\n")
+        assert read_flows_csv(path) == {1: 5.0, 2: -2.5}
+        path.write_text("pipe,flow_m3h\n1,5.0\n\n2,x\n")
+        with pytest.raises(NetworkFileError,
+                           match="bad row 3: could not convert string to float: 'x'"):
+            read_flows_csv(path)
+
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        path.write_text("pipe,flow_m3h\n1,5.0\n2\n")
+        with pytest.raises(NetworkFileError,
+                           match=r"flows.csv: bad row 3: float\(\) argument must be "
+                                 r"a string or a (real )?number, not 'NoneType'"):
+            read_flows_csv(path)
+
+    def test_columns_found_by_name(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        path.write_text("flow_m3h,pipe\n5.0,1\n-2.5,2\n")
+        assert read_flows_csv(path) == {1: 5.0, 2: -2.5}
+        path.write_text("pipe,note,flow_m3h\n1,main,5.0\n2,,-2.5,spare\n")
+        assert read_flows_csv(path) == {1: 5.0, 2: -2.5}

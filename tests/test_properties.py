@@ -1,14 +1,22 @@
 """Properties of the Newton methods on random street grids and ringed mains
-drawn from the benchmark's generators (`perfbench/networks.py`)."""
+drawn from the benchmark's generators (`perfbench/networks.py`), and of the
+file readers on mutated networks and random flow tables."""
 
+import copy
+import csv
+import json
+import math
 import random
+from importlib import resources
+from unittest import mock
 
 import pytest
 
-from loopflow.fileio import network_from_dict
+from loopflow import fileio
+from loopflow.fileio import NetworkFileError, network_from_dict, read_flows_csv
 from loopflow.solvers import HARDY_CROSS_IMPROVED, NODE_LOOP, SolverConfig, solve
 
-from conftest import node_balance_residuals_m3h, perfbench_networks
+from conftest import field_types, node_balance_residuals_m3h, perfbench_networks
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -41,3 +49,139 @@ def test_node_loop_and_improved_hardy_cross_take_the_same_passes(net):
         for state in (a, b):
             worst_m3h = max(map(abs, node_balance_residuals_m3h(net, state.flows).values()))
             assert worst_m3h / 3600.0 <= 1e-9
+
+
+def reader_bases() -> list[dict]:
+    """The gas fixture (string node ids, explicit loops, initial flows) and
+    a small water grid (integer ids) given a balanced initial flow pattern."""
+    gas = json.loads(resources.files("loopflow").joinpath("data/fixture_gas.json").read_text())
+    networks, rng = perfbench_networks(), random.Random(0)
+    grid = networks.grid(3, 4, "water", rng)
+    grid["initial_flows"] = [{"pipe": pid, "flow_m3h": q}
+                             for pid, q in networks.balanced_flows(grid, rng).items()]
+    return [gas, grid]
+
+
+# Values a mutation gives a key or puts in place of a record: every kind
+# the readers take or reject, and numbers at the edges of a float.
+ODD_VALUES = [True, False, None, [1], {"id": 1}, 0, -3, 2.5, -0.0, "", "I", "XI", "é", "\ud800",
+              "x\udfff", math.nan, math.inf, -math.inf, 1e400, 10**400, -(10**400),
+              2**53 + 1, -(2**53 + 1), 2**64 + 1, 5e-324]
+
+
+@st.composite
+def mutated_networks(draw):
+    raw = copy.deepcopy(draw(st.sampled_from(reader_bases())))
+    values = st.sampled_from(ODD_VALUES) | st.sampled_from(ODD_VALUES) | st.integers() | st.floats()
+    for _ in range(draw(st.integers(1, 2))):
+        records = raw[draw(st.sampled_from(["nodes", "pipes", "initial_flows"]))]
+        k = draw(st.integers(0, len(records) - 1))
+        action = draw(st.sampled_from(["set"] * 6 + ["delete", "extra", "replace", "repeat"]))
+        if action == "replace":
+            records[k] = draw(st.sampled_from(ODD_VALUES))
+        elif action == "repeat":
+            records.append(copy.deepcopy(records[k]))
+        elif isinstance(records[k], dict) and records[k]:
+            if action == "extra":
+                records[k]["extra"] = 1.0
+            elif action == "delete":
+                del records[k][draw(st.sampled_from(sorted(records[k])))]
+            else:
+                records[k][draw(st.sampled_from(sorted(records[k])))] = draw(values)
+    return raw
+
+
+def read_network(raw: dict):
+    try:
+        return network_from_dict(raw)
+    except NetworkFileError as exc:
+        return str(exc)
+
+
+def assert_column_path_reads_as_the_record_path(raw: dict) -> None:
+    # The record path, which names the first bad record, is the oracle:
+    # the same network, field types included, or the same message.
+    by_column = read_network(raw)
+    with mock.patch.object(fileio, "_columns", return_value=None):
+        by_record = read_network(raw)
+    assert by_column == by_record
+    if not isinstance(by_column, str):
+        assert field_types(by_column) == field_types(by_record)
+
+
+def test_column_path_reads_every_single_mutation_as_the_record_path():
+    for base in reader_bases():
+        for section in ("nodes", "pipes", "initial_flows"):
+            record = base[section][1]
+            mutations = [{**record, "extra": 1.0}]
+            mutations += [{k: v for k, v in record.items() if k != key} for key in record]
+            mutations += [{**record, key: value} for key in record for value in ODD_VALUES]
+            for mutation in mutations + ODD_VALUES:
+                raw = copy.deepcopy(base)
+                raw[section][1] = mutation
+                assert_column_path_reads_as_the_record_path(raw)
+
+
+@hypothesis.settings(max_examples=600, deadline=None, derandomize=True)
+@hypothesis.given(mutated_networks())
+def test_column_path_reads_mutated_networks_as_the_record_path(raw):
+    assert_column_path_reads_as_the_record_path(raw)
+
+
+def dict_reader_flows(path) -> dict | str:
+    """The flow table read row by row through `csv.DictReader`: the flows,
+    or the message, that `read_flows_csv` must give."""
+    flows = {}
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or {"pipe", "flow_m3h"} - set(reader.fieldnames):
+                return f"{path}: expected CSV header with columns 'pipe,flow_m3h'"
+            for i, row in enumerate(reader, start=2):
+                try:
+                    pid, flow = int(row["pipe"]), float(row["flow_m3h"])
+                except (TypeError, ValueError) as exc:
+                    return f"{path}: bad row {i}: {exc}"
+                if not math.isfinite(flow):
+                    return f"{path}: row {i}: 'flow_m3h' must be finite, got {flow!r}"
+                if pid in flows:
+                    return f"{path}: row {i}: second flow for pipe {pid}"
+                flows[pid] = flow
+    except (csv.Error, UnicodeDecodeError) as exc:
+        return f"{path}: unreadable table: {exc}"
+    return flows
+
+
+# Cells of a flow table: integers and numbers in the forms `int` and
+# `float` take or refuse, and text.
+CSV_CELLS = ["1", "2", "3", "4", "5", "6", "-7", " 8", "1_0", "5.0", "-2.5e3", "1e400", "nan",
+             "-inf", "0x1", "x", "", '"2"', "\u00e9"]
+
+
+@st.composite
+def flow_tables(draw) -> bytes:
+    """A header of the two columns, an extra one and repeats in any order,
+    then rows of any length (an empty one is a blank line)."""
+    header = draw(st.lists(st.sampled_from(["pipe", "flow_m3h", "note"]), max_size=4))
+    cells = st.sampled_from(CSV_CELLS)
+    row = st.lists(cells, min_size=len(header), max_size=len(header)) | st.lists(cells, max_size=4)
+    rows = draw(st.lists(row, max_size=8))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return (bom + end.join(",".join(row) for row in [header, *rows]) + end).encode()
+
+
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables") / "flows.csv"
+
+
+@hypothesis.settings(max_examples=600, deadline=None, derandomize=True)
+@hypothesis.given(flow_tables() | st.binary(max_size=60))
+def test_flow_table_reads_as_dict_reader_or_raises_network_file_error(table_path, content):
+    table_path.write_bytes(content)
+    try:
+        got = read_flows_csv(table_path)
+    except NetworkFileError as exc:
+        got = str(exc)
+    assert got == dict_reader_flows(table_path)
