@@ -11,8 +11,8 @@ declaration of the fluid, node and pipe records: each maps a JSON key to
 (model field, value kind, required) in the order of the model's fields,
 which is the order keys are checked and written.  Reading gives a missing
 optional key the model's default; writing leaves out fields that are None.
-Sections and flow tables are read a column at a time, or one record at a
-time to name the first bad one.  A UTF-8 byte-order mark is skipped.
+Sections are checked a column at a time, then record by record to name
+the first bad one.  A UTF-8 byte-order mark is skipped.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import json
 from math import isfinite
 from operator import itemgetter
 from pathlib import Path
-
-import numpy as np
 
 from .model import (
     FluidSpec,
@@ -117,13 +115,11 @@ def network_from_dict(raw: dict, context: str = "network") -> Network:
     initial = None
     if "initial_flows" in raw:
         initial = {}
-
         def add_flow(pid, flow):    # once per row, in order, as either path builds it
             if pid in initial:
                 raise NetworkFileError(f"{context}: initial_flows[{len(initial)}]: "
                                        f"second flow for pipe {pid}")
             initial[pid] = flow
-
         _parse_section(raw["initial_flows"], FLOW_KEYS, add_flow, f"{context}: initial_flows")
 
     reference = raw.get("reference_node")
@@ -189,8 +185,7 @@ def _parse_record(obj, keys: dict, cls, context: str):
 def _parse_section(records, keys: dict, cls, context: str) -> list:
     """A section's records, built a column at a time, or one record at a
     time when a column check fails, so that the first bad one is named."""
-    records = _as_list(records, context)
-    columns = _columns(records, keys, cls)
+    columns = _columns(_as_list(records, context), keys, cls)
     if columns is None:
         return [_parse_record(r, keys, cls, f"{context}[{i}]") for i, r in enumerate(records)]
     return list(map(cls, *columns))
@@ -198,8 +193,7 @@ def _parse_section(records, keys: dict, cls, context: str) -> list:
 
 def _columns(records: list, keys: dict, cls) -> list[list] | None:
     """The values `_parse_record` would pass on, one column per key, or None
-    where it could reject a record.  A non-ASCII string is left to it, for
-    its lone-surrogate check."""
+    where it could reject a record or must check a non-ASCII string."""
     if not (set(map(type, records)) <= {dict} and set().union(*records) <= keys.keys()):
         return None
     columns = []
@@ -210,15 +204,12 @@ def _columns(records: list, keys: dict, cls) -> list[list] | None:
         if not types <= set(KINDS[kind][0]) or str in types and \
                 not "".join([v for v in column if type(v) is str]).isascii():
             return None
-        if kind is float:
-            try:
-                column = np.array(column, dtype=float)
-            except OverflowError:
-                return None
-            if not np.isfinite(column).all():
-                return None
-            column = column.tolist()
-        columns.append(column)
+        try:    # numbers as `_get` converts them, so 2**53 + 1 rounds the same
+            columns.append(list(map(float, column)) if kind is float else column)
+        except OverflowError:
+            return None
+        if kind is float and not all(map(isfinite, columns[-1])):
+            return None
     return columns
 
 
@@ -305,34 +296,22 @@ def _csv_text(rows) -> str:
 
 
 def read_flows_csv(path: str | Path) -> dict[PipeId, float]:
-    """Fixed-flow table for the sizing command: columns pipe, flow_m3h,
-    found by name in the header.  Blank lines are skipped and not counted
-    in the row numbers of messages."""
-    # A column at a time, read as `csv.DictReader` reads: the first line is
-    # the header, the last column of a name counts, a blank line is no row.
+    """Fixed-flow table for the sizing command: columns pipe, flow_m3h, found
+    by name in the header; blank lines are skipped and not counted as rows."""
+    flows = {}
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            header, *body = csv.reader(fh)
-        column = {name: i for i, name in enumerate(header)}
-        body = list(filter(None, body))
-        pids = list(map(int, map(itemgetter(column["pipe"]), body)))
-        values = list(map(float, map(itemgetter(column["flow_m3h"]), body)))
-        flows = dict(zip(pids, values))
-        if len(flows) == len(body) and all(map(isfinite, values)):
-            return flows
-    except (csv.Error, LookupError, ValueError):    # also not UTF-8, or no header line
-        pass
-    flows = {}      # The row loop names the first bad row.
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or \
-                    {"pipe", "flow_m3h"} - set(reader.fieldnames):
+            rows = csv.reader(fh)   # read as `csv.DictReader` reads, a short row as None
+            header = next(rows, [])
+            column = {name: i for i, name in enumerate(header)}
+            if {"pipe", "flow_m3h"} - column.keys():
                 raise NetworkFileError(
                     f"{path}: expected CSV header with columns 'pipe,flow_m3h'")
-            for i, row in enumerate(reader, start=2):
+            cells, pad = itemgetter(column["pipe"], column["flow_m3h"]), [None] * len(header)
+            for i, row in enumerate(filter(None, rows), start=2):
                 try:
-                    pid, flow = int(row["pipe"]), float(row["flow_m3h"])
+                    pid, flow = cells(row + pad)
+                    pid, flow = int(pid), float(flow)
                 except (TypeError, ValueError) as exc:
                     raise NetworkFileError(f"{path}: bad row {i}: {exc}") from exc
                 if not isfinite(flow):
