@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 validation/parse failure, 2 solver did not
 converge (a diverged solve prints one error line and no flow table) or the
 sizing problem is infeasible, 3 I/O failure.
+
+`main` alone turns an OSError into exit 3 and a ValueError (bad options,
+files or inputs) into exit 1, each with one `error:` line; the commands
+return the other codes, exit 2 on an infeasible pressure (a ValueError) too.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except fileio.NetworkFileError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
@@ -79,11 +83,7 @@ def cmd_check(args) -> int:
           f"{net.loop_count} loops")
     print("connected: yes")
     if net.explicit_loops:
-        try:
-            solvers.select_basis(net)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+        solvers.select_basis(net)
         print(f"explicit loops: {len(net.explicit_loops)} valid")
     else:
         print("note: loops will be derived")
@@ -92,16 +92,10 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     if args.pressures and not 0.0 < args.source_pressure_pa < float("inf"):
-        print(f"error: --source-pressure-pa must be finite and > 0, got "
-              f"{args.source_pressure_pa!r}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError(f"--source-pressure-pa must be finite and > 0, got "
+                         f"{args.source_pressure_pa!r}")
     net = fileio.parse_network(args.path)
-    config = SolverConfig(method=args.method)
-    try:
-        report = solvers.solve(net, config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    report = solvers.solve(net, SolverConfig(method=args.method))
 
     # The kept passes of a diverged run are finite but meaningless as a
     # result: it prints only its trace note and one error line.
@@ -151,16 +145,10 @@ def cmd_size(args) -> int:
     try:
         lo, hi = (float(v) for v in args.bounds.split(","))
     except ValueError:
-        print(f"error: --bounds expects 'LO,HI', got {args.bounds!r}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError(f"--bounds expects 'LO,HI', got {args.bounds!r}") from None
 
     config = sizing.SizingConfig(fixed_flows=fixed, diameter_bounds=(lo, hi))
-    try:
-        report = sizing.optimize_diameters(net, solvers.select_basis(net), config)
-    except (sizing.SizingInfeasibleError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    report = sizing.optimize_diameters(net, solvers.select_basis(net), config)
 
     unit = RESIDUAL_UNIT[net.fluid.kind]
     print(f"iterations: {report.iteration_count} ({report.termination})")

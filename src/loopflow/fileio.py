@@ -24,13 +24,17 @@ from math import isfinite
 from operator import itemgetter
 from pathlib import Path
 
+import numpy as np
+
 from .model import (
+    M3H_PER_M3S,
     FluidSpec,
     FlowState,
     Network,
     NodeId,
     NodeSpec,
     Pipe,
+    PipeArrays,
     PipeId,
     SolveReport,
     validate,
@@ -246,26 +250,12 @@ def trace_rows(report: SolveReport, net: Network) -> list[list[str]]:
     sign is relative to the previous column's direction (a negative cell
     marks the pass where a pipe's flow reversed).
     """
-    states = [state.as_m3h() for state in report.iterations]
-    header = ["pipe", "initial"]
-    header += [str(k) for k in range(1, len(states))]
-    header.append("velocity_m_s")
-
-    rows = [header]
-    for p in net.pipes:
-        cells = [str(p.id)]
-        previous = None
-        for state in states:
-            q_m3h = state[p.id]
-            if previous is None:
-                cells.append(f"{q_m3h:.2f}")
-            else:
-                relative = q_m3h if previous >= 0.0 else -q_m3h
-                cells.append(f"{relative:.2f}")
-            previous = q_m3h
-        cells.append(f"{report.velocities[p.id]:.2f}")
-        rows.append(cells)
-    return rows
+    pipes = PipeArrays.of(net)
+    q = np.array([pipes.flows(state) for state in report.iterations]) * M3H_PER_M3S
+    q[1:] = np.where(q[:-1] >= 0.0, q[1:], -q[1:])
+    header = ["pipe", "initial", *map(str, range(1, len(q))), "velocity_m_s"]
+    return [header] + [[str(pid), *(f"{v:.2f}" for v in flows), f"{report.velocities[pid]:.2f}"]
+                       for pid, flows in zip(pipes.ids, q.T.tolist())]
 
 
 def write_trace(report: SolveReport, net: Network, path: str | Path) -> None:
@@ -278,13 +268,9 @@ def format_trace(report: SolveReport, net: Network) -> str:
 
 def write_sizing_trace(report, net: Network, path: str | Path) -> None:
     """Per-iteration diameter table: one row per pipe, one column per pass."""
-    header = ["pipe", "initial"]
-    header += [str(k) for k in range(1, len(report.diameter_history))]
-    rows = [header]
-    for p in net.pipes:
-        cells = [str(p.id)]
-        cells += [f"{diam[p.id]:.6f}" for diam in report.diameter_history]
-        rows.append(cells)
+    history = report.diameter_history
+    rows = [["pipe", "initial", *map(str, range(1, len(history)))]]
+    rows += [[str(p.id), *(f"{diam[p.id]:.6f}" for diam in history)] for p in net.pipes]
     Path(path).write_text(_csv_text(rows), encoding="utf-8", newline="")
 
 
@@ -300,26 +286,26 @@ def read_flows_csv(path: str | Path) -> dict[PipeId, float]:
     by name in the header; blank lines are skipped and not counted as rows."""
     flows = {}
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = csv.reader(fh)   # read as `csv.DictReader` reads, a short row as None
-            header = next(rows, [])
-            column = {name: i for i, name in enumerate(header)}
-            if {"pipe", "flow_m3h"} - column.keys():
-                raise NetworkFileError(
-                    f"{path}: expected CSV header with columns 'pipe,flow_m3h'")
-            cells, pad = itemgetter(column["pipe"], column["flow_m3h"]), [None] * len(header)
-            for i, row in enumerate(filter(None, rows), start=2):
-                try:
-                    pid, flow = cells(row + pad)
-                    pid, flow = int(pid), float(flow)
-                except (TypeError, ValueError) as exc:
-                    raise NetworkFileError(f"{path}: bad row {i}: {exc}") from exc
-                if not isfinite(flow):
-                    raise NetworkFileError(
-                        f"{path}: row {i}: 'flow_m3h' must be finite, got {flow!r}")
-                if pid in flows:
-                    raise NetworkFileError(f"{path}: row {i}: second flow for pipe {pid}")
-                flows[pid] = flow
+        # Decoded whole, so a table not in UTF-8 is refused at any size, and
+        # read as `csv.DictReader` reads, a short row as None.
+        text = Path(path).read_bytes().decode("utf-8-sig")
+        rows = csv.reader(io.StringIO(text, newline=""))
+        header = next(rows, [])
+        column = {name: i for i, name in enumerate(header)}
+        if {"pipe", "flow_m3h"} - column.keys():
+            raise NetworkFileError(f"{path}: expected CSV header with columns 'pipe,flow_m3h'")
+        cells, pad = itemgetter(column["pipe"], column["flow_m3h"]), [None] * len(header)
+        for i, row in enumerate(filter(None, rows), start=2):
+            try:
+                pid, flow = cells(row + pad)
+                pid, flow = int(pid), float(flow)
+            except (TypeError, ValueError) as exc:
+                raise NetworkFileError(f"{path}: bad row {i}: {exc}") from exc
+            if not isfinite(flow):
+                raise NetworkFileError(f"{path}: row {i}: 'flow_m3h' must be finite, got {flow!r}")
+            if pid in flows:
+                raise NetworkFileError(f"{path}: row {i}: second flow for pipe {pid}")
+            flows[pid] = flow
     except (csv.Error, UnicodeDecodeError) as exc:    # a field over the csv limit, or not UTF-8
         raise NetworkFileError(f"{path}: unreadable table: {exc}") from exc
     return flows

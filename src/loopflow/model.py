@@ -414,6 +414,22 @@ def _flow_violations(net: Network, flows: Mapping[PipeId, float],
     return violations
 
 
+def _checked_flows(net: Network, flows: Mapping[PipeId, float], what: str,
+                   error: type[ValueError], balanced: bool) -> np.ndarray:
+    """Flows given per pipe id, m³/s, in pipe order; raises `error` unless
+    `_flow_violations` finds none and, if `balanced`, they meet every node
+    balance (a NaN imbalance fails `not <=`)."""
+    problems = _flow_violations(net, flows, what)
+    if problems:
+        raise error(f"invalid {what}s: " + "; ".join(problems))
+    q = np.array([flows[pid] for pid in PipeArrays.of(net).ids])
+    if balanced:
+        worst = np.abs(_imbalances(net, q.tolist())).max()
+        if not worst <= NODE_BALANCE_TOL_M3S:
+            raise error(f"{what}s violate node balances by {worst:.3e} m3/s")
+    return q
+
+
 def _record_violations(net: Network) -> list[str]:
     """`validate`'s checks of the node and pipe records, one at a time."""
     violations: list[str] = []

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fluids import RESIDUAL_UNIT, make_fluid_model
-from .model import (FlowState, History, Network, NODE_BALANCE_TOL_M3S, PipeArrays, PipeId,
-                    _flow_violations, _imbalances, _require_valid)
+from .model import FlowState, History, Network, PipeArrays, PipeId, _checked_flows, _require_valid
 from .solvers import DEFAULT_RESIDUAL_TOLERANCE
 from .topology import LoopBasis
 
@@ -97,16 +96,8 @@ def optimize_diameters(net: Network, basis: LoopBasis,
     _require_valid(net)
     pipes = PipeArrays.of(net)
     basis.check_network(net)
-    flows = config.fixed_flows
-    problems = _flow_violations(net, flows.flows, "fixed flow")
-    if problems:
-        raise SizingInfeasibleError("invalid fixed flows: " + "; ".join(problems))
-    q = pipes.flows(flows)
-    # numpy's max keeps a NaN imbalance; `not <=` then rejects it.
-    worst_imbalance = np.abs(_imbalances(net, q.tolist())).max()
-    if not worst_imbalance <= NODE_BALANCE_TOL_M3S:
-        raise SizingInfeasibleError(
-            f"fixed flows violate node balances by {worst_imbalance:.3e} m3/s")
+    q = _checked_flows(net, config.fixed_flows.flows, "fixed flow", SizingInfeasibleError,
+                       balanced=True)
 
     # Everything below runs on the core: its flows, geometry and diameters.
     loops = basis.core_matrix

@@ -36,7 +36,6 @@ import numpy as np
 from .fluids import RESIDUAL_UNIT, make_fluid_model
 from .model import (
     GAS,
-    NODE_BALANCE_TOL_M3S,
     WATER,
     FlowState,
     History,
@@ -45,8 +44,7 @@ from .model import (
     PipeArrays,
     PipeId,
     SolveReport,
-    _flow_violations,
-    _imbalances,
+    _checked_flows,
     _require_valid,
     m3h_to_m3s,
     m3s_to_m3h,
@@ -269,25 +267,15 @@ def solve_hardy_cross_improved(net: Network, config: SolverConfig | None = None,
 def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
              method: str, step) -> SolveReport:
     _require_valid(net)
-
     if initial is None and net.initial_flows_m3h is not None:
         initial = FlowState({pid: m3h_to_m3s(q) for pid, q in net.initial_flows_m3h.items()})
-    elif initial is not None:
-        problems = _flow_violations(net, initial.flows)
-        if problems:
-            raise ValueError("invalid initial flows: " + "; ".join(problems))
-    pipes = PipeArrays.of(net)
-    start = None if initial is None else pipes.flows(initial)
     # Both Hardy Cross methods change the flows only around loops
     # (q += BᵀΔ), which leaves every node balance as the start has it.
-    if start is not None and method != NODE_LOOP:
-        worst = max(map(abs, _imbalances(net, start.tolist())), default=0.0)
-        if not worst <= NODE_BALANCE_TOL_M3S:
-            raise ValueError(f"initial flows violate node balances by {worst:.3e} m3/s")
+    start = net._start if initial is None else _checked_flows(
+        net, initial.flows, "initial flow", ValueError, balanced=method != NODE_LOOP)
+    pipes = PipeArrays.of(net)
     basis = select_basis(net)
     floor = config.derivative_flow_floor
-    if start is None:
-        start = net._start
     loop_eval = evaluate_loops(net, basis, start, floor)
     residual_tol = config.resolved_residual_tolerance(net.fluid.kind)
     flow_history = [loop_eval.flows]

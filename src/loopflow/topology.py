@@ -12,7 +12,6 @@ core, the pipes that lie in a loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -133,7 +132,7 @@ def adopt_explicit_loops(net: Network) -> LoopBasis:
     determinant) proves it; only a block singular mod 2, such as the three
     4-cycles of K4, needs `exact_rank`, on the links among B's core
     columns (a link in no loop would be a zero column, which leaves the
-    rank as it is).
+    rank as it is); it eliminates in integers, with exact divisions.
     """
     if not net.explicit_loops:
         raise ValueError("network definition carries no explicit loops")
@@ -212,23 +211,21 @@ def _gf2_rank(rows: list[int]) -> int:
 
 
 def exact_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals by exact Gaussian elimination."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    if not m:
-        return 0
-    n_cols = len(m[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+    """Rank over the rationals by fraction-free integer elimination (Bareiss
+    1968): after k pivots each entry below them is a (k+1)-minor of the
+    input, so the division by the pivot before last that yields it is exact."""
+    m = [list(row) for row in rows]
+    rank, previous = 0, 1
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        top, p = m[rank], m[rank][col]
+        for r in range(rank + 1, len(m)):
+            a = m[r][col]
+            m[r] = [(p * v - a * w) // previous for v, w in zip(m[r], top)]
+        previous = p
         rank += 1
         if rank == len(m):
             break

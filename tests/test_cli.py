@@ -206,6 +206,16 @@ class TestSolve:
         assert err == (f"error: --source-pressure-pa must be finite and > 0, "
                        f"got {float(value)!r}\n")
 
+    def test_infeasible_pressure_exits_2_with_one_error_line(self, gas_path, capsys):
+        # InfeasiblePressureError is a ValueError, which `main` would turn
+        # into exit 1: the solve command keeps its own exit 2.
+        code, out, err = run(capsys, "solve", str(gas_path), "--pressures",
+                             "--source-pressure-pa", "1000")
+        assert code == EXIT_NO_CONVERGENCE
+        assert "(converged)" in out and "node pressures" not in out
+        assert err == ("error: negative squared pressure at node 'II': the network is "
+                       "infeasible at source pressure 1000 Pa\n")
+
     def test_deterministic_output(self, gas_path, capsys):
         _, first, _ = run(capsys, "solve", str(gas_path), "--pressures")
         _, second, _ = run(capsys, "solve", str(gas_path), "--pressures")
@@ -370,6 +380,23 @@ class TestSize:
         assert err.startswith("error: stalled at pass 3: no step of 30 halvings lowered "
                               "the worst loop residual (")
         assert err.endswith(" Pa2)\n") and err.count("\n") == 1
+
+    def test_loop_pipe_at_zero_flow_fails(self, gas_path, tmp_path, capsys):
+        # A circulation around explicit loop 1 stops its first pipe and
+        # keeps every node balance.
+        net = _load(gas_path)
+        flows = solve_node_loop(net, SolverConfig()).final_flows.flows
+        members = {abs(signed): 1 if signed > 0 else -1 for signed in net.explicit_loops[0]}
+        pipe, sign = next(iter(members.items()))
+        circulation = -sign * flows[pipe]
+        flows_csv = tmp_path / "flows.csv"
+        flows_csv.write_text("pipe,flow_m3h\n" + "".join(
+            f"{pid},{(q + circulation * members.get(pid, 0)) * 3600.0!r}\n"
+            for pid, q in flows.items()))
+        code, out, err = run(capsys, "size", str(gas_path), "--flows", str(flows_csv))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: pipe {pipe} lies in a loop but carries zero fixed flow\n"
 
     def test_missing_flows(self, gas_path, tmp_path, capsys):
         raw = json.loads(gas_path.read_text())

@@ -1,6 +1,8 @@
 """Network file parsing, serialization round-trips, trace emission."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import random
@@ -19,14 +21,16 @@ from loopflow.fileio import (
     network_from_dict,
     network_to_dict,
     parse_network,
+    format_trace,
     read_flows_csv,
     trace_rows,
     write_flows_csv,
     write_network,
     write_trace,
 )
-from loopflow.model import FluidSpec, NodeSpec, Pipe, validate
-from loopflow.solvers import SolverConfig, solve_node_loop
+from loopflow.model import FluidSpec, NodeSpec, Pipe, feasible_initial_flows, validate
+from loopflow.solvers import (HARDY_CROSS, HARDY_CROSS_IMPROVED, METHODS, SolverConfig, solve,
+                              solve_node_loop)
 
 import fixture_tables as tables
 from conftest import field_types, perfbench_networks
@@ -339,6 +343,60 @@ def test_missing_key_is_an_error_or_the_model_default(section, key):
     assert getattr(record, name) == default
 
 
+def loop_trace_rows(report, net) -> list[list[str]]:
+    """The trace table built one dict per pass and one branch per cell, as
+    `trace_rows` once built it: the reference its array version must meet."""
+    states = [state.as_m3h() for state in report.iterations]
+    rows = [["pipe", "initial"] + [str(k) for k in range(1, len(states))] + ["velocity_m_s"]]
+    for p in net.pipes:
+        cells = [str(p.id)]
+        previous = None
+        for state in states:
+            q_m3h = state[p.id]
+            if previous is None:
+                cells.append(f"{q_m3h:.2f}")
+            else:
+                relative = q_m3h if previous >= 0.0 else -q_m3h
+                cells.append(f"{relative:.2f}")
+            previous = q_m3h
+        cells.append(f"{report.velocities[p.id]:.2f}")
+        rows.append(cells)
+    return rows
+
+
+def trace_cases():
+    """(name, network, start seed, config): street grids and trees from
+    starts that reverse pipes, a run that diverges and one that runs out of
+    passes."""
+    networks = perfbench_networks()
+    for kind in ("gas", "water"):
+        grid = network_from_dict(networks.grid(5, 5, kind, random.Random(kind)))
+        tree = network_from_dict(networks.tree_with_closures(300, 5, kind, random.Random(kind)))
+        for seed in (0, 3):
+            for method in METHODS:
+                yield f"grid-{kind}-{seed}-{method}", grid, seed, SolverConfig(method=method)
+            yield f"tree-{kind}-{seed}", tree, seed, SolverConfig(method=HARDY_CROSS_IMPROVED)
+    grid = network_from_dict(networks.grid(8, 8, "gas", random.Random(0)))
+    yield "diverged", grid, 0, SolverConfig(method=HARDY_CROSS)
+    yield "max-iterations", grid, 3, SolverConfig(max_iterations=2)
+
+
+def test_trace_matches_the_per_cell_reference():
+    terminations, texts = set(), []
+    for name, net, seed, config in trace_cases():
+        report = solve(net, config, feasible_initial_flows(net, seed))
+        reference = io.StringIO()
+        csv.writer(reference).writerows(loop_trace_rows(report, net))
+        assert format_trace(report, net) == reference.getvalue(), name
+        terminations.add(report.termination)
+        texts.append(reference.getvalue())
+    assert terminations == {"converged", "diverged", "max-iterations"}
+    # The cases reach every sign rule: a flow reversed on a pass, and a
+    # zero flow after a negative one.
+    assert any(re.search(r",-[1-9]", text) for text in texts)
+    assert any(",-0.00," in text for text in texts)
+
+
 class TestTrace:
     def test_column_count_is_iterations_plus_two(self, gas_network):
         report = solve_node_loop(gas_network, SolverConfig())
@@ -401,6 +459,21 @@ class TestFlowsCsv:
         path.write_bytes(content)
         with pytest.raises(NetworkFileError, match="flows.csv: unreadable table: "):
             read_flows_csv(path)
+
+    def test_not_utf8_refused_alike_at_any_size(self, tmp_path):
+        # A bad number before the first byte that is not UTF-8: the table
+        # is refused as unreadable, also where the bad byte sits past the
+        # first block that a lazy reader decodes.
+        for good_rows in (0, 3000):
+            content = b"pipe,flow_m3h\n1,x\n" + b"3,1.0\n" * good_rows + b"2,\xff\n"
+            path = tmp_path / "flows.csv"
+            path.write_bytes(content)
+            with pytest.raises(NetworkFileError) as caught:
+                read_flows_csv(path)
+            position = content.index(b"\xff")
+            assert str(caught.value) == (
+                f"{path}: unreadable table: 'utf-8' codec can't decode byte 0xff in "
+                f"position {position}: invalid start byte")
 
     def test_byte_order_mark_accepted(self, tmp_path):
         path = tmp_path / "flows.csv"

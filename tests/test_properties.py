@@ -4,6 +4,7 @@ file readers on mutated networks and random flow tables."""
 
 import copy
 import csv
+import io
 import json
 import math
 import random
@@ -129,24 +130,25 @@ def test_column_path_reads_mutated_networks_as_the_record_path(raw):
 
 
 def dict_reader_flows(path) -> dict | str:
-    """The flow table read row by row through `csv.DictReader`: the flows,
-    or the message, that `read_flows_csv` must give."""
+    """The flow table decoded whole, then read row by row through
+    `csv.DictReader`: the flows, or the message, that `read_flows_csv`
+    must give."""
     flows = {}
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or {"pipe", "flow_m3h"} - set(reader.fieldnames):
-                return f"{path}: expected CSV header with columns 'pipe,flow_m3h'"
-            for i, row in enumerate(reader, start=2):
-                try:
-                    pid, flow = int(row["pipe"]), float(row["flow_m3h"])
-                except (TypeError, ValueError) as exc:
-                    return f"{path}: bad row {i}: {exc}"
-                if not math.isfinite(flow):
-                    return f"{path}: row {i}: 'flow_m3h' must be finite, got {flow!r}"
-                if pid in flows:
-                    return f"{path}: row {i}: second flow for pipe {pid}"
-                flows[pid] = flow
+        text = path.read_bytes().decode("utf-8-sig")
+        reader = csv.DictReader(io.StringIO(text, newline=""))
+        if reader.fieldnames is None or {"pipe", "flow_m3h"} - set(reader.fieldnames):
+            return f"{path}: expected CSV header with columns 'pipe,flow_m3h'"
+        for i, row in enumerate(reader, start=2):
+            try:
+                pid, flow = int(row["pipe"]), float(row["flow_m3h"])
+            except (TypeError, ValueError) as exc:
+                return f"{path}: bad row {i}: {exc}"
+            if not math.isfinite(flow):
+                return f"{path}: row {i}: 'flow_m3h' must be finite, got {flow!r}"
+            if pid in flows:
+                return f"{path}: row {i}: second flow for pipe {pid}"
+            flows[pid] = flow
     except (csv.Error, UnicodeDecodeError) as exc:
         return f"{path}: unreadable table: {exc}"
     return flows

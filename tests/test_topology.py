@@ -439,3 +439,30 @@ def test_exact_rank_matches_sympy_on_random_sign_matrices():
     for _ in range(30):
         rows = [[rng.choice((-1, 0, 0, 1)) for _ in range(6)] for _ in range(4)]
         assert exact_rank(rows) == sympy.Matrix(rows).rank()
+
+
+def test_exact_rank_matches_sympy_on_small_integer_matrices():
+    # Tall, wide and square shapes, entries in -3..3, rows made dependent
+    # and zero rows and columns: Bareiss' column skipping and its exact
+    # divisions by earlier pivots.
+    import random
+    rng = random.Random(37)
+    for _ in range(300):
+        n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(n_rows)]
+        if n_rows > 1 and rng.random() < 0.5:
+            a, b = rng.sample(range(n_rows), 2)
+            ca, cb = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[rng.randrange(n_rows)] = [ca * x + cb * y for x, y in zip(rows[a], rows[b])]
+        if rng.random() < 0.3:
+            rows[rng.randrange(n_rows)] = [0] * n_cols
+        if rng.random() < 0.3:
+            zero = rng.randrange(n_cols)
+            rows = [row[:zero] + [0] + row[zero + 1:] for row in rows]
+        assert exact_rank(rows) == sympy.Matrix(rows).rank(), rows
+    assert exact_rank([]) == 0
+    assert exact_rank([[]]) == 0
+    assert exact_rank([[0, 0], [0, 0]]) == 0
+    # Two proportional rows, and a zero column left of the pivots.
+    assert exact_rank([[0, 2, 4], [0, 3, 6], [0, 1, 3]]) == 2
+    assert exact_rank([[2, 4, 6], [3, 6, 9], [1, 3, 4]]) == 2
