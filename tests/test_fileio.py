@@ -18,10 +18,10 @@ from loopflow.fileio import (
     NODE_KEYS,
     PIPE_KEYS,
     NetworkFileError,
+    format_trace,
     network_from_dict,
     network_to_dict,
     parse_network,
-    format_trace,
     read_flows_csv,
     trace_rows,
     write_flows_csv,

@@ -5,10 +5,11 @@ of the set: each iterate, loop residual, termination, stop reason,
 damped-pass list and velocity of all three methods with damping off and
 on; each sized diameter history, residual history and stop reason; the
 `format_trace` bytes from a seed-0 and a seed-3 start; and the type and
-message of any error a run raised.  The inputs are the two bundled
-fixtures and, for seeds 0-2 and both fluids, the 11 x 11 grids, the
-200-node rings with 70 chords and the 1200-node trees closed by 10 pipes
-of `perfbench/networks.py`.
+message of any error a run raised, such as those for starts and fixed
+flows on the fixtures that are unbalanced, incomplete, not finite or idle
+a loop pipe.  The inputs are the two bundled fixtures and, for seeds 0-2
+and both fluids, the 11 x 11 grids, the 200-node rings with 70 chords and
+the 1200-node trees closed by 10 pipes of `perfbench/networks.py`.
 
     PYTHONPATH=src python tools/fingerprint.py [-v]
 
@@ -96,8 +97,8 @@ def size_text(net, flows: dict) -> tuple:
 
 
 def rejected_flows(name: str, net):
-    """Given starts and fixed flows that are unbalanced, incomplete or not
-    finite, and fixed flows that idle a loop pipe."""
+    """Solves and sizings from given flows that are unbalanced, incomplete,
+    not finite or idle a loop pipe."""
     flows = feasible_initial_flows(net).flows
     first, *rest = flows
     # A circulation around loop 1 that stops its first pipe.
