@@ -1,12 +1,13 @@
 """Command-line interface: check, solve, and size subcommands.
 
 Exit codes: 0 success, 1 validation/parse failure, 2 solver did not
-converge (a diverged solve prints one error line and no flow table) or the
-sizing problem is infeasible, 3 I/O failure.
+converge or the sizing problem is infeasible, 3 I/O failure.
 
 `main` alone turns an OSError into exit 3 and a ValueError (bad options,
 files or inputs) into exit 1, each with one `error:` line; the commands
 return the other codes, exit 2 on an infeasible pressure (a ValueError) too.
+A solve that does not converge ends with its stop reason as one `error:`
+line, and prints no flow table if it diverged.
 """
 
 from __future__ import annotations
@@ -105,9 +106,7 @@ def cmd_solve(args) -> int:
         print(f"method: {report.method}")
         print(f"fluid: {net.fluid.kind}")
         print(f"iterations: {report.iteration_count} ({report.termination})")
-        print(f"max loop residual: {max(report.loop_residuals[-1]):.6g} {unit}")
-        if report.damped_iterations:
-            print(f"damped iterations: {report.damped_iterations}")
+        print(f"max loop residual: {max(report.loop_residuals[-1], default=0.0):.6g} {unit}")
         reversed_pipes = report.reversed_pipes()
         final = report.final_flows.as_m3h()
         print(f"{'pipe':>4}  {'flow_m3h':>12}  {'velocity_m_s':>12}  direction")
@@ -119,11 +118,8 @@ def cmd_solve(args) -> int:
     if args.trace:
         fileio.write_trace(report, net, args.trace)
         print(f"trace written: {args.trace}")
-    if diverged:
-        print(f"error: {report.stop_reason}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
 
-    if args.pressures:
+    if args.pressures and not diverged:
         source = min(net.nodes, key=lambda n: (n.demand_m3h, str(n.id))).id
         try:
             pressures = solvers.propagate_pressures(
@@ -136,7 +132,10 @@ def cmd_solve(args) -> int:
         for node in net.nodes:
             print(f"  {node.id}: {pressures[node.id]:.1f} Pa")
 
-    return EXIT_OK if report.termination == "converged" else EXIT_NO_CONVERGENCE
+    if report.termination == "converged":
+        return EXIT_OK
+    print(f"error: {report.stop_reason}", file=sys.stderr)
+    return EXIT_NO_CONVERGENCE
 
 
 def cmd_size(args) -> int:

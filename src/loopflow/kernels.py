@@ -119,7 +119,7 @@ def _colebrook_friction_factor(reynolds, rel_roughness):
     re = np.asarray(reynolds, dtype=float)
     # Transition elements take the turbulent value at Re = 4000 for the blend.
     lam = _colebrook_turbulent(np.maximum(re, TURBULENT_RE_LIMIT), rel_roughness)
-    if re.min() < TURBULENT_RE_LIMIT:
+    if re.min(initial=np.inf) < TURBULENT_RE_LIMIT:
         t = (re - LAMINAR_RE_LIMIT) / (TURBULENT_RE_LIMIT - LAMINAR_RE_LIMIT)
         blend = (1.0 - t) * (64.0 / LAMINAR_RE_LIMIT) + t * lam
         lam = np.where(re < LAMINAR_RE_LIMIT, 64.0 / re,
@@ -141,7 +141,7 @@ def _colebrook_turbulent(reynolds: Values, rel_roughness: Values) -> Values:
         s = a * x + b
         step = (x + 2.0 * np.log10(s)) / (1.0 + slope / s)
         x = x - step
-        if np.abs(step).max() <= COLEBROOK_TOL:
+        if np.abs(step).max(initial=0.0) <= COLEBROOK_TOL:
             return 1.0 / (x * x)
     raise RuntimeError(
         f"Colebrook iteration did not converge (Re={reynolds}, "

@@ -322,14 +322,16 @@ class SolveReport:
     flows or residuals are not finite is dropped, and `stop_reason` says on
     which pass the run stopped and why ("diverged at pass N: ..."); after
     "max-iterations" it gives the pass count, the worst residual against the
-    start's, and on how many of the last passes it rose; else it is empty.
+    start's, and on how many of the last passes it rose; after
+    "singular-system" it names the pass and the linear solver's message
+    ("singular-system at pass N: ..."); it is empty exactly when the run
+    converged.
     """
     method: str
     iterations: Sequence[FlowState]
     loop_residuals: list[list[float]]
     termination: str      # converged | max-iterations | singular-system | diverged
     velocities: dict[PipeId, float] = field(default_factory=dict)
-    node_pressures: dict[NodeId, float] | None = None
     damped_iterations: list[int] = field(default_factory=list)
     stop_reason: str = ""
 
@@ -354,9 +356,9 @@ def validate(net: Network) -> list[str]:
     a new list each call.
 
     An empty list means the network is solvable: consistent ids, finite
-    numbers, positive geometry, balanced demands, connected graph with at
-    least one loop.  A network checks itself on the first call and keeps
-    what it found.
+    numbers, positive geometry, balanced demands, connected graph.  A tree,
+    which has no loop, is solvable: its demands alone fix its flows.  A
+    network checks itself on the first call and keeps what it found.
     """
     return list(net._violations)
 
@@ -391,9 +393,6 @@ def _check(net: Network) -> list[str]:
 
     # Structural checks only make sense on otherwise well-formed input.
     if not violations:
-        if net.loop_count < 1:
-            violations.append(
-                f"network has no loops ({len(net.pipes)} pipes, {len(net.nodes)} nodes)")
         reached = {net._reference_index, *net._walk[0].tolist()}
         unreached = {n.id for i, n in enumerate(net.nodes) if i not in reached}
         if unreached:

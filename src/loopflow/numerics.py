@@ -53,7 +53,7 @@ def solve_linear(matrix, rhs) -> np.ndarray:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"singular system: {exc}") from None
-    x_norm, b_norm = np.abs(x).max(), np.abs(b).max()
+    x_norm, b_norm = np.abs(x).max(initial=0.0), np.abs(b).max(initial=0.0)
     if not np.isfinite(x_norm) or SINGULAR_TOL * x_norm > b_norm:
         raise SingularSystemError(
             f"singular system: solution norm {x_norm:.3e} against right "
@@ -88,7 +88,7 @@ def condition_estimate(matrix) -> float:
 
 def _row_scales(a: np.ndarray) -> np.ndarray:
     """Largest |entry| of each row, without an |a| temporary."""
-    return np.maximum(a.max(axis=1), -a.min(axis=1))
+    return np.maximum(a.max(axis=1, initial=-np.inf), -a.min(axis=1, initial=np.inf))
 
 
 def _check_square(a: np.ndarray, b: np.ndarray) -> None:

@@ -295,8 +295,9 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
             pass_no = len(flow_history)
             try:
                 candidate_eval = evaluate_loops(net, basis, step(loop_eval), floor)
-            except SingularSystemError:
+            except SingularSystemError as exc:
                 termination = "singular-system"
+                stop_reason = f"singular-system at pass {pass_no}: {exc}"
                 break
             # `worst` is the current state's worst loop residual.
             if config.damping and worst > 0.0 and \

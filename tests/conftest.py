@@ -89,3 +89,15 @@ def branched(request):
     rng = random.Random(request.param[1])
     raw = networks.tree_with_closures(300, 5, request.param[0], rng)
     return network_from_dict(raw), networks.balanced_flows(raw, rng)
+
+
+@pytest.fixture(params=[(kind, n) for kind in ("gas", "water") for n in (2, 50, 300)],
+                ids=lambda p: f"{p[0]}-{p[1]}")
+def tree(request):
+    """A tree of 2, 50 or 300 nodes, which has no loop, and its flows, which
+    the demands alone fix (m³/h per pipe id)."""
+    networks = perfbench_networks()
+    kind, n_nodes = request.param
+    rng = random.Random(n_nodes)
+    raw = networks.tree_with_closures(n_nodes, 0, kind, rng)
+    return network_from_dict(raw), networks.balanced_flows(raw, rng)

@@ -264,6 +264,32 @@ class TestSolve:
         assert proc.stdout == f"trace written: {out_csv}\n"
         assert out_csv.read_text().splitlines()[0] == "pipe,initial,1,2,3,velocity_m_s"
 
+    @pytest.mark.parametrize("pressures", [[], ["--pressures"]], ids=["plain", "pressures"])
+    def test_max_iterations_prints_its_reason_last(self, pressures, gas_path, capsys,
+                                                   monkeypatch):
+        import loopflow.cli as cli_module
+        monkeypatch.setattr(cli_module, "SolverConfig",
+                            lambda method: SolverConfig(method=method, max_iterations=1))
+        code, out, err = run(capsys, "solve", str(gas_path), *pressures)
+        assert code == EXIT_NO_CONVERGENCE
+        assert "iterations: 1 (max-iterations)" in out
+        assert ("node pressures" in out) == bool(pressures)
+        assert err.startswith("error: max-iterations after 1 passes: the worst loop residual is ")
+        assert err.count("\n") == 1
+
+    def test_singular_system_prints_its_reason_last(self, gas_path, capsys, monkeypatch):
+        import loopflow.solvers as solvers_module
+        from loopflow.numerics import SingularSystemError
+
+        def explode(matrix, rhs):
+            raise SingularSystemError("forced")
+
+        monkeypatch.setattr(solvers_module, "solve_linear", explode)
+        code, out, err = run(capsys, "solve", str(gas_path), "--pressures")
+        assert code == EXIT_NO_CONVERGENCE
+        assert "iterations: 0 (singular-system)" in out and "node pressures" in out
+        assert err == "error: singular-system at pass 1: forced\n"
+
 
 class TestSize:
     def test_balanced_flows_keep_diameters(self, gas_path, tmp_path, capsys):
@@ -406,6 +432,55 @@ class TestSize:
         code, _, err = run(capsys, "size", str(path))
         assert code == 1
         assert "no fixed flows" in err
+
+
+class TestTree:
+    """A network without loops is valid: every command runs it to exit 0."""
+
+    @pytest.fixture(params=["gas", "water"])
+    def tree_path(self, request, tmp_path):
+        networks, rng = perfbench_networks(), random.Random(0)
+        raw = networks.tree_with_closures(50, 0, request.param, rng)
+        raw["initial_flows"] = [{"pipe": pid, "flow_m3h": q}
+                                for pid, q in networks.balanced_flows(raw, rng).items()]
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(raw))
+        return path
+
+    def test_check(self, tree_path, capsys):
+        code, out, err = run(capsys, "check", str(tree_path))
+        assert (code, err) == (0, "")
+        assert out == "49 pipes, 50 nodes, 0 loops\nconnected: yes\nnote: loops will be derived\n"
+
+    def test_solve_with_pressures_and_trace(self, tree_path, tmp_path, capsys):
+        out_csv = tmp_path / "trace.csv"
+        code, out, err = run(capsys, "solve", str(tree_path), "--pressures",
+                             "--trace", str(out_csv))
+        assert (code, err) == (0, "")
+        assert "iterations: 1 (converged)\nmax loop residual: 0 Pa" in out
+        assert "reversed" not in out
+        assert "node pressures (source 1 at 400000 Pa abs):" in out
+        assert out_csv.read_text().splitlines()[0] == "pipe,initial,1,velocity_m_s"
+
+    def test_size(self, tree_path, capsys):
+        code, out, err = run(capsys, "size", str(tree_path))
+        assert (code, err) == (0, "")
+        assert out.startswith("iterations: 0 (converged)\nmax loop residual: 0 Pa")
+        rows = out.splitlines()[3:]
+        assert len(rows) == 49 and all("tree (not sized)" in row for row in rows)
+
+    @pytest.mark.parametrize("command", ["check", "solve", "size"])
+    def test_disconnected_forest_fails(self, command, tmp_path, capsys):
+        raw = {"fluid": {"kind": "water", "density_kg_m3": 1000.0, "viscosity_pa_s": 0.00089},
+               "nodes": [{"id": k, "demand_m3h": d} for k, d in enumerate([-5, 5, -3, 3], 1)],
+               "pipes": [{"id": 1, "from": 1, "to": 2, "diameter_m": 0.1, "length_m": 10.0},
+                         {"id": 2, "from": 3, "to": 4, "diameter_m": 0.1, "length_m": 10.0}]}
+        path = tmp_path / "forest.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (1, "")
+        assert err == (f"error: {path}: invalid network: "
+                       f"disconnected graph: cannot reach node(s) 1, 2\n")
 
 
 def _load(path):

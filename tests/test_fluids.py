@@ -192,3 +192,16 @@ def test_models_match_the_checked_kernels_bitwise(model, seed):
                            ("velocity", (q,))]:
             assert bits(getattr(model, name)(pipe, *args)) == \
                 bits(reference[name](pipe, *args)), (name, pipe)
+
+
+@pytest.mark.parametrize("model", [GasModel(rel_density=0.6, pressure_ratio=0.25),
+                                   WaterModel(density=1000.0, viscosity=0.00089)],
+                         ids=["gas", "water"])
+def test_no_pipes_give_empty_results(model):
+    # The core of a network without loops holds no pipe.
+    empty = np.array([])
+    pipes = PipeArrays((), empty, empty, empty)
+    results = [*model.evaluate(pipes, empty, 1e-7), model.drop(pipes, empty),
+               model.drop_at_diameter(pipes, empty, empty),
+               model.ddrop_ddiam(pipes, empty, empty), model.velocity(pipes, empty)]
+    assert [r.shape for r in results] == [(0,)] * 6

@@ -270,3 +270,11 @@ def test_array_call_matches_scalar_calls(name):
         broken[position][n // 2] = bad
         with pytest.raises(ValueError):
             func(*broken)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_ARGS))
+def test_empty_arrays_give_empty_results(name):
+    # A network without loops hands the kernels an empty core.
+    args = KERNEL_ARGS[name](np.random.default_rng(0), 4)
+    result = getattr(kernels, name)(*(np.array([]) if np.ndim(a) else a for a in args))
+    assert isinstance(result, np.ndarray) and result.shape == (0,)

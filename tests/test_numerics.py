@@ -100,6 +100,11 @@ class TestSolveLinear:
             solve_linear(matrix, rhs)
         assert not isinstance(raised.value, SingularSystemError)
 
+    def test_empty_system_has_an_empty_solution(self):
+        # The loop Jacobian of a network without loops.
+        x = solve_linear(np.zeros((0, 0)), np.zeros(0))
+        assert x.shape == (0,)
+
     def test_zero_row_is_named(self):
         with pytest.raises(SingularSystemError, match="^row 1 of the system matrix is zero$"):
             solve_linear([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [3.0, 1.0, 1.0]],

@@ -4,6 +4,7 @@ file readers on mutated networks and random flow tables."""
 
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -15,7 +16,8 @@ import pytest
 
 from loopflow import fileio
 from loopflow.fileio import NetworkFileError, network_from_dict, read_flows_csv
-from loopflow.solvers import HARDY_CROSS_IMPROVED, NODE_LOOP, SolverConfig, solve
+from loopflow.model import Network
+from loopflow.solvers import HARDY_CROSS_IMPROVED, METHODS, NODE_LOOP, SolverConfig, solve
 
 from conftest import field_types, node_balance_residuals_m3h, perfbench_networks
 
@@ -50,6 +52,43 @@ def test_node_loop_and_improved_hardy_cross_take_the_same_passes(net):
         for state in (a, b):
             worst_m3h = max(map(abs, node_balance_residuals_m3h(net, state.flows).values()))
             assert worst_m3h / 3600.0 <= 1e-9
+
+
+def renumbered(net: Network, rng: random.Random) -> tuple[Network, dict]:
+    """`net` with its pipe ids and node ids shuffled, the ends and the
+    reference node mapped with them and the records in a new order, and
+    the map from old to new pipe ids."""
+    pipe_ids = dict(zip(net.pipe_ids, rng.sample(net.pipe_ids, len(net.pipes))))
+    node_ids = dict(zip(net.node_ids, rng.sample(net.node_ids, len(net.nodes))))
+    pipes = [dataclasses.replace(p, id=pipe_ids[p.id], from_node=node_ids[p.from_node],
+                                 to_node=node_ids[p.to_node]) for p in net.pipes]
+    nodes = [dataclasses.replace(n, id=node_ids[n.id]) for n in net.nodes]
+    rng.shuffle(pipes)
+    rng.shuffle(nodes)
+    return Network(pipes, nodes, net.fluid, reference_node=node_ids[net.reference_node]), \
+        pipe_ids
+
+
+@hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+@hypothesis.given(meshed_networks(), st.randoms(use_true_random=False))
+def test_renumbering_leaves_the_flows_unchanged(net, rng):
+    # Other ids grow another spanning tree, so the start, the loops and the
+    # path differ; only flows converged tightly agree.
+    other, pipe_ids = renumbered(net, rng)
+    for method in (NODE_LOOP, HARDY_CROSS_IMPROVED):
+        config = SolverConfig(method=method, flow_tolerance_m3h=1e-7, residual_tolerance=1e-3)
+        first, second = solve(net, config), solve(other, config)
+        assert first.termination == second.termination == "converged"
+        flows, renumbered_flows = first.final_flows.as_m3h(), second.final_flows.as_m3h()
+        assert max(abs(q - renumbered_flows[pipe_ids[pid]]) for pid, q in flows.items()) <= 1e-5
+
+
+@hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+@hypothesis.given(meshed_networks())
+def test_a_stop_reason_exactly_when_not_converged(net):
+    for method in METHODS:
+        report = solve(net, SolverConfig(method=method))
+        assert (report.stop_reason == "") == (report.termination == "converged")
 
 
 def reader_bases() -> list[dict]:

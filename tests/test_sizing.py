@@ -271,3 +271,16 @@ def test_a_stall_ends_stalled_and_says_where():
     assert report.stop_reason == (
         f"stalled at pass 3: no step of 30 halvings lowered the worst loop residual "
         f"({report.max_residual:.3g} Pa2)")
+
+
+def test_a_tree_is_sized_in_no_pass(tree):
+    # No loop constrains a diameter: every pipe is a tree pipe and keeps its own.
+    net, flows_m3h = tree
+    fixed = FlowState({pid: m3h_to_m3s(q) for pid, q in flows_m3h.items()})
+    report = optimize_diameters(net, select_basis(net), SizingConfig(fixed_flows=fixed))
+    assert (report.termination, report.iteration_count, report.stop_reason) == \
+        ("converged", 0, "")
+    assert report.tree_pipes == set(net.pipe_ids)
+    assert report.diameters == {p.id: p.diameter for p in net.pipes}
+    assert report.loop_residual_history == [[]] and report.max_residual == 0.0
+    assert not report.bounded_pipes

@@ -255,6 +255,59 @@ class TestLoopCore:
         assert (np.abs(result.residuals - dense @ np.copysign(drop, q)) <= bound).all()
 
 
+def worst_imbalance_m3s(net, state: FlowState) -> float:
+    return max(map(abs, node_balance_residuals_m3h(net, state.flows).values())) / 3600.0
+
+
+class TestTrees:
+    """A tree has no loop: its node balances alone fix the flows q₀, which
+    are the seed-0 start, so every layer runs with an empty core."""
+
+    def test_start_is_the_tree_flows(self, tree):
+        net, flows_m3h = tree
+        start = feasible_initial_flows(net).as_m3h()
+        assert start == pytest.approx(flows_m3h, rel=1e-12, abs=1e-9)
+
+    @pytest.mark.parametrize("method", [HARDY_CROSS, HARDY_CROSS_IMPROVED])
+    def test_hardy_cross_changes_no_flow(self, method, tree):
+        net, _ = tree
+        report = solve(net, SolverConfig(method=method))
+        assert (report.termination, report.iteration_count, report.stop_reason) == \
+            ("converged", 1, "")
+        assert report.loop_residuals == [[], []]
+        assert report.iterations[1].flows == report.iterations[0].flows
+        assert worst_imbalance_m3s(net, report.final_flows) <= 1e-9
+
+    def test_node_loop_reaches_the_tree_flows_in_one_pass(self, tree):
+        net, _ = tree
+        pipes = PipeArrays.of(net)
+        q0 = pipes.flows(feasible_initial_flows(net))
+        start = FlowState(pipes.by_id(q0 + 0.01))
+        report = solve_node_loop(net, SolverConfig(), start)
+        assert (report.termination, report.iteration_count, report.stop_reason) == \
+            ("converged", 2, "")
+        assert worst_imbalance_m3s(net, report.iterations[0]) > 1e-3
+        for state in report.iterations[1:]:
+            assert np.abs(pipes.flows(state) - q0).max() <= 3e-15 * np.abs(q0).max()
+            assert worst_imbalance_m3s(net, state) <= 1e-9
+
+    def test_node_loop_from_the_tree_flows(self, tree):
+        net, _ = tree
+        report = solve_node_loop(net, SolverConfig())
+        assert (report.termination, report.iteration_count) == ("converged", 1)
+        assert worst_imbalance_m3s(net, report.final_flows) <= 1e-9
+
+    def test_pressures_fall_along_the_flow(self, tree):
+        net, _ = tree
+        flows = solve(net).final_flows
+        source = min(net.nodes, key=lambda n: n.demand_m3h).id
+        pressures = propagate_pressures(net, flows, source, 4e5)
+        for p in net.pipes:
+            upstream, downstream = ((p.from_node, p.to_node) if flows[p.id] >= 0.0
+                                    else (p.to_node, p.from_node))
+            assert pressures[upstream] >= pressures[downstream]
+
+
 class TestNodeLoopBuffer:
     """A node-loop solve assembles its stacked system into one buffer."""
 
@@ -523,6 +576,17 @@ class TestReportShape:
         report = solvers_module.solve_node_loop(gas_network, SolverConfig())
         assert report.termination == "singular-system"
         assert report.iteration_count == 0
+
+    @pytest.mark.parametrize("method", [NODE_LOOP, HARDY_CROSS_IMPROVED])
+    def test_singular_loop_rows_state_their_reason(self, method):
+        # No demand and no flow: without a derivative floor every loop row
+        # and the loop Jacobian are zero.
+        net = dataclasses.replace(two_pipe_loop(0.0, 0.0), initial_flows_m3h=None)
+        report = solve(net, SolverConfig(method=method, derivative_flow_floor=0.0))
+        assert (report.termination, report.iteration_count) == ("singular-system", 0)
+        row = 1 if method == NODE_LOOP else 0
+        assert report.stop_reason == (
+            f"singular-system at pass 1: row {row} of the system matrix is zero")
 
     def test_residual_history_parallels_iterations(self, gas_network):
         report = solve_node_loop(gas_network, SolverConfig())

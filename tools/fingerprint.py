@@ -1,21 +1,24 @@
 """One SHA-256 over the results of a fixed set of solves, sizings and traces.
 
-Two trees that print the same hash gave bit-identical results on every run
-of the set: each iterate, loop residual, termination, stop reason,
-damped-pass list and velocity of all three methods with damping off and
-on; each sized diameter history, residual history and stop reason; the
-`format_trace` bytes from a seed-0 and a seed-3 start; and the type and
-message of any error a run raised, such as those for starts and fixed
-flows on the fixtures that are unbalanced, incomplete, not finite or idle
-a loop pipe.  The inputs are the two bundled fixtures and, for seeds 0-2
-and both fluids, the 11 x 11 grids, the 200-node rings with 70 chords and
-the 1200-node trees closed by 10 pipes of `perfbench/networks.py`.
+Two source trees that print the same hash gave bit-identical results on
+every run of the set: each iterate, loop residual, termination, stop
+reason, damped-pass list and velocity of all three methods with damping
+off and on, and, unless the run diverged, the node pressures propagated from the
+supply node that `loopflow solve --pressures` picks, at 4e5 Pa; each sized
+diameter history, residual history and stop reason; the `format_trace`
+bytes from a seed-0 and a seed-3 start; and the type and message of any
+error a run raised, such as those for starts and fixed flows on the
+fixtures that are unbalanced, incomplete, not finite or idle a loop pipe.
+The inputs are the two bundled fixtures; for seeds 0-2 and both fluids,
+the 11 x 11 grids, the 200-node rings with 70 chords and the 1200-node
+trees closed by 10 pipes of `perfbench/networks.py`; and for both fluids
+its trees of 50 and 300 nodes that no pipe closes, which have no loop.
 
     PYTHONPATH=src python tools/fingerprint.py [-v]
 
-`-v` also prints a digest per run, to find the run where two trees part.
-The hash depends on the floating point of numpy and of the machine, so
-compare it only between trees run on the same installation.
+`-v` also prints a digest per run, to find the run where two source trees
+part.  The hash depends on the floating point of numpy and of the machine,
+so compare it only between source trees run on the same installation.
 """
 
 from __future__ import annotations
@@ -51,6 +54,12 @@ def inputs():
             raw = networks.tree_with_closures(1200, 10, kind, rng)
             yield f"tree-{kind}-{seed}", fileio.network_from_dict(raw), \
                 networks.balanced_flows(raw, rng)
+    for kind in ("gas", "water"):
+        for n_nodes in (50, 300):
+            rng = random.Random(f"fingerprint:{kind}:bare-tree:{n_nodes}")
+            raw = networks.tree_with_closures(n_nodes, 0, kind, rng)
+            yield f"bare-tree-{kind}-{n_nodes}", fileio.network_from_dict(raw), \
+                networks.balanced_flows(raw, rng)
 
 
 def outcome(run) -> str:
@@ -61,10 +70,19 @@ def outcome(run) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def solve_text(report) -> tuple:
+def solve_text(net, report) -> tuple:
     return ([state.flows for state in report.iterations], report.loop_residuals,
             report.termination, report.stop_reason, report.damped_iterations,
-            report.velocities)
+            report.velocities, pressures_text(net, report))
+
+
+def pressures_text(net, report) -> str:
+    """The pressures `loopflow solve --pressures` prints for the run, as
+    text, or the error's; nothing for a diverged run, which prints none."""
+    if report.termination == "diverged":
+        return ""
+    source = min(net.nodes, key=lambda n: (n.demand_m3h, str(n.id))).id
+    return outcome(lambda: solvers.propagate_pressures(net, report.final_flows, source, 4e5))
 
 
 def runs():
@@ -74,7 +92,7 @@ def runs():
             for damping in (False, True):
                 config = solvers.SolverConfig(method=method, damping=damping)
                 yield (f"{name} {method} damping={damping}",
-                       outcome(lambda: solve_text(solvers.solve(net, config))))
+                       outcome(lambda: solve_text(net, solvers.solve(net, config))))
         if not name.startswith("ring"):
             for seed in (0, 3):
                 yield f"{name} trace seed {seed}", outcome(lambda: [
@@ -113,7 +131,7 @@ def rejected_flows(name: str, net):
     for case, given in cases.items():
         for method in solvers.METHODS:
             yield f"{name} {case} start {method}", outcome(lambda: solve_text(
-                solvers.solve(net, solvers.SolverConfig(method=method), FlowState(given))))
+                net, solvers.solve(net, solvers.SolverConfig(method=method), FlowState(given))))
         yield f"{name} {case} fixed flows", outcome(lambda: size_text(net, given))
 
 
