@@ -3,14 +3,20 @@
 `GasModel` and `WaterModel` turn pipe geometry and flow magnitudes into the
 pressure function used by the network equations: the squared-pressure
 (Renouard) drop for distribution gas, the Colebrook/Darcy-Weisbach drop
-for water.  Both are stateless and offer the same five methods, so the two
+for water.  Both are stateless and offer the same six methods, so the two
 fluids share every solver path.  `pipe` is either one `Pipe` with scalar
 flows or the `PipeArrays` of a whole network with one flow per pipe, so a
 solver pass evaluates every pipe in one call.  `evaluate(pipe, flow,
 dflow_floor)` gives the drop at the flow magnitude `flow` and |d drop/d
 flow| at the magnitude floored to `dflow_floor` (a zero derivative would
 zero out a loop row); `ddrop_ddiam` is the drop's diameter sensitivity at
-fixed flow, for sizing.
+fixed flow, for sizing.  `friction(pipe, flow, diameter)` is the friction
+factor at those inputs: the Colebrook solution for water, `None` for gas,
+whose drop needs none.  `drop_at_diameter` and `ddrop_ddiam` take it as an
+optional last argument and solve for it only when it is not given, so a
+caller that evaluates both at the same flows and diameters (sizing, for
+the diameters it accepts) solves Colebrook once; a value from other inputs
+gives a wrong result.
 
 The models trust their input: the pipes of a network that `model.validate`
 has passed and flow magnitudes |q|, so they call the kernels' unchecked
@@ -45,10 +51,13 @@ class GasModel:
     def drop(self, pipe, flow):
         return self.drop_at_diameter(pipe, flow, pipe.diameter)
 
-    def drop_at_diameter(self, pipe, flow, diameter):
+    def friction(self, pipe, flow, diameter):
+        return None
+
+    def drop_at_diameter(self, pipe, flow, diameter, friction=None):
         return kernels._renouard_drop(self.rel_density, pipe.length, flow, diameter)
 
-    def ddrop_ddiam(self, pipe, flow, diameter):
+    def ddrop_ddiam(self, pipe, flow, diameter, friction=None):
         return kernels._renouard_drop_ddiam(self.rel_density, pipe.length, flow, diameter)
 
     def velocity(self, pipe, flow):
@@ -61,22 +70,21 @@ class WaterModel:
     viscosity: float
     kind: str = WATER
 
-    def _friction_factor(self, flow: Values, diameter: Values,
-                         roughness: Values) -> Values:
+    def friction(self, pipe, flow: Values, diameter: Values) -> Values:
         # A zero flow has zero drop and zero derivatives whatever its
         # friction factor; a unit stand-in flow keeps that factor defined.
         re = kernels._reynolds_number(self.density, self.viscosity,
                                       np.where(flow > 0.0, flow, 1.0), diameter)
-        return kernels._colebrook_friction_factor(re, roughness / diameter)
+        return kernels._colebrook_friction_factor(re, pipe.roughness / diameter)
 
     def evaluate(self, pipe, flow, dflow_floor):
         floored = np.maximum(flow, dflow_floor)
-        lam = self._friction_factor(floored, pipe.diameter, pipe.roughness)
+        lam = self.friction(pipe, floored, pipe.diameter)
         ddrop = kernels._darcy_weisbach_drop_dflow(
             lam, pipe.length, floored, pipe.diameter, self.density)
         if ((flow > 0.0) & (floored > flow)).any():
             # The drop of a flow under the floor takes its own friction factor.
-            lam = self._friction_factor(flow, pipe.diameter, pipe.roughness)
+            lam = self.friction(pipe, flow, pipe.diameter)
         drop = kernels._darcy_weisbach_drop(lam, pipe.length, flow, pipe.diameter,
                                             self.density)
         return drop, ddrop
@@ -84,14 +92,15 @@ class WaterModel:
     def drop(self, pipe, flow):
         return self.drop_at_diameter(pipe, flow, pipe.diameter)
 
-    def drop_at_diameter(self, pipe, flow, diameter):
-        lam = self._friction_factor(flow, diameter, pipe.roughness)
+    def drop_at_diameter(self, pipe, flow, diameter, friction=None):
+        lam = self.friction(pipe, flow, diameter) if friction is None else friction
         return kernels._darcy_weisbach_drop(lam, pipe.length, flow, diameter, self.density)
 
-    def ddrop_ddiam(self, pipe, flow, diameter):
+    def ddrop_ddiam(self, pipe, flow, diameter, friction=None):
         # Friction factor frozen at the current state, as in the flow
         # derivative: only the explicit diameter dependence is followed.
-        lam = self._friction_factor(flow, diameter, pipe.roughness)
+        # The state's drop has already solved for it when `friction` is given.
+        lam = self.friction(pipe, flow, diameter) if friction is None else friction
         return kernels._darcy_weisbach_drop_ddiam(lam, pipe.length, flow, diameter,
                                                   self.density)
 

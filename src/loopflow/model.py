@@ -423,7 +423,7 @@ def _checked_flows(net: Network, flows: Mapping[PipeId, float], what: str,
         raise error(f"invalid {what}s: " + "; ".join(problems))
     q = np.array([flows[pid] for pid in PipeArrays.of(net).ids])
     if balanced:
-        worst = np.abs(_imbalances(net, q.tolist())).max()
+        worst = np.abs(_imbalances(net, q)).max()
         if not worst <= NODE_BALANCE_TOL_M3S:
             raise error(f"{what}s violate node balances by {worst:.3e} m3/s")
     return q
@@ -614,16 +614,16 @@ def _fundamental_cycles(net: Network, nodes: list[int],
 
 def node_imbalances(net: Network, flows: FlowState) -> dict[NodeId, float]:
     """Net inflow minus demand per node, m³/s (zero for a feasible state)."""
-    q = [flows.flows[pid] for pid in PipeArrays.of(net).ids]
-    return dict(zip(net.node_ids, _imbalances(net, q)))
+    q = np.array([flows.flows[pid] for pid in PipeArrays.of(net).ids], dtype=float)
+    return dict(zip(net.node_ids, _imbalances(net, q).tolist()))
 
 
-def _imbalances(net: Network, q: list[float]) -> list[float]:
+def _imbalances(net: Network, q: np.ndarray) -> np.ndarray:
     """`node_imbalances` per node index, for flows `q` in pipe order; an end
-    that names no node counts nowhere."""
-    residual = (-net._demands).tolist() + [0.0]
-    tails, heads = net._ends.tolist()
-    for tail, head, flow in zip(tails, heads, q):
-        residual[head] += flow
-        residual[tail] -= flow
+    that names no node counts nowhere (in a spare last slot).  Each pipe
+    adds its flow at its head, then subtracts it at its tail, pipe by pipe:
+    `np.add.at` applies repeated indices in order, so every node sums its
+    terms in the order a loop over the pipes would."""
+    residual = np.append(-net._demands, 0.0)
+    np.add.at(residual, net._ends[::-1].T.ravel(), np.stack((q, -q), axis=1).ravel())
     return residual[:-1]

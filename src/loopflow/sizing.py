@@ -121,11 +121,15 @@ def optimize_diameters(net: Network, basis: LoopBasis,
     lower, upper = np.array([config.bounds_for(pid) for pid in core_ids]).reshape(-1, 2).T
     diameters = np.clip(core_pipes.diameter, lower, upper)
 
-    def loop_residuals(diam: np.ndarray) -> np.ndarray:
-        return loops @ (sign * model.drop_at_diameter(core_pipes, magnitude, diam))
+    def loop_residuals(diam: np.ndarray):
+        """Loop residuals at `diam`, with the friction factor (water) that
+        the drops took, for the derivative once `diam` is accepted."""
+        friction = model.friction(core_pipes, magnitude, diam)
+        drops = model.drop_at_diameter(core_pipes, magnitude, diam, friction)
+        return loops @ (sign * drops), friction
 
     history = [diameters]
-    residuals = loop_residuals(diameters)
+    residuals, friction = loop_residuals(diameters)
     residual_history = [np.abs(residuals).tolist()]
     worst = max(residual_history[0], default=0.0)
     stop_reason = ""
@@ -135,7 +139,7 @@ def optimize_diameters(net: Network, basis: LoopBasis,
         if len(history) > config.max_iterations:
             termination = MAX_ITERATIONS
             break
-        sensitivity = np.abs(model.ddrop_ddiam(core_pipes, magnitude, diameters))
+        sensitivity = np.abs(model.ddrop_ddiam(core_pipes, magnitude, diameters, friction))
         denom = loop_magnitudes @ sensitivity
         deltas = np.divide(residuals, denom, out=np.zeros_like(denom),
                            where=~(denom < 1e-30))
@@ -145,8 +149,8 @@ def optimize_diameters(net: Network, basis: LoopBasis,
         # diameters, so a full multi-loop step can overshoot badly.
         scale = 1.0
         for _ in range(STEP_HALVINGS):
-            candidate = np.clip(diameters + scale * step, lower, upper)
-            cand_residuals = loop_residuals(candidate)
+            candidate = np.minimum(np.maximum(diameters + scale * step, lower), upper)
+            cand_residuals, cand_friction = loop_residuals(candidate)
             if np.abs(cand_residuals).max() < worst:
                 break
             scale *= 0.5
@@ -157,8 +161,7 @@ def optimize_diameters(net: Network, basis: LoopBasis,
                            f"({worst:.3g} {RESIDUAL_UNIT[net.fluid.kind]})")
             break
 
-        diameters = candidate
-        residuals = cand_residuals
+        diameters, residuals, friction = candidate, cand_residuals, cand_friction
         history.append(diameters)
         residual_history.append(np.abs(residuals).tolist())
         worst = max(residual_history[-1], default=0.0)
