@@ -6,8 +6,10 @@ converge or the sizing problem is infeasible, 3 I/O failure.
 `main` alone turns an OSError into exit 3 and a ValueError (bad options,
 files or inputs) into exit 1, each with one `error:` line; the commands
 return the other codes, exit 2 on an infeasible pressure (a ValueError) too.
-A solve that does not converge ends with its stop reason as one `error:`
-line, and prints no flow table if it diverged.
+A solve or sizing that does not converge ends with its stop reason as one
+`error:` line (after an infeasible pressure's own), and a solve prints no
+flow table if it diverged.  Node pressures below 0 Pa absolute (water)
+give one `warning:` line and leave the exit code as it is.
 """
 
 from __future__ import annotations
@@ -119,6 +121,7 @@ def cmd_solve(args) -> int:
         fileio.write_trace(report, net, args.trace)
         print(f"trace written: {args.trace}")
 
+    infeasible = False
     if args.pressures and not diverged:
         source = min(net.nodes, key=lambda n: (n.demand_m3h, str(n.id))).id
         try:
@@ -126,16 +129,30 @@ def cmd_solve(args) -> int:
                 net, report.final_flows, source, args.source_pressure_pa)
         except InfeasiblePressureError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
-        print(f"node pressures (source {source} at "
-              f"{args.source_pressure_pa:.0f} Pa abs):")
-        for node in net.nodes:
-            print(f"  {node.id}: {pressures[node.id]:.1f} Pa")
+            infeasible = True
+        else:
+            print(f"node pressures (source {source} at "
+                  f"{args.source_pressure_pa:.0f} Pa abs):")
+            for node in net.nodes:
+                print(f"  {node.id}: {pressures[node.id]:.1f} Pa")
+            _warn_below_vacuum(net, pressures)
 
     if report.termination == "converged":
-        return EXIT_OK
+        return EXIT_NO_CONVERGENCE if infeasible else EXIT_OK
     print(f"error: {report.stop_reason}", file=sys.stderr)
     return EXIT_NO_CONVERGENCE
+
+
+def _warn_below_vacuum(net: Network, pressures: dict) -> None:
+    """One warning for the nodes whose absolute pressure is below 0 Pa:
+    only water can get there, since a gas run fails on a negative squared
+    pressure instead."""
+    below = [node.id for node in net.nodes if pressures[node.id] < 0.0]
+    if below:
+        lowest = min(below, key=pressures.get)
+        print(f"warning: pressure below 0 Pa absolute at {len(below)} of "
+              f"{len(net.nodes)} nodes, the lowest {lowest} at {pressures[lowest]:.1f} Pa",
+              file=sys.stderr)
 
 
 def cmd_size(args) -> int:
@@ -169,10 +186,7 @@ def cmd_size(args) -> int:
 
     if report.termination == "converged":
         return EXIT_OK
-    if report.termination == sizing.INFEASIBLE_BOUNDS:
-        print("error: infeasible within bounds", file=sys.stderr)
-    else:
-        print(f"error: {report.stop_reason or 'sizing did not converge'}", file=sys.stderr)
+    print(f"error: {report.stop_reason}", file=sys.stderr)
     return EXIT_NO_CONVERGENCE
 
 

@@ -11,12 +11,12 @@ dflow_floor)` gives the drop at the flow magnitude `flow` and |d drop/d
 flow| at the magnitude floored to `dflow_floor` (a zero derivative would
 zero out a loop row); `ddrop_ddiam` is the drop's diameter sensitivity at
 fixed flow, for sizing.  `friction(pipe, flow, diameter)` is the friction
-factor at those inputs: the Colebrook solution for water, `None` for gas,
-whose drop needs none.  `drop_at_diameter` and `ddrop_ddiam` take it as an
-optional last argument and solve for it only when it is not given, so a
-caller that evaluates both at the same flows and diameters (sizing, for
-the diameters it accepts) solves Colebrook once; a value from other inputs
-gives a wrong result.
+factor those inputs give: the Colebrook solution for water, `None` for
+gas, whose drop takes none.  `drop_at_diameter` and `ddrop_ddiam` take it
+as an optional last argument, which must be `friction` of their own pipe,
+flow and diameter; without it they solve for it themselves.  Sizing hands
+the factor of the drops it accepted on to the next diameter derivative, so
+it solves Colebrook once per diameter vector.
 
 The models trust their input: the pipes of a network that `model.validate`
 has passed and flow magnitudes |q|, so they call the kernels' unchecked
@@ -99,7 +99,7 @@ class WaterModel:
     def ddrop_ddiam(self, pipe, flow, diameter, friction=None):
         # Friction factor frozen at the current state, as in the flow
         # derivative: only the explicit diameter dependence is followed.
-        # The state's drop has already solved for it when `friction` is given.
+        # A caller that has the state's drop passes the factor it took.
         lam = self.friction(pipe, flow, diameter) if friction is None else friction
         return kernels._darcy_weisbach_drop_ddiam(lam, pipe.length, flow, diameter,
                                                   self.density)

@@ -63,9 +63,13 @@ class SizingConfig:
 class SizingReport:
     """`diameter_history[k]` is every pipe's diameter after k passes, a `History`
     of the core's arrays; `tree_pipes`, the pipes in no loop, keep theirs.
-    A run in which no step lowers the worst loop residual ends "stalled"
-    (or "infeasible-bounds", with a pipe at a bound); only then does
-    `stop_reason` say why ("stalled at pass N: ...")."""
+    A run in which no step lowers the worst loop residual ends "stalled",
+    one that uses up its passes "max-iterations", and either ends
+    "infeasible-bounds" instead if a pipe is at a bound.  `stop_reason` is
+    empty exactly when the run converged; otherwise it names the pass, the
+    worst loop residual and, for bounds, the pipes at one ("stalled at pass
+    N: ...", "max-iterations after N passes: ...", "infeasible within
+    bounds after N passes: ...")."""
     diameters: dict[PipeId, float]
     diameter_history: Sequence[dict[PipeId, float]]
     loop_residual_history: list[list[float]]
@@ -132,12 +136,16 @@ def optimize_diameters(net: Network, basis: LoopBasis,
     residuals, friction = loop_residuals(diameters)
     residual_history = [np.abs(residuals).tolist()]
     worst = max(residual_history[0], default=0.0)
+    unit = RESIDUAL_UNIT[net.fluid.kind]
     stop_reason = ""
 
     # `not <=` keeps a NaN residual from passing for convergence.
     while not worst <= tolerance:
         if len(history) > config.max_iterations:
             termination = MAX_ITERATIONS
+            stop_reason = (f"max-iterations after {len(history) - 1} passes: the worst loop "
+                           f"residual is {worst:.3g} {unit}, above the tolerance "
+                           f"{tolerance:.3g} {unit}")
             break
         sensitivity = np.abs(model.ddrop_ddiam(core_pipes, magnitude, diameters, friction))
         denom = loop_magnitudes @ sensitivity
@@ -158,7 +166,7 @@ def optimize_diameters(net: Network, basis: LoopBasis,
             termination = STALLED
             stop_reason = (f"stalled at pass {len(history)}: no step of {STEP_HALVINGS} "
                            f"halvings lowered the worst loop residual "
-                           f"({worst:.3g} {RESIDUAL_UNIT[net.fluid.kind]})")
+                           f"({worst:.3g} {unit})")
             break
 
         diameters, residuals, friction = candidate, cand_residuals, cand_friction
@@ -171,7 +179,10 @@ def optimize_diameters(net: Network, basis: LoopBasis,
     at_bound = (diameters <= lower) | (diameters >= upper)
     bounded = {pid for pid, flag in zip(core_ids, at_bound) if flag}
     if termination != CONVERGED and bounded:
-        termination, stop_reason = INFEASIBLE_BOUNDS, ""
+        termination = INFEASIBLE_BOUNDS
+        stop_reason = (f"infeasible within bounds after {len(history) - 1} passes: the "
+                       f"worst loop residual is {worst:.3g} {unit} with {len(bounded)} of "
+                       f"{len(core_ids)} sized pipes at a bound (lowest id {min(bounded)})")
 
     given = pipes.by_id(pipes.diameter)
     history = History(history, lambda diam: {**given, **dict(zip(core_ids, diam.tolist()))})

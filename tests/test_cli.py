@@ -216,6 +216,34 @@ class TestSolve:
         assert err == ("error: negative squared pressure at node 'II': the network is "
                        "infeasible at source pressure 1000 Pa\n")
 
+    def test_infeasible_pressure_after_no_convergence_keeps_the_reason(self, tmp_path,
+                                                                       capsys):
+        grid = perfbench_networks().grid(4, 4, "gas", random.Random(0))
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        code, out, err = run(capsys, "solve", str(path), "--method", "hardy-cross",
+                             "--pressures", "--source-pressure-pa", "1000")
+        assert code == EXIT_NO_CONVERGENCE
+        assert "(max-iterations)" in out and "node pressures" not in out
+        pressure, reason = err.splitlines()
+        assert pressure.startswith("error: negative squared pressure at node ")
+        assert reason.startswith("error: max-iterations after 50 passes: the worst loop residual")
+
+    def test_water_below_vacuum_warns(self, water_path, capsys):
+        code, out, err = run(capsys, "solve", str(water_path), "--pressures")
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()
+                if line.startswith("  ") and line.endswith(" Pa")]
+        assert len(rows) == 11 and ["IX:", "-562457.2", "Pa"] in rows
+        assert sum(float(value) < 0.0 for _, value, _ in rows) == 5
+        assert err == ("warning: pressure below 0 Pa absolute at 5 of 11 nodes, "
+                       "the lowest IX at -562457.2 Pa\n")
+
+    def test_water_above_vacuum_is_quiet(self, water_path, capsys):
+        code, _, err = run(capsys, "solve", str(water_path), "--pressures",
+                           "--source-pressure-pa", "2e6")
+        assert (code, err) == (0, "")
+
     def test_deterministic_output(self, gas_path, capsys):
         _, first, _ = run(capsys, "solve", str(gas_path), "--pressures")
         _, second, _ = run(capsys, "solve", str(gas_path), "--pressures")
@@ -341,6 +369,20 @@ class TestSize:
                            str(flows_csv), "--bounds", "0.011,0.02")
         assert code == 2
         assert "infeasible within bounds" in err
+        assert re.fullmatch(r"error: infeasible within bounds after \d+ passes: the worst "
+                            r"loop residual is \S+ Pa2 with \d+ of 15 sized pipes at a "
+                            r"bound \(lowest id \d+\)\n", err)
+
+    def test_max_iterations_prints_its_reason(self, gas_path, capsys, monkeypatch):
+        import loopflow.cli as cli_module
+        original = cli_module.sizing.SizingConfig
+        monkeypatch.setattr(cli_module.sizing, "SizingConfig",
+                            lambda **kwargs: original(**kwargs, max_iterations=0))
+        code, out, err = run(capsys, "size", str(gas_path))
+        assert code == EXIT_NO_CONVERGENCE
+        assert "iterations: 0 (max-iterations)" in out
+        assert re.fullmatch(r"error: max-iterations after 0 passes: the worst loop residual "
+                            r"is \S+ Pa2, above the tolerance 1e\+03 Pa2\n", err)
 
     def test_bad_bounds_argument(self, gas_path, capsys):
         code, _, err = run(capsys, "size", str(gas_path), "--bounds", "wide")
@@ -456,7 +498,10 @@ class TestTree:
         out_csv = tmp_path / "trace.csv"
         code, out, err = run(capsys, "solve", str(tree_path), "--pressures",
                              "--trace", str(out_csv))
-        assert (code, err) == (0, "")
+        # The water tree falls below vacuum at one node, which warns only.
+        warning = {"gas": "", "water": "warning: pressure below 0 Pa absolute at 1 of 50 "
+                                       "nodes, the lowest 41 at -128790.1 Pa\n"}
+        assert (code, err) == (0, warning[json.loads(tree_path.read_text())["fluid"]["kind"]])
         assert "iterations: 1 (converged)\nmax loop residual: 0 Pa" in out
         assert "reversed" not in out
         assert "node pressures (source 1 at 400000 Pa abs):" in out

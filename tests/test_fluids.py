@@ -192,6 +192,14 @@ def test_models_match_the_checked_kernels_bitwise(model, seed):
                            ("velocity", (q,))]:
             assert bits(getattr(model, name)(pipe, *args)) == \
                 bits(reference[name](pipe, *args)), (name, pipe)
+        # Given the friction factor of its own inputs, a diameter method
+        # gives the bits it gives when it solves for that factor itself.
+        friction = model.friction(pipe, q, d)
+        if isinstance(model, GasModel):
+            assert friction is None
+        for name in ("drop_at_diameter", "ddrop_ddiam"):
+            assert bits(getattr(model, name)(pipe, q, d, friction)) == \
+                bits(getattr(model, name)(pipe, q, d)), (name, pipe)
 
 
 @pytest.mark.parametrize("model", [GasModel(rel_density=0.6, pressure_ratio=0.25),

@@ -496,6 +496,39 @@ class TestFixtureDemands:
         assert worst <= 1e-9
 
 
+def hub_network(seed: int) -> Network:
+    """200 pipes on 8 nodes, most of them ending at nodes 1 and 2 and many
+    in parallel, plus one pipe whose tail names no node (unvalidated input)."""
+    rng = random.Random(seed)
+    nodes = [NodeSpec(i, rng.uniform(-50.0, 50.0)) for i in range(1, 9)]
+    pipes = []
+    for pid in range(1, 200):
+        tail = rng.choice([1, 1, 1, 2, 2, rng.randint(1, 8)])
+        head = rng.choice([n for n in range(1, 9) if n != tail])
+        pipes.append(Pipe(pid, tail, head, 0.2, 100.0))
+    pipes.append(Pipe(200, "nowhere", 1, 0.2, 100.0))
+    rng.shuffle(pipes)
+    return Network(pipes, nodes, WATER)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_imbalances_add_in_pipe_order(seed):
+    # Flows of both signs over 16 decades make every order of the additions
+    # at a hub give other bits; the vectorized sum must give the loop's.
+    net = hub_network(seed)
+    rng = np.random.default_rng(seed)
+    q = rng.choice([-1.0, 1.0], len(net.pipes)) * 10.0 ** rng.uniform(-8.0, 8.0, len(net.pipes))
+    index = {n.id: i for i, n in enumerate(net.nodes)}
+    expected = [-m3h_to_m3s(n.demand_m3h) for n in net.nodes]
+    for p, flow in zip(net.pipes, q.tolist()):
+        if p.to_node in index:
+            expected[index[p.to_node]] += flow
+        if p.from_node in index:
+            expected[index[p.from_node]] -= flow
+    assert max(len(pipes) for pipes in incident_pipes(net).values()) >= 80
+    assert model._imbalances(net, q).tobytes() == np.array(expected).tobytes()
+
+
 class TestFlowState:
     def test_max_change(self):
         a = FlowState({1: 1.0, 2: 2.0})

@@ -17,7 +17,9 @@ import pytest
 from loopflow import fileio
 from loopflow.fileio import NetworkFileError, network_from_dict, read_flows_csv
 from loopflow.model import Network
-from loopflow.solvers import HARDY_CROSS_IMPROVED, METHODS, NODE_LOOP, SolverConfig, solve
+from loopflow.sizing import SizingConfig, SizingInfeasibleError, optimize_diameters
+from loopflow.solvers import (HARDY_CROSS_IMPROVED, METHODS, NODE_LOOP, SolverConfig,
+                              select_basis, solve)
 
 from conftest import field_types, node_balance_residuals_m3h, perfbench_networks
 
@@ -84,11 +86,25 @@ def test_renumbering_leaves_the_flows_unchanged(net, rng):
 
 
 @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
-@hypothesis.given(meshed_networks())
-def test_a_stop_reason_exactly_when_not_converged(net):
+@hypothesis.given(meshed_networks(), st.randoms(use_true_random=False),
+                  st.sampled_from([200, 1]),
+                  st.sampled_from([(0.01, 2.0), (0.08, 0.12)]))
+def test_a_stop_reason_exactly_when_not_converged(net, rng, max_iterations, bounds):
     for method in METHODS:
         report = solve(net, SolverConfig(method=method))
         assert (report.stop_reason == "") == (report.termination == "converged")
+    # Sizing from the converged flows, with diameters off by -30% to +40%,
+    # few or many passes and wide or narrow bounds, ends in every way.
+    flows = report.final_flows
+    pipes = [dataclasses.replace(p, diameter=p.diameter * rng.uniform(0.7, 1.4))
+             for p in net.pipes]
+    sized = dataclasses.replace(net, pipes=pipes)
+    config = SizingConfig(flows, bounds, max_iterations=max_iterations)
+    try:
+        report = optimize_diameters(sized, select_basis(sized), config)
+    except SizingInfeasibleError:
+        hypothesis.reject()    # a loop pipe without flow
+    assert (report.stop_reason == "") == (report.termination == "converged")
 
 
 def reader_bases() -> list[dict]:

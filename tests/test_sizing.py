@@ -2,14 +2,17 @@
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
 from loopflow import kernels
 from loopflow.fileio import network_from_dict
+from loopflow.fluids import WaterModel
 from loopflow.model import FlowState, Network, NodeSpec, Pipe, feasible_initial_flows, m3h_to_m3s
 from loopflow.sizing import (
     INFEASIBLE_BOUNDS,
+    MAX_ITERATIONS,
     STALLED,
     SizingConfig,
     SizingInfeasibleError,
@@ -140,7 +143,11 @@ class TestOptimizeDiameters:
         report = optimize_diameters(net, select_basis(net), config)
         assert report.termination == INFEASIBLE_BOUNDS
         assert report.bounded_pipes
-        assert report.stop_reason == ""
+        assert report.stop_reason == (
+            f"infeasible within bounds after {report.iteration_count} passes: the worst "
+            f"loop residual is {report.max_residual:.3g} Pa2 with "
+            f"{len(report.bounded_pipes)} of 2 sized pipes at a bound "
+            f"(lowest id {min(report.bounded_pipes)})")
 
     def test_tree_pipes_untouched_and_flagged(self):
         # ring with a spur: pipe 6 hangs off the loop and cannot be sized
@@ -271,6 +278,53 @@ def test_a_stall_ends_stalled_and_says_where():
     assert report.stop_reason == (
         f"stalled at pass 3: no step of 30 halvings lowered the worst loop residual "
         f"({report.max_residual:.3g} Pa2)")
+
+
+def test_max_iterations_says_where(gas_network):
+    # Node-loop's flows, diameters off by -8% and +15%: one pass is too few.
+    flows = solve_node_loop(gas_network, SolverConfig()).final_flows
+    perturbed = _scaled(gas_network, {p.id: 1.15 if p.id % 2 else 0.92
+                                      for p in gas_network.pipes})
+    report = optimize_diameters(perturbed, select_basis(perturbed),
+                                SizingConfig(fixed_flows=flows, max_iterations=1))
+    assert (report.termination, report.iteration_count) == (MAX_ITERATIONS, 1)
+    assert not report.bounded_pipes
+    assert report.stop_reason == (
+        f"max-iterations after 1 passes: the worst loop residual is "
+        f"{report.max_residual:.3g} Pa2, above the tolerance 1e+03 Pa2")
+
+
+@pytest.mark.parametrize("source", ["fixture", "tree"])
+def test_one_colebrook_solve_per_drop(source, water_network, monkeypatch):
+    # A derivative takes the friction factor of the drops at the diameters
+    # it is taken at, which sizing solved for when it accepted them.
+    if source == "fixture":
+        net, flows_m3h = water_network, water_network.initial_flows_m3h
+    else:
+        networks, rng = perfbench_networks(), random.Random(0)
+        raw = networks.tree_with_closures(300, 5, "water", rng)
+        net, flows_m3h = network_from_dict(raw), networks.balanced_flows(raw, rng)
+    calls = Counter()
+    colebrook = kernels._colebrook_friction_factor
+
+    def counting_colebrook(*args):
+        calls["colebrook"] += 1
+        return colebrook(*args)
+
+    monkeypatch.setattr(kernels, "_colebrook_friction_factor", counting_colebrook)
+    for name in ("drop_at_diameter", "ddrop_ddiam"):
+        def counting(self, *args, _original=getattr(WaterModel, name), _name=name):
+            before = calls["colebrook"]
+            result = _original(self, *args)
+            calls[_name] += 1
+            calls[_name, "colebrook"] += calls["colebrook"] - before
+            return result
+        monkeypatch.setattr(WaterModel, name, counting)
+    fixed = FlowState({pid: m3h_to_m3s(q) for pid, q in flows_m3h.items()})
+    report = optimize_diameters(net, select_basis(net), SizingConfig(fixed_flows=fixed))
+    assert calls["ddrop_ddiam"] >= report.iteration_count >= 2
+    assert calls["ddrop_ddiam", "colebrook"] == 0
+    assert calls["colebrook"] == calls["drop_at_diameter"] > calls["ddrop_ddiam"]
 
 
 def test_a_tree_is_sized_in_no_pass(tree):

@@ -5,7 +5,8 @@ every run of the set: each iterate, loop residual, termination, stop
 reason, damped-pass list and velocity of all three methods with damping
 off and on, and, unless the run diverged, the node pressures propagated from the
 supply node that `loopflow solve --pressures` picks, at 4e5 Pa; each sized
-diameter history, residual history and stop reason; the `format_trace`
+diameter history, residual history and stop reason, also of gas fixture
+sizings that end "max-iterations" and "infeasible-bounds"; the `format_trace`
 bytes from a seed-0 and a seed-3 start; and the type and message of any
 error a run raised, such as those for starts and fixed flows on the
 fixtures that are unbalanced, incomplete, not finite or idle a loop pipe.
@@ -23,6 +24,7 @@ so compare it only between source trees run on the same installation.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -103,15 +105,30 @@ def runs():
         if fixed is not None:
             yield f"{name} size", outcome(lambda: size_text(
                 net, {pid: m3h_to_m3s(q) for pid, q in fixed.items()}))
+        if name == "fixture-gas":
+            yield from unfinished_sizings(name, net)
         if name.startswith("fixture"):
             yield from rejected_flows(name, net)
 
 
-def size_text(net, flows: dict) -> tuple:
+def size_text(net, flows: dict, **config) -> tuple:
     report = sizing.optimize_diameters(
-        net, solvers.select_basis(net), sizing.SizingConfig(FlowState(flows)))
+        net, solvers.select_basis(net), sizing.SizingConfig(FlowState(flows), **config))
     return (list(report.diameter_history), report.loop_residual_history,
             report.termination, report.stop_reason, sorted(report.bounded_pipes))
+
+
+def unfinished_sizings(name: str, net):
+    """Sizings from node-loop's flows that end "max-iterations" (diameters
+    off by -8% and +15%, one pass) and "infeasible-bounds" (bounds 11-20 mm)."""
+    flows = solvers.solve(net, solvers.SolverConfig()).final_flows.flows
+    off = [dataclasses.replace(p, diameter=p.diameter * (1.15 if p.id % 2 else 0.92))
+           for p in net.pipes]
+    perturbed = dataclasses.replace(net, pipes=off)
+    yield f"{name} size one pass", outcome(lambda: size_text(perturbed, flows,
+                                                             max_iterations=1))
+    yield f"{name} size bounds 0.011-0.02", outcome(lambda: size_text(
+        net, flows, diameter_bounds=(0.011, 0.02)))
 
 
 def rejected_flows(name: str, net):
