@@ -5,11 +5,11 @@ derivative entries reach 1e9, so every solve divides each row by its largest
 entry and then calls numpy's LAPACK solver (LU with partial pivoting).
 `solve_linear` never changes the caller's arrays: it divides a copy, and
 skips both the copy and the division when every row already has unit
-maximum, as after `equilibrate`, which divides a caller's own rows in place
+maximum, as when the caller divided its own rows in place by `_row_scales`
 (dividing by 1.0 is exact, so both routes give the same bits).
 LAPACK does not report its pivots, so a system counts as singular when it
-meets an exactly zero pivot, or when the equilibrated solution x̂ is not
-finite or exceeds the equilibrated right side b̂ by more than 1e12, since
+meets an exactly zero pivot, or when the row-scaled solution x̂ is not
+finite or exceeds the row-scaled right side b̂ by more than 1e12, since
 ‖x̂‖∞/‖b̂‖∞ bounds κ∞ from below.  A system is a plain (matrix, rhs) pair
 of arrays, small (one row per pipe) and dense on purpose.
 """
@@ -32,7 +32,7 @@ def solve_linear(matrix, rhs) -> np.ndarray:
     The caller's arrays are left as they are: the rows are divided on a
     copy, and rows that already have unit maximum are used without one.
     Raises SingularSystemError for a zero row, an exactly zero pivot, a
-    non-finite solution, or 1e-12·‖x̂‖∞ > ‖b̂‖∞ on the equilibrated system,
+    non-finite solution, or 1e-12·‖x̂‖∞ > ‖b̂‖∞ on the row-scaled system,
     which flags only condition numbers κ∞ above 1e12.  The inf-norm residual
     stays below 1e-8·(1 + |b|_inf) for the well-conditioned systems in scope.
     """
@@ -59,19 +59,6 @@ def solve_linear(matrix, rhs) -> np.ndarray:
             f"singular system: solution norm {x_norm:.3e} against right "
             f"side {b_norm:.3e} (condition number above 1e12)")
     return x
-
-
-def equilibrate(matrix: np.ndarray, rhs: np.ndarray) -> None:
-    """Divide each row of `matrix` and its entry of `rhs` by the row's
-    largest magnitude, in place, as `solve_linear` would on its copy.
-
-    Rows are left as they are when one of them is zero, so that
-    `solve_linear` still reports that row.
-    """
-    scale = _row_scales(matrix)
-    if scale.all():
-        matrix /= scale[:, None]
-        rhs /= scale
 
 
 def condition_estimate(matrix) -> float:

@@ -1,7 +1,7 @@
 """Inverse problem: fix the flows, iterate pipe diameters to loop balance.
 
-The loop corrections mirror the original Hardy Cross method with the
-diameter as the variable: with r(d) = B·(sign q · drop(|q|, d)), loop k's
+The loop corrections are the original Hardy Cross method's, by the same
+code, with the diameter as the variable: with r(d) = B·(sign q · drop(|q|, d)), loop k's
 correction is Δ_k = r_k / (|B|·|d drop/d diameter|)_k, applied to each
 member with its membership and flow signs (d += sign q · BᵀΔ) and clamped
 to the bounds; drops fall as diameters grow, so this is the Newton step
@@ -19,7 +19,7 @@ import numpy as np
 
 from .fluids import RESIDUAL_UNIT, make_fluid_model
 from .model import FlowState, History, Network, PipeArrays, PipeId, _checked_flows, _require_valid
-from .solvers import DEFAULT_RESIDUAL_TOLERANCE
+from .solvers import SolverConfig, _diagonal_corrections
 from .topology import LoopBasis
 
 DEFAULT_DIAMETER_BOUNDS = (0.01, 2.0)
@@ -43,6 +43,7 @@ class SizingConfig:
         DEFAULT_DIAMETER_BOUNDS
     residual_tolerance: float | None = None
     max_iterations: int = 200
+    resolved_residual_tolerance = SolverConfig.resolved_residual_tolerance  # not a field
 
     def bounds_for(self, pipe_id: PipeId) -> tuple[float, float]:
         if isinstance(self.diameter_bounds, dict):
@@ -114,12 +115,9 @@ def optimize_diameters(net: Network, basis: LoopBasis,
     tree_pipes = set(pipes.ids) - set(core_ids)
 
     model = make_fluid_model(net.fluid)
-    tolerance = (config.residual_tolerance
-                 if config.residual_tolerance is not None
-                 else DEFAULT_RESIDUAL_TOLERANCE[net.fluid.kind])
+    tolerance = config.resolved_residual_tolerance(net.fluid.kind)
     core_pipes = basis.core_pipes(pipes)
     magnitude = np.abs(q)
-    loop_magnitudes = np.abs(loops)
     sign = np.where(q < 0.0, -1.0, 1.0)
     # Sized pipes start inside their bounds; tree pipes keep the input value.
     lower, upper = np.array([config.bounds_for(pid) for pid in core_ids]).reshape(-1, 2).T
@@ -148,10 +146,7 @@ def optimize_diameters(net: Network, basis: LoopBasis,
                            f"{tolerance:.3g} {unit}")
             break
         sensitivity = np.abs(model.ddrop_ddiam(core_pipes, magnitude, diameters, friction))
-        denom = loop_magnitudes @ sensitivity
-        deltas = np.divide(residuals, denom, out=np.zeros_like(denom),
-                           where=~(denom < 1e-30))
-        step = sign * (loops.T @ deltas)
+        step = sign * (loops.T @ _diagonal_corrections(basis, residuals, sensitivity))
 
         # Backtrack on overshoot: the drop grows steeply for shrinking
         # diameters, so a full multi-loop step can overshoot badly.

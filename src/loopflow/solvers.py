@@ -49,7 +49,7 @@ from .model import (
     m3h_to_m3s,
     m3s_to_m3h,
 )
-from .numerics import SingularSystemError, condition_estimate, equilibrate, solve_linear
+from .numerics import SingularSystemError, _row_scales, condition_estimate, solve_linear
 from .topology import LoopBasis, adopt_explicit_loops, build_node_matrix, derive_loop_basis
 
 NODE_LOOP = "node-loop"
@@ -201,22 +201,24 @@ def solve_node_loop(net: Network, config: SolverConfig | None = None,
     """Direct flow calculation: each pass solves for all pipe flows at once.
 
     The stacked system lives in one buffer per solve: every pass rewrites
-    its loop rows and equilibrates them in place, so `solve_linear` finds
-    unit rows and solves without copying them.
+    its loop rows and divides them by their largest entries in place (none
+    if one is zero, which `solve_linear` names), so it copies no rows.
     """
-    logged_condition = False
     system = None
 
     def step(loop_eval: LoopEval) -> np.ndarray:
-        nonlocal logged_condition, system
-        system = matrix, rhs = assemble_node_loop_system(loop_eval, out=system)
-        if not logged_condition and log.isEnabledFor(logging.DEBUG):
+        nonlocal system
+        matrix, rhs = assemble_node_loop_system(loop_eval, out=system)
+        if system is None and log.isEnabledFor(logging.DEBUG):
             log.debug("stacked system 1-norm condition estimate: %.3g",
                       condition_estimate(matrix))
-            logged_condition = True
+        system = matrix, rhs
         # The node rows are ±1 and already at unit scale.
         n_nodes = len(rhs) - len(loop_eval.residuals)
-        equilibrate(matrix[n_nodes:], rhs[n_nodes:])
+        scale = _row_scales(matrix[n_nodes:])
+        if scale.all():
+            matrix[n_nodes:] /= scale[:, None]
+            rhs[n_nodes:] /= scale
         return solve_linear(matrix, rhs)
 
     return _iterate(net, config or SolverConfig(), initial, NODE_LOOP, step)
@@ -231,18 +233,19 @@ def solve_hardy_cross_original(net: Network, config: SolverConfig | None = None,
     loop's correction with its membership sign, which preserves the node
     balances exactly.
     """
-    magnitudes = None    # |B|, taken on the first pass
 
     def step(loop_eval: LoopEval) -> np.ndarray:
-        nonlocal magnitudes
-        if magnitudes is None:
-            magnitudes = np.abs(loop_eval.basis.core_matrix)
-        denom = magnitudes @ loop_eval.dflow
-        deltas = np.divide(-loop_eval.residuals, denom,
-                           out=np.zeros_like(denom), where=~(denom < 1e-30))
-        return loop_eval.corrected(deltas)
+        return loop_eval.corrected(_diagonal_corrections(
+            loop_eval.basis, -loop_eval.residuals, loop_eval.dflow))
 
     return _iterate(net, config or SolverConfig(), initial, HARDY_CROSS, step)
+
+
+def _diagonal_corrections(basis: LoopBasis, residuals: np.ndarray,
+                          weights: np.ndarray) -> np.ndarray:
+    """Hardy Cross's per-loop residuals / (|B|·weights), 0 where that sum is < 1e-30."""
+    denom = basis.core_magnitudes @ weights
+    return np.divide(residuals, denom, out=np.zeros_like(denom), where=~(denom < 1e-30))
 
 
 def solve_hardy_cross_improved(net: Network, config: SolverConfig | None = None,

@@ -87,6 +87,11 @@ class LoopBasis:
             np.searchsorted(self.core, self.columns)] = self.signs
         return _frozen(out)
 
+    @cached_property
+    def core_magnitudes(self) -> np.ndarray:
+        """|B| on the core, read-only: which core pipes each loop holds."""
+        return _frozen(np.abs(self.core_matrix))
+
     def check_network(self, net: Network) -> None:
         """Raise ValueError unless the basis was built on `net`'s pipe order
         and ends, testing identity first: O(1) on its own network."""

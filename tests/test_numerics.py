@@ -8,7 +8,6 @@ import pytest
 from loopflow.numerics import (
     SingularSystemError,
     condition_estimate,
-    equilibrate,
     solve_linear,
 )
 
@@ -126,22 +125,6 @@ class TestNoCopyEquilibration:
             a, b = diagonally_dominant(25, seed)
             raw = solve_linear(a, b)
             assert (solve_linear(*unit_rows(a, b)) == raw).all()
-
-    def test_equilibrate_in_place_matches_the_solver(self):
-        a, b = diagonally_dominant(25, seed=3)
-        raw = solve_linear(a, b)
-        expected = unit_rows(a, b)
-        equilibrate(a, b)
-        assert (a == expected[0]).all() and (b == expected[1]).all()
-        assert (solve_linear(a, b) == raw).all()
-
-    def test_equilibrate_leaves_a_zero_row_for_the_solver(self):
-        a = np.array([[0.0, 0.0], [4.0, -8.0]])
-        b = np.array([0.0, 2.0])
-        equilibrate(a, b)
-        assert a.tolist() == [[0.0, 0.0], [4.0, -8.0]] and b.tolist() == [0.0, 2.0]
-        with pytest.raises(SingularSystemError, match="row 0"):
-            solve_linear(a, b)
 
     def test_unit_rows_solve_without_a_matrix_copy(self):
         # numpy's LAPACK wrapper copies the matrix outside tracemalloc's

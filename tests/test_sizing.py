@@ -69,6 +69,13 @@ class TestDiameterDerivatives:
 
 
 class TestOptimizeDiameters:
+    @pytest.mark.parametrize("given", [None, 5.0])
+    def test_residual_tolerance_resolves_as_the_solvers(self, given):
+        flows = FlowState({})
+        for kind in DEFAULT_RESIDUAL_TOLERANCE:
+            assert SizingConfig(flows, residual_tolerance=given).resolved_residual_tolerance(
+                kind) == SolverConfig(residual_tolerance=given).resolved_residual_tolerance(kind)
+
     def test_balanced_network_unchanged(self, gas_network):
         flows = solve_node_loop(gas_network, SolverConfig()).final_flows
         basis = select_basis(gas_network)

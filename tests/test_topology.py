@@ -216,6 +216,14 @@ class TestDeriveLoopBasis:
                 assert basis.core_matrix.shape == (5, len(basis.core))
                 assert (basis.core_matrix == matrix_by_pipe_id(net, basis)[:, basis.core]).all()
 
+    def test_core_magnitudes_are_one_read_only_abs_of_the_core_matrix(self, gas_network):
+        basis = derive_loop_basis(gas_network)
+        magnitudes = basis.core_magnitudes
+        assert (magnitudes == np.abs(basis.core_matrix)).all()
+        assert basis.core_magnitudes is magnitudes
+        with pytest.raises(ValueError, match="read-only"):
+            magnitudes[0, 0] = 2.0
+
     def test_link_pipe_sign_is_positive(self, gas_network):
         basis = derive_loop_basis(gas_network)
         for loop in basis.loops:
