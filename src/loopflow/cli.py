@@ -205,8 +205,10 @@ def _velocity_note(net: Network, fixed: FlowState, pipe_id: int,
                    diameter: float) -> list[str]:
     if net.fluid.kind != GAS:
         return []
-    v = flow_velocity(net.fluid.pressure_ratio, abs(fixed.flows[pipe_id]),
-                      diameter)
+    try:
+        v = flow_velocity(net.fluid.pressure_ratio, abs(fixed.flows[pipe_id]), diameter)
+    except ZeroDivisionError:     # d² underflows
+        v = float("inf")
     lo, hi = VELOCITY_BAND
     where = "below" if v < lo else "above" if v > hi else "within"
     return [f"velocity {v:.2f} m/s {where} {lo:.0f}-{hi:.0f} band"]

@@ -41,7 +41,6 @@ RESIDUAL_UNIT = {GAS: "Pa2", WATER: "Pa"}
 class GasModel:
     rel_density: float
     pressure_ratio: float
-    kind: str = GAS
 
     def evaluate(self, pipe, flow, dflow_floor):
         return (kernels._renouard_drop(self.rel_density, pipe.length, flow, pipe.diameter),
@@ -68,7 +67,6 @@ class GasModel:
 class WaterModel:
     density: float
     viscosity: float
-    kind: str = WATER
 
     def friction(self, pipe, flow: Values, diameter: Values) -> Values:
         # A zero flow has zero drop and zero derivatives whatever its

@@ -88,6 +88,8 @@ class SizingReport:
         return max(self.loop_residual_history[-1], default=0.0)
 
 
+# Extreme diameters overflow the drops; a residual that is not finite never converges.
+@np.errstate(all="ignore")
 def optimize_diameters(net: Network, basis: LoopBasis,
                        config: SizingConfig) -> SizingReport:
     """Adjust member-pipe diameters until every loop imbalance is below

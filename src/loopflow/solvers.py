@@ -267,6 +267,8 @@ def solve_hardy_cross_improved(net: Network, config: SolverConfig | None = None,
                     HARDY_CROSS_IMPROVED, step)
 
 
+# Diverging runs and extreme starts overflow; the checks stop them, unwarned.
+@np.errstate(all="ignore")
 def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
              method: str, step) -> SolveReport:
     _require_valid(net)
@@ -289,57 +291,57 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
     damped: list[int] = []
     unit = RESIDUAL_UNIT[net.fluid.kind]
     stop_reason = ""
-
-    # A diverging run overflows; the checks below stop it, so numpy need
-    # not warn on the way.
-    with np.errstate(all="ignore"):
-        while len(flow_history) - 1 < config.max_iterations:
-            current = loop_eval.flows
-            pass_no = len(flow_history)
-            try:
-                candidate_eval = evaluate_loops(net, basis, step(loop_eval), floor)
-            except SingularSystemError as exc:
-                termination = "singular-system"
-                stop_reason = f"singular-system at pass {pass_no}: {exc}"
-                break
-            # `worst` is the current state's worst loop residual.
-            if config.damping and worst > 0.0 and \
-                    np.abs(candidate_eval.residuals).max() > DAMPING_TRIGGER * worst:
-                damped.append(pass_no)
-                midpoint = 0.5 * (current + candidate_eval.flows)
-                candidate_eval = evaluate_loops(net, basis, midpoint, floor)
-            residuals = np.abs(candidate_eval.residuals).tolist()
-            change_m3h = m3s_to_m3h(np.abs(candidate_eval.flows - current).max(initial=0.0))
-            # A sum carries every NaN or inf among its terms (max need not);
-            # the run keeps its last finite state.
-            if not math.isfinite(change_m3h + sum(residuals)):
-                termination = "diverged"
-                stop_reason = (f"diverged at pass {pass_no}: "
-                               f"non-finite flows or loop residuals")
-                break
-            previous, worst = worst, max(residuals, default=0.0)
-            rises = rises + 1 if worst > previous else 0
-            loop_eval = candidate_eval
-            flow_history.append(loop_eval.flows)
-            residual_history.append(residuals)
-            if rises >= DIVERGENCE_PASSES and worst > blowup:
-                termination = "diverged"
-                stop_reason = (f"diverged at pass {pass_no}: the worst loop residual "
-                               f"rose on {rises} passes in a row, to {worst:.3g} {unit} "
-                               f"from {start_worst:.3g} {unit} at the start")
-                break
-            # Converged when successive flows agree everywhere and the loop
-            # imbalances are below tolerance (the flow criterion alone can
-            # fire while single-adjustment corrections still carry real
-            # imbalance).
-            if change_m3h <= config.flow_tolerance_m3h and worst <= residual_tol:
-                termination = "converged"
-                break
-        else:
-            termination = "max-iterations"
-            stop_reason = (f"max-iterations after {len(flow_history) - 1} passes: the worst "
-                           f"loop residual is {worst:.3g} {unit}, from {start_worst:.3g} "
-                           f"{unit} at the start, and rose on the last {rises} passes")
+    # A start that is not finite gives no step to take.
+    finite_start = math.isfinite(sum(residual_history[0]) + loop_eval.dflow.sum())
+    while finite_start and len(flow_history) - 1 < config.max_iterations:
+        current = loop_eval.flows
+        pass_no = len(flow_history)
+        try:
+            candidate_eval = evaluate_loops(net, basis, step(loop_eval), floor)
+        except SingularSystemError as exc:
+            termination = "singular-system"
+            stop_reason = f"singular-system at pass {pass_no}: {exc}"
+            break
+        # `worst` is the current state's worst loop residual.
+        if config.damping and worst > 0.0 and \
+                np.abs(candidate_eval.residuals).max() > DAMPING_TRIGGER * worst:
+            damped.append(pass_no)
+            midpoint = 0.5 * (current + candidate_eval.flows)
+            candidate_eval = evaluate_loops(net, basis, midpoint, floor)
+        residuals = np.abs(candidate_eval.residuals).tolist()
+        change_m3h = m3s_to_m3h(np.abs(candidate_eval.flows - current).max(initial=0.0))
+        # A sum carries every NaN or inf among its terms (max need not);
+        # the run keeps its last finite state.
+        if not math.isfinite(change_m3h + sum(residuals)):
+            termination = "diverged"
+            stop_reason = (f"diverged at pass {pass_no}: "
+                           f"non-finite flows or loop residuals")
+            break
+        previous, worst = worst, max(residuals, default=0.0)
+        rises = rises + 1 if worst > previous else 0
+        loop_eval = candidate_eval
+        flow_history.append(loop_eval.flows)
+        residual_history.append(residuals)
+        if rises >= DIVERGENCE_PASSES and worst > blowup:
+            termination = "diverged"
+            stop_reason = (f"diverged at pass {pass_no}: the worst loop residual "
+                           f"rose on {rises} passes in a row, to {worst:.3g} {unit} "
+                           f"from {start_worst:.3g} {unit} at the start")
+            break
+        # Converged when successive flows agree everywhere and the loop
+        # imbalances are below tolerance (the flow criterion alone can
+        # fire while single-adjustment corrections still carry real
+        # imbalance).
+        if change_m3h <= config.flow_tolerance_m3h and worst <= residual_tol:
+            termination = "converged"
+            break
+    else:
+        termination = "max-iterations" if finite_start else "diverged"
+        stop_reason = (f"max-iterations after {len(flow_history) - 1} passes: the worst "
+                       f"loop residual is {worst:.3g} {unit}, from {start_worst:.3g} "
+                       f"{unit} at the start, and rose on the last {rises} passes"
+                       if finite_start else "diverged at pass 0: the start's loop "
+                       "residuals or pipe derivatives are not finite")
 
     return SolveReport(
         method=method,
@@ -359,6 +361,7 @@ def final_velocities(net: Network, flows: FlowState | np.ndarray) -> dict[PipeId
     return pipes.by_id(speeds)
 
 
+@np.errstate(over="ignore")    # a huge diameter's drop: x / inf = 0
 def propagate_pressures(net: Network, flows: FlowState, source_node: NodeId,
                         source_pressure: float) -> dict[NodeId, float]:
     """Node pressures (Pa absolute) from one known source pressure.
@@ -381,7 +384,10 @@ def propagate_pressures(net: Network, flows: FlowState, source_node: NodeId,
     tails, heads, start, incident = net._adjacency()
 
     source = node_ids.index(source_node)
-    potentials = {source: source_pressure ** 2 if squared else source_pressure}
+    try:
+        potentials = {source: source_pressure ** 2 if squared else source_pressure}
+    except OverflowError:
+        raise ValueError(f"source pressure {source_pressure:g} Pa overflows when squared") from None
     queue = deque([source])
     while queue:
         node = queue.popleft()

@@ -206,6 +206,34 @@ class TestSolve:
         assert err == (f"error: --source-pressure-pa must be finite and > 0, "
                        f"got {float(value)!r}\n")
 
+    def test_gas_source_pressure_whose_square_overflows_prints_one_error_line(self, gas_path,
+                                                                              capsys):
+        code, out, err = run(capsys, "solve", str(gas_path), "--pressures",
+                             "--source-pressure-pa", "1e200")
+        assert code == 1
+        assert "(converged)" in out and "node pressures" not in out
+        assert err == "error: source pressure 1e+200 Pa overflows when squared\n"
+
+    # In process, pytest's error::RuntimeWarning filter fails a test on
+    # any numpy warning the run leaks.
+    @pytest.mark.parametrize("method", ["node-loop", "hardy-cross", "hardy-cross-improved"])
+    @pytest.mark.parametrize("diameter", [1e-300, 1e300])
+    def test_extreme_diameter_warns_nothing(self, diameter, method, gas_path, tmp_path,
+                                            capsys):
+        raw = json.loads(gas_path.read_text())
+        assert raw["pipes"][0]["id"] == 1
+        raw["pipes"][0]["diameter_m"] = diameter
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run(capsys, "solve", str(path), "--method", method, "--pressures")
+        if diameter < 1.0:
+            assert (code, out) == (EXIT_NO_CONVERGENCE, "")
+            assert err == ("error: diverged at pass 0: the start's loop residuals or pipe "
+                           "derivatives are not finite\n")
+        else:
+            assert code == 0 and err == ""
+            assert "(converged)" in out and "node pressures" in out
+
     def test_infeasible_pressure_exits_2_with_one_error_line(self, gas_path, capsys):
         # InfeasiblePressureError is a ValueError, which `main` would turn
         # into exit 1: the solve command keeps its own exit 2.
@@ -383,6 +411,15 @@ class TestSize:
         assert "iterations: 0 (max-iterations)" in out
         assert re.fullmatch(r"error: max-iterations after 0 passes: the worst loop residual "
                             r"is \S+ Pa2, above the tolerance 1e\+03 Pa2\n", err)
+
+    def test_bounds_whose_area_underflows_report_an_infinite_velocity(self, gas_path,
+                                                                       capsys):
+        code, out, err = run(capsys, "size", str(gas_path), "--bounds", "1e-300,1e-200")
+        assert code == EXIT_NO_CONVERGENCE
+        assert out.count("at bound, velocity inf m/s above 10-15 band") == 15
+        assert err.startswith("error: infeasible within bounds after 0 passes: the worst "
+                              "loop residual is nan Pa2 with 15 of 15 sized pipes at a bound")
+        assert err.count("\n") == 1
 
     def test_bad_bounds_argument(self, gas_path, capsys):
         code, _, err = run(capsys, "size", str(gas_path), "--bounds", "wide")

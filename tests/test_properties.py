@@ -16,10 +16,10 @@ import pytest
 
 from loopflow import fileio
 from loopflow.fileio import NetworkFileError, network_from_dict, read_flows_csv
-from loopflow.model import Network
+from loopflow.model import FlowState, Network, feasible_initial_flows
 from loopflow.sizing import SizingConfig, SizingInfeasibleError, optimize_diameters
-from loopflow.solvers import (HARDY_CROSS_IMPROVED, METHODS, NODE_LOOP, SolverConfig,
-                              select_basis, solve)
+from loopflow.solvers import (HARDY_CROSS, HARDY_CROSS_IMPROVED, METHODS, NODE_LOOP,
+                              SolverConfig, select_basis, solve)
 
 from conftest import field_types, node_balance_residuals_m3h, perfbench_networks
 
@@ -28,16 +28,21 @@ st = hypothesis.strategies
 
 
 @st.composite
-def meshed_networks(draw):
+def meshed_networks(draw, max_side=6, max_ring=40):
     networks = perfbench_networks()
     kind = draw(st.sampled_from(["gas", "water"]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
-        raw = networks.grid(draw(st.integers(2, 6)), draw(st.integers(2, 6)), kind, rng)
+        raw = networks.grid(draw(st.integers(2, max_side)), draw(st.integers(2, max_side)),
+                            kind, rng)
     else:
-        raw = networks.ring_with_chords(draw(st.integers(6, 40)), draw(st.integers(1, 8)),
+        raw = networks.ring_with_chords(draw(st.integers(6, max_ring)), draw(st.integers(1, 8)),
                                         kind, rng)
     return network_from_dict(raw)
+
+
+def worst_imbalance_m3s(net: Network, flows: dict) -> float:
+    return max(map(abs, node_balance_residuals_m3h(net, flows).values())) / 3600.0
 
 
 @hypothesis.settings(max_examples=30, deadline=None)
@@ -51,9 +56,31 @@ def test_node_loop_and_improved_hardy_cross_take_the_same_passes(net):
     assert node_loop.iteration_count == improved.iteration_count
     for a, b in zip(node_loop.iterations, improved.iterations):
         assert max(abs(a[pid] - b[pid]) for pid in net.pipe_ids) * 3600.0 <= 1e-6
-        for state in (a, b):
-            worst_m3h = max(map(abs, node_balance_residuals_m3h(net, state.flows).values()))
-            assert worst_m3h / 3600.0 <= 1e-9
+        assert max(worst_imbalance_m3s(net, state.flows) for state in (a, b)) <= 1e-9
+
+
+@hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+@hypothesis.given(meshed_networks(max_side=8, max_ring=120), st.booleans())
+def test_every_kept_pass_of_original_hardy_cross_balances_every_node(net, damping):
+    # q += BᵀΔ moves flow only around loops, so a pass keeps the balances
+    # of the start, whether the run converges, stalls or diverges (up to
+    # 8 x 8 grids and 120-node rings, where it does all three).
+    report = solve(net, SolverConfig(method=HARDY_CROSS, damping=damping))
+    for state in report.iterations:
+        assert worst_imbalance_m3s(net, state.flows) <= 1e-9
+
+
+@hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+@hypothesis.given(meshed_networks())
+def test_node_loop_meets_continuity_after_one_pass_from_an_unbalanced_start(net):
+    # The continuity rows of the stacked system hold whatever the start.
+    start = {pid: q + 0.01 * (i % 3)
+             for i, (pid, q) in enumerate(feasible_initial_flows(net).flows.items())}
+    report = solve(net, SolverConfig(method=NODE_LOOP), FlowState(start))
+    assert worst_imbalance_m3s(net, start) > 1e-3
+    assert report.iteration_count >= 1
+    for state in report.iterations[1:]:
+        assert worst_imbalance_m3s(net, state.flows) <= 1e-9
 
 
 def renumbered(net: Network, rng: random.Random) -> tuple[Network, dict]:

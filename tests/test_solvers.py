@@ -520,6 +520,11 @@ class TestPropagatePressures:
             lhs = pressures[p.from_node] ** 2 - pressures[p.to_node] ** 2
             assert abs(lhs - drop) <= slack
 
+    def test_gas_source_pressure_whose_square_overflows_is_a_value_error(self, gas_network):
+        flows = solve_node_loop(gas_network, SolverConfig()).final_flows
+        with pytest.raises(ValueError, match="^source pressure 1e.200 Pa overflows when squared$"):
+            propagate_pressures(gas_network, flows, "I", 1e200)
+
     def test_water_monotone_along_flow(self, water_network):
         # The fixture's water drops sum to ~0.96 MPa on the worst path, so
         # positivity needs a source above that; monotonicity holds anyway.
@@ -790,6 +795,19 @@ class TestDivergence:
         assert report.loop_residuals == reference.loop_residuals[:3]
         assert report.velocities == solvers_module.final_velocities(
             gas_network, reference.iterations[2])
+
+    @pytest.mark.parametrize("max_iterations", [50, 0])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_start_that_is_not_finite_ends_diverged_after_no_pass(self, method, max_iterations,
+                                                                  gas_network):
+        # d⁴·⁸² underflows to 0, so pipe 1's drop and derivative are inf.
+        pipes = [dataclasses.replace(p, diameter=1e-300) if p.id == 1 else p
+                 for p in gas_network.pipes]
+        net = dataclasses.replace(gas_network, pipes=pipes)
+        report = solve(net, SolverConfig(method=method, max_iterations=max_iterations))
+        assert (report.termination, report.iteration_count) == ("diverged", 0)
+        assert report.stop_reason == ("diverged at pass 0: the start's loop residuals or "
+                                      "pipe derivatives are not finite")
 
     def test_damping_catches_threefold_growth(self):
         net = perfbench_grid(5, 5, "gas", seed=2)

@@ -13,7 +13,9 @@ fixtures that are unbalanced, incomplete, not finite or idle a loop pipe.
 The inputs are the two bundled fixtures; for seeds 0-2 and both fluids,
 the 11 x 11 grids, the 200-node rings with 70 chords and the 1200-node
 trees closed by 10 pipes of `perfbench/networks.py`; and for both fluids
-its trees of 50 and 300 nodes that no pipe closes, which have no loop.
+its trees of 50 and 300 nodes that no pipe closes, which have no loop;
+and the gas fixture with pipe 1 at a diameter of 1e-300 m, whose start is
+not finite, and of 1e300 m, solved by each method.
 
     PYTHONPATH=src python tools/fingerprint.py [-v]
 
@@ -109,6 +111,8 @@ def runs():
             yield from unfinished_sizings(name, net)
         if name.startswith("fixture"):
             yield from rejected_flows(name, net)
+        if name == "fixture-gas":
+            yield from extreme_diameters(name, net)
 
 
 def size_text(net, flows: dict, **config) -> tuple:
@@ -150,6 +154,18 @@ def rejected_flows(name: str, net):
             yield f"{name} {case} start {method}", outcome(lambda: solve_text(
                 net, solvers.solve(net, solvers.SolverConfig(method=method), FlowState(given))))
         yield f"{name} {case} fixed flows", outcome(lambda: size_text(net, given))
+
+
+def extreme_diameters(name: str, net):
+    """Solves with pipe 1 at a diameter whose drop overflows (1e-300 m) and
+    at one whose drop vanishes (1e300 m)."""
+    for diameter in (1e-300, 1e300):
+        pipes = [dataclasses.replace(p, diameter=diameter) if p.id == 1 else p
+                 for p in net.pipes]
+        extreme = dataclasses.replace(net, pipes=pipes)
+        for method in solvers.METHODS:
+            yield f"{name} pipe 1 at {diameter:g} m {method}", outcome(lambda: solve_text(
+                extreme, solvers.solve(extreme, solvers.SolverConfig(method=method))))
 
 
 def main(argv: list[str]) -> int:
