@@ -1,11 +1,11 @@
 """Inverse problem: fix the flows, iterate pipe diameters to loop balance.
 
 The loop corrections are the original Hardy Cross method's, by the same
-code, with the diameter as the variable: with r(d) = B·(sign q · drop(|q|, d)), loop k's
-correction is Δ_k = r_k / (|B|·|d drop/d diameter|)_k, applied to each
-member with its membership and flow signs (d += sign q · BᵀΔ) and clamped
-to the bounds; drops fall as diameters grow, so this is the Newton step
-for the diameter.  Only the core (the pipes that lie in a loop) is sized
+code (`solvers._diagonal_corrections`), with the diameter as the variable:
+with r(d) = B·(sign q · drop(|q|, d)), loop k's correction is
+Δ_k = r_k / (|B|·|d drop/d diameter|)_k, applied to each member with its
+membership and flow signs (d += sign q · BᵀΔ) and clamped to the bounds;
+drops fall as diameters grow, so this is the Newton step for the diameter.  Only the core (the pipes that lie in a loop) is sized
 and evaluated: the other pipes are unconstrained by the loop equations
 and keep their input diameter.
 """
