@@ -57,8 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_size.add_argument("--flows", metavar="CSV",
                         help="fixed flows (pipe,flow_m3h); defaults to the "
                              "file's initial_flows section")
-    p_size.add_argument("--bounds", default="0.01,2.0", metavar="LO,HI",
-                        help="global diameter bounds in m (default 0.01,2.0)")
+    p_size.add_argument("--bounds", metavar="LO,HI",
+                        default=",".join(map(str, sizing.DEFAULT_DIAMETER_BOUNDS)),
+                        help="global diameter bounds in m (default %(default)s)")
     p_size.add_argument("--trace", metavar="CSV",
                         help="write the per-iteration diameter table")
     return parser
@@ -82,21 +83,19 @@ def main(argv: list[str] | None = None) -> int:
 
 def cmd_check(args) -> int:
     net = fileio.parse_network(args.path)
+    if net.explicit_loops:
+        solvers.select_basis(net)
     print(f"{len(net.pipes)} pipes, {len(net.nodes)} nodes, "
           f"{net.loop_count} loops")
     print("connected: yes")
-    if net.explicit_loops:
-        solvers.select_basis(net)
-        print(f"explicit loops: {len(net.explicit_loops)} valid")
-    else:
-        print("note: loops will be derived")
+    print(f"explicit loops: {len(net.explicit_loops)} valid" if net.explicit_loops
+          else "note: loops will be derived")
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
-    if args.pressures and not 0.0 < args.source_pressure_pa < float("inf"):
-        raise ValueError(f"--source-pressure-pa must be finite and > 0, got "
-                         f"{args.source_pressure_pa!r}")
+    if args.pressures:
+        solvers.check_source_pressure(args.source_pressure_pa)
     net = fileio.parse_network(args.path)
     report = solvers.solve(net, SolverConfig(method=args.method))
 
@@ -156,12 +155,12 @@ def _warn_below_vacuum(net: Network, pressures: dict) -> None:
 
 
 def cmd_size(args) -> int:
-    net = fileio.parse_network(args.path)
-    fixed = _fixed_flows(net, args)
     try:
         lo, hi = (float(v) for v in args.bounds.split(","))
     except ValueError:
         raise ValueError(f"--bounds expects 'LO,HI', got {args.bounds!r}") from None
+    net = fileio.parse_network(args.path)
+    fixed = _fixed_flows(net, args)
 
     config = sizing.SizingConfig(fixed_flows=fixed, diameter_bounds=(lo, hi))
     report = sizing.optimize_diameters(net, solvers.select_basis(net), config)

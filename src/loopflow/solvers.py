@@ -361,6 +361,14 @@ def final_velocities(net: Network, flows: FlowState | np.ndarray) -> dict[PipeId
     return pipes.by_id(speeds)
 
 
+def check_source_pressure(pressure: float) -> None:
+    """Raise ValueError unless `pressure` is finite, > 0 Pa and has a finite square."""
+    if not 0.0 < pressure < math.inf:
+        raise ValueError(f"source pressure must be finite and > 0 Pa, got {pressure!r}")
+    if pressure * pressure == math.inf:
+        raise ValueError(f"source pressure {pressure:g} Pa overflows when squared")
+
+
 @np.errstate(over="ignore")    # a huge diameter's drop: x / inf = 0
 def propagate_pressures(net: Network, flows: FlowState, source_node: NodeId,
                         source_pressure: float) -> dict[NodeId, float]:
@@ -371,8 +379,7 @@ def propagate_pressures(net: Network, flows: FlowState, source_node: NodeId,
     networks propagate squared pressures (the Renouard drop is a difference
     of squared pressures) and fail if one would go negative.
     """
-    if not 0.0 < source_pressure < math.inf:
-        raise ValueError(f"source pressure must be finite and > 0 Pa, got {source_pressure!r}")
+    check_source_pressure(source_pressure)
     node_ids = net.node_ids
     if source_node not in node_ids:
         raise KeyError(f"no node {source_node!r} in network")
@@ -384,10 +391,7 @@ def propagate_pressures(net: Network, flows: FlowState, source_node: NodeId,
     tails, heads, start, incident = net._adjacency()
 
     source = node_ids.index(source_node)
-    try:
-        potentials = {source: source_pressure ** 2 if squared else source_pressure}
-    except OverflowError:
-        raise ValueError(f"source pressure {source_pressure:g} Pa overflows when squared") from None
+    potentials = {source: source_pressure ** 2 if squared else source_pressure}
     queue = deque([source])
     while queue:
         node = queue.popleft()

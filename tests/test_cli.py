@@ -203,15 +203,14 @@ class TestSolve:
                              f"--source-pressure-pa={value}")
         assert code == 1
         assert out == ""
-        assert err == (f"error: --source-pressure-pa must be finite and > 0, "
-                       f"got {float(value)!r}\n")
+        assert err == f"error: source pressure must be finite and > 0 Pa, got {float(value)!r}\n"
 
     def test_gas_source_pressure_whose_square_overflows_prints_one_error_line(self, gas_path,
                                                                               capsys):
         code, out, err = run(capsys, "solve", str(gas_path), "--pressures",
                              "--source-pressure-pa", "1e200")
         assert code == 1
-        assert "(converged)" in out and "node pressures" not in out
+        assert out == ""
         assert err == "error: source pressure 1e+200 Pa overflows when squared\n"
 
     # In process, pytest's error::RuntimeWarning filter fails a test on
