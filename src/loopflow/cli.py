@@ -8,7 +8,11 @@ files or inputs) into exit 1, each with one `error:` line; the commands
 return the other codes, exit 2 on an infeasible pressure (a ValueError) too.
 A solve or sizing that does not converge ends with its stop reason as one
 `error:` line (after an infeasible pressure's own), and a solve prints no
-flow table if it diverged.  Node pressures below 0 Pa absolute (water)
+flow table if it diverged.  Every command judges its inputs before it
+prints: `--source-pressure-pa` must be finite, > 0 Pa and have a finite
+square (`solvers.check_source_pressure`), checked before the network is
+read; `--bounds` is parsed first; explicit loops are adopted before `check`
+prints.  Node pressures below 0 Pa absolute (water)
 give one `warning:` line and leave the exit code as it is.
 """
 

@@ -84,8 +84,9 @@ class FluidSpec:
 
     Gas networks need `rel_density` and both pressures (flows are stated at
     normal conditions, velocities at operating pressure).  Water networks
-    need `density` and `viscosity`; their pressure fields only serve as the
-    default head for pressure propagation.
+    need `density` and `viscosity`; their pressure fields are only checked
+    to be > 0 and enter no result (pressure propagation takes its source
+    pressure as an argument, `--source-pressure-pa` on the command line).
     """
     kind: str                           # GAS or WATER
     rel_density: float | None = None    # gas: density relative to air
@@ -355,8 +356,11 @@ def validate(net: Network) -> list[str]:
     """Check all network invariants; returns human-readable violations, as
     a new list each call.
 
-    An empty list means the network is solvable: consistent ids, finite
-    numbers, positive geometry, balanced demands, connected graph.  A tree,
+    An empty list means consistent ids, finite numbers, positive geometry,
+    balanced demands, a connected graph and explicit loops that name only
+    its pipes.  Whether those loops are closed, independent cycles is
+    judged apart, by `adopt_explicit_loops` (which `solvers.select_basis`
+    calls), so the network is solvable only if that passes too.  A tree,
     which has no loop, is solvable: its demands alone fix its flows.  A
     network checks itself on the first call and keeps what it found.
     """

@@ -66,11 +66,13 @@ class SizingReport:
     of the core's arrays; `tree_pipes`, the pipes in no loop, keep theirs.
     A run in which no step lowers the worst loop residual ends "stalled",
     one that uses up its passes "max-iterations", and either ends
-    "infeasible-bounds" instead if a pipe is at a bound.  `stop_reason` is
-    empty exactly when the run converged; otherwise it names the pass, the
-    worst loop residual and, for bounds, the pipes at one ("stalled at pass
-    N: ...", "max-iterations after N passes: ...", "infeasible within
-    bounds after N passes: ...")."""
+    "infeasible-bounds" instead if a pipe is at a bound; a start whose loop
+    residuals are not finite ends one of those two after 0 passes.
+    `stop_reason` is empty exactly when the run converged; otherwise it
+    names the pass, the worst loop residual (or that the start's are not
+    finite) and, for bounds, the pipes at one ("stalled at pass N: ...",
+    "max-iterations after N passes: ...", "infeasible within bounds after
+    N passes: ...")."""
     diameters: dict[PipeId, float]
     diameter_history: Sequence[dict[PipeId, float]]
     loop_residual_history: list[list[float]]
@@ -85,7 +87,8 @@ class SizingReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.loop_residual_history[-1], default=0.0)
+        """The last worst loop residual: NaN or inf if any loop's is (`max` need not)."""
+        return float(np.max(self.loop_residual_history[-1], initial=0.0))
 
 
 # Extreme diameters overflow the drops; a residual that is not finite never converges.
@@ -127,20 +130,30 @@ def optimize_diameters(net: Network, basis: LoopBasis,
 
     def loop_residuals(diam: np.ndarray):
         """Loop residuals at `diam`, with the friction factor (water) that
-        the drops took, for the derivative once `diam` is accepted."""
+        the drops took, for the derivative once `diam` is accepted, and the
+        signed drops."""
         friction = model.friction(core_pipes, magnitude, diam)
-        drops = model.drop_at_diameter(core_pipes, magnitude, diam, friction)
-        return loops @ (sign * drops), friction
+        drops = sign * model.drop_at_diameter(core_pipes, magnitude, diam, friction)
+        return loops @ drops, friction, drops
 
     history = [diameters]
-    residuals, friction = loop_residuals(diameters)
+    residuals, friction, drops = loop_residuals(diameters)
+    # A start that is not finite gives no step to take; its loops are
+    # reported summed over their own members, which B's zeros do not poison.
+    finite_start = bool(np.isfinite(residuals).all())
+    if not finite_start:
+        residuals = basis.member_sums(drops)
     residual_history = [np.abs(residuals).tolist()]
-    worst = max(residual_history[0], default=0.0)
+    worst = max(residual_history[0], default=0.0) if finite_start else np.nan
     unit = RESIDUAL_UNIT[net.fluid.kind]
     stop_reason = ""
 
     # `not <=` keeps a NaN residual from passing for convergence.
     while not worst <= tolerance:
+        if not finite_start:
+            termination = STALLED
+            stop_reason = "stalled at pass 0: the start's loop residuals are not finite"
+            break
         if len(history) > config.max_iterations:
             termination = MAX_ITERATIONS
             stop_reason = (f"max-iterations after {len(history) - 1} passes: the worst loop "
@@ -155,7 +168,7 @@ def optimize_diameters(net: Network, basis: LoopBasis,
         scale = 1.0
         for _ in range(STEP_HALVINGS):
             candidate = np.minimum(np.maximum(diameters + scale * step, lower), upper)
-            cand_residuals, cand_friction = loop_residuals(candidate)
+            cand_residuals, cand_friction, _ = loop_residuals(candidate)
             if np.abs(cand_residuals).max() < worst:
                 break
             scale *= 0.5
@@ -177,9 +190,11 @@ def optimize_diameters(net: Network, basis: LoopBasis,
     bounded = {pid for pid, flag in zip(core_ids, at_bound) if flag}
     if termination != CONVERGED and bounded:
         termination = INFEASIBLE_BOUNDS
-        stop_reason = (f"infeasible within bounds after {len(history) - 1} passes: the "
-                       f"worst loop residual is {worst:.3g} {unit} with {len(bounded)} of "
-                       f"{len(core_ids)} sized pipes at a bound (lowest id {min(bounded)})")
+        state = (f"the worst loop residual is {worst:.3g} {unit}" if finite_start
+                 else "the start's loop residuals are not finite,")
+        stop_reason = (f"infeasible within bounds after {len(history) - 1} passes: {state} "
+                       f"with {len(bounded)} of {len(core_ids)} sized pipes at a bound "
+                       f"(lowest id {min(bounded)})")
 
     given = pipes.by_id(pipes.diameter)
     history = History(history, lambda diam: {**given, **dict(zip(core_ids, diam.tolist()))})

@@ -99,15 +99,17 @@ class LoopEval:
     """Loop imbalances and pipe derivatives of one state.
 
     `flows` is q on every pipe, `residuals` is r = B·(sign q · drop(|q|)),
-    one entry per loop, and `dflow` is D = |d drop/d flow|, evaluated away
-    from zero flow, on the core only (in `basis.core` order): D holds
-    nothing for a pipe in no loop, which enters neither r nor B D Bᵀ.
+    one entry per loop, `dflow` is D = |d drop/d flow|, evaluated away
+    from zero flow, and `drops` is sign q · drop(|q|), both on the core only
+    (in `basis.core` order): they hold nothing for a pipe in no loop, which
+    enters neither r nor B D Bᵀ.
     """
     net: Network
     basis: LoopBasis
     flows: np.ndarray          # q, signed, m³/s
     residuals: np.ndarray
     dflow: np.ndarray
+    drops: np.ndarray
 
     @cached_property
     def member_dflow(self) -> tuple[Mapping[PipeId, float], ...]:
@@ -146,7 +148,8 @@ def evaluate_loops(net: Network, basis: LoopBasis, flows: FlowState | np.ndarray
     q_core = q if basis.spans_all else q[basis.core]
     drop, dflow = make_fluid_model(net.fluid).evaluate(
         basis.core_pipes(pipes), np.abs(q_core), derivative_flow_floor)
-    return LoopEval(net, basis, q, basis.core_matrix @ np.copysign(drop, q_core), dflow)
+    drop = np.copysign(drop, q_core)
+    return LoopEval(net, basis, q, basis.core_matrix @ drop, dflow, drop)
 
 
 def assemble_node_loop_system(loop_eval: LoopEval,
@@ -285,14 +288,17 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
     residual_tol = config.resolved_residual_tolerance(net.fluid.kind)
     flow_history = [loop_eval.flows]
     residual_history = [np.abs(loop_eval.residuals).tolist()]
+    # A start that is not finite gives no step to take; its loops are
+    # reported summed over their own members, which B's zeros do not poison.
+    finite_start = math.isfinite(sum(residual_history[0]) + loop_eval.dflow.sum())
+    if not finite_start:
+        residual_history[0] = np.abs(basis.member_sums(loop_eval.drops)).tolist()
     start_worst = worst = max(residual_history[0], default=0.0)
     blowup = DIVERGENCE_GROWTH * max(start_worst, residual_tol)
     rises = 0
     damped: list[int] = []
     unit = RESIDUAL_UNIT[net.fluid.kind]
     stop_reason = ""
-    # A start that is not finite gives no step to take.
-    finite_start = math.isfinite(sum(residual_history[0]) + loop_eval.dflow.sum())
     while finite_start and len(flow_history) - 1 < config.max_iterations:
         current = loop_eval.flows
         pass_no = len(flow_history)

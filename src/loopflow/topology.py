@@ -87,6 +87,14 @@ class LoopBasis:
             np.searchsorted(self.core, self.columns)] = self.signs
         return _frozen(out)
 
+    def member_sums(self, values: np.ndarray) -> np.ndarray:
+        """B·values for `values` on the core, each loop summed over its own
+        members in traversal order: a value that is not finite reaches only
+        the loops that hold it, where `core_matrix @ values` multiplies the
+        zeros of the others by it too."""
+        return np.add.reduceat(self.signs * values[np.searchsorted(self.core, self.columns)],
+                               self.starts[:-1])
+
     @cached_property
     def core_magnitudes(self) -> np.ndarray:
         """|B| on the core, read-only: which core pipes each loop holds."""

@@ -126,6 +126,24 @@ class TestCheck:
         assert code == 3
         assert "error" in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: [raw], "{path}: top level must be an object"),
+        (lambda raw: {k: v for k, v in raw.items() if k != "pipes"},
+         "{path}: missing section 'pipes'"),
+        (lambda raw: {**raw, "nodes": {}}, "{path}: nodes: expected a list"),
+        (lambda raw: {**raw, "loops": [[], *raw["loops"][1:]]}, "loop 1 is empty"),
+        (lambda raw: {**raw, "loops": [[1, 1], *raw["loops"][1:]]}, "loop 1 repeats pipe 1"),
+        (lambda raw: {**raw, "loops": [*raw["loops"][:4], [-4, 3, 2, -1]]},
+         "rank-deficient loop set: loops are not independent"),
+    ], ids=["not-an-object", "no-pipes", "nodes-not-a-list", "empty-loop", "repeated-pipe",
+            "dependent-loops"])
+    def test_rejected_input_prints_only_its_error_line(self, edit, message, gas_path,
+                                                       capsys):
+        gas_path.write_text(json.dumps(edit(json.loads(gas_path.read_text()))))
+        code, out, err = run(capsys, "check", str(gas_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message.format(path=gas_path)}\n"
+
     def test_bad_explicit_loops(self, gas_path, tmp_path, capsys):
         raw = json.loads(gas_path.read_text())
         raw["loops"] = raw["loops"][:4]
@@ -204,6 +222,22 @@ class TestSolve:
         assert code == 1
         assert out == ""
         assert err == f"error: source pressure must be finite and > 0 Pa, got {float(value)!r}\n"
+
+    @pytest.mark.parametrize("value", ["-5", "1.4e154"])
+    def test_source_pressure_is_judged_before_the_network_is_read(self, value, tmp_path,
+                                                                 capsys):
+        # 1.4e154 Pa has no finite square, for water as for gas.
+        code, out, err = run(capsys, "solve", str(tmp_path / "missing.json"), "--pressures",
+                             f"--source-pressure-pa={value}")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: source pressure ") and err.count("\n") == 1
+
+    def test_water_source_pressure_whose_square_overflows_is_rejected(self, water_path,
+                                                                     capsys):
+        code, out, err = run(capsys, "solve", str(water_path), "--pressures",
+                             "--source-pressure-pa", "1.4e154")
+        assert (code, out) == (1, "")
+        assert err == "error: source pressure 1.4e+154 Pa overflows when squared\n"
 
     def test_gas_source_pressure_whose_square_overflows_prints_one_error_line(self, gas_path,
                                                                               capsys):
@@ -416,9 +450,20 @@ class TestSize:
         code, out, err = run(capsys, "size", str(gas_path), "--bounds", "1e-300,1e-200")
         assert code == EXIT_NO_CONVERGENCE
         assert out.count("at bound, velocity inf m/s above 10-15 band") == 15
-        assert err.startswith("error: infeasible within bounds after 0 passes: the worst "
-                              "loop residual is nan Pa2 with 15 of 15 sized pipes at a bound")
-        assert err.count("\n") == 1
+        assert err == ("error: infeasible within bounds after 0 passes: the start's loop "
+                       "residuals are not finite, with 15 of 15 sized pipes at a bound "
+                       "(lowest id 1)\n")
+
+    def test_bounds_are_judged_before_any_file_is_read(self, tmp_path, capsys):
+        code, out, err = run(capsys, "size", str(tmp_path / "missing.json"), "--bounds", "wide")
+        assert (code, out) == (1, "")
+        assert err == "error: --bounds expects 'LO,HI', got 'wide'\n"
+
+    def test_default_bounds_are_the_library_default(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["size", "--help"])
+        lo, hi = loopflow.sizing.DEFAULT_DIAMETER_BOUNDS
+        assert f"(default {lo},{hi})" in capsys.readouterr().out
 
     def test_bad_bounds_argument(self, gas_path, capsys):
         code, _, err = run(capsys, "size", str(gas_path), "--bounds", "wide")

@@ -1,6 +1,7 @@
 """Diameter sizing: derivative kernels and the loop-balance iteration."""
 
 import dataclasses
+import math
 import random
 from collections import Counter
 
@@ -8,7 +9,7 @@ import pytest
 
 from loopflow import kernels
 from loopflow.fileio import network_from_dict
-from loopflow.fluids import WaterModel
+from loopflow.fluids import GasModel, WaterModel
 from loopflow.model import FlowState, Network, NodeSpec, Pipe, feasible_initial_flows, m3h_to_m3s
 from loopflow.sizing import (
     INFEASIBLE_BOUNDS,
@@ -345,3 +346,47 @@ def test_a_tree_is_sized_in_no_pass(tree):
     assert report.diameters == {p.id: p.diameter for p in net.pipes}
     assert report.loop_residual_history == [[]] and report.max_residual == 0.0
     assert not report.bounded_pipes
+
+
+@pytest.mark.parametrize("case", ["all-at-bounds", "pipes-7-8-at-bounds", "pipe-1-inside"])
+def test_start_that_is_not_finite_ends_after_one_evaluation(case, gas_network, monkeypatch):
+    # d⁴·⁸² underflows to 0, so the drop of a pipe that narrow is inf.
+    net, tiny = gas_network, (1e-300, 1e-200)
+    if case == "all-at-bounds":
+        bounds = tiny
+    elif case == "pipes-7-8-at-bounds":
+        bounds = {p.id: tiny if p.id in (7, 8) else (0.01, 2.0) for p in net.pipes}
+    else:
+        net = dataclasses.replace(net, pipes=[
+            dataclasses.replace(p, diameter=1e-300) if p.id == 1 else p for p in net.pipes])
+        bounds = (1e-305, 1.0)
+    calls = Counter()
+    original = GasModel.drop_at_diameter
+
+    def counting(self, *args):
+        calls["drop_at_diameter"] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(GasModel, "drop_at_diameter", counting)
+    fixed = FlowState({pid: m3h_to_m3s(q) for pid, q in net.initial_flows_m3h.items()})
+    report = optimize_diameters(net, select_basis(net),
+                                SizingConfig(fixed_flows=fixed, diameter_bounds=bounds))
+    assert calls["drop_at_diameter"] == 1
+    assert report.iteration_count == 0
+    start = report.loop_residual_history[0]
+    finite = [math.isfinite(r) for r in start]
+    assert not math.isfinite(report.max_residual)
+    if case == "all-at-bounds":
+        assert (report.termination, report.bounded_pipes) == (INFEASIBLE_BOUNDS, set(net.pipe_ids))
+        assert not any(finite)
+    elif case == "pipes-7-8-at-bounds":
+        # Only the third loop holds pipes 7 and 8.
+        assert (report.termination, report.bounded_pipes) == (INFEASIBLE_BOUNDS, {7, 8})
+        assert finite == [True, True, False, True, True]
+        assert report.stop_reason == (
+            "infeasible within bounds after 0 passes: the start's loop residuals are not "
+            "finite, with 2 of 15 sized pipes at a bound (lowest id 7)")
+    else:
+        assert (report.termination, report.bounded_pipes) == (STALLED, set())
+        assert finite == [False, True, True, True, True]
+        assert report.stop_reason == "stalled at pass 0: the start's loop residuals are not finite"

@@ -808,6 +808,14 @@ class TestDivergence:
         assert (report.termination, report.iteration_count) == ("diverged", 0)
         assert report.stop_reason == ("diverged at pass 0: the start's loop residuals or "
                                       "pipe derivatives are not finite")
+        # Only the loops that hold pipe 1 are not finite; each other loop
+        # is its own members' sum, as in the unaltered fixture's start.
+        holds = np.array([any(pid == 1 for pid, _ in loop) for loop in select_basis(net).loops])
+        start = np.array(report.loop_residuals[0])
+        assert holds.any() and not holds.all()
+        assert np.isinf(start[holds]).all()
+        reference = solve(gas_network, SolverConfig(max_iterations=0)).loop_residuals[0]
+        assert start[~holds] == pytest.approx(np.array(reference)[~holds], rel=1e-12)
 
     def test_damping_catches_threefold_growth(self):
         net = perfbench_grid(5, 5, "gas", seed=2)
