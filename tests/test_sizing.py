@@ -373,8 +373,7 @@ def test_start_that_is_not_finite_ends_after_one_evaluation(case, gas_network, m
                                 SizingConfig(fixed_flows=fixed, diameter_bounds=bounds))
     assert calls["drop_at_diameter"] == 1
     assert report.iteration_count == 0
-    start = report.loop_residual_history[0]
-    finite = [math.isfinite(r) for r in start]
+    finite = [math.isfinite(r) for r in report.loop_residual_history[0]]
     assert not math.isfinite(report.max_residual)
     if case == "all-at-bounds":
         assert (report.termination, report.bounded_pipes) == (INFEASIBLE_BOUNDS, set(net.pipe_ids))
