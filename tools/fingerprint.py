@@ -2,14 +2,14 @@
 
 Two source trees that print the same hash gave bit-identical results on
 every run of the set: each iterate, loop residual, termination, stop
-reason, damped-pass list and velocity of all three methods with damping
-off and on, and, unless the run diverged, the node pressures propagated from the
-supply node that `loopflow solve --pressures` picks, at 4e5 Pa; each sized
-diameter history, residual history and stop reason, also of gas fixture
-sizings that end "max-iterations" and "infeasible-bounds"; the `format_trace`
-bytes from a seed-0 and a seed-3 start; and the type and message of any
-error a run raised, such as those for starts and fixed flows on the
-fixtures that are unbalanced, incomplete, not finite or idle a loop pipe.
+reason and velocity of all three methods and, unless the run diverged,
+the node pressures propagated from the supply node that `loopflow solve
+--pressures` picks, at 4e5 Pa; each sized diameter history, residual
+history and stop reason, also of gas fixture sizings that end
+"max-iterations" and "infeasible-bounds"; the `format_trace` bytes from a
+seed-0 and a seed-3 start; and the type and message of any error a run
+raised, such as those for starts and fixed flows on the fixtures that
+are unbalanced, incomplete, not finite or idle a loop pipe.
 The inputs are the two bundled fixtures; for seeds 0-2 and both fluids,
 the 11 x 11 grids, the 200-node rings with 70 chords and the 1200-node
 trees closed by 10 pipes of `perfbench/networks.py`; and for both fluids
@@ -76,8 +76,8 @@ def outcome(run) -> str:
 
 def solve_text(net, report) -> tuple:
     return ([state.flows for state in report.iterations], report.loop_residuals,
-            report.termination, report.stop_reason, report.damped_iterations,
-            report.velocities, pressures_text(net, report))
+            report.termination, report.stop_reason, report.velocities,
+            pressures_text(net, report))
 
 
 def pressures_text(net, report) -> str:
@@ -93,10 +93,8 @@ def runs():
     """(name, text) of every run of the set."""
     for name, net, fixed in inputs():
         for method in solvers.METHODS:
-            for damping in (False, True):
-                config = solvers.SolverConfig(method=method, damping=damping)
-                yield (f"{name} {method} damping={damping}",
-                       outcome(lambda: solve_text(net, solvers.solve(net, config))))
+            config = solvers.SolverConfig(method=method)
+            yield f"{name} {method}", outcome(lambda: solve_text(net, solvers.solve(net, config)))
         if not name.startswith("ring"):
             for seed in (0, 3):
                 yield f"{name} trace seed {seed}", outcome(lambda: [
