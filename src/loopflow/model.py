@@ -333,7 +333,6 @@ class SolveReport:
     loop_residuals: list[list[float]]
     termination: str      # converged | max-iterations | singular-system | diverged
     velocities: dict[PipeId, float] = field(default_factory=dict)
-    damped_iterations: list[int] = field(default_factory=list)
     stop_reason: str = ""
 
     @property

@@ -60,10 +60,6 @@ METHODS = (NODE_LOOP, HARDY_CROSS, HARDY_CROSS_IMPROVED)
 # Loop-imbalance tolerance at convergence: Pa² for gas, Pa for water.
 DEFAULT_RESIDUAL_TOLERANCE = {GAS: 1e3, WATER: 1.0}
 
-# A damped pass is triggered when an iterate inflates the worst loop
-# residual by more than this factor (only with SolverConfig.damping).
-DAMPING_TRIGGER = 2.0
-
 # A run ends "diverged" when a candidate's worst loop residual or flow
 # change is not finite, or when the worst residual rose on each of the last
 # DIVERGENCE_PASSES passes and exceeds DIVERGENCE_GROWTH times the start's
@@ -86,7 +82,6 @@ class SolverConfig:
     residual_tolerance: float | None = None   # default picked per fluid
     max_iterations: int = 50
     derivative_flow_floor: float = 1e-7       # m³/s
-    damping: bool = False
 
     def resolved_residual_tolerance(self, fluid_kind: str) -> float:
         if self.residual_tolerance is not None:
@@ -296,11 +291,9 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
     start_worst = worst = max(residual_history[0], default=0.0)
     blowup = DIVERGENCE_GROWTH * max(start_worst, residual_tol)
     rises = 0
-    damped: list[int] = []
     unit = RESIDUAL_UNIT[net.fluid.kind]
     stop_reason = ""
     while finite_start and len(flow_history) - 1 < config.max_iterations:
-        current = loop_eval.flows
         pass_no = len(flow_history)
         try:
             candidate_eval = evaluate_loops(net, basis, step(loop_eval), floor)
@@ -308,14 +301,8 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
             termination = "singular-system"
             stop_reason = f"singular-system at pass {pass_no}: {exc}"
             break
-        # `worst` is the current state's worst loop residual.
-        if config.damping and worst > 0.0 and \
-                np.abs(candidate_eval.residuals).max() > DAMPING_TRIGGER * worst:
-            damped.append(pass_no)
-            midpoint = 0.5 * (current + candidate_eval.flows)
-            candidate_eval = evaluate_loops(net, basis, midpoint, floor)
         residuals = np.abs(candidate_eval.residuals).tolist()
-        change_m3h = m3s_to_m3h(np.abs(candidate_eval.flows - current).max(initial=0.0))
+        change_m3h = m3s_to_m3h(np.abs(candidate_eval.flows - loop_eval.flows).max(initial=0.0))
         # A sum carries every NaN or inf among its terms (max need not);
         # the run keeps its last finite state.
         if not math.isfinite(change_m3h + sum(residuals)):
@@ -355,7 +342,6 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
         loop_residuals=residual_history,
         termination=termination,
         velocities=final_velocities(net, flow_history[-1]),
-        damped_iterations=damped,
         stop_reason=stop_reason,
     )
 

@@ -469,11 +469,6 @@ class TestHardyCross:
         with pytest.raises(ValueError, match="unknown method"):
             solve(gas_network, SolverConfig(method="bogus"))
 
-    def test_damping_inactive_on_fixture(self, gas_network):
-        report = solve_node_loop(gas_network, SolverConfig(damping=True))
-        assert report.damped_iterations == []
-        assert report.termination == "converged"
-
     def test_reference_node_choice_does_not_change_flows(self, gas_network):
         # any node's continuity row may be the omitted one
         moved = Network(pipes=gas_network.pipes, nodes=gas_network.nodes,
@@ -750,12 +745,11 @@ class TestGivenStart:
 class TestDivergence:
     """Original Hardy Cross diverges on meshed grids; the run stops early."""
 
-    @pytest.mark.parametrize("damping", [False, True], ids=["undamped", "damped"])
     @pytest.mark.parametrize("kind", ["gas", "water"])
     @pytest.mark.parametrize("size", [8, 15])
-    def test_diverging_grid_stops_with_finite_balanced_flows(self, size, kind, damping):
+    def test_diverging_grid_stops_with_finite_balanced_flows(self, size, kind):
         net = perfbench_grid(size, size, kind, seed=0)
-        report = solve_hardy_cross_original(net, SolverConfig(damping=damping))
+        report = solve_hardy_cross_original(net, SolverConfig())
         assert report.termination == "diverged"
         assert report.iteration_count <= 6
         assert report.stop_reason.startswith(
@@ -817,19 +811,6 @@ class TestDivergence:
         reference = solve(gas_network, SolverConfig(max_iterations=0)).loop_residuals[0]
         assert start[~holds] == pytest.approx(np.array(reference)[~holds], rel=1e-12)
 
-    def test_damping_catches_threefold_growth(self):
-        net = perfbench_grid(5, 5, "gas", seed=2)
-        plain = solve_hardy_cross_original(net, SolverConfig(max_iterations=2))
-        worst = [max(r) for r in plain.loop_residuals]
-        assert worst[1] < worst[0] and 2.0 < worst[2] / worst[1] < 10.0
-        damped = solve_hardy_cross_original(net, SolverConfig(max_iterations=2, damping=True))
-        assert damped.damped_iterations == [2]
-        assert damped.iterations[:2] == plain.iterations[:2]
-        ids = net.pipe_ids
-        q1, q2 = (np.array([s.flows[pid] for pid in ids]) for s in plain.iterations[1:])
-        assert [damped.iterations[2].flows[pid] for pid in ids] == (0.5 * (q1 + q2)).tolist()
-        assert max(damped.loop_residuals[2]) < worst[2]
-
     def test_rising_residual_below_the_blowup_does_not_stop(self):
         net = perfbench_grid(4, 4, "gas", seed=0)
         report = solve_hardy_cross_original(net, SolverConfig())
@@ -839,19 +820,9 @@ class TestDivergence:
         assert max(worst) <= worst[0]
         assert report.termination == "max-iterations"
         assert report.iteration_count == 50
-
-    def test_max_iterations_states_its_reason(self):
-        # Damped original Hardy Cross climbs every pass on this grid, too
-        # slowly to reach the divergence stop.
-        net = perfbench_grid(8, 8, "gas", seed=2)
-        report = solve_hardy_cross_original(net, SolverConfig(damping=True))
-        worst = [max(r) for r in report.loop_residuals]
-        assert report.termination == "max-iterations"
-        assert all(b > a for a, b in zip(worst, worst[1:]))
-        assert (worst[0], worst[-1]) == pytest.approx((1.52e9, 6.19e10), rel=1e-2)
         assert report.stop_reason == (
-            f"max-iterations after 50 passes: the worst loop residual is {worst[-1]:.3g} "
-            f"Pa2, from {worst[0]:.3g} Pa2 at the start, and rose on the last 50 passes")
+            "max-iterations after 50 passes: the worst loop residual is 2.96e+05 Pa2, "
+            "from 5.53e+07 Pa2 at the start, and rose on the last 1 passes")
 
     @pytest.mark.parametrize("kind", ["gas", "water"])
     @pytest.mark.parametrize("seed", range(4))
