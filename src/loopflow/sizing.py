@@ -45,18 +45,17 @@ class SizingConfig:
     max_iterations: int = 200
     resolved_residual_tolerance = SolverConfig.resolved_residual_tolerance  # not a field
 
-    def bounds_for(self, pipe_id: PipeId) -> tuple[float, float]:
-        if isinstance(self.diameter_bounds, dict):
-            if pipe_id not in self.diameter_bounds:
+    def bounds_for(self, pipe_id: PipeId | None = None) -> tuple[float, float]:
+        """Pipe `pipe_id`'s diameter bounds: its dict entry, or the global pair."""
+        bounds, where = self.diameter_bounds, ""
+        if isinstance(bounds, dict):
+            if pipe_id not in bounds:
                 raise SizingInfeasibleError(f"no diameter bounds for loop pipe {pipe_id}")
-            bounds = self.diameter_bounds[pipe_id]
-        else:
-            bounds = self.diameter_bounds
+            bounds, where = bounds[pipe_id], f" for pipe {pipe_id}"
         lo, hi = bounds
         if not (0.0 < lo < hi):
             raise ValueError(
-                f"diameter bounds for pipe {pipe_id} must satisfy 0 < lower "
-                f"< upper, got ({lo}, {hi})")
+                f"diameter bounds{where} must satisfy 0 < lower < upper, got ({lo}, {hi})")
         return lo, hi
 
 
@@ -125,7 +124,11 @@ def optimize_diameters(net: Network, basis: LoopBasis,
     magnitude = np.abs(q)
     sign = np.where(q < 0.0, -1.0, 1.0)
     # Sized pipes start inside their bounds; tree pipes keep the input value.
-    lower, upper = np.array([config.bounds_for(pid) for pid in core_ids]).reshape(-1, 2).T
+    # A global pair is judged once and broadcast, a dict pipe by pipe.
+    if isinstance(config.diameter_bounds, dict):
+        lower, upper = np.array([config.bounds_for(pid) for pid in core_ids]).reshape(-1, 2).T
+    else:
+        lower, upper = np.full((len(core_ids), 2), config.bounds_for()).T
     diameters = np.clip(core_pipes.diameter, lower, upper)
 
     def loop_residuals(diam: np.ndarray):

@@ -355,6 +355,10 @@ def final_velocities(net: Network, flows: FlowState | np.ndarray) -> dict[PipeId
 
 def check_source_pressure(pressure: float) -> None:
     """Raise ValueError unless `pressure` is finite, > 0 Pa and has a finite square."""
+    try:
+        pressure = float(pressure)
+    except OverflowError:    # an int past the float range
+        pressure = math.inf if pressure > 0 else -math.inf
     if not 0.0 < pressure < math.inf:
         raise ValueError(f"source pressure must be finite and > 0 Pa, got {pressure!r}")
     if pressure * pressure == math.inf:

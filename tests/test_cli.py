@@ -459,6 +459,11 @@ class TestSize:
         assert (code, out) == (1, "")
         assert err == "error: --bounds expects 'LO,HI', got 'wide'\n"
 
+    def test_bad_global_bounds_name_no_pipe(self, gas_path, capsys):
+        code, out, err = run(capsys, "size", str(gas_path), "--bounds", "0,2")
+        assert (code, out) == (1, "")
+        assert err == "error: diameter bounds must satisfy 0 < lower < upper, got (0.0, 2.0)\n"
+
     def test_default_bounds_are_the_library_default(self, capsys):
         with pytest.raises(SystemExit):
             main(["size", "--help"])

@@ -1,5 +1,6 @@
 """FluidModel layer: evaluation semantics shared by all solvers."""
 
+import math
 import random
 
 import numpy as np
@@ -83,6 +84,26 @@ def test_flow_derivative_matches_central_difference(kind):
                                                 1000.0)) / (2 * h)
         _, got = model.evaluate(pipe, flow, 1e-7)
         assert got == pytest.approx(fd, rel=1e-5)
+
+
+@pytest.mark.parametrize("roughness", [0.0, 2e-5, 1e-3])
+def test_water_drop_rises_smoothly_through_every_flow_regime(roughness):
+    # From Re 50 to 1e7 (laminar, the blended transition from 2300 to 4000,
+    # then turbulent) the drop rises strictly with |q|, and no neighbouring
+    # samples, 0.3% apart in flow, differ by a jump above 2%.
+    model = WaterModel(density=1000.0, viscosity=0.00089)
+    rng = random.Random(f"water-drop:{roughness}")
+    re = np.geomspace(50.0, 1e7, 4000)
+    for _ in range(10):
+        diam = rng.uniform(0.05, 1.0)
+        pipe = Pipe(1, "A", "B", diam, rng.uniform(5.0, 1000.0), roughness)
+        flow = re * math.pi * diam * model.viscosity / (4.0 * model.density)
+        assert kernels.reynolds_number(1000.0, 0.00089, flow, diam) == \
+            pytest.approx(re, rel=1e-12)
+        drop = model.drop(pipe, flow)
+        ratio = drop[1:] / drop[:-1]
+        assert (ratio > 1.0).all()
+        assert ratio.max() <= 1.02
 
 
 def test_velocity_dispatch():

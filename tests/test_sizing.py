@@ -221,6 +221,35 @@ class TestOptimizeDiameters:
                                SizingConfig(fixed_flows=flows,
                                             diameter_bounds=(0.5, 0.1)))
 
+    @pytest.mark.parametrize("bounds, message", [
+        ((0.0, 2.0), r"diameter bounds must satisfy 0 < lower < upper, got \(0\.0, 2\.0\)"),
+        ({**dict.fromkeys(range(1, 16), (0.01, 2.0)), 2: (0.5, 0.1)},
+         r"diameter bounds for pipe 2 must satisfy 0 < lower < upper, got \(0\.5, 0\.1\)"),
+    ], ids=["global", "per-pipe"])
+    def test_bad_bounds_name_a_pipe_only_if_theirs(self, bounds, message, gas_network):
+        flows = solve_node_loop(gas_network, SolverConfig()).final_flows
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            optimize_diameters(gas_network, select_basis(gas_network),
+                               SizingConfig(fixed_flows=flows, diameter_bounds=bounds))
+
+    def test_global_bounds_are_judged_once_and_size_as_the_same_pair_per_pipe(
+            self, gas_network, monkeypatch):
+        flows = solve_node_loop(gas_network, SolverConfig()).final_flows
+        basis = select_basis(gas_network)
+        pair = (0.011, 0.02)
+        per_pipe = optimize_diameters(gas_network, basis, SizingConfig(
+            fixed_flows=flows, diameter_bounds=dict.fromkeys(gas_network.pipe_ids, pair)))
+        judged = []
+        bounds_for = SizingConfig.bounds_for
+        monkeypatch.setattr(SizingConfig, "bounds_for",
+                            lambda self, *pid: judged.append(pid) or bounds_for(self, *pid))
+        report = optimize_diameters(gas_network, basis,
+                                    SizingConfig(fixed_flows=flows, diameter_bounds=pair))
+        assert judged == [()]
+        assert report.termination == per_pipe.termination == INFEASIBLE_BOUNDS
+        assert list(report.diameter_history) == list(per_pipe.diameter_history)
+        assert report.loop_residual_history == per_pipe.loop_residual_history
+
     def test_bounds_missing_a_loop_pipe_rejected(self, gas_network):
         flows = solve_node_loop(gas_network, SolverConfig()).final_flows
         with pytest.raises(SizingInfeasibleError, match="^no diameter bounds for loop pipe 2$"):

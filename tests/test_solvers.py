@@ -515,10 +515,20 @@ class TestPropagatePressures:
             lhs = pressures[p.from_node] ** 2 - pressures[p.to_node] ** 2
             assert abs(lhs - drop) <= slack
 
-    def test_gas_source_pressure_whose_square_overflows_is_a_value_error(self, gas_network):
-        flows = solve_node_loop(gas_network, SolverConfig()).final_flows
-        with pytest.raises(ValueError, match="^source pressure 1e.200 Pa overflows when squared$"):
-            propagate_pressures(gas_network, flows, "I", 1e200)
+    # An int is judged as a float: 10**200 as 1e200, and 10**400, past the
+    # float range, as inf.
+    @pytest.mark.parametrize("pressure, message", [
+        (1e200, "source pressure 1e.200 Pa overflows when squared"),
+        (10**200, "source pressure 1e.200 Pa overflows when squared"),
+        (10**400, "source pressure must be finite and > 0 Pa, got inf"),
+    ], ids=["float", "int", "int-past-float-range"])
+    @pytest.mark.parametrize("kind", ["gas", "water"])
+    def test_gas_source_pressure_whose_square_overflows_is_a_value_error(self, kind, pressure,
+                                                                         message, request):
+        net = request.getfixturevalue(f"{kind}_network")
+        flows = solve_node_loop(net, SolverConfig()).final_flows
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            propagate_pressures(net, flows, "I", pressure)
 
     def test_water_monotone_along_flow(self, water_network):
         # The fixture's water drops sum to ~0.96 MPa on the worst path, so
