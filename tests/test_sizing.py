@@ -214,19 +214,13 @@ class TestOptimizeDiameters:
             optimize_diameters(net, select_basis(net),
                                SizingConfig(fixed_flows=flows))
 
-    def test_bad_bounds_rejected(self, gas_network):
-        flows = solve_node_loop(gas_network, SolverConfig()).final_flows
-        with pytest.raises(ValueError, match="bounds"):
-            optimize_diameters(gas_network, select_basis(gas_network),
-                               SizingConfig(fixed_flows=flows,
-                                            diameter_bounds=(0.5, 0.1)))
-
     @pytest.mark.parametrize("bounds, message", [
-        ((0.0, 2.0), r"diameter bounds must satisfy 0 < lower < upper, got \(0\.0, 2\.0\)"),
+        ((0.5, 0.1), r"diameter bounds must satisfy 0 < lower < upper, got \(0\.5, 0\.1\)"),
         ({**dict.fromkeys(range(1, 16), (0.01, 2.0)), 2: (0.5, 0.1)},
          r"diameter bounds for pipe 2 must satisfy 0 < lower < upper, got \(0\.5, 0\.1\)"),
     ], ids=["global", "per-pipe"])
-    def test_bad_bounds_name_a_pipe_only_if_theirs(self, bounds, message, gas_network):
+    def test_bad_bounds_rejected(self, bounds, message, gas_network):
+        # A global pair names no pipe; a pipe's own pair names it.
         flows = solve_node_loop(gas_network, SolverConfig()).final_flows
         with pytest.raises(ValueError, match=f"^{message}$"):
             optimize_diameters(gas_network, select_basis(gas_network),
