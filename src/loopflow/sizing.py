@@ -1,7 +1,7 @@
 """Inverse problem: fix the flows, iterate pipe diameters to loop balance.
 
 The loop corrections are the original Hardy Cross method's, by the same
-code (`solvers._diagonal_corrections`), with the diameter as the variable:
+code (`LoopBasis.diagonal_corrections`), with the diameter as the variable:
 with r(d) = B·(sign q · drop(|q|, d)), loop k's correction is
 Δ_k = r_k / (|B|·|d drop/d diameter|)_k, applied to each member with its
 membership and flow signs (d += sign q · BᵀΔ) and clamped to the bounds;
@@ -19,7 +19,7 @@ import numpy as np
 
 from .fluids import RESIDUAL_UNIT, make_fluid_model
 from .model import FlowState, History, Network, PipeArrays, PipeId, _checked_flows, _require_valid
-from .solvers import SolverConfig, _diagonal_corrections
+from .solvers import SolverConfig
 from .topology import LoopBasis
 
 DEFAULT_DIAMETER_BOUNDS = (0.01, 2.0)
@@ -109,7 +109,6 @@ def optimize_diameters(net: Network, basis: LoopBasis,
                        balanced=True)
 
     # Everything below runs on the core: its flows, geometry and diameters.
-    loops = basis.core_matrix
     q = q[basis.core]
     core_ids = basis.core_ids
     idle = [pid for pid, flow in zip(core_ids, q.tolist()) if flow == 0.0]
@@ -133,19 +132,15 @@ def optimize_diameters(net: Network, basis: LoopBasis,
 
     def loop_residuals(diam: np.ndarray):
         """Loop residuals at `diam`, with the friction factor (water) that
-        the drops took, for the derivative once `diam` is accepted, and the
-        signed drops."""
+        the drops took, for the derivative once `diam` is accepted."""
         friction = model.friction(core_pipes, magnitude, diam)
         drops = sign * model.drop_at_diameter(core_pipes, magnitude, diam, friction)
-        return loops @ drops, friction, drops
+        return basis.sums(drops), friction
 
     history = [diameters]
-    residuals, friction, drops = loop_residuals(diameters)
-    # A start that is not finite gives no step to take; its loops are
-    # reported summed over their own members, which B's zeros do not poison.
+    residuals, friction = loop_residuals(diameters)
+    # A start that is not finite gives no step to take.
     finite_start = bool(np.isfinite(residuals).all())
-    if not finite_start:
-        residuals = basis.member_sums(drops)
     residual_history = [np.abs(residuals).tolist()]
     worst = max(residual_history[0], default=0.0) if finite_start else np.nan
     unit = RESIDUAL_UNIT[net.fluid.kind]
@@ -164,14 +159,14 @@ def optimize_diameters(net: Network, basis: LoopBasis,
                            f"{tolerance:.3g} {unit}")
             break
         sensitivity = np.abs(model.ddrop_ddiam(core_pipes, magnitude, diameters, friction))
-        step = sign * (loops.T @ _diagonal_corrections(basis, residuals, sensitivity))
+        step = sign * (basis.core_matrix.T @ basis.diagonal_corrections(residuals, sensitivity))
 
         # Backtrack on overshoot: the drop grows steeply for shrinking
         # diameters, so a full multi-loop step can overshoot badly.
         scale = 1.0
         for _ in range(STEP_HALVINGS):
             candidate = np.minimum(np.maximum(diameters + scale * step, lower), upper)
-            cand_residuals, cand_friction, _ = loop_residuals(candidate)
+            cand_residuals, cand_friction = loop_residuals(candidate)
             if np.abs(cand_residuals).max() < worst:
                 break
             scale *= 0.5

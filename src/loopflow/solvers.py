@@ -94,17 +94,15 @@ class LoopEval:
     """Loop imbalances and pipe derivatives of one state.
 
     `flows` is q on every pipe, `residuals` is r = B·(sign q · drop(|q|)),
-    one entry per loop, `dflow` is D = |d drop/d flow|, evaluated away
-    from zero flow, and `drops` is sign q · drop(|q|), both on the core only
-    (in `basis.core` order): they hold nothing for a pipe in no loop, which
-    enters neither r nor B D Bᵀ.
+    one entry per loop, and `dflow` is D = |d drop/d flow|, evaluated away
+    from zero flow, on the core only (in `basis.core` order): it holds
+    nothing for a pipe in no loop, which enters neither r nor B D Bᵀ.
     """
     net: Network
     basis: LoopBasis
     flows: np.ndarray          # q, signed, m³/s
     residuals: np.ndarray
     dflow: np.ndarray
-    drops: np.ndarray
 
     @cached_property
     def member_dflow(self) -> tuple[Mapping[PipeId, float], ...]:
@@ -112,15 +110,6 @@ class LoopEval:
         ids = self.basis.core_ids
         return tuple(MappingProxyType({ids[c]: self.dflow[c] for c in np.flatnonzero(row)})
                      for row in self.basis.core_matrix)
-
-    def corrected(self, deltas: np.ndarray) -> np.ndarray:
-        """q + BᵀΔ, a new array; the pipes off the core keep their flows."""
-        change = self.basis.core_matrix.T @ deltas
-        if self.basis.spans_all:
-            return self.flows + change
-        flows = self.flows.copy()
-        flows[self.basis.core] += change
-        return flows
 
 
 def select_basis(net: Network) -> LoopBasis:
@@ -143,8 +132,7 @@ def evaluate_loops(net: Network, basis: LoopBasis, flows: FlowState | np.ndarray
     q_core = q if basis.spans_all else q[basis.core]
     drop, dflow = make_fluid_model(net.fluid).evaluate(
         basis.core_pipes(pipes), np.abs(q_core), derivative_flow_floor)
-    drop = np.copysign(drop, q_core)
-    return LoopEval(net, basis, q, basis.core_matrix @ drop, dflow, drop)
+    return LoopEval(net, basis, q, basis.sums(np.copysign(drop, q_core)), dflow)
 
 
 def assemble_node_loop_system(loop_eval: LoopEval,
@@ -233,17 +221,11 @@ def solve_hardy_cross_original(net: Network, config: SolverConfig | None = None,
     """
 
     def step(loop_eval: LoopEval) -> np.ndarray:
-        return loop_eval.corrected(_diagonal_corrections(
-            loop_eval.basis, -loop_eval.residuals, loop_eval.dflow))
+        basis = loop_eval.basis
+        return basis.corrected(loop_eval.flows, basis.diagonal_corrections(
+            -loop_eval.residuals, loop_eval.dflow))
 
     return _iterate(net, config or SolverConfig(), initial, HARDY_CROSS, step)
-
-
-def _diagonal_corrections(basis: LoopBasis, residuals: np.ndarray,
-                          weights: np.ndarray) -> np.ndarray:
-    """Hardy Cross's per-loop residuals / (|B|·weights), 0 where that sum is < 1e-30."""
-    denom = basis.core_magnitudes @ weights
-    return np.divide(residuals, denom, out=np.zeros_like(denom), where=~(denom < 1e-30))
 
 
 def solve_hardy_cross_improved(net: Network, config: SolverConfig | None = None,
@@ -259,7 +241,7 @@ def solve_hardy_cross_improved(net: Network, config: SolverConfig | None = None,
         loops = loop_eval.basis.core_matrix
         jacobian = (loops * loop_eval.dflow) @ loops.T
         deltas = solve_linear(jacobian, -loop_eval.residuals)
-        return loop_eval.corrected(deltas)
+        return loop_eval.basis.corrected(loop_eval.flows, deltas)
 
     return _iterate(net, config or SolverConfig(), initial,
                     HARDY_CROSS_IMPROVED, step)
@@ -283,11 +265,8 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
     residual_tol = config.resolved_residual_tolerance(net.fluid.kind)
     flow_history = [loop_eval.flows]
     residual_history = [np.abs(loop_eval.residuals).tolist()]
-    # A start that is not finite gives no step to take; its loops are
-    # reported summed over their own members, which B's zeros do not poison.
+    # A start that is not finite gives no step to take.
     finite_start = math.isfinite(sum(residual_history[0]) + loop_eval.dflow.sum())
-    if not finite_start:
-        residual_history[0] = np.abs(basis.member_sums(loop_eval.drops)).tolist()
     start_worst = worst = max(residual_history[0], default=0.0)
     blowup = DIVERGENCE_GROWTH * max(start_worst, residual_tol)
     rises = 0

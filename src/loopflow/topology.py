@@ -87,13 +87,31 @@ class LoopBasis:
             np.searchsorted(self.core, self.columns)] = self.signs
         return _frozen(out)
 
-    def member_sums(self, values: np.ndarray) -> np.ndarray:
-        """B·values for `values` on the core, each loop summed over its own
-        members in traversal order: a value that is not finite reaches only
-        the loops that hold it, where `core_matrix @ values` multiplies the
-        zeros of the others by it too."""
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """B·values for `values` on the core: `core_matrix @ values` when
+        every value is finite, else each loop summed over its own members in
+        traversal order, so a value that is not finite reaches only the
+        loops that hold it (the product would multiply the others' zeros by
+        it too)."""
+        if np.isfinite(values).all():
+            return self.core_matrix @ values
         return np.add.reduceat(self.signs * values[np.searchsorted(self.core, self.columns)],
                                self.starts[:-1])
+
+    def diagonal_corrections(self, residuals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Hardy Cross's per-loop residuals / (|B|·weights), 0 where that sum is < 1e-30."""
+        denom = self.core_magnitudes @ weights
+        return np.divide(residuals, denom, out=np.zeros_like(denom), where=~(denom < 1e-30))
+
+    def corrected(self, flows: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+        """q + BᵀΔ for flows `q` on every pipe, a new array; the pipes off
+        the core keep their flows."""
+        change = self.core_matrix.T @ deltas
+        if self.spans_all:
+            return flows + change
+        flows = flows.copy()
+        flows[self.core] += change
+        return flows
 
     @cached_property
     def core_magnitudes(self) -> np.ndarray:

@@ -224,13 +224,13 @@ class TestDeriveLoopBasis:
         with pytest.raises(ValueError, match="read-only"):
             magnitudes[0, 0] = 2.0
 
-    def test_member_sums_keep_a_value_that_is_not_finite_in_its_own_loops(self, gas_network):
+    def test_sums_keep_a_value_that_is_not_finite_in_its_own_loops(self, gas_network):
         basis = adopt_explicit_loops(gas_network)
         values = np.linspace(1.0, 2.0, len(basis.core))
-        assert basis.member_sums(values) == pytest.approx(basis.core_matrix @ values, rel=1e-12)
+        assert basis.sums(values) == pytest.approx(basis.core_matrix @ values, rel=1e-12)
         values[0] = np.inf
         holds = basis.core_magnitudes[:, 0] == 1.0
-        sums = basis.member_sums(values)
+        sums = basis.sums(values)
         assert np.isinf(sums[holds]).all() and np.isfinite(sums[~holds]).all()
         with np.errstate(invalid="ignore"):     # 0 · inf
             assert np.isnan((basis.core_matrix @ values)[~holds]).all()
