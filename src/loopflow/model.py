@@ -275,8 +275,12 @@ class PipeArrays:
         return net._pipe_arrays
 
     def flows(self, state: FlowState) -> np.ndarray:
-        """Signed flows of `state` in pipe order, m³/s."""
-        return np.array([state.flows[pid] for pid in self.ids])
+        """Signed flows of `state` in pipe order, m³/s; raises ValueError
+        naming the first pipe, in that order, that `state` lacks."""
+        try:
+            return np.array([state.flows[pid] for pid in self.ids], dtype=float)
+        except KeyError as exc:
+            raise ValueError(f"flow state has no flow for pipe {exc.args[0]}") from None
 
     def by_id(self, values: np.ndarray) -> dict[PipeId, float]:
         """Per-pipe values keyed by pipe id."""
@@ -617,8 +621,7 @@ def _fundamental_cycles(net: Network, nodes: list[int],
 
 def node_imbalances(net: Network, flows: FlowState) -> dict[NodeId, float]:
     """Net inflow minus demand per node, m³/s (zero for a feasible state)."""
-    q = np.array([flows.flows[pid] for pid in PipeArrays.of(net).ids], dtype=float)
-    return dict(zip(net.node_ids, _imbalances(net, q).tolist()))
+    return dict(zip(net.node_ids, _imbalances(net, PipeArrays.of(net).flows(flows)).tolist()))
 
 
 def _imbalances(net: Network, q: np.ndarray) -> np.ndarray:

@@ -44,6 +44,7 @@ class SizingConfig:
     residual_tolerance: float | None = None
     max_iterations: int = 200
     resolved_residual_tolerance = SolverConfig.resolved_residual_tolerance  # not a field
+    check = SolverConfig.check                                               # not a field
 
     def bounds_for(self, pipe_id: PipeId | None = None) -> tuple[float, float]:
         """Pipe `pipe_id`'s diameter bounds: its dict entry, or the global pair."""
@@ -100,8 +101,10 @@ def optimize_diameters(net: Network, basis: LoopBasis,
     The fixed flows must give one finite flow per pipe of the network,
     balance every node and be nonzero on every pipe that belongs to a loop
     (a zero-flow pipe has zero diameter sensitivity).  Raises ValueError
-    for a basis whose pipe ids, in order, are not the network's.
+    for a basis whose pipe ids, in order, are not the network's, or for a
+    setting out of range (`SolverConfig.check`).
     """
+    config.check()
     _require_valid(net)
     pipes = PipeArrays.of(net)
     basis.check_network(net)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -67,6 +68,9 @@ DEFAULT_RESIDUAL_TOLERANCE = {GAS: 1e3, WATER: 1.0}
 DIVERGENCE_PASSES = 3
 DIVERGENCE_GROWTH = 1e3
 
+# D is evaluated at no smaller a flow magnitude (m³/s), so it is never zero.
+DERIVATIVE_FLOW_FLOOR = 1e-7
+
 
 log = logging.getLogger(__name__)
 
@@ -81,7 +85,26 @@ class SolverConfig:
     flow_tolerance_m3h: float = 0.01
     residual_tolerance: float | None = None   # default picked per fluid
     max_iterations: int = 50
-    derivative_flow_floor: float = 1e-7       # m³/s
+    derivative_flow_floor: float = DERIVATIVE_FLOW_FLOOR   # m³/s
+
+    def check(self) -> None:
+        """Raise ValueError naming the first setting out of range:
+        `max_iterations` is an integer >= 0, each tolerance is >= 0 (a
+        residual tolerance of None is the fluid's default) and the floor is
+        finite and >= 0, so NaN fails each.  `SizingConfig` shares this
+        check for the settings it has."""
+        if not (isinstance(self.max_iterations, numbers.Integral) and self.max_iterations >= 0):
+            raise ValueError(
+                f"max_iterations must be an integer >= 0, got {self.max_iterations!r}")
+        flow_tolerance = getattr(self, "flow_tolerance_m3h", 0.0)
+        if not flow_tolerance >= 0.0:
+            raise ValueError(f"flow_tolerance_m3h must be >= 0, got {flow_tolerance!r}")
+        if self.residual_tolerance is not None and not self.residual_tolerance >= 0.0:
+            raise ValueError(
+                f"residual_tolerance must be >= 0 or None, got {self.residual_tolerance!r}")
+        floor = getattr(self, "derivative_flow_floor", 0.0)
+        if not 0.0 <= floor < math.inf:
+            raise ValueError(f"derivative_flow_floor must be finite and >= 0, got {floor!r}")
 
     def resolved_residual_tolerance(self, fluid_kind: str) -> float:
         if self.residual_tolerance is not None:
@@ -118,7 +141,7 @@ def select_basis(net: Network) -> LoopBasis:
 
 
 def evaluate_loops(net: Network, basis: LoopBasis, flows: FlowState | np.ndarray,
-                   derivative_flow_floor: float = 1e-7) -> LoopEval:
+                   derivative_flow_floor: float = DERIVATIVE_FLOW_FLOOR) -> LoopEval:
     """Loop imbalances and pipe derivatives at the given state.
 
     `flows` is a FlowState, or the signed flows in `net.pipe_ids` order, on
@@ -251,6 +274,7 @@ def solve_hardy_cross_improved(net: Network, config: SolverConfig | None = None,
 @np.errstate(all="ignore")
 def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
              method: str, step) -> SolveReport:
+    config.check()
     _require_valid(net)
     if initial is None and net.initial_flows_m3h is not None:
         initial = FlowState({pid: m3h_to_m3s(q) for pid, q in net.initial_flows_m3h.items()})

@@ -209,7 +209,7 @@ def _as_cycle(net: Network, index: dict[PipeId, int], k: int,
             raise ValueError(f"loop {k} repeats pipe {pid}")
         seen_pipes.add(pid)
         if pid not in index:
-            raise KeyError(f"no pipe {pid!r} in network")
+            raise ValueError(f"loop {k} references unknown pipe {pid}")
         pipe = net.pipes[index[pid]]
         tail = pipe.from_node if sign > 0 else pipe.to_node
         head = pipe.to_node if sign > 0 else pipe.from_node

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -76,6 +77,22 @@ class TestOptimizeDiameters:
         for kind in DEFAULT_RESIDUAL_TOLERANCE:
             assert SizingConfig(flows, residual_tolerance=given).resolved_residual_tolerance(
                 kind) == SolverConfig(residual_tolerance=given).resolved_residual_tolerance(kind)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("residual_tolerance", math.nan, "residual_tolerance must be >= 0 or None, got nan"),
+        ("residual_tolerance", -1.0, "residual_tolerance must be >= 0 or None, got -1.0"),
+        ("max_iterations", -3, "max_iterations must be an integer >= 0, got -3"),
+    ])
+    def test_setting_out_of_range_is_named_before_any_evaluation(self, field, value, message,
+                                                                  gas_network, monkeypatch):
+        calls = Counter()
+        monkeypatch.setattr(GasModel, "drop_at_diameter",
+                            lambda *args: calls.update(["drop_at_diameter"]))
+        fixed = FlowState({pid: m3h_to_m3s(q) for pid, q in gas_network.initial_flows_m3h.items()})
+        config = SizingConfig(fixed_flows=fixed, **{field: value})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            optimize_diameters(gas_network, select_basis(gas_network), config)
+        assert calls == Counter()
 
     def test_balanced_network_unchanged(self, gas_network):
         flows = solve_node_loop(gas_network, SolverConfig()).final_flows

@@ -2,8 +2,11 @@
 
 import copy
 import dataclasses
+import inspect
 import logging
+import math
 import random
+import re
 import sys
 from collections import Counter
 
@@ -22,6 +25,7 @@ from loopflow.model import (
     PipeArrays,
     feasible_initial_flows,
     m3h_to_m3s,
+    node_imbalances,
     spanning_tree,
     validate,
 )
@@ -142,6 +146,33 @@ class TestEvaluateLoops:
                                 derivative_flow_floor=1e-7)
         for dflow in result.member_dflow:
             assert all(v > 0.0 for v in dflow.values())
+
+
+    def test_an_overflowing_drop_reaches_only_the_loops_that_hold_its_pipe(self, gas_network):
+        # d⁴·⁸² underflows to 0, so pipe 1's drop is inf.
+        net = dataclasses.replace(gas_network, pipes=[
+            dataclasses.replace(p, diameter=1e-300) if p.id == 1 else p
+            for p in gas_network.pipes])
+        basis = select_basis(net)
+        holds = np.array([any(pid == 1 for pid, _ in loop) for loop in basis.loops])
+        reference = evaluate_loops(gas_network, basis, initial_state(gas_network))
+        # No 0 · inf: the overflow is the only thing numpy sees.
+        with np.errstate(all="raise", over="ignore", divide="ignore", under="ignore"):
+            result = evaluate_loops(net, basis, initial_state(net))
+        assert holds.any() and not holds.all()
+        assert np.isinf(result.residuals[holds]).all()
+        assert result.residuals[~holds] == pytest.approx(reference.residuals[~holds], rel=1e-12)
+
+
+@pytest.mark.parametrize("reader", [
+    lambda net, state: evaluate_loops(net, select_basis(net), state),
+    node_imbalances,
+    lambda net, state: propagate_pressures(net, state, "I", 4e5),
+    solvers_module.final_velocities,
+], ids=["evaluate_loops", "node_imbalances", "propagate_pressures", "final_velocities"])
+def test_state_that_lacks_a_pipe_is_a_value_error(reader, gas_network):
+    with pytest.raises(ValueError, match="^flow state has no flow for pipe 2$"):
+        reader(gas_network, FlowState({1: 0.1, 3: 0.2}))
 
 
 class TestAssembleNodeLoopSystem:
@@ -597,6 +628,38 @@ class TestReportShape:
         row = 1 if method == NODE_LOOP else 0
         assert report.stop_reason == (
             f"singular-system at pass 1: row {row} of the system matrix is zero")
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_iterations", -1), ("max_iterations", 2.5), ("residual_tolerance", -1.0),
+        ("residual_tolerance", math.nan), ("flow_tolerance_m3h", math.nan),
+        ("flow_tolerance_m3h", -0.5), ("derivative_flow_floor", math.nan),
+        ("derivative_flow_floor", math.inf), ("derivative_flow_floor", -1e-7)])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_setting_out_of_range_is_named_before_any_evaluation(self, method, field, value,
+                                                                  gas_network, monkeypatch):
+        rule = {"max_iterations": "an integer >= 0", "residual_tolerance": ">= 0 or None",
+                "flow_tolerance_m3h": ">= 0", "derivative_flow_floor": "finite and >= 0"}
+        calls = Counter()
+        monkeypatch.setattr(solvers_module, "evaluate_loops",
+                            lambda *args: calls.update(["evaluate_loops"]))
+        message = f"{field} must be {rule[field]}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve(gas_network, SolverConfig(method=method, **{field: value}))
+        assert calls == Counter()
+
+    @pytest.mark.parametrize("setting", [
+        {"max_iterations": 0}, {"residual_tolerance": 0.0}, {"residual_tolerance": None},
+        {"flow_tolerance_m3h": 0.0}, {"flow_tolerance_m3h": math.inf},
+        {"derivative_flow_floor": 0.0}])
+    def test_settings_at_the_edge_of_their_range_run(self, setting, gas_network):
+        SolverConfig(**setting).check()
+        assert solve(gas_network, SolverConfig(**setting)).termination in (
+            "converged", "max-iterations")
+
+    def test_one_floor_default(self):
+        assert SolverConfig().derivative_flow_floor == solvers_module.DERIVATIVE_FLOW_FLOOR
+        assert inspect.signature(evaluate_loops).parameters[
+            "derivative_flow_floor"].default == solvers_module.DERIVATIVE_FLOW_FLOOR
 
     def test_residual_history_parallels_iterations(self, gas_network):
         report = solve_node_loop(gas_network, SolverConfig())

@@ -9,7 +9,7 @@ import pytest
 import sympy
 
 from loopflow.model import (FlowState, Network, NodeSpec, Pipe, feasible_initial_flows,
-                            m3h_to_m3s, node_imbalances, spanning_tree)
+                            m3h_to_m3s, node_imbalances, spanning_tree, validate)
 from loopflow.topology import (
     _gf2_rank,
     adopt_explicit_loops,
@@ -20,6 +20,7 @@ from loopflow.topology import (
 
 from conftest import incident_pipes, matrix_by_pipe_id
 from test_model import WATER, square_net
+from test_solvers import perfbench_grid
 
 
 def random_mesh(seed: int) -> Network:
@@ -235,6 +236,23 @@ class TestDeriveLoopBasis:
         with np.errstate(invalid="ignore"):     # 0 · inf
             assert np.isnan((basis.core_matrix @ values)[~holds]).all()
 
+    @pytest.mark.parametrize("case", ["gas-derived", "gas-explicit", "water-derived",
+                                      "water-explicit", "grid-6x5"])
+    def test_sums_of_finite_values_are_the_core_matrix_product(self, case, gas_network,
+                                                               water_network):
+        if case == "grid-6x5":
+            basis = derive_loop_basis(perfbench_grid(6, 5, "gas", seed=1))
+        else:
+            net = gas_network if case.startswith("gas") else water_network
+            basis = (derive_loop_basis if case.endswith("derived") else adopt_explicit_loops)(net)
+        values = np.random.default_rng(7).normal(scale=1e8, size=len(basis.core))
+        assert (basis.sums(values) == basis.core_matrix @ values).all()
+
+    def test_sums_on_a_tree_are_empty(self, tree):
+        basis = derive_loop_basis(tree[0])
+        sums = basis.sums(np.array([]))
+        assert len(basis) == 0 and sums.shape == (0,) and (sums == basis.core_matrix @ []).all()
+
     def test_link_pipe_sign_is_positive(self, gas_network):
         basis = derive_loop_basis(gas_network)
         for loop in basis.loops:
@@ -300,6 +318,15 @@ class TestAdoptExplicitLoops:
                       fluid=gas_network.fluid, explicit_loops=loops,
                       reference_node="XI")
         with pytest.raises(ValueError, match="rank-deficient"):
+            adopt_explicit_loops(bad)
+
+    def test_unknown_pipe_is_named_as_validate_names_it(self, gas_network):
+        loops = [list(loop) for loop in gas_network.explicit_loops]
+        loops[0][0] = 99
+        bad = dataclasses.replace(gas_network, explicit_loops=loops)
+        message = "loop 1 references unknown pipe 99"
+        assert validate(bad) == [message]
+        with pytest.raises(ValueError, match=f"^{message}$"):
             adopt_explicit_loops(bad)
 
     def test_no_explicit_loops(self):
