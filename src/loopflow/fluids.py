@@ -12,11 +12,11 @@ flow| at the magnitude floored to `dflow_floor` (a zero derivative would
 zero out a loop row); `ddrop_ddiam` is the drop's diameter sensitivity at
 fixed flow, for sizing.  `friction(pipe, flow, diameter)` is the friction
 factor those inputs give: the Colebrook solution for water, `None` for
-gas, whose drop takes none.  `drop_at_diameter` and `ddrop_ddiam` take it
-as an optional last argument, which must be `friction` of their own pipe,
-flow and diameter; without it they solve for it themselves.  Sizing hands
-the factor of the drops it accepted on to the next diameter derivative, so
-it solves Colebrook once per diameter vector.
+gas, whose drop takes none.  `drop_at_diameter` and `ddrop_ddiam` take the
+model's own friction factor of their pipe, flow and diameter as a required
+last argument and never solve for it; `drop` passes it itself.  Sizing
+hands the factor of the drops it accepted on to the next diameter
+derivative, so it solves Colebrook once per diameter vector.
 
 The models trust their input: the pipes of a network that `model.validate`
 has passed and flow magnitudes |q|, so they call the kernels' unchecked
@@ -48,15 +48,16 @@ class GasModel:
                                              np.maximum(flow, dflow_floor), pipe.diameter))
 
     def drop(self, pipe, flow):
-        return self.drop_at_diameter(pipe, flow, pipe.diameter)
+        return self.drop_at_diameter(pipe, flow, pipe.diameter,
+                                     self.friction(pipe, flow, pipe.diameter))
 
     def friction(self, pipe, flow, diameter):
         return None
 
-    def drop_at_diameter(self, pipe, flow, diameter, friction=None):
+    def drop_at_diameter(self, pipe, flow, diameter, friction):
         return kernels._renouard_drop(self.rel_density, pipe.length, flow, diameter)
 
-    def ddrop_ddiam(self, pipe, flow, diameter, friction=None):
+    def ddrop_ddiam(self, pipe, flow, diameter, friction):
         return kernels._renouard_drop_ddiam(self.rel_density, pipe.length, flow, diameter)
 
     def velocity(self, pipe, flow):
@@ -88,18 +89,17 @@ class WaterModel:
         return drop, ddrop
 
     def drop(self, pipe, flow):
-        return self.drop_at_diameter(pipe, flow, pipe.diameter)
+        return self.drop_at_diameter(pipe, flow, pipe.diameter,
+                                     self.friction(pipe, flow, pipe.diameter))
 
-    def drop_at_diameter(self, pipe, flow, diameter, friction=None):
-        lam = self.friction(pipe, flow, diameter) if friction is None else friction
-        return kernels._darcy_weisbach_drop(lam, pipe.length, flow, diameter, self.density)
+    def drop_at_diameter(self, pipe, flow, diameter, friction):
+        return kernels._darcy_weisbach_drop(friction, pipe.length, flow, diameter,
+                                            self.density)
 
-    def ddrop_ddiam(self, pipe, flow, diameter, friction=None):
+    def ddrop_ddiam(self, pipe, flow, diameter, friction):
         # Friction factor frozen at the current state, as in the flow
         # derivative: only the explicit diameter dependence is followed.
-        # A caller that has the state's drop passes the factor it took.
-        lam = self.friction(pipe, flow, diameter) if friction is None else friction
-        return kernels._darcy_weisbach_drop_ddiam(lam, pipe.length, flow, diameter,
+        return kernels._darcy_weisbach_drop_ddiam(friction, pipe.length, flow, diameter,
                                                   self.density)
 
     def velocity(self, pipe, flow):

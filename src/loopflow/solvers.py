@@ -85,14 +85,12 @@ class SolverConfig:
     flow_tolerance_m3h: float = 0.01
     residual_tolerance: float | None = None   # default picked per fluid
     max_iterations: int = 50
-    derivative_flow_floor: float = DERIVATIVE_FLOW_FLOOR   # m³/s
 
     def check(self) -> None:
         """Raise ValueError naming the first setting out of range:
-        `max_iterations` is an integer >= 0, each tolerance is >= 0 (a
-        residual tolerance of None is the fluid's default) and the floor is
-        finite and >= 0, so NaN fails each.  `SizingConfig` shares this
-        check for the settings it has."""
+        `max_iterations` is an integer >= 0 and each tolerance is >= 0 (a
+        residual tolerance of None is the fluid's default), so NaN fails
+        each.  `SizingConfig` shares this check for the settings it has."""
         if not (isinstance(self.max_iterations, numbers.Integral) and self.max_iterations >= 0):
             raise ValueError(
                 f"max_iterations must be an integer >= 0, got {self.max_iterations!r}")
@@ -102,9 +100,6 @@ class SolverConfig:
         if self.residual_tolerance is not None and not self.residual_tolerance >= 0.0:
             raise ValueError(
                 f"residual_tolerance must be >= 0 or None, got {self.residual_tolerance!r}")
-        floor = getattr(self, "derivative_flow_floor", 0.0)
-        if not 0.0 <= floor < math.inf:
-            raise ValueError(f"derivative_flow_floor must be finite and >= 0, got {floor!r}")
 
     def resolved_residual_tolerance(self, fluid_kind: str) -> float:
         if self.residual_tolerance is not None:
@@ -140,8 +135,7 @@ def select_basis(net: Network) -> LoopBasis:
     return adopt_explicit_loops(net) if net.explicit_loops else derive_loop_basis(net)
 
 
-def evaluate_loops(net: Network, basis: LoopBasis, flows: FlowState | np.ndarray,
-                   derivative_flow_floor: float = DERIVATIVE_FLOW_FLOOR) -> LoopEval:
+def evaluate_loops(net: Network, basis: LoopBasis, flows: FlowState | np.ndarray) -> LoopEval:
     """Loop imbalances and pipe derivatives at the given state.
 
     `flows` is a FlowState, or the signed flows in `net.pipe_ids` order, on
@@ -154,7 +148,7 @@ def evaluate_loops(net: Network, basis: LoopBasis, flows: FlowState | np.ndarray
     q = flows if isinstance(flows, np.ndarray) else pipes.flows(flows)
     q_core = q if basis.spans_all else q[basis.core]
     drop, dflow = make_fluid_model(net.fluid).evaluate(
-        basis.core_pipes(pipes), np.abs(q_core), derivative_flow_floor)
+        basis.core_pipes(pipes), np.abs(q_core), DERIVATIVE_FLOW_FLOOR)
     return LoopEval(net, basis, q, basis.sums(np.copysign(drop, q_core)), dflow)
 
 
@@ -284,8 +278,7 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
         net, initial.flows, "initial flow", ValueError, balanced=method != NODE_LOOP)
     pipes = PipeArrays.of(net)
     basis = select_basis(net)
-    floor = config.derivative_flow_floor
-    loop_eval = evaluate_loops(net, basis, start, floor)
+    loop_eval = evaluate_loops(net, basis, start)
     residual_tol = config.resolved_residual_tolerance(net.fluid.kind)
     flow_history = [loop_eval.flows]
     residual_history = [np.abs(loop_eval.residuals).tolist()]
@@ -299,7 +292,7 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
     while finite_start and len(flow_history) - 1 < config.max_iterations:
         pass_no = len(flow_history)
         try:
-            candidate_eval = evaluate_loops(net, basis, step(loop_eval), floor)
+            candidate_eval = evaluate_loops(net, basis, step(loop_eval))
         except SingularSystemError as exc:
             termination = "singular-system"
             stop_reason = f"singular-system at pass {pass_no}: {exc}"
