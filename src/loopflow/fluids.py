@@ -93,8 +93,7 @@ class WaterModel:
                                      self.friction(pipe, flow, pipe.diameter))
 
     def drop_at_diameter(self, pipe, flow, diameter, friction):
-        return kernels._darcy_weisbach_drop(friction, pipe.length, flow, diameter,
-                                            self.density)
+        return kernels._darcy_weisbach_drop(friction, pipe.length, flow, diameter, self.density)
 
     def ddrop_ddiam(self, pipe, flow, diameter, friction):
         # Friction factor frozen at the current state, as in the flow

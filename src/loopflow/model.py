@@ -252,9 +252,11 @@ class FlowState:
         return {pid: m3s_to_m3h(q) for pid, q in self.flows.items()}
 
     def max_change_m3h(self, other: "FlowState") -> float:
-        """Largest per-pipe flow difference vs `other`, in m³/h."""
-        return max(abs(m3s_to_m3h(self.flows[pid] - other.flows[pid]))
-                   for pid in self.flows)
+        """Largest per-pipe flow change vs `other`, in m³/h (ValueError if it lacks a pipe)."""
+        try:
+            return max(abs(m3s_to_m3h(q - other.flows[pid])) for pid, q in self.flows.items())
+        except KeyError as exc:
+            raise ValueError(f"flow state has no flow for pipe {exc.args[0]}") from None
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from numbers import Integral, Real
 from types import MappingProxyType
 
 import numpy as np
@@ -79,6 +79,14 @@ class InfeasiblePressureError(ValueError):
     """Gas pressure propagation hit a negative squared pressure."""
 
 
+# Per setting: its range as messages name it, and whether a value is in it.
+_SETTING_RULES = {
+    "max_iterations": ("an integer >= 0", lambda v: isinstance(v, Integral) and v >= 0),
+    "flow_tolerance_m3h": (">= 0", lambda v: isinstance(v, Real) and v >= 0),
+    "residual_tolerance": (">= 0 or None", lambda v: v is None or isinstance(v, Real) and v >= 0),
+}
+
+
 @dataclass
 class SolverConfig:
     method: str = NODE_LOOP
@@ -87,19 +95,15 @@ class SolverConfig:
     max_iterations: int = 50
 
     def check(self) -> None:
-        """Raise ValueError naming the first setting out of range:
-        `max_iterations` is an integer >= 0 and each tolerance is >= 0 (a
-        residual tolerance of None is the fluid's default), so NaN fails
-        each.  `SizingConfig` shares this check for the settings it has."""
-        if not (isinstance(self.max_iterations, numbers.Integral) and self.max_iterations >= 0):
-            raise ValueError(
-                f"max_iterations must be an integer >= 0, got {self.max_iterations!r}")
-        flow_tolerance = getattr(self, "flow_tolerance_m3h", 0.0)
-        if not flow_tolerance >= 0.0:
-            raise ValueError(f"flow_tolerance_m3h must be >= 0, got {flow_tolerance!r}")
-        if self.residual_tolerance is not None and not self.residual_tolerance >= 0.0:
-            raise ValueError(
-                f"residual_tolerance must be >= 0 or None, got {self.residual_tolerance!r}")
+        """Raise ValueError naming the first setting, in field order, out of range:
+        `max_iterations` is an integer >= 0 and each tolerance a number >= 0 (a
+        residual tolerance of None is the fluid's default), so NaN, a string or
+        a bool (as in `fileio.KINDS`) fails each.  `SizingConfig` shares this."""
+        for name in [f.name for f in fields(self) if f.name in _SETTING_RULES]:
+            rule, in_range = _SETTING_RULES[name]
+            value = getattr(self, name)
+            if isinstance(value, bool) or not in_range(value):
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
 
     def resolved_residual_tolerance(self, fluid_kind: str) -> float:
         if self.residual_tolerance is not None:

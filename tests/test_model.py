@@ -535,6 +535,11 @@ class TestFlowState:
         b = FlowState({1: 1.0, 2: 2.001})
         assert a.max_change_m3h(b) == pytest.approx(3.6)
 
+    def test_max_change_names_the_first_pipe_the_other_state_lacks(self):
+        a = FlowState({1: 0.1, 3: 0.3, 2: 0.2})
+        with pytest.raises(ValueError, match="^flow state has no flow for pipe 3$"):
+            a.max_change_m3h(FlowState({1: 0.3}))
+
     def test_reversed_pipes_via_report(self):
         from loopflow.model import SolveReport
         report = SolveReport(

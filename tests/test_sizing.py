@@ -82,6 +82,10 @@ class TestOptimizeDiameters:
         ("residual_tolerance", math.nan, "residual_tolerance must be >= 0 or None, got nan"),
         ("residual_tolerance", -1.0, "residual_tolerance must be >= 0 or None, got -1.0"),
         ("max_iterations", -3, "max_iterations must be an integer >= 0, got -3"),
+        ("residual_tolerance", "1", "residual_tolerance must be >= 0 or None, got '1'"),
+        ("residual_tolerance", True, "residual_tolerance must be >= 0 or None, got True"),
+        ("max_iterations", "200", "max_iterations must be an integer >= 0, got '200'"),
+        ("max_iterations", False, "max_iterations must be an integer >= 0, got False"),
     ])
     def test_setting_out_of_range_is_named_before_any_evaluation(self, field, value, message,
                                                                   gas_network, monkeypatch):

@@ -633,7 +633,9 @@ class TestReportShape:
     @pytest.mark.parametrize("field, value", [
         ("max_iterations", -1), ("max_iterations", 2.5), ("residual_tolerance", -1.0),
         ("residual_tolerance", math.nan), ("flow_tolerance_m3h", math.nan),
-        ("flow_tolerance_m3h", -0.5)])
+        ("flow_tolerance_m3h", -0.5), ("max_iterations", True), ("max_iterations", "50"),
+        ("residual_tolerance", "1"), ("residual_tolerance", False),
+        ("flow_tolerance_m3h", "0.1"), ("flow_tolerance_m3h", True)])
     @pytest.mark.parametrize("method", METHODS)
     def test_setting_out_of_range_is_named_before_any_evaluation(self, method, field, value,
                                                                   gas_network, monkeypatch):
