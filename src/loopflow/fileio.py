@@ -30,6 +30,7 @@ from .model import (
     M3H_PER_M3S,
     FluidSpec,
     FlowState,
+    History,
     Network,
     NodeId,
     NodeSpec,
@@ -250,8 +251,12 @@ def trace_rows(report: SolveReport, net: Network) -> list[list[str]]:
     sign is relative to the previous column's direction (a negative cell
     marks the pass where a pipe's flow reversed).
     """
-    pipes = PipeArrays.of(net)
-    q = np.array([pipes.flows(state) for state in report.iterations]) * M3H_PER_M3S
+    pipes, passes = PipeArrays.of(net), report.iterations
+    # A solver's `History` holds the passes as arrays in its network's pipe order.
+    if isinstance(passes, History) and tuple(passes[0].flows) == pipes.ids:
+        q = np.array(passes._arrays) * M3H_PER_M3S
+    else:
+        q = np.array([pipes.flows(state) for state in passes]) * M3H_PER_M3S
     q[1:] = np.where(q[:-1] >= 0.0, q[1:], -q[1:])
     header = ["pipe", "initial", *map(str, range(1, len(q))), "velocity_m_s"]
     return [header] + [[str(pid), *(f"{v:.2f}" for v in flows), f"{report.velocities[pid]:.2f}"]

@@ -14,9 +14,10 @@ start and the node balances all work on these integer arrays.
 A network derives each fact that depends on it alone once, when it is
 first asked for, and keeps it: its `validate` violations, and as read-only
 arrays its demands in m³/s, its tree walk from the reference node, that
-tree's fundamental cycles and its seed-0 flows.  One walk gives both the
-nodes `validate` finds unreachable and the spanning tree, which every tree
-request takes from it (and refuses while it misses a node).  A copy, a
+tree's fundamental cycles, its seed-0 flows, its file's flows in m³/s (with
+their worst node imbalance) and its explicit loops, once checked.  One walk
+gives both the nodes `validate` finds unreachable and the spanning tree,
+which every tree request takes from it (and refuses while it misses a node).  A copy, a
 pickle or a `dataclasses.replace` goes through the constructor
 (`__reduce__`), so it derives them afresh.
 """
@@ -225,6 +226,12 @@ class Network:
         valid network."""
         return _frozen(np.array(_tree_flows(self, self._adjacency(), *self._tree.tolist(), 0)))
 
+    @cached_property
+    def _file_start(self) -> tuple[np.ndarray, float]:
+        """`_checked_flows` of the file's initial flows in m³/s."""
+        flows = {pid: m3h_to_m3s(q) for pid, q in self.initial_flows_m3h.items()}
+        return _checked_flows(self, flows, "initial flow", ValueError)
+
     @property
     def loop_count(self) -> int:
         """Independent loops of a connected graph: pipes - nodes + 1."""
@@ -364,8 +371,8 @@ def validate(net: Network) -> list[str]:
     An empty list means consistent ids, finite numbers, positive geometry,
     balanced demands, a connected graph and explicit loops that name only
     its pipes.  Whether those loops are closed, independent cycles is
-    judged apart, by `adopt_explicit_loops` (which `solvers.select_basis`
-    calls), so the network is solvable only if that passes too.  A tree,
+    judged apart, once per network, by `adopt_explicit_loops` (which every
+    solve calls), so the network is solvable only if that passes too.  A tree,
     which has no loop, is solvable: its demands alone fix its flows.  A
     network checks itself on the first call and keeps what it found.
     """
@@ -423,19 +430,20 @@ def _flow_violations(net: Network, flows: Mapping[PipeId, float],
 
 
 def _checked_flows(net: Network, flows: Mapping[PipeId, float], what: str,
-                   error: type[ValueError], balanced: bool) -> np.ndarray:
-    """Flows given per pipe id, m³/s, in pipe order; raises `error` unless
-    `_flow_violations` finds none and, if `balanced`, they meet every node
-    balance (a NaN imbalance fails `not <=`)."""
+                   error: type[ValueError]) -> tuple[np.ndarray, float]:
+    """Flows given per pipe id, m³/s, read-only in pipe order, and their worst
+    node imbalance; raises `error` if `_flow_violations` finds a problem."""
     problems = _flow_violations(net, flows, what)
     if problems:
         raise error(f"invalid {what}s: " + "; ".join(problems))
-    q = np.array([flows[pid] for pid in PipeArrays.of(net).ids])
-    if balanced:
-        worst = np.abs(_imbalances(net, q)).max()
-        if not worst <= NODE_BALANCE_TOL_M3S:
-            raise error(f"{what}s violate node balances by {worst:.3e} m3/s")
-    return q
+    q = _frozen(np.array([flows[pid] for pid in PipeArrays.of(net).ids]))
+    return q, np.abs(_imbalances(net, q)).max()
+
+
+def _check_balance(worst: float, what: str, error: type[ValueError]) -> None:
+    """Raise `error` unless the worst node imbalance is in tolerance (NaN is not)."""
+    if not worst <= NODE_BALANCE_TOL_M3S:
+        raise error(f"{what}s violate node balances by {worst:.3e} m3/s")
 
 
 def _record_violations(net: Network) -> list[str]:

@@ -39,13 +39,14 @@ def solve_linear(matrix, rhs) -> np.ndarray:
     a = np.asarray(matrix, dtype=float)
     b = np.asarray(rhs, dtype=float)
     _check_square(a, b)
-    # A row's max or min carries its NaN or inf into the row's scale.
+    # The scales are >= 0; a row's NaN or inf reaches its scale and `top`.
     scale = _row_scales(a)
-    if not (np.isfinite(scale).all() and np.isfinite(b).all()):
+    top, low = scale.max(initial=1.0), scale.min(initial=1.0)
+    if not (np.isfinite(top) and np.isfinite(b).all()):
         raise ValueError("system contains non-finite entries")
-    if not scale.all():
+    if low == 0.0:
         raise SingularSystemError(f"row {int(scale.argmin())} of the system matrix is zero")
-    if not (scale == 1.0).all():
+    if top != 1.0 or low != 1.0:
         a = a / scale[:, None]
         b = b / scale
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fluids import RESIDUAL_UNIT, make_fluid_model
-from .model import FlowState, History, Network, PipeArrays, PipeId, _checked_flows, _require_valid
+from .model import (FlowState, History, Network, PipeArrays, PipeId, _check_balance,
+                    _checked_flows, _require_valid)
 from .solvers import SolverConfig
 from .topology import LoopBasis
 
@@ -108,8 +109,8 @@ def optimize_diameters(net: Network, basis: LoopBasis,
     _require_valid(net)
     pipes = PipeArrays.of(net)
     basis.check_network(net)
-    q = _checked_flows(net, config.fixed_flows.flows, "fixed flow", SizingInfeasibleError,
-                       balanced=True)
+    q, worst = _checked_flows(net, config.fixed_flows.flows, "fixed flow", SizingInfeasibleError)
+    _check_balance(worst, "fixed flow", SizingInfeasibleError)
 
     # Everything below runs on the core: its flows, geometry and diameters.
     q = q[basis.core]

@@ -1,11 +1,11 @@
 """The three iterative flow solvers plus node-pressure back-propagation.
 
 Each solve validates the network once and takes its loop basis
-(`select_basis`); the start, unless one is given, is the seed-0 tree
-flows the network keeps.  Every pass evaluates the basis's core (the
-pipes in a loop) in one call, giving r = B·(sign q · drop(|q|)) and
-D = |d drop/d flow| on the core, and the three methods differ only in the
-linear system they solve:
+(`select_basis`); the start, unless one is given, is the file's flows
+or else the seed-0 tree flows, as the network keeps them.  Every pass
+evaluates the basis's core (the pipes in a loop) in one call, giving
+r = B·(sign q · drop(|q|)) and D = |d drop/d flow| on the core, and the
+three methods differ only in the linear system they solve:
 
 * node-loop: [A; B·D] q = [demands; B·D·q - r], all flows at once, from
   one stacked (matrix, rhs) pair per solve whose loop rows every pass rewrites;
@@ -45,9 +45,9 @@ from .model import (
     PipeArrays,
     PipeId,
     SolveReport,
+    _check_balance,
     _checked_flows,
     _require_valid,
-    m3h_to_m3s,
     m3s_to_m3h,
 )
 from .numerics import SingularSystemError, _row_scales, condition_estimate, solve_linear
@@ -274,12 +274,13 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
              method: str, step) -> SolveReport:
     config.check()
     _require_valid(net)
-    if initial is None and net.initial_flows_m3h is not None:
-        initial = FlowState({pid: m3h_to_m3s(q) for pid, q in net.initial_flows_m3h.items()})
+    start, worst = (_checked_flows(net, initial.flows, "initial flow", ValueError)
+                    if initial is not None else net._file_start if net.initial_flows_m3h
+                    else (net._start, 0.0))
     # Both Hardy Cross methods change the flows only around loops
     # (q += BᵀΔ), which leaves every node balance as the start has it.
-    start = net._start if initial is None else _checked_flows(
-        net, initial.flows, "initial flow", ValueError, balanced=method != NODE_LOOP)
+    if method != NODE_LOOP:
+        _check_balance(worst, "initial flow", ValueError)
     pipes = PipeArrays.of(net)
     basis = select_basis(net)
     loop_eval = evaluate_loops(net, basis, start)

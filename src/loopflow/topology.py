@@ -5,8 +5,8 @@ except the reference node).  The loop basis encodes the energy-balance
 equations: pipes - nodes + 1 independent cycles with ±1 signs, held as
 index arrays (the co-tree view of Elhay et al. 2014).  The spanning tree
 the loops rest on is the network's own, and so are its fundamental cycles,
-which a network walks once, on first ask.  B is only ever built on the
-core, the pipes that lie in a loop.
+which a network walks once, on first ask, and its explicit loops, which
+it checks once.  B is only ever built on the core, the pipes in a loop.
 """
 
 from __future__ import annotations
@@ -164,7 +164,11 @@ def adopt_explicit_loops(net: Network) -> LoopBasis:
     4-cycles of K4, needs `exact_rank`, on the links among B's core
     columns (a link in no loop would be a zero column, which leaves the
     rank as it is); it eliminates in integers, with exact divisions.
+    A network keeps loops that pass (`_loops`), which later calls wrap in
+    a new basis unchecked; a set that fails raises on every call.
     """
+    if "_loops" in vars(net):
+        return LoopBasis(PipeArrays.of(net).ids, *net._loops, net._ends)
     if not net.explicit_loops:
         raise ValueError("network definition carries no explicit loops")
     expected = net.loop_count
@@ -185,11 +189,11 @@ def adopt_explicit_loops(net: Network) -> LoopBasis:
     link_columns = [j for j in range(len(net.pipes)) if j not in in_tree]
     bit = {j: 1 << k for k, j in enumerate(link_columns)}
     if _gf2_rank([sum(bit.get(j, 0) for j in columns[a:b])
-                  for a, b in zip(starts, starts[1:])]) == expected:
-        return basis
-    core_links = [c for c, j in enumerate(basis.core.tolist()) if j not in in_tree]
-    if exact_rank(basis.core_matrix[:, core_links].astype(int).tolist()) != expected:
-        raise ValueError("rank-deficient loop set: loops are not independent")
+                  for a, b in zip(starts, starts[1:])]) != expected:
+        core_links = [c for c, j in enumerate(basis.core.tolist()) if j not in in_tree]
+        if exact_rank(basis.core_matrix[:, core_links].astype(int).tolist()) != expected:
+            raise ValueError("rank-deficient loop set: loops are not independent")
+    object.__setattr__(net, "_loops", (basis.columns, basis.signs, basis.starts))
     return basis
 
 

@@ -1,5 +1,6 @@
 """Network file parsing, serialization round-trips, trace emission."""
 
+import copy
 import csv
 import dataclasses
 import io
@@ -404,6 +405,20 @@ class TestTrace:
         expected_cols = len(report.iterations) + 2
         assert all(len(row) == expected_cols for row in rows)
         assert len(rows) == 1 + len(gas_network.pipes)
+
+    # A solver's report keeps its passes as arrays in its network's pipe
+    # order; a copy keeps them as a list of states, and a network may list
+    # the same pipes in another order.
+    @pytest.mark.parametrize("copied", [False, True], ids=["history", "list"])
+    def test_rows_follow_the_network_given(self, copied, gas_network):
+        report = solve_node_loop(gas_network, SolverConfig())
+        if copied:
+            report = copy.deepcopy(report)
+            assert isinstance(report.iterations, list)
+        turned = dataclasses.replace(gas_network, pipes=gas_network.pipes[::-1])
+        for net in (gas_network, turned):
+            assert trace_rows(report, net) == loop_trace_rows(report, net)
+        assert trace_rows(report, turned)[1][0] == "15"
 
     def test_cells_match_reference_table(self, gas_network):
         report = solve_node_loop(gas_network, SolverConfig())

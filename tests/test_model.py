@@ -392,10 +392,20 @@ class TestStoredArrays:
     def test_read_only(self, duplicate, gas_network):
         net = duplicate(gas_network)
         assert net == gas_network
+        # After a solve by each method, and after the derived loops and the
+        # tree start were asked for, the network keeps every array it can.
+        for method in METHODS:
+            assert solve(net, SolverConfig(method=method)).termination == "converged"
+        derive_loop_basis(net)
+        feasible_initial_flows(net)
+        kept = vars(net)
+        assert {"_walk", "_cycles", "_start", "_loops", "_file_start"} <= kept.keys()
         arrays = PipeArrays.of(net)
-        stored = [v for v in vars(net).values() if isinstance(v, np.ndarray)]
+        stored = [v for v in kept.values() if isinstance(v, np.ndarray)]
+        stored += [a for v in kept.values() if isinstance(v, tuple)
+                   for a in v if isinstance(a, np.ndarray)]
         stored += [arrays.length, arrays.diameter, arrays.roughness]
-        assert len(stored) >= 6
+        assert len(stored) >= 16
         for array in stored:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]

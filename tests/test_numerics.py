@@ -99,6 +99,30 @@ class TestSolveLinear:
             solve_linear(matrix, rhs)
         assert not isinstance(raised.value, SingularSystemError)
 
+    # Entries and right sides near the float limit are finite: nothing
+    # adds two of them, which could overflow.
+    @pytest.mark.parametrize("rhs", [[1e308, -1e308], [-1.7e308, 1.7e308]])
+    def test_entries_near_the_float_limit_are_finite(self, rhs):
+        x = solve_linear([[1e308, 0.0], [0.0, -1e308]], rhs)
+        assert x.tolist() == [rhs[0] / 1e308, rhs[1] / -1e308]
+
+    # Only a system whose every row has unit scale skips the division: one
+    # row above or below it makes `solve_linear` divide a copy, P²·8 bytes.
+    @pytest.mark.parametrize("scale", [2.0, 0.5, 1e300, 1e-300])
+    def test_one_row_off_unit_scale_is_divided(self, scale):
+        n = 220
+        a, b = unit_rows(*diagonally_dominant(n, seed=5))
+        a[7] *= scale
+        b[7] *= scale
+        tracemalloc.start()
+        try:
+            x = solve_linear(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak >= n * n * 8
+        assert (x == solve_linear(*unit_rows(a, b))).all()
+
     def test_empty_system_has_an_empty_solution(self):
         # The loop Jacobian of a network without loops.
         x = solve_linear(np.zeros((0, 0)), np.zeros(0))

@@ -781,6 +781,25 @@ class TestGivenStart:
                            match=r"initial flows violate node balances by 1\.000e-02 m3/s"):
             solve(net, SolverConfig(method=method))
 
+    @pytest.mark.parametrize("node_loop_first", [True, False],
+                             ids=["node-loop-first", "hardy-cross-first"])
+    def test_the_kept_file_start_is_judged_on_every_solve(self, node_loop_first, gas_network):
+        net = shifted_start(gas_network)
+
+        def hardy_cross_rejects_it():
+            for method in (HARDY_CROSS, HARDY_CROSS_IMPROVED):
+                with pytest.raises(ValueError, match=r"initial flows violate node "
+                                                     r"balances by 1\.000e-02 m3/s"):
+                    solve(net, SolverConfig(method=method))
+
+        if not node_loop_first:
+            hardy_cross_rejects_it()
+        report = solve(net, SolverConfig(method=NODE_LOOP))
+        assert report.termination == "converged"
+        assert report.iterations[0] == initial_state(net)
+        hardy_cross_rejects_it()
+        assert solve(net, SolverConfig(method=NODE_LOOP)).iterations == report.iterations
+
     @pytest.mark.parametrize("method", [HARDY_CROSS, HARDY_CROSS_IMPROVED])
     def test_hardy_cross_rejects_an_unbalanced_given_start(self, method, gas_network):
         start = initial_state(shifted_start(gas_network))

@@ -1,8 +1,10 @@
 """Node matrix and loop basis construction, with exact-arithmetic oracles."""
 
+import copy
 import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import sympy
 
 from loopflow.model import (FlowState, Network, NodeSpec, Pipe, feasible_initial_flows,
                             m3h_to_m3s, node_imbalances, spanning_tree, validate)
+from loopflow.solvers import solve
 from loopflow.topology import (
     _gf2_rank,
     adopt_explicit_loops,
@@ -334,6 +337,77 @@ class TestAdoptExplicitLoops:
             adopt_explicit_loops(square_net())
 
 
+class TestExplicitLoopsKept:
+    """A network checks its explicit loops on the first adoption and keeps
+    them; each later adoption wraps what it kept in a new basis."""
+
+    @pytest.fixture()
+    def checks(self, monkeypatch):
+        """How often each step of the loop check ran."""
+        import loopflow.topology as topology
+
+        counts = Counter()
+        for name in ("_as_cycle", "_gf2_rank", "exact_rank"):
+            def counted(*args, check=getattr(topology, name), name=name):
+                counts[name] += 1
+                return check(*args)
+            monkeypatch.setattr(topology, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("case", ["gas", "water", "k4"])
+    def test_a_second_adoption_checks_nothing(self, case, checks, gas_network, water_network):
+        net = (TestGF2Check().k4_four_cycles() if case == "k4"
+               else copy.copy(gas_network if case == "gas" else water_network))
+        first = adopt_explicit_loops(net)
+        assert checks == Counter(_as_cycle=len(net.explicit_loops), _gf2_rank=1,
+                                 exact_rank=int(case == "k4"))
+        checks.clear()
+        second = adopt_explicit_loops(net)
+        assert checks == {}
+        assert second == first and second is not first
+        for name in ("columns", "signs", "starts", "ends"):
+            assert (getattr(second, name) == getattr(first, name)).all()
+        assert (second.core_matrix == first.core_matrix).all()
+
+    @pytest.mark.parametrize("case", ["non-closed", "rank-deficient", "k4-rank-deficient"])
+    def test_a_set_that_fails_raises_the_same_error_on_every_call(self, case, checks,
+                                                                  gas_network):
+        if case == "k4-rank-deficient":
+            bad = TestGF2Check().k4_four_cycles(((1, 2, 3), (1, 2, 4), (1, 3, 2, 4)))
+        else:
+            loops = list(gas_network.explicit_loops)
+            loops[0 if case == "non-closed" else 1] = ((1, 2, 3, 4) if case == "non-closed"
+                                                       else (-4, 3, 2, -1))
+            bad = dataclasses.replace(gas_network, explicit_loops=loops)
+        messages = []
+        for _ in range(3):
+            with pytest.raises(ValueError, match="closed cycle|rank-deficient") as error:
+                adopt_explicit_loops(bad)
+            messages.append(str(error.value))
+        with pytest.raises(ValueError, match="closed cycle|rank-deficient"):
+            solve(bad)
+        assert messages == messages[:1] * 3
+        # Every call walked the loops again.
+        assert checks["_as_cycle"] >= 4 and "_loops" not in vars(bad)
+        if case == "k4-rank-deficient":
+            assert checks["exact_rank"] == 4
+
+    def test_replace_checks_its_loops_again(self, checks, gas_network):
+        net = copy.copy(gas_network)
+        kept = adopt_explicit_loops(net)
+        checks.clear()
+        same = dataclasses.replace(net, explicit_loops=net.explicit_loops)
+        assert adopt_explicit_loops(same) == kept
+        assert checks == {"_as_cycle": 5, "_gf2_rank": 1}
+        turned = dataclasses.replace(net, explicit_loops=net.explicit_loops[::-1])
+        assert adopt_explicit_loops(turned).loops == kept.loops[::-1]
+        loops = list(net.explicit_loops)
+        loops[1] = (-4, 3, 2, -1)
+        with pytest.raises(ValueError, match="rank-deficient"):
+            adopt_explicit_loops(dataclasses.replace(net, explicit_loops=loops))
+        assert adopt_explicit_loops(net) == kept
+
+
 class TestStackedSystemRank:
     def test_node_rows_plus_loops_are_square_full_rank(self, gas_network):
         nm = build_node_matrix(gas_network)
@@ -439,7 +513,8 @@ class TestGF2Check:
         calls = []
         monkeypatch.setattr(topology, "exact_rank",
                             lambda rows: calls.append(rows) or exact_rank(rows))
-        assert topology.adopt_explicit_loops(net) == basis
+        # A network checks its loops once, so a fresh one goes through the check.
+        assert topology.adopt_explicit_loops(self.k4_four_cycles()) == basis
         # The fallback sees the loops × links block, one column per link.
         assert calls == [[[row[j] for j in links] for row in rows]]
 
@@ -466,7 +541,8 @@ class TestGF2Check:
             raise AssertionError("exact_rank called")
 
         monkeypatch.setattr(topology, "exact_rank", exploding)
-        for net in (gas_network, water_network):
+        # Copies, since a network that adopted its loops before checks them no more.
+        for net in (copy.copy(gas_network), copy.copy(water_network)):
             assert len(topology.adopt_explicit_loops(net)) == net.loop_count
 
     def test_gf2_rank_by_brute_force(self):
