@@ -8,15 +8,17 @@ fluids share every solver path.  `pipe` is either one `Pipe` with scalar
 flows or the `PipeArrays` of a whole network with one flow per pipe, so a
 solver pass evaluates every pipe in one call.  `evaluate(pipe, flow,
 dflow_floor)` gives the drop at the flow magnitude `flow` and |d drop/d
-flow| at the magnitude floored to `dflow_floor` (a zero derivative would
-zero out a loop row); `ddrop_ddiam` is the drop's diameter sensitivity at
-fixed flow, for sizing.  `friction(pipe, flow, diameter)` is the friction
-factor those inputs give: the Colebrook solution for water, `None` for
-gas, whose drop takes none.  `drop_at_diameter` and `ddrop_ddiam` take the
-model's own friction factor of their pipe, flow and diameter as a required
-last argument and never solve for it; `drop` passes it itself.  Sizing
-hands the factor of the drops it accepted on to the next diameter
-derivative, so it solves Colebrook once per diameter vector.
+flow| at the magnitude floored to `dflow_floor` > 0 (a zero derivative
+would zero out a loop row), for water with λ's own slope below Re 4000, as
+EPANET 2's gradient has it; `ddrop_ddiam` is the drop's diameter
+sensitivity at fixed flow and λ, for sizing.  `friction(pipe, flow,
+diameter)` is the friction factor those inputs give: the Colebrook
+solution for water, `None` for gas, whose drop takes none.
+`drop_at_diameter` and `ddrop_ddiam` take the model's own friction factor
+of their pipe, flow and diameter as a required last argument and never
+solve for it; `drop` passes it itself.  Sizing hands the factor of the
+drops it accepted on to the next diameter derivative, so it solves
+Colebrook once per diameter vector.
 
 The models trust their input: the pipes of a network that `model.validate`
 has passed and flow magnitudes |q|, so they call the kernels' unchecked
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .kernels import Values
+from .kernels import LAMINAR_RE_LIMIT, TURBULENT_RE_LIMIT, Values
 from .model import GAS, WATER, FluidSpec
 
 # Residual units of the loop equations per fluid kind.
@@ -74,13 +76,21 @@ class WaterModel:
         # friction factor; a unit stand-in flow keeps that factor defined.
         re = kernels._reynolds_number(self.density, self.viscosity,
                                       np.where(flow > 0.0, flow, 1.0), diameter)
-        return kernels._colebrook_friction_factor(re, pipe.roughness / diameter)
+        return kernels._colebrook_friction_factor(re, pipe.roughness / diameter)[0]
 
     def evaluate(self, pipe, flow, dflow_floor):
         floored = np.maximum(flow, dflow_floor)
-        lam = self.friction(pipe, floored, pipe.diameter)
+        re = kernels._reynolds_number(self.density, self.viscosity, floored, pipe.diameter)
+        lam, turbulent = kernels._colebrook_friction_factor(re, pipe.roughness / pipe.diameter)
         ddrop = kernels._darcy_weisbach_drop_dflow(
             lam, pipe.length, floored, pipe.diameter, self.density)
+        if re.min(initial=np.inf) < TURBULENT_RE_LIMIT:
+            # Below Re 4000 λ follows the flow (Rossman 2000): D = d(Kλq²)/dq is
+            # Kλq in the laminar range, 2Kλq + Kq·Re·(λ_T - 64/2300)/1700 above it.
+            span = TURBULENT_RE_LIMIT - LAMINAR_RE_LIMIT
+            rise = re * (turbulent - 64.0 / LAMINAR_RE_LIMIT) / (2.0 * span * lam)
+            ddrop = np.where(re < LAMINAR_RE_LIMIT, 0.5 * ddrop,
+                             np.where(re < TURBULENT_RE_LIMIT, ddrop + ddrop * rise, ddrop))
         if ((flow > 0.0) & (floored > flow)).any():
             # The drop of a flow under the floor takes its own friction factor.
             lam = self.friction(pipe, flow, pipe.diameter)
@@ -96,8 +106,8 @@ class WaterModel:
         return kernels._darcy_weisbach_drop(friction, pipe.length, flow, diameter, self.density)
 
     def ddrop_ddiam(self, pipe, flow, diameter, friction):
-        # Friction factor frozen at the current state, as in the flow
-        # derivative: only the explicit diameter dependence is followed.
+        # Friction factor frozen at the current state: only the explicit
+        # diameter dependence is followed.
         return kernels._darcy_weisbach_drop_ddiam(friction, pipe.length, flow, diameter,
                                                   self.density)
 

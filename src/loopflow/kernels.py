@@ -112,19 +112,20 @@ def colebrook_friction_factor(reynolds: Values, rel_roughness: Values) -> Values
     _reject(re, re <= 0.0, "Reynolds number must be > 0")
     _reject(rel_roughness, np.less(rel_roughness, 0.0),
             "relative roughness must be >= 0")
-    return _colebrook_friction_factor(re, rel_roughness)
+    return _colebrook_friction_factor(re, rel_roughness)[0]
 
 
 def _colebrook_friction_factor(reynolds, rel_roughness):
+    """`colebrook_friction_factor`, and the Colebrook array at max(Re, 4000) it blends."""
     re = np.asarray(reynolds, dtype=float)
     # Transition elements take the turbulent value at Re = 4000 for the blend.
-    lam = _colebrook_turbulent(np.maximum(re, TURBULENT_RE_LIMIT), rel_roughness)
+    lam = turbulent = _colebrook_turbulent(np.maximum(re, TURBULENT_RE_LIMIT), rel_roughness)
     if re.min(initial=np.inf) < TURBULENT_RE_LIMIT:
         t = (re - LAMINAR_RE_LIMIT) / (TURBULENT_RE_LIMIT - LAMINAR_RE_LIMIT)
         blend = (1.0 - t) * (64.0 / LAMINAR_RE_LIMIT) + t * lam
         lam = np.where(re < LAMINAR_RE_LIMIT, 64.0 / re,
                        np.where(re < TURBULENT_RE_LIMIT, blend, lam))
-    return lam[()]
+    return lam[()], turbulent
 
 
 def _colebrook_turbulent(reynolds: Values, rel_roughness: Values) -> Values:

@@ -15,11 +15,12 @@ A network derives each fact that depends on it alone once, when it is
 first asked for, and keeps it: its `validate` violations, and as read-only
 arrays its demands in m³/s, its tree walk from the reference node, that
 tree's fundamental cycles, its seed-0 flows, its file's flows in m³/s (with
-their worst node imbalance) and its explicit loops, once checked.  One walk
-gives both the nodes `validate` finds unreachable and the spanning tree,
-which every tree request takes from it (and refuses while it misses a node).  A copy, a
-pickle or a `dataclasses.replace` goes through the constructor
-(`__reduce__`), so it derives them afresh.
+their worst node imbalance), its explicit loops once checked and its
+linear-theory start once a solve derived it.  One walk gives both the nodes
+`validate` finds unreachable and the spanning tree, which every tree request
+takes from it (and refuses while it misses a node).  A copy, a pickle or a
+`dataclasses.replace` goes through the constructor (`__reduce__`), so it
+derives them afresh.
 """
 
 from __future__ import annotations
@@ -433,11 +434,14 @@ def _checked_flows(net: Network, flows: Mapping[PipeId, float], what: str,
                    error: type[ValueError]) -> tuple[np.ndarray, float]:
     """Flows given per pipe id, m³/s, read-only in pipe order, and their worst
     node imbalance; raises `error` if `_flow_violations` finds a problem."""
-    problems = _flow_violations(net, flows, what)
-    if problems:
-        raise error(f"invalid {what}s: " + "; ".join(problems))
-    q = _frozen(np.array([flows[pid] for pid in PipeArrays.of(net).ids]))
-    return q, np.abs(_imbalances(net, q)).max()
+    # As many flows as pipes, none missing, name no other pipe.
+    ids = PipeArrays.of(net).ids
+    q = np.array([flows.get(pid, np.nan) for pid in ids]) if len(flows) == len(ids) else None
+    if q is None or q.dtype.kind not in "biuf" or not np.isfinite(q).all():
+        problems = _flow_violations(net, flows, what)
+        if problems:
+            raise error(f"invalid {what}s: " + "; ".join(problems))
+    return _frozen(q), np.abs(_imbalances(net, q)).max()
 
 
 def _check_balance(worst: float, what: str, error: type[ValueError]) -> None:

@@ -198,11 +198,14 @@ def optimize_diameters(net: Network, basis: LoopBasis,
                        f"with {len(bounded)} of {len(core_ids)} sized pipes at a bound "
                        f"(lowest id {min(bounded)})")
 
-    given = pipes.by_id(pipes.diameter)
-    history = History(history, lambda diam: {**given, **dict(zip(core_ids, diam.tolist()))})
+    def every_pipe(diam: np.ndarray) -> dict[PipeId, float]:
+        full = pipes.diameter.copy()
+        full[basis.core] = diam
+        return pipes.by_id(full)
+
     return SizingReport(
-        diameters=dict(history[-1]),
-        diameter_history=history,
+        diameters=every_pipe(diameters),
+        diameter_history=History(history, every_pipe),
         loop_residual_history=residual_history,
         termination=termination,
         tree_pipes=tree_pipes,

@@ -1,11 +1,11 @@
 """The three iterative flow solvers plus node-pressure back-propagation.
 
 Each solve validates the network once and takes its loop basis
-(`select_basis`); the start, unless one is given, is the file's flows
-or else the seed-0 tree flows, as the network keeps them.  Every pass
-evaluates the basis's core (the pipes in a loop) in one call, giving
-r = B·(sign q · drop(|q|)) and D = |d drop/d flow| on the core, and the
-three methods differ only in the linear system they solve:
+(`select_basis`); the start, unless one is given, is the file's flows or
+else the linear-theory flows (Wood and Charles 1972), as the network keeps
+them.  Every pass evaluates the basis's core (the pipes in a loop) in one
+call, giving r = B·(sign q · drop(|q|)) and D = |d drop/d flow| on the
+core, and the three methods differ only in the linear system they solve:
 
 * node-loop: [A; B·D] q = [demands; B·D·q - r], all flows at once, from
   one stacked (matrix, rhs) pair per solve whose loop rows every pass rewrites;
@@ -27,6 +27,7 @@ import logging
 import math
 from collections import deque
 from collections.abc import Mapping
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from functools import cached_property
 from numbers import Integral, Real
@@ -47,6 +48,7 @@ from .model import (
     SolveReport,
     _check_balance,
     _checked_flows,
+    _frozen,
     _require_valid,
     m3s_to_m3h,
 )
@@ -70,6 +72,9 @@ DIVERGENCE_GROWTH = 1e3
 
 # D is evaluated at no smaller a flow magnitude (m³/s), so it is never zero.
 DERIVATIVE_FLOW_FLOOR = 1e-7
+
+# A start from linear theory weighs each pipe by its D at this velocity, m/s.
+START_VELOCITY = 1.0
 
 
 log = logging.getLogger(__name__)
@@ -147,13 +152,39 @@ def evaluate_loops(net: Network, basis: LoopBasis, flows: FlowState | np.ndarray
     geometry again); only the basis's core is evaluated.  Raises ValueError
     for a basis built on another network (`LoopBasis.check_network`).
     """
-    pipes = PipeArrays.of(net)
+    evaluate = _evaluator(net, basis)
+    return evaluate(flows if isinstance(flows, np.ndarray) else PipeArrays.of(net).flows(flows))
+
+
+def _evaluator(net: Network, basis: LoopBasis):
+    """`evaluate_loops` as a function of the flows array, set up once."""
     basis.check_network(net)
-    q = flows if isinstance(flows, np.ndarray) else pipes.flows(flows)
-    q_core = q if basis.spans_all else q[basis.core]
-    drop, dflow = make_fluid_model(net.fluid).evaluate(
-        basis.core_pipes(pipes), np.abs(q_core), DERIVATIVE_FLOW_FLOOR)
-    return LoopEval(net, basis, q, basis.sums(np.copysign(drop, q_core)), dflow)
+    evaluate = make_fluid_model(net.fluid).evaluate
+    pipes = basis.core_pipes(PipeArrays.of(net))
+    core = slice(None) if basis.spans_all else basis.core
+
+    def at(q: np.ndarray) -> LoopEval:
+        q_core = q[core]
+        drop, dflow = evaluate(pipes, np.abs(q_core), DERIVATIVE_FLOW_FLOOR)
+        return LoopEval(net, basis, q, basis.sums(np.copysign(drop, q_core)), dflow)
+    return at
+
+
+def _linear_start(net: Network, basis: LoopBasis, evaluate) -> np.ndarray:
+    """The linear-theory start, kept by the network: q₀ + Bᵀy with (B W Bᵀ) y =
+    -B W q₀ for the tree flows q₀ and W each pipe's D at START_VELOCITY, the
+    balanced flows of least Σ W q² on any basis; else (no loop, or a system
+    singular or not finite) q₀."""
+    if len(basis) and "_linear_start" not in vars(net):
+        q, speed = net._start, make_fluid_model(net.fluid).velocity(PipeArrays.of(net), 1.0)
+        # One Newton step from q₀ solves the network whose drops are W q.  W or
+        # that system may not be finite (Colebrook fails at an infinite Re).
+        with suppress(ValueError, RuntimeError):
+            w = evaluate(START_VELOCITY / speed).dflow
+            linear = LoopEval(net, basis, q, basis.sums(w * q[basis.core]), w)
+            q = _frozen(_loop_newton_step(linear))
+        object.__setattr__(net, "_linear_start", q)
+    return vars(net).get("_linear_start", net._start)
 
 
 def assemble_node_loop_system(loop_eval: LoopEval,
@@ -251,21 +282,17 @@ def solve_hardy_cross_original(net: Network, config: SolverConfig | None = None,
 
 def solve_hardy_cross_improved(net: Network, config: SolverConfig | None = None,
                                initial: FlowState | None = None) -> SolveReport:
-    """All loop corrections solved simultaneously through the loop Jacobian.
-
-    (B D Bᵀ) Δ = -r: the diagonal sums member |d drop/d flow|, and loops
-    that share pipes couple with the product of their membership signs.
-    Then q += BᵀΔ.
-    """
-
-    def step(loop_eval: LoopEval) -> np.ndarray:
-        loops = loop_eval.basis.core_matrix
-        jacobian = (loops * loop_eval.dflow) @ loops.T
-        deltas = solve_linear(jacobian, -loop_eval.residuals)
-        return loop_eval.basis.corrected(loop_eval.flows, deltas)
-
+    """All loop corrections solved simultaneously through the loop Jacobian."""
     return _iterate(net, config or SolverConfig(), initial,
-                    HARDY_CROSS_IMPROVED, step)
+                    HARDY_CROSS_IMPROVED, _loop_newton_step)
+
+
+def _loop_newton_step(loop_eval: LoopEval) -> np.ndarray:
+    """q + BᵀΔ with (B D Bᵀ) Δ = -r: the diagonal sums member |d drop/d flow|,
+    and loops that share pipes couple with the product of their membership signs."""
+    loops = loop_eval.basis.core_matrix
+    deltas = solve_linear((loops * loop_eval.dflow) @ loops.T, -loop_eval.residuals)
+    return loop_eval.basis.corrected(loop_eval.flows, deltas)
 
 
 # Diverging runs and extreme starts overflow; the checks stop them, unwarned.
@@ -276,14 +303,15 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
     _require_valid(net)
     start, worst = (_checked_flows(net, initial.flows, "initial flow", ValueError)
                     if initial is not None else net._file_start if net.initial_flows_m3h
-                    else (net._start, 0.0))
+                    else (None, 0.0))
     # Both Hardy Cross methods change the flows only around loops
     # (q += BᵀΔ), which leaves every node balance as the start has it.
     if method != NODE_LOOP:
         _check_balance(worst, "initial flow", ValueError)
     pipes = PipeArrays.of(net)
     basis = select_basis(net)
-    loop_eval = evaluate_loops(net, basis, start)
+    evaluate = _evaluator(net, basis)
+    loop_eval = evaluate(_linear_start(net, basis, evaluate) if start is None else start)
     residual_tol = config.resolved_residual_tolerance(net.fluid.kind)
     flow_history = [loop_eval.flows]
     residual_history = [np.abs(loop_eval.residuals).tolist()]
@@ -297,7 +325,7 @@ def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
     while finite_start and len(flow_history) - 1 < config.max_iterations:
         pass_no = len(flow_history)
         try:
-            candidate_eval = evaluate_loops(net, basis, step(loop_eval))
+            candidate_eval = evaluate(step(loop_eval))
         except SingularSystemError as exc:
             termination = "singular-system"
             stop_reason = f"singular-system at pass {pass_no}: {exc}"

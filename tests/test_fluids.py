@@ -191,7 +191,11 @@ def test_models_match_the_checked_kernels_bitwise(model, seed):
     # method gives the bits the public kernels give (the diameter methods
     # given the model's own friction factor), over the arrays of many
     # pipes (a zero flow, flows under the derivative floor, and laminar,
-    # transition and turbulent flows) and over single pipes.
+    # transition and turbulent flows) and over single pipes.  Water's flow
+    # derivative follows λ(Re) below Re 4000, so it matches the frozen-λ
+    # kernel only where the floored flow is turbulent (the drop matches
+    # everywhere); `test_water_derivative_is_the_drop_slope_below_re_4000`
+    # checks the rest.
     rng = np.random.default_rng(seed)
     n, floor = 64, 1e-7
     pipes = PipeArrays(tuple(range(1, n + 1)), rng.uniform(5.0, 1000.0, n),
@@ -213,8 +217,13 @@ def test_models_match_the_checked_kernels_bitwise(model, seed):
         for name, args in [("evaluate", (q, floor)), ("drop", (q,)),
                            ("drop_at_diameter", (q, d, friction)),
                            ("ddrop_ddiam", (q, d, friction)), ("velocity", (q,))]:
-            assert bits(getattr(model, name)(pipe, *args)) == \
-                bits(reference[name](pipe, *args)), (name, pipe)
+            got, want = getattr(model, name)(pipe, *args), reference[name](pipe, *args)
+            if name == "evaluate" and isinstance(model, WaterModel):
+                turbulent = kernels.reynolds_number(
+                    1000.0, 0.00089, np.maximum(q, floor), pipe.diameter) >= 4000.0
+                got, want = [(drop, np.where(turbulent, ddrop, 0.0))
+                             for drop, ddrop in (got, want)]
+            assert bits(got) == bits(want), (name, pipe)
 
 
 @pytest.mark.parametrize("model", [GasModel(rel_density=0.6, pressure_ratio=0.25),
@@ -229,3 +238,21 @@ def test_no_pipes_give_empty_results(model):
                model.drop_at_diameter(pipes, empty, empty, friction),
                model.ddrop_ddiam(pipes, empty, empty, friction), model.velocity(pipes, empty)]
     assert [r.shape for r in results] == [(0,)] * 6
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_water_derivative_is_the_drop_slope_below_re_4000(seed):
+    # In the laminar range and in the transition, away from their edges,
+    # D is the central difference of the drop: λ follows Re there.
+    model = WaterModel(density=1000.0, viscosity=0.00089)
+    rng = np.random.default_rng(seed)
+    n = 64
+    pipes = PipeArrays(tuple(range(1, n + 1)), rng.uniform(5.0, 1000.0, n),
+                       rng.uniform(0.05, 1.0, n), rng.uniform(0.0, 1e-3, n))
+    re = np.concatenate([rng.uniform(50.0, 2250.0, n // 2), rng.uniform(2350.0, 3950.0, n // 2)])
+    flows = re * math.pi * pipes.diameter * 0.00089 / (4.0 * 1000.0)
+    assert flows.min() > 1e-7
+    _, ddrop = model.evaluate(pipes, flows, 1e-7)
+    h = 1e-6 * flows
+    slope = (model.drop(pipes, flows + h) - model.drop(pipes, flows - h)) / (2.0 * h)
+    np.testing.assert_allclose(ddrop, slope, rtol=1e-6)

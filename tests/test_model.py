@@ -319,8 +319,11 @@ class TestTopologyKept:
         assert reports[0].termination == "converged"
         optimize_diameters(net, select_basis(net),
                            SizingConfig(fixed_flows=reports[0].final_flows))
+        # Each method starts from the kept linear-theory start, which rests
+        # on the seed-0 tree flows.
         start = feasible_initial_flows(net)
-        assert start == reports[1].iterations[0]
+        kept = dict(zip(net.pipe_ids, net._linear_start.tolist()))
+        assert all(report.iterations[0].flows == kept for report in reports)
         assert walks == {"tree": {id(net): 1}, "cycles": {id(net): 1}, "flows": {id(net): 1}}
 
         duplicates = [dataclasses.replace(net), copy.copy(net), copy.deepcopy(net),
@@ -342,7 +345,8 @@ class TestTopologyKept:
         optimize_diameters(fixture, select_basis(fixture), SizingConfig(fixed_flows=fixed))
         assert validate(fixture) == []
         assert walks == {"tree": {id(fixture): 1}, "cycles": {}, "flows": {}}
-        # Without its flows, the fixture starts from the tree.
+        # Without its flows, the fixture starts from its loops' linear
+        # theory, from the tree flows.
         unstarted = dataclasses.replace(fixture, initial_flows_m3h=None)
         for method in METHODS:
             solve(unstarted, SolverConfig(method=method))
@@ -356,16 +360,18 @@ class TestTopologyKept:
         tree.append((7, 7))
         start.flows[1] = math.nan
         start.flows.pop(2)
+        # The first iterate is the network's kept linear-theory start.
         solve(net).iterations[0].flows[3] = math.nan
         assert spanning_tree(net) == first_tree
         assert feasible_initial_flows(net).flows == first_start
-        assert solve(net).iterations[0].flows == first_start
+        assert solve(net).iterations[0].flows == dict(zip(net.pipe_ids,
+                                                          net._linear_start.tolist()))
 
     def test_kept_arrays_are_read_only(self):
         net = square_net()
         solve(net)
-        kept = [net._demands, net._tree, *net._cycles, net._start]
-        assert [a.dtype for a in kept] == [np.float64] + [np.int32] * 4 + [np.float64]
+        kept = [net._demands, net._tree, *net._cycles, net._start, net._linear_start]
+        assert [a.dtype for a in kept] == [np.float64] + [np.int32] * 4 + [np.float64] * 2
         for array in kept:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
