@@ -89,7 +89,7 @@ def cmd_check(args) -> int:
     net = fileio.parse_network(args.path)
     if net.explicit_loops:
         solvers.select_basis(net)
-    print(f"{len(net.pipes)} pipes, {len(net.nodes)} nodes, "
+    print(f"{len(net.pipe_ids)} pipes, {len(net.node_ids)} nodes, "
           f"{net.loop_count} loops")
     print("connected: yes")
     print(f"explicit loops: {len(net.explicit_loops)} valid" if net.explicit_loops

@@ -11,8 +11,8 @@ declaration of the fluid, node and pipe records: each maps a JSON key to
 (model field, value kind, required) in the order of the model's fields,
 which is the order keys are checked and written.  Reading gives a missing
 optional key the model's default; writing leaves out fields that are None.
-Sections are checked a column at a time, then record by record to name
-the first bad one.  A UTF-8 byte-order mark is skipped.
+Sections are checked a column at a time (record by record only to name the
+first bad one) and reach `Network` as columns.  A UTF-8 byte-order mark is skipped.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import suppress
+from itertools import islice
 from math import isfinite
 from operator import itemgetter
 from pathlib import Path
@@ -102,8 +104,8 @@ def network_from_dict(raw: dict, context: str = "network") -> Network:
             raise NetworkFileError(f"{context}: missing section '{section}'")
 
     fluid = _parse_record(raw["fluid"], FLUID_KEYS, FluidSpec, f"{context}: fluid")
-    nodes = _parse_section(raw["nodes"], NODE_KEYS, NodeSpec, f"{context}: nodes")
-    pipes = _parse_section(raw["pipes"], PIPE_KEYS, Pipe, f"{context}: pipes")
+    nodes = _parse_columns(raw["nodes"], NODE_KEYS, NodeSpec, f"{context}: nodes")
+    pipes = _parse_columns(raw["pipes"], PIPE_KEYS, Pipe, f"{context}: pipes")
 
     loops = None
     if "loops" in raw:
@@ -119,26 +121,29 @@ def network_from_dict(raw: dict, context: str = "network") -> Network:
 
     initial = None
     if "initial_flows" in raw:
-        initial = {}
-        def add_flow(pid, flow):    # once per row, in order, as either path builds it
+        initial, where = {}, f"{context}: initial_flows"
+        records = _as_list(raw["initial_flows"], where)
+        columns = _columns(records, FLOW_KEYS, None)    # every key is required
+        # Row by row on either path, so a repeated pipe is named before a later bad row.
+        rows = zip(*columns) if columns is not None else (
+            _parse_record(r, FLOW_KEYS, lambda *row: row, f"{where}[{i}]")
+            for i, r in enumerate(records))
+        for pid, flow in rows:
             if pid in initial:
-                raise NetworkFileError(f"{context}: initial_flows[{len(initial)}]: "
-                                       f"second flow for pipe {pid}")
+                raise NetworkFileError(f"{where}[{len(initial)}]: second flow for pipe {pid}")
             initial[pid] = flow
-        _parse_section(raw["initial_flows"], FLOW_KEYS, add_flow, f"{context}: initial_flows")
 
     reference = raw.get("reference_node")
     if reference is not None:
         reference = _get(raw, "reference_node", NodeId, context)
-    elif len({isinstance(n.id, str) for n in nodes}) > 1:
+    elif len(set(map(type, nodes[0]))) > 1:
         # The default reference node is the largest id, and strings and
         # integers do not compare.
         raise NetworkFileError(
             f"{context}: node ids mix strings and integers, so "
             f"'reference_node' must be given")
 
-    return Network(pipes=pipes, nodes=nodes, fluid=fluid, explicit_loops=loops,
-                   reference_node=reference, initial_flows_m3h=initial)
+    return Network._of_columns(pipes, nodes, fluid, loops, reference, initial)
 
 
 def _as_list(value, context: str) -> list:
@@ -187,13 +192,14 @@ def _parse_record(obj, keys: dict, cls, context: str):
     return cls(*values)
 
 
-def _parse_section(records, keys: dict, cls, context: str) -> list:
-    """A section's records, built a column at a time, or one record at a
-    time when a column check fails, so that the first bad one is named."""
+def _parse_columns(records, keys: dict, cls, context: str) -> list[list]:
+    """A section's `cls` field values, one column per key: checked a column at a time,
+    or one record at a time when a column check fails, so that the first bad one is named."""
     columns = _columns(_as_list(records, context), keys, cls)
     if columns is None:
-        return [_parse_record(r, keys, cls, f"{context}[{i}]") for i, r in enumerate(records)]
-    return list(map(cls, *columns))
+        built = [_parse_record(r, keys, cls, f"{context}[{i}]") for i, r in enumerate(records)]
+        columns = [[getattr(r, name) for r in built] for name, _, _ in keys.values()]
+    return columns
 
 
 def _columns(records: list, keys: dict, cls) -> list[list] | None:
@@ -288,22 +294,29 @@ def _csv_text(rows) -> str:
 
 def read_flows_csv(path: str | Path) -> dict[PipeId, float]:
     """Fixed-flow table for the sizing command: columns pipe, flow_m3h, found
-    by name in the header; blank lines are skipped and not counted as rows."""
-    flows = {}
+    by name in the header; blank lines are skipped and not counted as rows.
+    Read a column at a time, or row by row where a check fails, to name the row."""
     try:
         # Decoded whole, so a table not in UTF-8 is refused at any size, and
         # read as `csv.DictReader` reads, a short row as None.
         text = Path(path).read_bytes().decode("utf-8-sig")
-        rows = csv.reader(io.StringIO(text, newline=""))
-        header = next(rows, [])
+        header = next(csv.reader(io.StringIO(text, newline="")), [])
         column = {name: i for i, name in enumerate(header)}
         if {"pipe", "flow_m3h"} - column.keys():
             raise NetworkFileError(f"{path}: expected CSV header with columns 'pipe,flow_m3h'")
-        cells, pad = itemgetter(column["pipe"], column["flow_m3h"]), [None] * len(header)
-        for i, row in enumerate(filter(None, rows), start=2):
+        def rows():     # the rows after the header, less the blank ones
+            return filter(None, islice(csv.reader(io.StringIO(text, newline="")), 1, None))
+        with suppress(csv.Error, IndexError, ValueError):    # else row by row, below
+            body = list(rows())
+            pids, flows = (list(map(kind, map(itemgetter(column[key]), body)))
+                           for key, kind in (("pipe", int), ("flow_m3h", float)))
+            if all(map(isfinite, flows)) and len(set(pids)) == len(pids):
+                return dict(zip(pids, flows))
+        flows = {}
+        for i, row in enumerate(rows(), start=2):
             try:
-                pid, flow = cells(row + pad)
-                pid, flow = int(pid), float(flow)
+                cells = row + [None] * len(header)
+                pid, flow = int(cells[column["pipe"]]), float(cells[column["flow_m3h"]])
             except (TypeError, ValueError) as exc:
                 raise NetworkFileError(f"{path}: bad row {i}: {exc}") from exc
             if not isfinite(flow):

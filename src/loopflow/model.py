@@ -4,12 +4,12 @@ Unit conventions (see README): geometry in m, pressures in Pa, node demands
 in m³/h (the customary reporting unit), pipe flows in m³/s everywhere inside
 the library.  The 3600 factor is applied only at file and report boundaries.
 
-A `Network` indexes itself once, when it is constructed: the end nodes of
-every pipe as node indices, the incident pipes of every node as pipe
-indices (compressed rows, each in pipe order), the pipes in id
-order, the reference node's index, and read-only geometry arrays
-(`PipeArrays.of`).  Validation, the spanning tree, the loop basis, the
-start and the node balances all work on these integer arrays.
+A `Network` keeps its records' columns (node ids and demands, pipe ids and
+ends, read-only geometry arrays: `PipeArrays.of`) and indexes itself once,
+when constructed: every pipe's ends as node indices, every node's incident
+pipes (compressed rows, each in pipe order), the pipes in id order and the
+reference node's index.  Validation, solves and sizing work on these arrays;
+the `pipes` and `nodes` records are built when first read, and kept.
 
 A network derives each fact that depends on it alone once, when it is
 first asked for, and keeps it: its `validate` violations, and as read-only
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import isfinite
@@ -105,12 +105,20 @@ class FluidSpec:
         return 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Network:
-    """Immutable pipe network; shareable across threads once constructed.
-    Its `initial_flows_m3h` is a read-only mapping (a copy of the one given)."""
-    pipes: tuple[Pipe, ...]
-    nodes: tuple[NodeSpec, ...]
+    """Immutable pipe network; shareable across threads once constructed.  Its records are
+    built on first read; `initial_flows_m3h` is a read-only mapping (a copy of the one given)."""
+    def _pipe_records(self) -> tuple[Pipe, ...]:
+        arrays = self._pipe_arrays
+        return tuple(map(Pipe, arrays.ids, *self._pipe_ends, arrays.diameter.tolist(),
+                         arrays.length.tolist(), arrays.roughness.tolist()))
+
+    def _node_records(self) -> tuple[NodeSpec, ...]:
+        return tuple(map(NodeSpec, self._node_ids, self._demand_m3h))
+
+    pipes: tuple[Pipe, ...] = cached_property(_pipe_records)
+    nodes: tuple[NodeSpec, ...] = cached_property(_node_records)
     fluid: FluidSpec
     explicit_loops: tuple[tuple[int, ...], ...] | None = None
     reference_node: NodeId | None = None
@@ -118,51 +126,53 @@ class Network:
 
     def __init__(self, pipes, nodes, fluid, explicit_loops=None,
                  reference_node=None, initial_flows_m3h=None):
-        object.__setattr__(self, "pipes", tuple(pipes))
-        object.__setattr__(self, "nodes", tuple(nodes))
-        object.__setattr__(self, "fluid", fluid)
-        object.__setattr__(
-            self, "explicit_loops",
-            tuple(tuple(loop) for loop in explicit_loops) if explicit_loops else None)
-        if reference_node is None and nodes:
-            reference_node = max(n.id for n in self.nodes)
-        object.__setattr__(self, "reference_node", reference_node)
-        object.__setattr__(
-            self, "initial_flows_m3h",
-            MappingProxyType(dict(initial_flows_m3h)) if initial_flows_m3h else None)
+        pipes, nodes = tuple(pipes), tuple(nodes)
+        net = Network._of_columns([[getattr(p, f.name) for p in pipes] for f in fields(Pipe)],
+                                  [[n.id for n in nodes], [n.demand_m3h for n in nodes]],
+                                  fluid, explicit_loops, reference_node, initial_flows_m3h)
+        vars(self).update(vars(net), pipes=pipes, nodes=nodes)
+
+    @classmethod
+    def _of_columns(cls, pipe_columns, node_columns, fluid, explicit_loops=None,
+                    reference_node=None, initial_flows_m3h=None) -> Network:
+        """The network of `Pipe` and `NodeSpec` field columns, built without a record."""
+        ids, tails, heads, diameter, length, roughness = pipe_columns
+        node_ids, demand_m3h = map(tuple, node_columns)
+        if reference_node is None and node_ids:
+            reference_node = max(node_ids)
         # The integer incidence.  An end that names no node gets index -1,
         # so malformed input still constructs and `validate` reports it; a
         # repeated node id indexes its last node.
-        index = {n.id: i for i, n in enumerate(self.nodes)}
-        ends = np.array([[index.get(p.from_node, -1) for p in self.pipes],
-                         [index.get(p.to_node, -1) for p in self.pipes]],
+        index = {node: i for i, node in enumerate(node_ids)}
+        ends = np.array([[index.get(node, -1) for node in tails],
+                         [index.get(node, -1) for node in heads]],
                         dtype=np.int32).reshape(2, -1)
         # Per node, its pipes in pipe order, each at its tail before its
         # head: the ends listed tail, head per pipe and sorted stably by
         # node, less the unknown ones, which sort first.
         flat = ends.T.ravel()
         by_node = np.argsort(flat, kind="stable")[np.count_nonzero(flat < 0):]
-        start = np.searchsorted(flat[by_node], np.arange(len(self.nodes) + 1)).astype(np.int32)
+        start = np.searchsorted(flat[by_node], np.arange(len(node_ids) + 1)).astype(np.int32)
         incident = (by_node // 2).astype(np.int32)
         # Pipe indices in ascending id order (repeated ids of unvalidated
         # input in pipe order), and each pipe's rank in that order.
-        ids = tuple(p.id for p in self.pipes)
         id_order = np.argsort(np.array(ids), kind="stable").astype(np.int32)
         id_rank = np.empty_like(id_order)
         id_rank[id_order] = np.arange(len(ids), dtype=np.int32)
-        arrays = PipeArrays(ids, np.array([p.length for p in self.pipes]),
-                            np.array([p.diameter for p in self.pipes]),
-                            np.array([p.roughness for p in self.pipes]))
+        arrays = PipeArrays(tuple(ids), np.array(length), np.array(diameter), np.array(roughness))
         for array in (ends, start, incident, id_order, id_rank, arrays.length,
                       arrays.diameter, arrays.roughness):
             array.setflags(write=False)
-        object.__setattr__(self, "_ends", ends)
-        object.__setattr__(self, "_incident_start", start)
-        object.__setattr__(self, "_incident", incident)
-        object.__setattr__(self, "_id_order", id_order)
-        object.__setattr__(self, "_id_rank", id_rank)
-        object.__setattr__(self, "_reference_index", index.get(reference_node, -1))
-        object.__setattr__(self, "_pipe_arrays", arrays)
+        net = cls.__new__(cls)
+        vars(net).update(    # past the frozen `__setattr__`, as `cached_property` does
+            fluid=fluid, reference_node=reference_node,
+            explicit_loops=tuple(map(tuple, explicit_loops)) if explicit_loops else None,
+            initial_flows_m3h=(MappingProxyType(dict(initial_flows_m3h))
+                               if initial_flows_m3h else None),
+            _node_ids=node_ids, _demand_m3h=demand_m3h, _pipe_ends=(tuple(tails), tuple(heads)),
+            _ends=ends, _incident_start=start, _incident=incident, _id_order=id_order,
+            _id_rank=id_rank, _reference_index=index.get(reference_node, -1), _pipe_arrays=arrays)
+        return net
 
     def __reduce__(self):
         # Copies and unpickled networks index and check themselves afresh;
@@ -173,11 +183,11 @@ class Network:
 
     @property
     def node_ids(self) -> list[NodeId]:
-        return [n.id for n in self.nodes]
+        return list(self._node_ids)
 
     @property
     def pipe_ids(self) -> list[PipeId]:
-        return [p.id for p in self.pipes]
+        return list(self._pipe_arrays.ids)
 
     def pipe(self, pipe_id: PipeId) -> Pipe:
         for p in self.pipes:
@@ -201,7 +211,7 @@ class Network:
     @cached_property
     def _demands(self) -> np.ndarray:
         """Node demands in m³/s, per node index."""
-        return _frozen(m3h_to_m3s(np.array([n.demand_m3h for n in self.nodes], dtype=float)))
+        return _frozen(m3h_to_m3s(np.array(self._demand_m3h, dtype=float)))
 
     @cached_property
     def _walk(self) -> np.ndarray:
@@ -212,7 +222,7 @@ class Network:
     @property
     def _tree(self) -> np.ndarray:
         """The spanning tree: the walk, which must reach every node."""
-        if self._walk.shape[1] < len(self.nodes) - 1:
+        if self._walk.shape[1] < len(self._node_ids) - 1:
             raise ValueError("disconnected graph: no spanning tree exists")
         return self._walk
 
@@ -236,7 +246,7 @@ class Network:
     @property
     def loop_count(self) -> int:
         """Independent loops of a connected graph: pipes - nodes + 1."""
-        return len(self.pipes) - len(self.nodes) + 1
+        return len(self._pipe_arrays.ids) - len(self._node_ids) + 1
 
 
 # A spanning tree as its attach order: (node index, pipe index) pairs.
@@ -392,7 +402,7 @@ def _check(net: Network) -> list[str]:
     violations = _record_violations(net)
     violations.extend(_fluid_violations(net.fluid))
 
-    total_demand = sum(n.demand_m3h for n in net.nodes)
+    total_demand = sum(net._demand_m3h)
     if abs(total_demand) > DEMAND_BALANCE_TOL_M3H:
         violations.append(
             f"unbalanced demands: node demands sum to {total_demand:+g} m3/h, expected 0")
@@ -400,7 +410,7 @@ def _check(net: Network) -> list[str]:
     if net._reference_index < 0:
         violations.append(f"reference node {net.reference_node!r} does not exist")
 
-    pipe_ids = set(net.pipe_ids)
+    pipe_ids = set(PipeArrays.of(net).ids)
     violations += [f"loop {k + 1} references unknown pipe {abs(signed)}"
                    for k, loop in enumerate(net.explicit_loops or ()) for signed in loop
                    if abs(signed) not in pipe_ids]
@@ -411,7 +421,7 @@ def _check(net: Network) -> list[str]:
     # Structural checks only make sense on otherwise well-formed input.
     if not violations:
         reached = {net._reference_index, *net._walk[0].tolist()}
-        unreached = {n.id for i, n in enumerate(net.nodes) if i not in reached}
+        unreached = {node for i, node in enumerate(net._node_ids) if i not in reached}
         if unreached:
             names = ", ".join(repr(u) for u in sorted(unreached, key=str))
             violations.append(f"disconnected graph: cannot reach node(s) {names}")
@@ -451,7 +461,15 @@ def _check_balance(worst: float, what: str, error: type[ValueError]) -> None:
 
 
 def _record_violations(net: Network) -> list[str]:
-    """`validate`'s checks of the node and pipe records, one at a time."""
+    """`validate`'s checks of the node and pipe records: on the columns, and
+    only where one fails a record at a time, which names each fault in order."""
+    a, e = net._pipe_arrays, net._ends
+    geometry = (a.diameter, a.length, a.roughness)
+    if (len(set(net._node_ids)) == len(net._node_ids) and len(set(a.ids)) == len(a.ids)
+            and all(map(isfinite, net._demand_m3h)) and (e >= 0).all() and (e[0] != e[1]).all()
+            and all(g.dtype.kind in "biuf" for g in geometry) and np.isfinite(geometry).all()
+            and (a.diameter > 0).all() and (a.length > 0).all() and (a.roughness >= 0).all()):
+        return []
     violations: list[str] = []
     node_ids = set()
     for n in net.nodes:
@@ -527,7 +545,7 @@ def _grow_tree(net: Network, adjacency: Adjacency) -> tuple[list[int], list[int]
     order, rank = net._id_order.tolist(), net._id_rank.tolist()
     # The extra last entry stands for index -1, an unknown end: it counts
     # as joined, so no pipe attaches it.
-    joined = [False] * len(net.nodes) + [True]
+    joined = [False] * len(net._node_ids) + [True]
     joined[root] = True
     nodes, pipes = [], []
     # Pipes from the tree to a node outside it.  A pipe enters the heap
@@ -535,7 +553,7 @@ def _grow_tree(net: Network, adjacency: Adjacency) -> tuple[list[int], list[int]
     # if its far end joined.
     frontier = [rank[j] for j in incident[start[root]:start[root + 1]]]
     heapify(frontier)
-    for _ in range(len(net.nodes) - 1):
+    for _ in range(len(net._node_ids) - 1):
         while True:
             if not frontier:
                 return nodes, pipes
@@ -571,12 +589,12 @@ def _tree_flows(net: Network, adjacency: Adjacency, nodes: list[int], pipes: lis
     """`feasible_initial_flows` on the tree grown as `nodes` and `pipes`,
     in pipe order."""
     tails, heads, start, incident = adjacency
-    flows = [0.0] * len(net.pipes)
+    flows = [0.0] * len(tails)
     if seed != 0:
         in_tree = set(pipes)
-        demand_scale = max((abs(n.demand_m3h) for n in net.nodes), default=0.0)
+        demand_scale = max(map(abs, net._demand_m3h), default=0.0)
         rng = random.Random(seed)
-        for j in range(len(net.pipes)):
+        for j in range(len(tails)):
             if j not in in_tree:
                 flows[j] = m3h_to_m3s(rng.uniform(-demand_scale, demand_scale) / 2.0)
 
@@ -599,9 +617,9 @@ def _fundamental_cycles(net: Network, nodes: list[int],
     `pipes`, as `LoopBasis` columns, signs and starts."""
     tails, heads = net._ends.tolist()
     in_tree = set(pipes)
-    parent = [0] * len(net.nodes)     # node -> tree pipe toward the root
-    above = [0] * len(net.nodes)      # node -> the far end of that pipe
-    depth = [0] * len(net.nodes)
+    parent = [0] * len(net._node_ids)     # node -> tree pipe toward the root
+    above = [0] * len(net._node_ids)      # node -> the far end of that pipe
+    depth = [0] * len(net._node_ids)
     for node, pipe in zip(nodes, pipes):
         parent[node] = pipe
         above[node] = heads[pipe] if tails[pipe] == node else tails[pipe]

@@ -209,7 +209,7 @@ def assemble_node_loop_system(loop_eval: LoopEval,
         out = np.zeros((n_pipes, n_pipes)), np.empty(n_pipes)
         out[0][:n_nodes] = node_matrix
         net = loop_eval.net
-        out[1][:n_nodes] = net._demands[[n.id != net.reference_node for n in net.nodes]]
+        out[1][:n_nodes] = net._demands[np.arange(len(net._demands)) != net._reference_index]
     matrix, rhs = out
     n_nodes = len(rhs) - len(basis)
     loop_rows = matrix[n_nodes:]

@@ -131,13 +131,13 @@ def build_node_matrix(net: Network) -> np.ndarray:
     """Continuity rows for every node except the reference node, in node
     order: a (nodes-1) × pipes matrix that is +1 where a pipe's reference
     orientation enters the row's node, -1 where it leaves, 0 elsewhere."""
-    kept = [i for i, n in enumerate(net.nodes) if n.id != net.reference_node]
+    n_nodes, n_pipes = len(net._node_ids), net._ends.shape[1]
     # A row per node index and a last one for index -1, an end that names
     # no node; a pipe's tail entry overwrites its head entry.
-    entries = np.zeros((len(net.nodes) + 1, len(net.pipes)))
-    entries[net._ends[1], np.arange(len(net.pipes))] = 1.0
-    entries[net._ends[0], np.arange(len(net.pipes))] = -1.0
-    return entries[kept]
+    entries = np.zeros((n_nodes + 1, n_pipes))
+    entries[net._ends[1], np.arange(n_pipes)] = 1.0
+    entries[net._ends[0], np.arange(n_pipes)] = -1.0
+    return entries[:-1][np.arange(n_nodes) != net._reference_index]
 
 
 def derive_loop_basis(net: Network) -> LoopBasis:
@@ -177,7 +177,7 @@ def adopt_explicit_loops(net: Network) -> LoopBasis:
             f"wrong loop count: {len(net.explicit_loops)} supplied, "
             f"{expected} independent loops required (pipes - nodes + 1)")
 
-    index = {p.id: j for j, p in enumerate(net.pipes)}
+    index = {pid: j for j, pid in enumerate(PipeArrays.of(net).ids)}
     members, starts = [], [0]
     for k, sequence in enumerate(net.explicit_loops, start=1):
         members += _as_cycle(net, index, k, sequence)
@@ -186,7 +186,7 @@ def adopt_explicit_loops(net: Network) -> LoopBasis:
     basis = LoopBasis(PipeArrays.of(net).ids, columns, signs, starts, net._ends)
 
     in_tree = set(net._tree[1].tolist())
-    link_columns = [j for j in range(len(net.pipes)) if j not in in_tree]
+    link_columns = [j for j in range(len(PipeArrays.of(net).ids)) if j not in in_tree]
     bit = {j: 1 << k for k, j in enumerate(link_columns)}
     if _gf2_rank([sum(bit.get(j, 0) for j in columns[a:b])
                   for a, b in zip(starts, starts[1:])]) != expected:
@@ -202,7 +202,7 @@ def _as_cycle(net: Network, index: dict[PipeId, int], k: int,
     """Loop `k` as (pipe index, sign) pairs, checked to be a closed walk."""
     if not sequence:
         raise ValueError(f"loop {k} is empty")
-    signed = []
+    signed, (tails, heads) = [], net._pipe_ends
     seen_pipes = set()
     node = None
     start = None
@@ -214,9 +214,8 @@ def _as_cycle(net: Network, index: dict[PipeId, int], k: int,
         seen_pipes.add(pid)
         if pid not in index:
             raise ValueError(f"loop {k} references unknown pipe {pid}")
-        pipe = net.pipes[index[pid]]
-        tail = pipe.from_node if sign > 0 else pipe.to_node
-        head = pipe.to_node if sign > 0 else pipe.from_node
+        ends = tails[index[pid]], heads[index[pid]]
+        tail, head = ends if sign > 0 else ends[::-1]
         if node is None:
             start = tail
         elif tail != node:
