@@ -2,8 +2,11 @@
 
 Every function evaluates elementwise over numpy arrays (one element per
 pipe) and also accepts plain scalars.  A public kernel raises ValueError
-for any element outside its domain, then calls the private body holding its
-formula, which the fluid models call unchecked on validated networks.
+for any element outside its domain, NaN included, then calls the private
+body holding its formula, which the fluid models call unchecked on
+validated networks.  Colebrook takes three Newton steps from the
+Swamee-Jain seed, within 6.7e-16 relative of the root for every turbulent
+Re up to 1e300.
 
 Units are strict SI throughout: flows in m³/s, lengths and diameters in m,
 pressures in Pa (gas pressure functions are differences of squared
@@ -26,9 +29,6 @@ RENOUARD_DIAM_EXP = 4.82
 LAMINAR_RE_LIMIT = 2300.0
 TURBULENT_RE_LIMIT = 4000.0
 
-COLEBROOK_TOL = 1e-12
-COLEBROOK_MAX_ITER = 100
-
 _TWO_OVER_LN10 = 2.0 / math.log(10.0)
 
 # A scalar, or an array with one element per pipe.
@@ -42,13 +42,13 @@ def _reject(values: Values, bad, message: str) -> None:
 
 
 def _check_pipe(length: Values, diameter: Values, flow: Values) -> None:
-    _reject(diameter, np.less_equal(diameter, 0.0), "pipe diameter must be > 0 m")
-    _reject(length, np.less_equal(length, 0.0), "pipe length must be > 0 m")
+    _reject(diameter, ~np.greater(diameter, 0.0), "pipe diameter must be > 0 m")
+    _reject(length, ~np.greater(length, 0.0), "pipe length must be > 0 m")
     _check_flow(flow)
 
 
 def _check_flow(flow: Values) -> None:
-    _reject(flow, np.less(flow, 0.0), "flow magnitude must be >= 0 m3/s")
+    _reject(flow, ~np.greater_equal(flow, 0.0), "flow magnitude must be >= 0 m3/s")
 
 
 def renouard_drop(rel_density: Values, length: Values, flow: Values,
@@ -89,8 +89,8 @@ def _renouard_drop_ddiam(rho_r, length, flow, diam):
 def reynolds_number(density: Values, viscosity: Values, flow: Values,
                     diameter: Values) -> Values:
     """Reynolds number Re = 4·rho·Q / (pi·d·mu) of circular-pipe flow."""
-    _reject(viscosity, np.less_equal(viscosity, 0.0), "viscosity must be > 0 Pa*s")
-    _reject(diameter, np.less_equal(diameter, 0.0), "pipe diameter must be > 0 m")
+    _reject(viscosity, ~np.greater(viscosity, 0.0), "viscosity must be > 0 Pa*s")
+    _reject(diameter, ~np.greater(diameter, 0.0), "pipe diameter must be > 0 m")
     _check_flow(flow)
     return _reynolds_number(density, viscosity, flow, diameter)
 
@@ -103,14 +103,15 @@ def colebrook_friction_factor(reynolds: Values, rel_roughness: Values) -> Values
     """Darcy friction factor from the implicit Colebrook-White relation.
 
     Solves 1/sqrt(lam) = -2·log10(2.51/(Re·sqrt(lam)) + rr/3.71) for
-    x = 1/sqrt(lam) by Newton's method, which converges in a few steps for
-    every turbulent input.  Below Re = 2300 the laminar value 64/Re is
+    x = 1/sqrt(lam) by three Newton steps from the Swamee-Jain seed, which
+    end within 6.7e-16 relative of the root for Re from 4000 to 1e300 and
+    rr 0 or 1e-8 to 1.  Below Re = 2300 the laminar value 64/Re is
     returned; between 2300 and 4000 the two regimes are blended linearly
     in Re.
     """
     re = np.asarray(reynolds, dtype=float)
-    _reject(re, re <= 0.0, "Reynolds number must be > 0")
-    _reject(rel_roughness, np.less(rel_roughness, 0.0),
+    _reject(re, ~np.greater(re, 0.0), "Reynolds number must be > 0")
+    _reject(rel_roughness, ~np.greater_equal(rel_roughness, 0.0),
             "relative roughness must be >= 0")
     return _colebrook_friction_factor(re, rel_roughness)[0]
 
@@ -129,24 +130,18 @@ def _colebrook_friction_factor(reynolds, rel_roughness):
 
 
 def _colebrook_turbulent(reynolds: Values, rel_roughness: Values) -> Values:
-    # Newton on f(x) = x + 2·log10(a·x + b), seeded by the explicit
-    # Swamee-Jain approximation, which leaves three steps for the fixture
-    # networks where the Blasius seed needs four.  f is increasing and
-    # concave, so after the first step the iterates approach the root from
-    # below.
+    # Newton on f(x) = x + 2·log10(a·x + b) from the explicit Swamee-Jain
+    # seed.  f is increasing and concave, so after the first step the
+    # iterates approach the root from below; two steps leave 5.8e-12, three
+    # 6.7e-16.  A NaN Re, or an infinite one on a smooth pipe, gives NaN.
     a = 2.51 / reynolds
     b = rel_roughness / 3.71
     slope = _TWO_OVER_LN10 * a         # f'(x) = 1 + slope / (a·x + b)
     x = -2.0 * np.log10(b + 5.74 / reynolds ** 0.9)
-    for _ in range(COLEBROOK_MAX_ITER):
+    for _ in range(3):
         s = a * x + b
-        step = (x + 2.0 * np.log10(s)) / (1.0 + slope / s)
-        x = x - step
-        if np.abs(step).max(initial=0.0) <= COLEBROOK_TOL:
-            return 1.0 / (x * x)
-    raise RuntimeError(
-        f"Colebrook iteration did not converge (Re={reynolds}, "
-        f"rel_roughness={rel_roughness})")
+        x = x - (x + 2.0 * np.log10(s)) / (1.0 + slope / s)
+    return 1.0 / (x * x)
 
 
 def darcy_weisbach_drop(friction_factor: Values, length: Values, flow: Values,
@@ -192,7 +187,7 @@ def flow_velocity(pressure_ratio: Values, flow: Values, diameter: Values) -> Val
     `pressure_ratio` rescales a flow stated at normal (standard) pressure to
     the operating pressure (p_normal / p_operating for gas, 1 for liquids).
     """
-    _reject(diameter, np.less_equal(diameter, 0.0), "pipe diameter must be > 0 m")
+    _reject(diameter, ~np.greater(diameter, 0.0), "pipe diameter must be > 0 m")
     _check_flow(flow)
     return _flow_velocity(pressure_ratio, flow, diameter)
 

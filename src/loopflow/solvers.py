@@ -177,9 +177,9 @@ def _linear_start(net: Network, basis: LoopBasis, evaluate) -> np.ndarray:
     singular or not finite) q₀."""
     if len(basis) and "_linear_start" not in vars(net):
         q, speed = net._start, make_fluid_model(net.fluid).velocity(PipeArrays.of(net), 1.0)
-        # One Newton step from q₀ solves the network whose drops are W q.  W or
-        # that system may not be finite (Colebrook fails at an infinite Re).
-        with suppress(ValueError, RuntimeError):
+        # One Newton step from q₀ solves the network whose drops are W q.  W,
+        # and so that system, may not be finite; a singular one raises.
+        with suppress(ValueError):
             w = evaluate(START_VELOCITY / speed).dflow
             linear = LoopEval(net, basis, q, basis.sums(w * q[basis.core]), w)
             q = _frozen(_loop_newton_step(linear))

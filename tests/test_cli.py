@@ -248,14 +248,20 @@ class TestSolve:
         assert err == "error: source pressure 1e+200 Pa overflows when squared\n"
 
     # In process, pytest's error::RuntimeWarning filter fails a test on
-    # any numpy warning the run leaks.
+    # any numpy warning the run leaks, and an exception fails it too.  A
+    # smooth water pipe of 1e-306 m overflows its Reynolds number, and its
+    # friction factor is NaN.
     @pytest.mark.parametrize("method", ["node-loop", "hardy-cross", "hardy-cross-improved"])
-    @pytest.mark.parametrize("diameter", [1e-300, 1e300])
-    def test_extreme_diameter_warns_nothing(self, diameter, method, gas_path, tmp_path,
-                                            capsys):
-        raw = json.loads(gas_path.read_text())
+    @pytest.mark.parametrize("fluid, diameter, roughness", [
+        ("gas", 1e-300, None), ("gas", 1e300, None), ("water", 1e-300, None),
+        ("water", 1e-306, 0.0)])
+    def test_extreme_diameter_warns_nothing(self, fluid, diameter, roughness, method,
+                                            request, tmp_path, capsys):
+        raw = json.loads(request.getfixturevalue(f"{fluid}_path").read_text())
         assert raw["pipes"][0]["id"] == 1
         raw["pipes"][0]["diameter_m"] = diameter
+        if roughness is not None:
+            raw["pipes"][0]["roughness_m"] = roughness
         path = tmp_path / "extreme.json"
         path.write_text(json.dumps(raw))
         code, out, err = run(capsys, "solve", str(path), "--method", method, "--pressures")

@@ -85,6 +85,8 @@ class TestRenouard:
             kern.renouard_drop(0.6, 0.0, 0.1, 0.3)
         with pytest.raises(ValueError):
             kern.renouard_drop(0.6, 100.0, -0.1, 0.3)
+        with pytest.raises(ValueError, match="flow magnitude must be >= 0 m3/s, got nan"):
+            kern.renouard_drop(0.6, 100.0, math.nan, 0.1)
 
 
 class TestReynolds:
@@ -102,6 +104,10 @@ class TestReynolds:
             kern.reynolds_number(1000.0, 0.0, 0.1, 0.3)
         with pytest.raises(ValueError):
             kern.reynolds_number(1000.0, 0.00089, 0.1, 0.0)
+        with pytest.raises(ValueError, match="flow magnitude must be >= 0 m3/s, got nan"):
+            kern.reynolds_number(1000.0, 0.00089, math.nan, 0.3)
+        with pytest.raises(ValueError, match="viscosity must be > 0 Pa\\*s, got nan"):
+            kern.reynolds_number(1000.0, math.nan, 0.1, 0.3)
 
 
 class TestColebrook:
@@ -143,6 +149,26 @@ class TestColebrook:
             kern.colebrook_friction_factor(0.0, 1e-4)
         with pytest.raises(ValueError):
             kern.colebrook_friction_factor(1e5, -1e-4)
+        with pytest.raises(ValueError, match="Reynolds number must be > 0, got nan"):
+            kern.colebrook_friction_factor(math.nan, 1e-4)
+        with pytest.raises(ValueError, match="relative roughness must be >= 0, got nan"):
+            kern.colebrook_friction_factor(1e5, math.nan)
+
+    def test_three_steps_reach_the_root(self):
+        # A 40-digit root of x = -2·log10(2.51·x/Re + rr/3.71), x = 1/sqrt(lam),
+        # from turbulent Re to 1e12, 1e15 and 1e300, smooth to rr = 1.
+        mpmath = pytest.importorskip("mpmath")
+        re = np.concatenate([np.logspace(np.log10(4000.0), 12.0, 81), [1e15, 1e300]])
+        rr = np.concatenate([[0.0], np.logspace(-8.0, 0.0, 33)])
+        re, rr = (grid.ravel() for grid in np.meshgrid(re, rr))
+        lam = kernels._colebrook_turbulent(re, rr)
+        with mpmath.workdps(40):
+            a, b = mpmath.mpf("2.51"), mpmath.mpf("3.71")
+            for r, e, got in zip(re, rr, lam):
+                r, e = mpmath.mpf(r), mpmath.mpf(e)
+                x = mpmath.findroot(lambda x: x + 2 * mpmath.log10(a * x / r + e / b),
+                                    1.0 / math.sqrt(got))
+                assert abs(got * x * x - 1) <= 1e-15, (float(r), float(e))
 
 
 class TestDarcyWeisbach:
@@ -166,6 +192,12 @@ class TestDarcyWeisbach:
     def test_zero_flow(self, kern):
         assert kern.darcy_weisbach_drop(0.02, 100.0, 0.0, 0.3, 1000.0) == 0.0
         assert kern.darcy_weisbach_drop_dflow(0.02, 100.0, 0.0, 0.3, 1000.0) == 0.0
+
+    def test_domain_errors(self, kern):
+        with pytest.raises(ValueError, match="pipe diameter must be > 0 m, got nan"):
+            kern.darcy_weisbach_drop(0.02, 100.0, 0.1, math.nan, 1000.0)
+        with pytest.raises(ValueError, match="pipe length must be > 0 m, got nan"):
+            kern.darcy_weisbach_drop_dflow(0.02, math.nan, 0.1, 0.3, 1000.0)
 
     def test_monotonicity(self, kern):
         rng = random.Random(5)
@@ -194,6 +226,8 @@ class TestVelocity:
     def test_domain_error(self, kern):
         with pytest.raises(ValueError):
             kern.flow_velocity(1.0, 0.1, 0.0)
+        with pytest.raises(ValueError, match="pipe diameter must be > 0 m, got nan"):
+            kern.flow_velocity(1.0, 0.1, math.nan)
 
 
 # Argument generators per kernel, drawn across the regimes a solve passes
@@ -267,9 +301,10 @@ def test_array_call_matches_scalar_calls(name):
         broken = [np.array(a, dtype=float) if np.ndim(a) else a for a in args]
         if not np.ndim(broken[position]):
             broken[position] = np.full(n, float(broken[position]))
-        broken[position][n // 2] = bad
-        with pytest.raises(ValueError):
-            func(*broken)
+        for value in (bad, math.nan):
+            broken[position][n // 2] = value
+            with pytest.raises(ValueError):
+                func(*broken)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_ARGS))

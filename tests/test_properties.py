@@ -134,6 +134,26 @@ def test_a_stop_reason_exactly_when_not_converged(net, rng, max_iterations, boun
     assert (report.stop_reason == "") == (report.termination == "converged")
 
 
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+@hypothesis.given(fluid=st.sampled_from(["gas", "water"]), index=st.integers(0, 14),
+                  diameter=st.sampled_from([1e-310, 1e-306, 1e-300, 1e-3, 1.0, 1e300]),
+                  roughness=st.sampled_from([0.0, 2e-5, 1.0]))
+def test_no_solve_raises_on_extreme_geometry(gas_network, water_network, fluid, index,
+                                             diameter, roughness):
+    # Drops that overflow, Reynolds numbers that overflow and subnormal
+    # diameters end a run as one of its terminations, with or without a
+    # reason, and warn nothing.
+    net = gas_network if fluid == "gas" else water_network
+    pipes = list(net.pipes)
+    pipes[index] = dataclasses.replace(pipes[index], diameter=diameter, roughness=roughness)
+    net = dataclasses.replace(net, pipes=pipes)
+    for method in METHODS:
+        report = solve(net, SolverConfig(method=method))
+        assert report.termination in ("converged", "max-iterations", "singular-system",
+                                      "diverged")
+        assert (report.stop_reason == "") == (report.termination == "converged")
+
+
 def reader_bases() -> list[dict]:
     """The gas fixture (string node ids, explicit loops, initial flows) and
     a small water grid (integer ids) given a balanced initial flow pattern."""

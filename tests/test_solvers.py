@@ -962,10 +962,13 @@ class TestDivergence:
             assert max(map(abs, balances.values())) / 3600.0 <= 1e-9
 
     # 1e200 m³/s is finite, but its pressure drop overflows the residuals.
+    # On water, a NaN flow gives a NaN Reynolds number and friction factor.
+    @pytest.mark.parametrize("fluid", ["gas", "water"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e200])
-    def test_non_finite_step_keeps_the_last_finite_state(self, bad, gas_network,
+    def test_non_finite_step_keeps_the_last_finite_state(self, bad, fluid, request,
                                                          monkeypatch):
-        reference = solve_hardy_cross_original(gas_network, SolverConfig())
+        network = request.getfixturevalue(f"{fluid}_network")
+        reference = solve_hardy_cross_original(network, SolverConfig())
         assert reference.iteration_count > 3
         iterate = solvers_module._iterate
 
@@ -983,22 +986,32 @@ class TestDivergence:
             return iterate(net, config, initial, method, spoiled)
 
         monkeypatch.setattr(solvers_module, "_iterate", spoiling_third_pass)
-        report = solve_hardy_cross_original(gas_network, SolverConfig())
+        report = solve_hardy_cross_original(network, SolverConfig())
         assert report.termination == "diverged"
         assert report.stop_reason == "diverged at pass 3: non-finite flows or loop residuals"
         assert report.iterations == reference.iterations[:3]
         assert report.loop_residuals == reference.loop_residuals[:3]
         assert report.velocities == solvers_module.final_velocities(
-            gas_network, reference.iterations[2])
+            network, reference.iterations[2])
 
+    # d⁴·⁸² (gas) or d⁵ (water) underflows to 0, so pipe 1's drop and
+    # derivative are inf.  On a smooth water pipe of 1e-306 m the Reynolds
+    # number overflows instead, and the friction factor, drop and
+    # derivative are NaN.
+    @pytest.mark.parametrize("fluid, diameter, roughness, not_finite", [
+        pytest.param("gas", 1e-300, None, np.isinf, id="gas"),
+        pytest.param("water", 1e-300, None, np.isinf, id="water"),
+        pytest.param("water", 1e-306, 0.0, np.isnan, id="water-smooth"),
+    ])
     @pytest.mark.parametrize("max_iterations", [50, 0])
     @pytest.mark.parametrize("method", METHODS)
-    def test_start_that_is_not_finite_ends_diverged_after_no_pass(self, method, max_iterations,
-                                                                  gas_network):
-        # d⁴·⁸² underflows to 0, so pipe 1's drop and derivative are inf.
-        pipes = [dataclasses.replace(p, diameter=1e-300) if p.id == 1 else p
-                 for p in gas_network.pipes]
-        net = dataclasses.replace(gas_network, pipes=pipes)
+    def test_start_that_is_not_finite_ends_diverged_after_no_pass(
+            self, method, max_iterations, fluid, diameter, roughness, not_finite, request):
+        network = request.getfixturevalue(f"{fluid}_network")
+        pipes = [dataclasses.replace(p, diameter=diameter,
+                                     roughness=p.roughness if roughness is None else roughness)
+                 if p.id == 1 else p for p in network.pipes]
+        net = dataclasses.replace(network, pipes=pipes)
         report = solve(net, SolverConfig(method=method, max_iterations=max_iterations))
         assert (report.termination, report.iteration_count) == ("diverged", 0)
         assert report.stop_reason == ("diverged at pass 0: the start's loop residuals or "
@@ -1008,8 +1021,8 @@ class TestDivergence:
         holds = np.array([any(pid == 1 for pid, _ in loop) for loop in select_basis(net).loops])
         start = np.array(report.loop_residuals[0])
         assert holds.any() and not holds.all()
-        assert np.isinf(start[holds]).all()
-        reference = solve(gas_network, SolverConfig(max_iterations=0)).loop_residuals[0]
+        assert not_finite(start[holds]).all()
+        reference = solve(network, SolverConfig(max_iterations=0)).loop_residuals[0]
         assert start[~holds] == pytest.approx(np.array(reference)[~holds], rel=1e-12)
 
     def test_rising_residual_below_the_blowup_does_not_stop(self):
