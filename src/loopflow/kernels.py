@@ -107,12 +107,14 @@ def colebrook_friction_factor(reynolds: Values, rel_roughness: Values) -> Values
     end within 6.7e-16 relative of the root for Re from 4000 to 1e300 and
     rr 0 or 1e-8 to 1.  Below Re = 2300 the laminar value 64/Re is
     returned; between 2300 and 4000 the two regimes are blended linearly
-    in Re.
+    in Re.  Re must be finite and > 0, and rr finite and >= 0.
     """
     re = np.asarray(reynolds, dtype=float)
     _reject(re, ~np.greater(re, 0.0), "Reynolds number must be > 0")
+    _reject(re, np.isinf(re), "Reynolds number must be finite")
     _reject(rel_roughness, ~np.greater_equal(rel_roughness, 0.0),
             "relative roughness must be >= 0")
+    _reject(rel_roughness, np.isinf(rel_roughness), "relative roughness must be finite")
     return _colebrook_friction_factor(re, rel_roughness)[0]
 
 

@@ -5,8 +5,9 @@ derivative entries reach 1e9, so every solve divides each row by its largest
 entry and then calls numpy's LAPACK solver (LU with partial pivoting).
 `solve_linear` never changes the caller's arrays: it divides a copy, and
 skips both the copy and the division when every row already has unit
-maximum, as when the caller divided its own rows in place by `_row_scales`
-(dividing by 1.0 is exact, so both routes give the same bits).
+maximum, as in the stacked system node-loop's first pass hands it, whose
+loop rows that pass divided in place (dividing by 1.0 is exact, so both
+routes give the same bits).
 LAPACK does not report its pivots, so a system counts as singular when it
 meets an exactly zero pivot, or when the row-scaled solution x̂ is not
 finite or exceeds the row-scaled right side b̂ by more than 1e12, since

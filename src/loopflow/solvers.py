@@ -7,8 +7,9 @@ them.  Every pass evaluates the basis's core (the pipes in a loop) in one
 call, giving r = B·(sign q · drop(|q|)) and D = |d drop/d flow| on the
 core, and the three methods differ only in the linear system they solve:
 
-* node-loop: [A; B·D] q = [demands; B·D·q - r], all flows at once, from
-  one stacked (matrix, rhs) pair per solve whose loop rows every pass rewrites;
+* node-loop: [A; B·D] q = [demands; B·D·q - r], all flows at once, on its
+  first pass, which balances any start; the node rows then admit only
+  changes Bᵀy, so every later pass takes the improved method's step;
 * hardy-cross-improved: (B D Bᵀ) Δ = -r, then q += BᵀΔ;
 * hardy-cross: Δ = -r / (|B|·D) per loop, then q += BᵀΔ.
 
@@ -52,7 +53,7 @@ from .model import (
     _require_valid,
     m3s_to_m3h,
 )
-from .numerics import SingularSystemError, _row_scales, condition_estimate, solve_linear
+from .numerics import SingularSystemError, condition_estimate, solve_linear
 from .topology import LoopBasis, adopt_explicit_loops, build_node_matrix, derive_loop_basis
 
 NODE_LOOP = "node-loop"
@@ -187,38 +188,26 @@ def _linear_start(net: Network, basis: LoopBasis, evaluate) -> np.ndarray:
     return vars(net).get("_linear_start", net._start)
 
 
-def assemble_node_loop_system(loop_eval: LoopEval,
-                              out: tuple[np.ndarray, np.ndarray] | None = None,
-                              ) -> tuple[np.ndarray, np.ndarray]:
+def assemble_node_loop_system(loop_eval: LoopEval) -> tuple[np.ndarray, np.ndarray]:
     """Stack continuity rows over linearized loop rows, as (matrix, rhs).
 
     [A; B·D] q = [demands; B·D·q - r]: the loop rows are the first-order
-    expansion of the loop equations around the evaluated flows q.  Given
-    `out`, a system this function returned for the same network and basis,
-    only its loop rows are rewritten, in place (zero off the core), and
-    `out` is returned.
+    expansion of the loop equations around the evaluated flows q.
     """
-    basis = loop_eval.basis
-    if out is None:
-        node_matrix = build_node_matrix(loop_eval.net)
-        n_nodes, n_pipes = node_matrix.shape
-        if n_nodes + len(basis) != n_pipes:
-            raise ValueError(
-                f"dimension mismatch: {n_nodes} node rows + {len(basis)} loop "
-                f"rows != {n_pipes} pipe unknowns")
-        out = np.zeros((n_pipes, n_pipes)), np.empty(n_pipes)
-        out[0][:n_nodes] = node_matrix
-        net = loop_eval.net
-        out[1][:n_nodes] = net._demands[np.arange(len(net._demands)) != net._reference_index]
-    matrix, rhs = out
-    n_nodes = len(rhs) - len(basis)
+    net, basis = loop_eval.net, loop_eval.basis
+    node_matrix = build_node_matrix(net)
+    n_nodes, n_pipes = node_matrix.shape
+    if n_nodes + len(basis) != n_pipes:
+        raise ValueError(
+            f"dimension mismatch: {n_nodes} node rows + {len(basis)} loop "
+            f"rows != {n_pipes} pipe unknowns")
+    matrix, rhs = np.zeros((n_pipes, n_pipes)), np.empty(n_pipes)
+    matrix[:n_nodes] = node_matrix
+    rhs[:n_nodes] = net._demands[np.arange(len(net._demands)) != net._reference_index]
     loop_rows = matrix[n_nodes:]
-    if basis.spans_all:
-        np.multiply(basis.core_matrix, loop_eval.dflow, out=loop_rows)
-    else:
-        loop_rows[:, basis.core] = basis.core_matrix * loop_eval.dflow
+    loop_rows[:, basis.core] = basis.core_matrix * loop_eval.dflow
     rhs[n_nodes:] = loop_rows @ loop_eval.flows - loop_eval.residuals
-    return out
+    return matrix, rhs
 
 
 def solve(net: Network, config: SolverConfig | None = None,
@@ -236,30 +225,32 @@ def solve(net: Network, config: SolverConfig | None = None,
 
 def solve_node_loop(net: Network, config: SolverConfig | None = None,
                     initial: FlowState | None = None) -> SolveReport:
-    """Direct flow calculation: each pass solves for all pipe flows at once.
+    """Direct flow calculation: the first pass solves for all pipe flows at once.
 
-    The stacked system lives in one buffer per solve: every pass rewrites
-    its loop rows and divides them by their largest entries in place (none
-    if one is zero, which `solve_linear` names), so it copies no rows.
+    Pass 1 solves the stacked [A; B·D] system, which puts any start on
+    continuity.  From a balanced iterate its node rows admit only changes
+    Bᵀy, so every later pass is the same Newton step in loop space,
+    (B D Bᵀ) y = -r and q += Bᵀy, as improved Hardy Cross takes it.
     """
-    system = None
+    steps = iter([_stacked_step])
+    return _iterate(net, config or SolverConfig(), initial, NODE_LOOP,
+                    lambda loop_eval: next(steps, _loop_newton_step)(loop_eval))
 
-    def step(loop_eval: LoopEval) -> np.ndarray:
-        nonlocal system
-        matrix, rhs = assemble_node_loop_system(loop_eval, out=system)
-        if system is None and log.isEnabledFor(logging.DEBUG):
-            log.debug("stacked system 1-norm condition estimate: %.3g",
-                      condition_estimate(matrix))
-        system = matrix, rhs
-        # The node rows are ±1 and already at unit scale.
-        n_nodes = len(rhs) - len(loop_eval.residuals)
-        scale = _row_scales(matrix[n_nodes:])
-        if scale.all():
-            matrix[n_nodes:] /= scale[:, None]
-            rhs[n_nodes:] /= scale
-        return solve_linear(matrix, rhs)
 
-    return _iterate(net, config or SolverConfig(), initial, NODE_LOOP, step)
+def _stacked_step(loop_eval: LoopEval) -> np.ndarray:
+    """The flows that solve `assemble_node_loop_system(loop_eval)`."""
+    matrix, rhs = assemble_node_loop_system(loop_eval)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("stacked system 1-norm condition estimate: %.3g", condition_estimate(matrix))
+    # The node rows are ±1 and already at unit scale.  Dividing the loop rows
+    # by their largest entries here (none if one is zero, which `solve_linear`
+    # names) spares `solve_linear` a copy of the matrix.
+    loops = slice(len(rhs) - len(loop_eval.residuals), None)
+    scale = np.abs(matrix[loops]).max(axis=1, initial=0.0)
+    if scale.all():
+        matrix[loops] /= scale[:, None]
+        rhs[loops] /= scale
+    return solve_linear(matrix, rhs)
 
 
 def solve_hardy_cross_original(net: Network, config: SolverConfig | None = None,

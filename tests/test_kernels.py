@@ -153,6 +153,12 @@ class TestColebrook:
             kern.colebrook_friction_factor(math.nan, 1e-4)
         with pytest.raises(ValueError, match="relative roughness must be >= 0, got nan"):
             kern.colebrook_friction_factor(1e5, math.nan)
+        with pytest.raises(ValueError, match="^Reynolds number must be finite, got inf$"):
+            kern.colebrook_friction_factor(math.inf, 0.0)
+        with pytest.raises(ValueError, match="^relative roughness must be finite, got inf$"):
+            kern.colebrook_friction_factor(1e5, math.inf)
+        with pytest.raises(ValueError, match="^Reynolds number must be finite, got inf$"):
+            kern.colebrook_friction_factor(np.array([1e5, math.inf]), 1e-4)
 
     def test_three_steps_reach_the_root(self):
         # A 40-digit root of x = -2·log10(2.51·x/Re + rr/3.71), x = 1/sqrt(lam),

@@ -218,11 +218,19 @@ def perfbench_grid(rows: int, cols: int, kind: str, seed: int) -> Network:
     return network_from_dict(perfbench_networks().grid(rows, cols, kind, random.Random(seed)))
 
 
-@pytest.fixture(params=["gas-fixture", "grid-11x11"])
-def node_loop_net(request, gas_network):
-    if request.param == "gas-fixture":
-        return gas_network
-    return perfbench_grid(11, 11, "water", seed=0)
+def perfbench_ring(kind: str, seed: int) -> Network:
+    """A 200-node ring closed by 70 chords, from the same generators."""
+    return network_from_dict(
+        perfbench_networks().ring_with_chords(200, 70, kind, random.Random(seed)))
+
+
+@pytest.fixture(params=["gas-fixture", "water-fixture", "grid-11x11", "ring-200"])
+def node_loop_net(request):
+    if request.param.endswith("fixture"):
+        return request.getfixturevalue(request.param.replace("-fixture", "_network"))
+    if request.param == "grid-11x11":
+        return perfbench_grid(11, 11, "water", seed=0)
+    return perfbench_ring("gas", seed=0)
 
 
 class TestLoopCore:
@@ -337,33 +345,62 @@ class TestTrees:
             assert pressures[upstream] >= pressures[downstream]
 
 
-class TestNodeLoopBuffer:
-    """A node-loop solve assembles its stacked system into one buffer."""
+def stacked_step(net: Network, q: np.ndarray) -> np.ndarray:
+    """The paper's node-loop pass from flows `q`: the stacked [A; B·D] solve."""
+    return solve_linear(*assemble_node_loop_system(evaluate_loops(net, select_basis(net), q)))
 
-    def test_every_pass_shares_one_buffer(self, node_loop_net, monkeypatch):
-        # The grid's linear-theory start solves a loop system of its own,
-        # once per network: derive it (by a solve of no pass) before recording.
+
+class TestNodeLoopPasses:
+    """Node-loop solves the stacked system on its first pass only; every
+    later pass takes the loop-space step, which equals the stacked one
+    from a balanced iterate."""
+
+    def test_first_pass_is_the_stacked_solve(self, node_loop_net):
+        report = solve_node_loop(node_loop_net, SolverConfig(max_iterations=1))
+        pipes = PipeArrays.of(node_loop_net)
+        first = stacked_step(node_loop_net, pipes.flows(report.iterations[0]))
+        assert pipes.flows(report.iterations[1]).tolist() == first.tolist()
+
+    def test_later_passes_equal_the_stacked_solve(self, node_loop_net):
+        report = solve_node_loop(node_loop_net, SolverConfig())
+        assert report.termination == "converged"
+        assert report.iteration_count >= 3
+        pipes = PipeArrays.of(node_loop_net)
+        q = [pipes.flows(state) for state in report.iterations]
+        for before, after in zip(q[1:], q[2:]):
+            gap = np.abs(stacked_step(node_loop_net, before) - after).max()
+            assert gap <= 1e-9 * np.abs(after).max()
+
+    def test_one_stacked_solve_per_run(self, node_loop_net, monkeypatch):
+        # The linear-theory start solves a loop system of its own, once per
+        # network: derive it (by a solve of no pass) before recording.
         solve_node_loop(node_loop_net, SolverConfig(max_iterations=0))
-        matrices = []
+        sizes = []
 
         def recording(matrix, rhs):
-            matrices.append(matrix)
+            sizes.append(len(rhs))
             return solve_linear(matrix, rhs)
 
         monkeypatch.setattr(solvers_module, "solve_linear", recording)
         report = solve_node_loop(node_loop_net, SolverConfig())
-        assert report.termination == "converged"
-        assert len(matrices) == report.iteration_count >= 3
-        assert all(np.shares_memory(m, matrices[0]) for m in matrices[1:])
+        n_loops = len(select_basis(node_loop_net))
+        assert report.iteration_count >= 3
+        assert sizes == [len(node_loop_net.pipes)] + [n_loops] * (report.iteration_count - 1)
 
-    def test_iterates_equal_a_fresh_assembly_per_pass(self, node_loop_net):
-        report = solve_node_loop(node_loop_net, SolverConfig())
-        basis = select_basis(node_loop_net)
-        ids = node_loop_net.pipe_ids
-        q = np.array([report.iterations[0].flows[pid] for pid in ids])
-        for state in report.iterations[1:]:
-            q = solve_linear(*assemble_node_loop_system(evaluate_loops(node_loop_net, basis, q)))
-            assert [state.flows[pid] for pid in ids] == q.tolist()
+    @pytest.mark.parametrize("kind", ["gas", "water"])
+    @pytest.mark.parametrize("shape, passes", [
+        ("grid", {"gas": 11, "water": 13}), ("ring", {"gas": 11, "water": 12})])
+    def test_unbalanced_start_is_balanced_after_the_first_pass(self, shape, passes, kind):
+        net = (perfbench_grid(11, 11, kind, seed=0) if shape == "grid"
+               else perfbench_ring(kind, seed=0))
+        rng = random.Random(5)
+        start = FlowState({pid: rng.uniform(-0.05, 0.05) for pid in net.pipe_ids})
+        report = solve_node_loop(net, SolverConfig(), start)
+        assert (report.termination, report.iteration_count) == ("converged", passes[kind])
+        worst = [max(map(abs, node_imbalances(net, state).values()))
+                 for state in report.iterations]
+        assert worst[0] > 0.1
+        assert max(worst[1:]) <= 1e-9
 
     def test_condition_estimate_taken_on_the_raw_system(self, gas_network, monkeypatch,
                                                         caplog):
@@ -876,6 +913,28 @@ def test_low_flow_water_lands_near_a_tight_solve(seed, scale):
         assert report.termination == "converged"
         q = np.array([report.final_flows.flows[pid] for pid in ids])
         assert np.abs(q - exact).max() <= 1e-3 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("through_m3h", [100.0, 0.01])
+@pytest.mark.parametrize("kind", ["gas", "water"])
+def test_balanced_bridge_carries_no_flow(kind, through_m3h, method):
+    """A Wheatstone bridge with four equal arms: at the answer its middle
+    pipe carries no flow, and every method stops there after one pass."""
+    fluid = (FluidSpec(kind="gas", rel_density=0.6) if kind == "gas"
+             else FluidSpec(kind="water", density=1000.0, viscosity=0.00089))
+    arms = [Pipe(1, "S", "A", 0.1, 100.0), Pipe(2, "S", "B", 0.1, 100.0),
+            Pipe(3, "A", "T", 0.1, 100.0), Pipe(4, "B", "T", 0.1, 100.0)]
+    net = Network(pipes=[*arms, Pipe(5, "A", "B", 0.1, 100.0)],
+                  nodes=[NodeSpec("S", -through_m3h), NodeSpec("A", 0.0),
+                         NodeSpec("B", 0.0), NodeSpec("T", through_m3h)],
+                  fluid=fluid)
+    report = solve(net, SolverConfig(method=method))
+    assert (report.termination, report.iteration_count, report.stop_reason) == \
+        ("converged", 1, "")
+    flows = report.final_flows.as_m3h()
+    assert abs(flows[5]) <= 5e-15
+    assert [flows[p.id] for p in arms] == pytest.approx([through_m3h / 2] * 4, rel=1e-12)
 
 
 def shifted_start(net, pipe_id=1, extra_m3h=36.0):
