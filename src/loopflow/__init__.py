@@ -7,7 +7,6 @@ diameter-sizing problem.
 """
 
 from .fileio import NetworkFileError, parse_network, write_network, write_trace
-from .fluids import GasModel, WaterModel, make_fluid_model
 from .model import (
     FlowState,
     FluidSpec,
@@ -19,7 +18,6 @@ from .model import (
     node_imbalances,
     validate,
 )
-from .numerics import SingularSystemError, condition_estimate, solve_linear
 from .sizing import SizingConfig, SizingReport, optimize_diameters
 from .solvers import (
     HARDY_CROSS,
@@ -35,14 +33,13 @@ from .solvers import (
     solve_hardy_cross_original,
     solve_node_loop,
 )
-from .topology import LoopBasis, adopt_explicit_loops, build_node_matrix, derive_loop_basis
+from .topology import LoopBasis
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FlowState",
     "FluidSpec",
-    "GasModel",
     "HARDY_CROSS",
     "HARDY_CROSS_IMPROVED",
     "InfeasiblePressureError",
@@ -53,19 +50,12 @@ __all__ = [
     "NodeSpec",
     "NODE_LOOP",
     "Pipe",
-    "SingularSystemError",
     "SizingConfig",
     "SizingReport",
     "SolveReport",
     "SolverConfig",
-    "WaterModel",
-    "adopt_explicit_loops",
-    "build_node_matrix",
-    "condition_estimate",
-    "derive_loop_basis",
     "evaluate_loops",
     "feasible_initial_flows",
-    "make_fluid_model",
     "node_imbalances",
     "optimize_diameters",
     "parse_network",
@@ -74,7 +64,6 @@ __all__ = [
     "solve_hardy_cross_improved",
     "solve_hardy_cross_original",
     "solve_node_loop",
-    "solve_linear",
     "validate",
     "write_network",
     "write_trace",

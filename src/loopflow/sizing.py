@@ -5,9 +5,9 @@ code (`LoopBasis.diagonal_corrections`), with the diameter as the variable:
 with r(d) = B·(sign q · drop(|q|, d)), loop k's correction is
 Δ_k = r_k / (|B|·|d drop/d diameter|)_k, applied to each member with its
 membership and flow signs (d += sign q · BᵀΔ) and clamped to the bounds;
-drops fall as diameters grow, so this is the Newton step for the diameter.  Only the core (the pipes that lie in a loop) is sized
-and evaluated: the other pipes are unconstrained by the loop equations
-and keep their input diameter.
+drops fall as diameters grow, so this is the Newton step for the diameter.
+Only the core (the pipes in a loop) is sized and evaluated; the others are
+unconstrained by the loop equations and keep their input diameter.
 """
 
 from __future__ import annotations

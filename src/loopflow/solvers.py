@@ -24,7 +24,6 @@ DIVERGENCE_GROWTH times the start's.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import deque
 from collections.abc import Mapping
@@ -53,7 +52,7 @@ from .model import (
     _require_valid,
     m3s_to_m3h,
 )
-from .numerics import SingularSystemError, condition_estimate, solve_linear
+from .numerics import SingularSystemError, solve_linear
 from .topology import LoopBasis, adopt_explicit_loops, build_node_matrix, derive_loop_basis
 
 NODE_LOOP = "node-loop"
@@ -76,9 +75,6 @@ DERIVATIVE_FLOW_FLOOR = 1e-7
 
 # A start from linear theory weighs each pipe by its D at this velocity, m/s.
 START_VELOCITY = 1.0
-
-
-log = logging.getLogger(__name__)
 
 
 class InfeasiblePressureError(ValueError):
@@ -240,8 +236,6 @@ def solve_node_loop(net: Network, config: SolverConfig | None = None,
 def _stacked_step(loop_eval: LoopEval) -> np.ndarray:
     """The flows that solve `assemble_node_loop_system(loop_eval)`."""
     matrix, rhs = assemble_node_loop_system(loop_eval)
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug("stacked system 1-norm condition estimate: %.3g", condition_estimate(matrix))
     # The node rows are ±1 and already at unit scale.  Dividing the loop rows
     # by their largest entries here (none if one is zero, which `solve_linear`
     # names) spares `solve_linear` a copy of the matrix.

@@ -156,14 +156,14 @@ def adopt_explicit_loops(net: Network) -> LoopBasis:
 
     Each loop is given as a signed pipe-id sequence in traversal order
     (negative id = traversed against the pipe's reference orientation).
-    Raises ValueError on a non-cycle sequence, a wrong loop count, or a
-    rank-deficient set.  A closed cycle is fixed by its signs on the links
-    of a spanning tree, so the loops are independent exactly when their
-    loops × links block has full rank.  Full rank mod 2 (an odd
-    determinant) proves it; only a block singular mod 2, such as the three
-    4-cycles of K4, needs `exact_rank`, on the links among B's core
-    columns (a link in no loop would be a zero column, which leaves the
-    rank as it is); it eliminates in integers, with exact divisions.
+    Raises ValueError on a non-cycle sequence, a wrong loop count, a
+    disconnected network (which has no spanning tree, and more independent
+    cycles than pipes - nodes + 1) or a rank-deficient set.  A closed
+    cycle's entries on the tree pipes follow from its entries on the links
+    (the co-tree view of Elhay et al. 2014), so the loops have the rank of
+    their own columns.  Full rank mod 2 proves independence; only a set
+    dependent mod 2, such as the three 4-cycles of K4, needs `exact_rank`
+    on B's core columns, which eliminates in integers, with exact divisions.
     A network keeps loops that pass (`_loops`), which later calls wrap in
     a new basis unchecked; a set that fails raises on every call.
     """
@@ -185,14 +185,10 @@ def adopt_explicit_loops(net: Network) -> LoopBasis:
     columns, signs = zip(*members)
     basis = LoopBasis(PipeArrays.of(net).ids, columns, signs, starts, net._ends)
 
-    in_tree = set(net._tree[1].tolist())
-    link_columns = [j for j in range(len(PipeArrays.of(net).ids)) if j not in in_tree]
-    bit = {j: 1 << k for k, j in enumerate(link_columns)}
-    if _gf2_rank([sum(bit.get(j, 0) for j in columns[a:b])
-                  for a, b in zip(starts, starts[1:])]) != expected:
-        core_links = [c for c, j in enumerate(basis.core.tolist()) if j not in in_tree]
-        if exact_rank(basis.core_matrix[:, core_links].astype(int).tolist()) != expected:
-            raise ValueError("rank-deficient loop set: loops are not independent")
+    net._tree    # raises on a disconnected network
+    if (_gf2_rank([sum(1 << j for j in columns[a:b]) for a, b in zip(starts, starts[1:])])
+            != expected and exact_rank(basis.core_matrix.astype(int).tolist()) != expected):
+        raise ValueError("rank-deficient loop set: loops are not independent")
     object.__setattr__(net, "_loops", (basis.columns, basis.signs, basis.starts))
     return basis
 

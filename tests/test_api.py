@@ -15,6 +15,19 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_exported_names_are_the_public_surface():
+    # Plumbing (fluid models, topology builders, linear algebra) stays in its
+    # own module: `loopflow.fluids`, `loopflow.topology`, `loopflow.numerics`.
+    assert sorted(loopflow.__all__) == sorted([
+        "FlowState", "FluidSpec", "HARDY_CROSS", "HARDY_CROSS_IMPROVED",
+        "InfeasiblePressureError", "LoopBasis", "METHODS", "Network", "NetworkFileError",
+        "NodeSpec", "NODE_LOOP", "Pipe", "SizingConfig", "SizingReport", "SolveReport",
+        "SolverConfig", "evaluate_loops", "feasible_initial_flows", "node_imbalances",
+        "optimize_diameters", "parse_network", "propagate_pressures", "solve",
+        "solve_hardy_cross_improved", "solve_hardy_cross_original", "solve_node_loop",
+        "validate", "write_network", "write_trace"])
+
+
 def test_benchmark_tracer_finds_every_function_it_wraps():
     # The tracer raises MissingFunction for a traced name that is gone.
     with perfbench_module("tracer").Tracer():

@@ -11,12 +11,16 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import loopflow
 from loopflow.cli import EXIT_NO_CONVERGENCE, main
-from loopflow.fileio import write_flows_csv
-from loopflow.solvers import SolverConfig, solve_node_loop
+from loopflow.fileio import parse_network, write_flows_csv
+from loopflow.fluids import make_fluid_model
+from loopflow.model import PipeArrays
+from loopflow.solvers import (DEFAULT_RESIDUAL_TOLERANCE, SolverConfig, select_basis, solve,
+                              solve_node_loop)
 
 from conftest import perfbench_networks
 from test_fileio import UNREADABLE_NETWORKS, UNREADABLE_TABLES, mixed_node_ids_dict
@@ -652,6 +656,17 @@ def golden_run(fluid, command, tmp_path):
     return code, stdout.getvalue().replace(str(trace), GOLDEN_TRACE), csv
 
 
+def worst_loop_drops(fluid, method):
+    """The largest sum of member drop magnitudes (|B|·|drop|) over the loops
+    at the final flows of the golden solve, run in-process."""
+    net = parse_network(resources.files("loopflow").joinpath(f"data/fixture_{fluid}.json"))
+    flows = PipeArrays.of(net).flows(solve(net, SolverConfig(method=method)).final_flows)
+    basis = select_basis(net)
+    drops = make_fluid_model(net.fluid).drop(basis.core_pipes(PipeArrays.of(net)),
+                                             np.abs(flows[basis.core]))
+    return (basis.core_magnitudes @ drops).max()
+
+
 def residuals_apart(text):
     """`text` with each `max loop residual:` value cut out, and those values."""
     values = [float(v) for v in RESIDUAL.findall(text)]
@@ -662,13 +677,19 @@ def residuals_apart(text):
 def test_golden_output(fluid, command, tmp_path):
     code, out, csv = golden_run(fluid, command, tmp_path)
     assert code == 0
-    # The residual is what rounding leaves of loop sums that cancel (about
-    # 2e-11 of their drops), so it is compared as a number, within 1e-9
-    # relative; everything else by its bytes.
+    # A solve's residual is what rounding leaves of loop sums that cancel
+    # (about 2e-11 of their drops), so it is compared within 1e-9 of the
+    # worst loop's summed drops, and must meet the fluid's tolerance; a
+    # sizing's within 1e-9 relative; everything else by its bytes.
     text, values = residuals_apart(out)
     golden_text, golden_values = residuals_apart((GOLDEN / f"{fluid}-{command}.out").read_text())
     assert text == golden_text
-    assert values == pytest.approx(golden_values, rel=1e-9)
+    if command.startswith("solve-"):
+        scale = worst_loop_drops(fluid, command.removeprefix("solve-"))
+        assert values == pytest.approx(golden_values, rel=0, abs=1e-9 * scale)
+        assert max(values) <= DEFAULT_RESIDUAL_TOLERANCE[fluid]
+    else:
+        assert values == pytest.approx(golden_values, rel=1e-9)
     golden_csv = GOLDEN / f"{fluid}-{command}.csv"
     assert csv == (golden_csv.read_bytes() if golden_csv.exists() else None)
 

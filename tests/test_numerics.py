@@ -179,14 +179,6 @@ class TestConditionEstimate:
         estimate = condition_estimate(matrix)
         assert np.isfinite(estimate) and estimate > 1.0
 
-    def test_estimate_logged_during_solve(self, gas_network, caplog):
-        import logging
-
-        from loopflow.solvers import SolverConfig, solve_node_loop
-        with caplog.at_level(logging.DEBUG, logger="loopflow.solvers"):
-            solve_node_loop(gas_network, SolverConfig())
-        assert any("condition estimate" in r.message for r in caplog.records)
-
 
 def test_first_fixture_pass_solves_to_known_flows(gas_network):
     # The stacked 15x15 system at the assumed starting pattern has the

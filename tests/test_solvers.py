@@ -2,7 +2,6 @@
 
 import copy
 import dataclasses
-import logging
 import math
 import random
 import re
@@ -28,7 +27,7 @@ from loopflow.model import (
     spanning_tree,
     validate,
 )
-from loopflow.numerics import condition_estimate, solve_linear
+from loopflow.numerics import solve_linear
 from loopflow.sizing import SizingConfig, optimize_diameters
 from loopflow.topology import adopt_explicit_loops, derive_loop_basis
 from loopflow.solvers import (
@@ -401,23 +400,6 @@ class TestNodeLoopPasses:
                  for state in report.iterations]
         assert worst[0] > 0.1
         assert max(worst[1:]) <= 1e-9
-
-    def test_condition_estimate_taken_on_the_raw_system(self, gas_network, monkeypatch,
-                                                        caplog):
-        seen = []
-
-        def recording(matrix):
-            seen.append(matrix.copy())
-            return condition_estimate(matrix)
-
-        monkeypatch.setattr(solvers_module, "condition_estimate", recording)
-        with caplog.at_level(logging.DEBUG, logger="loopflow.solvers"):
-            report = solve_node_loop(gas_network, SolverConfig())
-        raw, _ = assemble_node_loop_system(evaluate_loops(
-            gas_network, select_basis(gas_network), report.iterations[0]))
-        assert len(seen) == 1
-        assert (seen[0] == raw).all()
-        assert np.abs(raw).max() > 1e6    # loop rows far from unit scale
 
 
 class TestNodeLoopFixture:

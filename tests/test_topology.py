@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import sympy
 
+from loopflow.fileio import network_from_dict
 from loopflow.model import (FlowState, Network, NodeSpec, Pipe, feasible_initial_flows,
                             m3h_to_m3s, node_imbalances, spanning_tree, validate)
 from loopflow.solvers import solve
@@ -21,9 +22,9 @@ from loopflow.topology import (
     exact_rank,
 )
 
-from conftest import incident_pipes, matrix_by_pipe_id
+from conftest import incident_pipes, matrix_by_pipe_id, perfbench_networks
 from test_model import WATER, square_net
-from test_solvers import perfbench_grid
+from test_solvers import face_loops, perfbench_grid
 
 
 def random_mesh(seed: int) -> Network:
@@ -332,6 +333,16 @@ class TestAdoptExplicitLoops:
         with pytest.raises(ValueError, match=f"^{message}$"):
             adopt_explicit_loops(bad)
 
+    def test_disconnected_network_has_no_tree(self):
+        # Two disjoint triangles: pipes - nodes + 1 = 1 loop, and one triangle
+        # is a closed, independent cycle, but the network has no spanning tree.
+        ends = [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)]
+        net = Network(pipes=[Pipe(k, a, b, 0.2, 100.0) for k, (a, b) in enumerate(ends, 1)],
+                      nodes=[NodeSpec(k) for k in range(1, 7)], fluid=WATER,
+                      explicit_loops=[(1, 2, 3)])
+        with pytest.raises(ValueError, match="^disconnected graph: no spanning tree exists$"):
+            adopt_explicit_loops(net)
+
     def test_no_explicit_loops(self):
         with pytest.raises(ValueError, match="no explicit loops"):
             adopt_explicit_loops(square_net())
@@ -515,8 +526,8 @@ class TestGF2Check:
                             lambda rows: calls.append(rows) or exact_rank(rows))
         # A network checks its loops once, so a fresh one goes through the check.
         assert topology.adopt_explicit_loops(self.k4_four_cycles()) == basis
-        # The fallback sees the loops × links block, one column per link.
-        assert calls == [[[row[j] for j in links] for row in rows]]
+        # The fallback sees B on the core, here every pipe.
+        assert calls == [rows]
 
     def test_a_link_in_no_loop_is_rank_deficient(self, monkeypatch):
         import loopflow.topology as topology
@@ -531,19 +542,30 @@ class TestGF2Check:
         with pytest.raises(ValueError, match="rank-deficient"):
             topology.adopt_explicit_loops(net)
         # Pipe 6 lies in no loop, so the exact rank never sees its column.
-        assert [len(row) for row in calls[0]] == [2, 2, 2]
+        assert [len(row) for row in calls[0]] == [5, 5, 5]
 
-    def test_fixtures_never_need_the_exact_rank(self, gas_network, water_network,
-                                                monkeypatch):
+    @pytest.fixture()
+    def no_exact_rank(self, monkeypatch):
+        """`loopflow.topology` with an `exact_rank` that fails when called."""
         import loopflow.topology as topology
 
         def exploding(rows):
             raise AssertionError("exact_rank called")
 
         monkeypatch.setattr(topology, "exact_rank", exploding)
+        return topology
+
+    def test_fixtures_never_need_the_exact_rank(self, gas_network, water_network,
+                                                no_exact_rank):
         # Copies, since a network that adopted its loops before checks them no more.
         for net in (copy.copy(gas_network), copy.copy(water_network)):
-            assert len(topology.adopt_explicit_loops(net)) == net.loop_count
+            assert len(no_exact_rank.adopt_explicit_loops(net)) == net.loop_count
+
+    @pytest.mark.parametrize("size", [11, 30])
+    def test_grid_faces_never_need_the_exact_rank(self, size, no_exact_rank):
+        raw = perfbench_networks().grid(size, size, "water", random.Random(0))
+        net = network_from_dict({**raw, "loops": face_loops(raw, size, size)})
+        assert len(no_exact_rank.adopt_explicit_loops(net)) == (size - 1) ** 2
 
     def test_gf2_rank_by_brute_force(self):
         rng = random.Random(5)
