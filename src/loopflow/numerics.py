@@ -5,9 +5,7 @@ derivative entries reach 1e9, so every solve divides each row by its largest
 entry and then calls numpy's LAPACK solver (LU with partial pivoting).
 `solve_linear` never changes the caller's arrays: it divides a copy, and
 skips both the copy and the division when every row already has unit
-maximum, as in the stacked system node-loop's first pass hands it, whose
-loop rows that pass divided in place (dividing by 1.0 is exact, so both
-routes give the same bits).
+maximum (dividing by 1.0 is exact, so both routes give the same bits).
 LAPACK does not report its pivots, so a system counts as singular when it
 meets an exactly zero pivot, or when the row-scaled solution x̂ is not
 finite or exceeds the row-scaled right side b̂ by more than 1e12, since
@@ -40,8 +38,9 @@ def solve_linear(matrix, rhs) -> np.ndarray:
     a = np.asarray(matrix, dtype=float)
     b = np.asarray(rhs, dtype=float)
     _check_square(a, b)
-    # The scales are >= 0; a row's NaN or inf reaches its scale and `top`.
-    scale = _row_scales(a)
+    # Each row's largest |entry|, without an |a| temporary.  The scales are
+    # >= 0; a row's NaN or inf reaches its scale and `top`.
+    scale = np.maximum(a.max(axis=1, initial=-np.inf), -a.min(axis=1, initial=np.inf))
     top, low = scale.max(initial=1.0), scale.min(initial=1.0)
     if not (np.isfinite(top) and np.isfinite(b).all()):
         raise ValueError("system contains non-finite entries")
@@ -73,11 +72,6 @@ def condition_estimate(matrix) -> float:
         return float(np.linalg.cond(a, 1))
     except np.linalg.LinAlgError:
         return float("inf")
-
-
-def _row_scales(a: np.ndarray) -> np.ndarray:
-    """Largest |entry| of each row, without an |a| temporary."""
-    return np.maximum(a.max(axis=1, initial=-np.inf), -a.min(axis=1, initial=np.inf))
 
 
 def _check_square(a: np.ndarray, b: np.ndarray) -> None:

@@ -484,6 +484,23 @@ def test_spanning_tree_of_unvalidated_disconnected_network_raises():
         spanning_tree(disconnected_square())
 
 
+def test_spanning_tree_names_a_missing_reference_node():
+    base = square_net()
+    net = Network(pipes=base.pipes, nodes=base.nodes, fluid=WATER, reference_node=99)
+    with pytest.raises(ValueError, match="reference node 99 does not exist"):
+        spanning_tree(net)
+
+
+def test_pipe_lookup_of_an_unknown_id_raises():
+    with pytest.raises(KeyError, match="no pipe 99 in network"):
+        square_net().pipe(99)
+
+
+def test_pressure_ratio_rescales_gas_velocities_only():
+    assert GAS.pressure_ratio == 1e5 / 4e5
+    assert WATER.pressure_ratio == 1.0
+
+
 class TestUnits:
     def test_round_trip(self):
         rng = random.Random(17)

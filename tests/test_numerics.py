@@ -174,6 +174,16 @@ class TestConditionEstimate:
         est = condition_estimate([[1.0, 0.0], [0.0, 1e9]])
         assert est == pytest.approx(1e9, rel=1e-6)
 
+    @pytest.mark.parametrize("singular", [[[1.0, 2.0], [2.0, 4.0]], np.zeros((3, 3))],
+                             ids=["rank-one", "zero"])
+    def test_exactly_singular_is_infinite(self, singular):
+        assert condition_estimate(singular) == np.inf
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            condition_estimate([[1.0, 0.0], [0.0, value]])
+
     def test_fixture_system_is_finite(self, gas_network):
         matrix, _ = _first_fixture_system(gas_network)
         estimate = condition_estimate(matrix)

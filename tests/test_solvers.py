@@ -545,6 +545,12 @@ class TestInitialPatternIndependence:
 
 
 class TestPropagatePressures:
+    def test_unknown_source_raises(self):
+        net = square_net(demands=(0.0, 0.0, 0.0, 0.0))
+        zero = FlowState({p.id: 0.0 for p in net.pipes})
+        with pytest.raises(KeyError, match="no node 9 in network"):
+            propagate_pressures(net, zero, 9, 4e5)
+
     def test_zero_flow_network_uniform_pressure(self):
         net = square_net(demands=(0.0, 0.0, 0.0, 0.0))
         zero = FlowState({p.id: 0.0 for p in net.pipes})
