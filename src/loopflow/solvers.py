@@ -1,15 +1,15 @@
 """The three iterative flow solvers plus node-pressure back-propagation.
 
 Each solve validates the network once and takes its loop basis
-(`select_basis`); the start, unless one is given, is the file's flows or
-else the linear-theory flows (Wood and Charles 1972), as the network keeps
-them.  Every pass evaluates the basis's core (the pipes in a loop) in one
-call, giving r = B·(sign q · drop(|q|)) and D = |d drop/d flow| on the
-core, and the three methods differ only in the linear system they solve:
+(`select_basis`); it starts from the flows given (`initial`, else the
+file's) or from the network's own, its kept linear-theory flows (Wood and
+Charles 1972).  Every pass evaluates the basis's core (the pipes in a loop)
+in one call, giving r = B·(sign q · drop(|q|)) and D = |d drop/d flow| on
+the core, and the three methods differ only in the linear system they solve:
 
-* node-loop: [A; B·D] q = [demands; B·D·q - r], all flows at once, on its
-  first pass, which balances any start; the node rows then admit only
-  changes Bᵀy, so every later pass takes the improved method's step;
+* node-loop: [A; B·D] q = [demands; B·D·q - r], all flows at once, on pass 1
+  from a given start, which it balances; a balanced iterate's node rows admit
+  only changes Bᵀy, so each remaining pass takes the improved method's step;
 * hardy-cross-improved: (B D Bᵀ) Δ = -r, then q += BᵀΔ;
 * hardy-cross: Δ = -r / (|B|·D) per loop, then q += BᵀΔ.
 
@@ -221,14 +221,14 @@ def solve(net: Network, config: SolverConfig | None = None,
 
 def solve_node_loop(net: Network, config: SolverConfig | None = None,
                     initial: FlowState | None = None) -> SolveReport:
-    """Direct flow calculation: the first pass solves for all pipe flows at once.
+    """Direct flow calculation: Newton's method on all pipe flows at once.
 
-    Pass 1 solves the stacked [A; B·D] system, which puts any start on
-    continuity.  From a balanced iterate its node rows admit only changes
-    Bᵀy, so every later pass is the same Newton step in loop space,
-    (B D Bᵀ) y = -r and q += Bᵀy, as improved Hardy Cross takes it.
+    Pass 1 from a given start (`initial` or the file's flows) solves the
+    stacked [A; B·D] system, which balances it.  A balanced iterate's node
+    rows admit only changes Bᵀy, so any other pass, such as each from the
+    network's own start, is the loop step (B D Bᵀ) y = -r, q += Bᵀy.
     """
-    steps = iter([_stacked_step])
+    steps = iter([] if _derives_start(net, initial) else [_stacked_step])
     return _iterate(net, config or SolverConfig(), initial, NODE_LOOP,
                     lambda loop_eval: next(steps, _loop_newton_step)(loop_eval))
 
@@ -280,15 +280,20 @@ def _loop_newton_step(loop_eval: LoopEval) -> np.ndarray:
     return loop_eval.basis.corrected(loop_eval.flows, deltas)
 
 
+def _derives_start(net: Network, initial: FlowState | None) -> bool:
+    """Whether a solve starts from the network's own flows: no `initial`, no file flows."""
+    return initial is None and not net.initial_flows_m3h
+
+
 # Diverging runs and extreme starts overflow; the checks stop them, unwarned.
 @np.errstate(all="ignore")
 def _iterate(net: Network, config: SolverConfig, initial: FlowState | None,
              method: str, step) -> SolveReport:
     config.check()
     _require_valid(net)
-    start, worst = (_checked_flows(net, initial.flows, "initial flow", ValueError)
-                    if initial is not None else net._file_start if net.initial_flows_m3h
-                    else (None, 0.0))
+    start, worst = ((None, 0.0) if _derives_start(net, initial)
+                    else _checked_flows(net, initial.flows, "initial flow", ValueError)
+                    if initial is not None else net._file_start)
     # Both Hardy Cross methods change the flows only around loops
     # (q += BᵀΔ), which leaves every node balance as the start has it.
     if method != NODE_LOOP:

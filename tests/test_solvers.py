@@ -349,31 +349,43 @@ def stacked_step(net: Network, q: np.ndarray) -> np.ndarray:
     return solve_linear(*assemble_node_loop_system(evaluate_loops(net, select_basis(net), q)))
 
 
+def given_start(net: Network) -> FlowState | None:
+    """A start given to a solve of `net`: its file flows (None) or else its
+    seed-0 feasible flows."""
+    return None if net.initial_flows_m3h else feasible_initial_flows(net)
+
+
 class TestNodeLoopPasses:
-    """Node-loop solves the stacked system on its first pass only; every
-    later pass takes the loop-space step, which equals the stacked one
-    from a balanced iterate."""
+    """Node-loop solves the stacked system on its first pass from a given
+    start, which may break the node balances, and takes the loop-space step
+    on each remaining pass and on every pass from the network's own start;
+    the two steps agree from a balanced iterate."""
 
     def test_first_pass_is_the_stacked_solve(self, node_loop_net):
-        report = solve_node_loop(node_loop_net, SolverConfig(max_iterations=1))
+        report = solve_node_loop(node_loop_net, SolverConfig(max_iterations=1),
+                                 given_start(node_loop_net))
         pipes = PipeArrays.of(node_loop_net)
         first = stacked_step(node_loop_net, pipes.flows(report.iterations[0]))
         assert pipes.flows(report.iterations[1]).tolist() == first.tolist()
 
     def test_later_passes_equal_the_stacked_solve(self, node_loop_net):
+        # The fixtures start from their file flows, the grid and the ring
+        # from their own: there pass 1 is a loop step too.
         report = solve_node_loop(node_loop_net, SolverConfig())
         assert report.termination == "converged"
         assert report.iteration_count >= 3
         pipes = PipeArrays.of(node_loop_net)
         q = [pipes.flows(state) for state in report.iterations]
-        for before, after in zip(q[1:], q[2:]):
+        for before, after in zip(q, q[1:]):
             gap = np.abs(stacked_step(node_loop_net, before) - after).max()
             assert gap <= 1e-9 * np.abs(after).max()
 
-    def test_one_stacked_solve_per_run(self, node_loop_net, monkeypatch):
+    @staticmethod
+    def solve_sizes(net, initial, monkeypatch) -> tuple[list[int], int]:
+        """The size of each linear system a node-loop solve makes, and its passes."""
         # The linear-theory start solves a loop system of its own, once per
         # network: derive it (by a solve of no pass) before recording.
-        solve_node_loop(node_loop_net, SolverConfig(max_iterations=0))
+        solve_node_loop(net, SolverConfig(max_iterations=0))
         sizes = []
 
         def recording(matrix, rhs):
@@ -381,10 +393,19 @@ class TestNodeLoopPasses:
             return solve_linear(matrix, rhs)
 
         monkeypatch.setattr(solvers_module, "solve_linear", recording)
-        report = solve_node_loop(node_loop_net, SolverConfig())
-        n_loops = len(select_basis(node_loop_net))
+        report = solve_node_loop(net, SolverConfig(), initial)
         assert report.iteration_count >= 3
-        assert sizes == [len(node_loop_net.pipes)] + [n_loops] * (report.iteration_count - 1)
+        return sizes, report.iteration_count
+
+    def test_one_stacked_solve_per_run(self, node_loop_net, monkeypatch):
+        sizes, passes = self.solve_sizes(node_loop_net, given_start(node_loop_net), monkeypatch)
+        n_loops = len(select_basis(node_loop_net))
+        assert sizes == [len(node_loop_net.pipes)] + [n_loops] * (passes - 1)
+
+    def test_no_stacked_solve_from_the_own_start(self, node_loop_net, monkeypatch):
+        net = dataclasses.replace(node_loop_net, initial_flows_m3h=None)
+        sizes, passes = self.solve_sizes(net, None, monkeypatch)
+        assert sizes == [len(select_basis(net))] * passes
 
     @pytest.mark.parametrize("kind", ["gas", "water"])
     @pytest.mark.parametrize("shape, passes", [
@@ -400,6 +421,44 @@ class TestNodeLoopPasses:
                  for state in report.iterations]
         assert worst[0] > 0.1
         assert max(worst[1:]) <= 1e-9
+
+
+def perfbench_shape(shape: str, kind: str, seed: int) -> Network:
+    """An 11 x 11 grid, a 200-node ring closed by 70 chords or a 1200-node
+    tree closed by 10 pipes, from the benchmark's generators."""
+    if shape == "grid":
+        return perfbench_grid(11, 11, kind, seed)
+    if shape == "ring":
+        return perfbench_ring(kind, seed)
+    return network_from_dict(
+        perfbench_networks().tree_with_closures(1200, 10, kind, random.Random(seed)))
+
+
+class TestNodeLoopFromTheOwnStart:
+    """From the network's own start, which is balanced, node-loop takes
+    improved Hardy Cross's step on every pass, so the two runs are one."""
+
+    @staticmethod
+    def assert_one_run(net):
+        node_loop, improved = solve_node_loop(net), solve_hardy_cross_improved(net)
+        assert node_loop.iteration_count == improved.iteration_count
+        assert (node_loop.termination, node_loop.stop_reason) == \
+            (improved.termination, improved.stop_reason)
+        assert node_loop.loop_residuals == improved.loop_residuals
+        assert node_loop.iterations == improved.iterations
+
+    @pytest.mark.parametrize("kind", ["gas", "water"])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("shape", ["grid", "ring", "tree"])
+    def test_meshed_and_closed_trees(self, shape, seed, kind):
+        net = perfbench_shape(shape, kind, seed)
+        assert len(select_basis(net)) > 0
+        self.assert_one_run(net)
+
+    def test_loopless_trees(self, tree):
+        net, _ = tree
+        assert len(select_basis(net)) == 0
+        self.assert_one_run(net)
 
 
 class TestNodeLoopFixture:

@@ -17,15 +17,24 @@ its trees of 50 and 300 nodes that no pipe closes, which have no loop;
 and the gas fixture with pipe 1 at a diameter of 1e-300 m, whose start is
 not finite, and of 1e300 m, solved by each method.
 
-    PYTHONPATH=src python tools/fingerprint.py [-v]
+    PYTHONPATH=src python tools/fingerprint.py [-v] [--save FILE]
+        [--against FILE [--bound X]]
 
 `-v` also prints a digest per run, to find the run where two source trees
-part.  The hash depends on the floating point of numpy and of the machine,
-so compare it only between source trees run on the same installation.
+part.  `--save FILE` writes, per run, the termination, pass count and final
+flows or diameters of each solve and sizing it made to one `.npz`;
+`--against FILE` prints, per run, max|Δ|/max|value| of those flows or
+diameters against the file's, and any change of termination or pass count,
+to tell how far two source trees part.  Such a change, or a run in one set
+only, counts as inf.  The exit status is 1 only when `--bound X` is given and
+a run is more than X apart.  The hash depends on the floating point of numpy
+and of the machine, so compare it only between source trees run on the same
+installation.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -37,6 +46,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import networks  # noqa: E402
+import numpy as np  # noqa: E402
 
 from loopflow import fileio, sizing, solvers  # noqa: E402
 from loopflow.model import FlowState, feasible_initial_flows, m3h_to_m3s  # noqa: E402
@@ -66,6 +76,20 @@ def inputs():
                 networks.balanced_flows(raw, rng)
 
 
+# The (termination, pass count, final flows or diameters in `net.pipe_ids`
+# order) of each solve and sizing that the run being made has noted.
+made: list[tuple[str, int, list[float]]] = []
+
+
+def noted(net, report):
+    """`report`, its termination, pass count and final flows or diameters
+    noted in `made`."""
+    final = report.diameters if isinstance(report, sizing.SizingReport) else report.final_flows
+    made.append((report.termination, report.iteration_count,
+                 [final[pid] for pid in net.pipe_ids]))
+    return report
+
+
 def outcome(run) -> str:
     """`run()`'s result as text, or its error's type and message."""
     try:
@@ -75,6 +99,7 @@ def outcome(run) -> str:
 
 
 def solve_text(net, report) -> tuple:
+    noted(net, report)
     return ([state.flows for state in report.iterations], report.loop_residuals,
             report.termination, report.stop_reason, report.velocities,
             pressures_text(net, report))
@@ -98,9 +123,9 @@ def runs():
         if not name.startswith("ring"):
             for seed in (0, 3):
                 yield f"{name} trace seed {seed}", outcome(lambda: [
-                    fileio.format_trace(solvers.solve(
+                    fileio.format_trace(noted(net, solvers.solve(
                         net, solvers.SolverConfig(method=method),
-                        feasible_initial_flows(net, seed)), net)
+                        feasible_initial_flows(net, seed))), net)
                     for method in solvers.METHODS])
         if fixed is not None:
             yield f"{name} size", outcome(lambda: size_text(
@@ -114,8 +139,8 @@ def runs():
 
 
 def size_text(net, flows: dict, **config) -> tuple:
-    report = sizing.optimize_diameters(
-        net, solvers.select_basis(net), sizing.SizingConfig(FlowState(flows), **config))
+    report = noted(net, sizing.optimize_diameters(
+        net, solvers.select_basis(net), sizing.SizingConfig(FlowState(flows), **config)))
     return (list(report.diameter_history), report.loop_residual_history,
             report.termination, report.stop_reason, sorted(report.bounded_pipes))
 
@@ -166,14 +191,84 @@ def extreme_diameters(name: str, net):
                 extreme, solvers.solve(extreme, solvers.SolverConfig(method=method))))
 
 
+def summary(text: str) -> tuple[str, str, np.ndarray]:
+    """The terminations and pass counts ("," joined) and the final flows or
+    diameters, end to end, that the run of `text` noted, taken out of `made`;
+    a run that raised before it made one has its error as termination."""
+    terminations, passes, finals = zip(*made) if made else ((text,), (), ())
+    made.clear()
+    return (",".join(terminations), ",".join(map(str, passes)),
+            np.concatenate([np.zeros(0), *map(np.asarray, finals)]))
+
+
+def save(path: str, summaries: dict) -> None:
+    terminations, passes, finals = zip(*summaries.values())
+    with open(path, "wb") as file:
+        np.savez(file, names=list(summaries), terminations=terminations, passes=passes,
+                 finals=np.concatenate(finals), ends=np.cumsum([len(f) for f in finals]))
+
+
+def load(path: str) -> dict:
+    with np.load(path) as data:
+        finals = np.split(data["finals"], data["ends"][:-1])
+        return {str(name): (str(termination), str(passes), final) for name, termination,
+                passes, final in zip(data["names"], data["terminations"], data["passes"], finals)}
+
+
+def distance(old, new) -> tuple[float, list[str]]:
+    """max|Δ|/max|old value| of two summaries' flows or diameters (inf if
+    they differ in size or Δ is not finite), and their changes of
+    termination and pass count, each as "what old -> new"."""
+    changes = [f"{what} {a} -> {b}" for what, a, b in
+               zip(("termination", "passes"), old, new) if a != b]
+    a, b = old[2], new[2]
+    if a.shape != b.shape:
+        return np.inf, changes
+    if np.array_equal(a, b, equal_nan=True):
+        return 0.0, changes
+    with np.errstate(all="ignore"):
+        gap = np.abs(b - a).max() / np.abs(a).max()
+    return (gap if np.isfinite(gap) else np.inf), changes
+
+
+def compare(saved: dict, summaries: dict, bound: float | None) -> int:
+    """Print each run's distance from the saved one, a line per run; return
+    how many are more than `bound` apart (none if it is None)."""
+    beyond = 0
+    for name in {**summaries, **saved}:
+        if name in saved and name in summaries:
+            gap, changes = distance(saved[name], summaries[name])
+        else:
+            where = "the saved set" if name in saved else "this tree"
+            gap, changes = np.inf, [f"only in {where}"]
+        print(f"{gap:.3g} {name}" + "".join(f"; {change}" for change in changes))
+        beyond += bound is not None and (gap > bound or bool(changes))
+    if bound is not None:
+        print(f"{beyond} runs more than {bound:g} apart")
+    return beyond
+
+
 def main(argv: list[str]) -> int:
-    total = hashlib.sha256()
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("-v", action="store_true", help="print a digest per run")
+    parser.add_argument("--save", metavar="FILE", help="write each run's summary to FILE")
+    parser.add_argument("--against", metavar="FILE", help="compare each run with FILE's")
+    parser.add_argument("--bound", type=float, metavar="X",
+                        help="with --against, exit 1 if a run is more than X apart")
+    args = parser.parse_args(argv)
+    if args.bound is not None and args.against is None:
+        parser.error("--bound needs --against")
+    total, summaries = hashlib.sha256(), {}
     for name, text in runs():
         total.update(f"{name}\n{text}\n".encode())
-        if "-v" in argv:
+        if args.v:
             print(hashlib.sha256(text.encode()).hexdigest()[:16], name)
+        summaries[name] = summary(text)
+    if args.save:
+        save(args.save, summaries)
+    beyond = compare(load(args.against), summaries, args.bound) if args.against else 0
     print(total.hexdigest())
-    return 0
+    return 1 if beyond else 0
 
 
 if __name__ == "__main__":
