@@ -15,12 +15,13 @@ A network derives each fact that depends on it alone once, when it is
 first asked for, and keeps it: its `validate` violations, and as read-only
 arrays its demands in m³/s, its tree walk from the reference node, that
 tree's fundamental cycles, its seed-0 flows, its file's flows in m³/s (with
-their worst node imbalance), its explicit loops once checked and its
-linear-theory start once a solve derived it.  One walk gives both the nodes
-`validate` finds unreachable and the spanning tree, which every tree request
-takes from it (and refuses while it misses a node).  A copy, a pickle or a
-`dataclasses.replace` goes through the constructor (`__reduce__`), so it
-derives them afresh.
+their worst node imbalance), its explicit loops once checked, its
+linear-theory start once a solve derived it and the loop Jacobian's pair
+index (`LoopBasis.pair_index`) of the basis its last Newton step used.  One
+walk gives both the nodes `validate` finds unreachable and the spanning
+tree, which every tree request takes from it (and refuses while it misses a
+node).  A copy, a pickle or a `dataclasses.replace` goes through the
+constructor (`__reduce__`), so it derives them afresh.
 """
 
 from __future__ import annotations

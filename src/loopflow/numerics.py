@@ -10,7 +10,9 @@ LAPACK does not report its pivots, so a system counts as singular when it
 meets an exactly zero pivot, or when the row-scaled solution x̂ is not
 finite or exceeds the row-scaled right side b̂ by more than 1e12, since
 ‖x̂‖∞/‖b̂‖∞ bounds κ∞ from below.  A system is a plain (matrix, rhs) pair
-of arrays, small (one row per pipe) and dense on purpose.
+of arrays, dense on purpose: a solve's loop system has one row per loop,
+and node-loop's stacked system, on its first pass from a given start, one
+per pipe.
 """
 
 from __future__ import annotations

@@ -13,6 +13,10 @@ the core, and the three methods differ only in the linear system they solve:
 * hardy-cross-improved: (B D Bᵀ) Δ = -r, then q += BᵀΔ;
 * hardy-cross: Δ = -r / (|B|·D) per loop, then q += BᵀΔ.
 
+The loop Jacobian B D Bᵀ is scattered from D through a pair index that the
+network keeps per basis, where 64·Σ c_j² ≤ L²·n (c_j loops hold core pipe
+j; L loops, n core pipes), and is the dense product (B·D) @ Bᵀ elsewhere.
+
 Both Hardy Cross methods change only the core flows and keep the start's
 node balances, which a given start must meet.  A run stops when two
 successive passes agree within the flow tolerance and the imbalances are
@@ -274,10 +278,21 @@ def solve_hardy_cross_improved(net: Network, config: SolverConfig | None = None,
 
 def _loop_newton_step(loop_eval: LoopEval) -> np.ndarray:
     """q + BᵀΔ with (B D Bᵀ) Δ = -r: the diagonal sums member |d drop/d flow|,
-    and loops that share pipes couple with the product of their membership signs."""
-    loops = loop_eval.basis.core_matrix
-    deltas = solve_linear((loops * loop_eval.dflow) @ loops.T, -loop_eval.residuals)
-    return loop_eval.basis.corrected(loop_eval.flows, deltas)
+    and loops that share pipes couple with the product of their membership signs.
+
+    J = B D Bᵀ is scattered from D through the basis's pair index where loops
+    share few pipes (`LoopBasis.pair_index`), and is the dense product (B·D) @
+    Bᵀ elsewhere.  The network keeps the index, or that there is none, of
+    the last basis it was built for, so the choice is made once per basis.
+    """
+    net, basis = loop_eval.net, loop_eval.basis
+    kept = vars(net).get("_pair_index")
+    if not (kept and kept[0] is basis.columns and kept[1] is basis.signs
+            and kept[2] is basis.starts):
+        kept = basis.columns, basis.signs, basis.starts, basis.pair_index()
+        object.__setattr__(net, "_pair_index", kept)
+    deltas = solve_linear(basis.jacobian(loop_eval.dflow, kept[3]), -loop_eval.residuals)
+    return basis.corrected(loop_eval.flows, deltas)
 
 
 def _derives_start(net: Network, initial: FlowState | None) -> bool:

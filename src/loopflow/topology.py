@@ -80,11 +80,16 @@ class LoopBasis:
             self.core_ids, pipes.length[core], pipes.diameter[core], pipes.roughness[core])
 
     @cached_property
+    def member_cores(self) -> np.ndarray:
+        """Each member's column of the core, read-only: its pipe index itself
+        when the core spans all pipes."""
+        return self.columns if self.spans_all else _frozen(np.searchsorted(self.core, self.columns))
+
+    @cached_property
     def core_matrix(self) -> np.ndarray:
         """B on the core: the read-only loops × core pipes sign matrix."""
         out = np.zeros((len(self), len(self.core)))
-        out[np.repeat(np.arange(len(self)), np.diff(self.starts)),
-            np.searchsorted(self.core, self.columns)] = self.signs
+        out[np.repeat(np.arange(len(self)), np.diff(self.starts)), self.member_cores] = self.signs
         return _frozen(out)
 
     def sums(self, values: np.ndarray) -> np.ndarray:
@@ -95,8 +100,7 @@ class LoopBasis:
         it too)."""
         if np.isfinite(values).all():
             return self.core_matrix @ values
-        return np.add.reduceat(self.signs * values[np.searchsorted(self.core, self.columns)],
-                               self.starts[:-1])
+        return np.add.reduceat(self.signs * values[self.member_cores], self.starts[:-1])
 
     def diagonal_corrections(self, residuals: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Hardy Cross's per-loop residuals / (|B|·weights), 0 where that sum is < 1e-30."""
@@ -112,6 +116,48 @@ class LoopBasis:
         flows = flows.copy()
         flows[self.core] += change
         return flows
+
+    def pair_index(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """How B D Bᵀ = Σ_j D_j b_j b_jᵀ scatters from D on the core, or None
+        where the dense product is cheaper: 64·Σ c_j² > L²·n, with c_j the
+        loops that hold core pipe j, L loops and n core pipes.
+
+        One entry per pipe j and ordered pair (k, l) of loops that hold it,
+        grouped by pipe in ascending order: `key` is k·L + l and `pick`
+        indexes D_j in [D, -D] by the product of the two signs, which
+        `jacobian` scatters.
+        """
+        cores, size, n = self.member_cores, len(self), len(self.core)
+        counts = np.bincount(cores, minlength=n)
+        if 64 * int(counts @ counts) > size * size * n:
+            return None
+        # The members grouped by pipe, each pipe's in loop order; then per
+        # pair entry its first member `a` (repeated once per member of its
+        # pipe) and its second `b` (running over those members).
+        by_pipe = np.argsort(cores, kind="stable")
+        rows = np.repeat(np.arange(size), np.diff(self.starts))[by_pipe]
+        signs, pipe = self.signs[by_pipe], np.repeat(np.arange(n), counts)
+        reps = counts[pipe]
+        a = np.repeat(np.arange(len(pipe)), reps)
+        shift = np.cumsum(reps) - reps - (np.cumsum(counts) - counts)[pipe]
+        b = np.arange(len(a)) - np.repeat(shift, reps)
+        key, pick = rows[a] * size + rows[b], pipe[a] + n * (signs[a] != signs[b])
+        # Each in the smallest integer type that holds it: keys < L², picks < 2n.
+        return (_frozen(key.astype(np.min_scalar_type(-size * size))),
+                _frozen(pick.astype(np.min_scalar_type(-2 * n))))
+
+    def jacobian(self, weights: np.ndarray,
+                 pairs: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+        """B·diag(weights)·Bᵀ for `weights` on the core: `np.bincount` over
+        `pairs`, this basis's `pair_index()`, or the dense product where that
+        is None.  By pairs, J[k, l] and J[l, k] sum the same terms in the same
+        order, so J is exactly symmetric."""
+        if pairs is None:
+            return (self.core_matrix * weights) @ self.core_matrix.T
+        key, pick = pairs
+        size = len(self)
+        return np.bincount(key, np.concatenate((weights, -weights)).take(pick),
+                           size * size).reshape(size, size)
 
     @cached_property
     def core_magnitudes(self) -> np.ndarray:

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+import pickle
 import random
 import re
 import sys
@@ -29,7 +30,7 @@ from loopflow.model import (
 )
 from loopflow.numerics import solve_linear
 from loopflow.sizing import SizingConfig, optimize_diameters
-from loopflow.topology import adopt_explicit_loops, derive_loop_basis
+from loopflow.topology import LoopBasis, adopt_explicit_loops, derive_loop_basis
 from loopflow.solvers import (
     HARDY_CROSS,
     HARDY_CROSS_IMPROVED,
@@ -223,12 +224,14 @@ def perfbench_ring(kind: str, seed: int) -> Network:
         perfbench_networks().ring_with_chords(200, 70, kind, random.Random(seed)))
 
 
-@pytest.fixture(params=["gas-fixture", "water-fixture", "grid-11x11", "ring-200"])
+@pytest.fixture(params=["gas-fixture", "water-fixture", "grid-11x11", "grid-11x11-seed1",
+                        "grid-11x11-seed2", "ring-200"])
 def node_loop_net(request):
     if request.param.endswith("fixture"):
         return request.getfixturevalue(request.param.replace("-fixture", "_network"))
-    if request.param == "grid-11x11":
-        return perfbench_grid(11, 11, "water", seed=0)
+    if request.param.startswith("grid-11x11"):
+        _, _, seed = request.param.partition("-seed")
+        return perfbench_grid(11, 11, "water", seed=int(seed or 0))
     return perfbench_ring("gas", seed=0)
 
 
@@ -459,6 +462,87 @@ class TestNodeLoopFromTheOwnStart:
         net, _ = tree
         assert len(select_basis(net)) == 0
         self.assert_one_run(net)
+
+
+class TestLoopJacobian:
+    """The Newton step scatters J = B D Bᵀ from a pair index where loops share
+    few pipes (64·Σ c_j² ≤ L²·n) and forms the dense product elsewhere; the
+    network keeps the index of the basis it was built for."""
+
+    @staticmethod
+    def step_jacobian(net, basis, monkeypatch):
+        """The J that one Newton step at the seed-0 tree flows solves, and the
+        dense product (B·D) @ Bᵀ there."""
+        loop_eval = evaluate_loops(net, basis, feasible_initial_flows(net))
+        matrices = []
+
+        def recording(matrix, rhs):
+            matrices.append(matrix)
+            return solve_linear(matrix, rhs)
+
+        monkeypatch.setattr(solvers_module, "solve_linear", recording)
+        solvers_module._loop_newton_step(loop_eval)
+        monkeypatch.undo()
+        loops = basis.core_matrix
+        return matrices[0], (loops * loop_eval.dflow) @ loops.T
+
+    @staticmethod
+    def assert_pair_jacobian(jacobian, dense):
+        assert np.abs(jacobian - dense).max() <= 1e-15 * np.abs(dense).max()
+        assert (jacobian == jacobian.T).all()
+
+    @pytest.mark.parametrize("kind", ["gas", "water"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pair_jacobian_is_the_dense_product_exactly_symmetric(self, seed, kind,
+                                                                    monkeypatch):
+        net = perfbench_grid(11, 11, kind, seed)
+        basis = select_basis(net)
+        assert basis.pair_index() is not None
+        self.assert_pair_jacobian(*self.step_jacobian(net, basis, monkeypatch))
+
+    @pytest.mark.parametrize("shape, seed", [(shape, seed) for shape in ("grid", "ring", "tree")
+                                             for seed in range(3)]
+                             + [("gas-fixture", None), ("water-fixture", None)])
+    def test_the_former_follows_the_pair_count(self, shape, seed, monkeypatch, request):
+        net = (request.getfixturevalue(shape.replace("-fixture", "_network"))
+               if seed is None else perfbench_shape(shape, "gas", seed))
+        basis = select_basis(net)
+        counts = np.bincount(basis.member_cores, minlength=len(basis.core))
+        pairs = 64 * int(counts @ counts) <= len(basis) ** 2 * len(basis.core)
+        assert pairs == (shape == "grid")
+        assert (basis.pair_index() is not None) == pairs
+        jacobian, dense = self.step_jacobian(net, basis, monkeypatch)
+        if not pairs:
+            assert jacobian.tobytes() == dense.tobytes()
+
+    def test_a_network_keeps_its_index(self, monkeypatch):
+        net = perfbench_grid(11, 11, "gas", seed=0)
+        built = []
+        pair_index = LoopBasis.pair_index
+        monkeypatch.setattr(LoopBasis, "pair_index",
+                            lambda basis: built.append(basis) or pair_index(basis))
+        first = solve(net)
+        assert first.termination == "converged" and len(built) == 1
+        second = solve(net, SolverConfig(method=HARDY_CROSS_IMPROVED))
+        assert len(built) == 1
+        assert second.iterations == first.iterations
+        # Copies and pickles derive the index afresh, and solve as the network.
+        for duplicate in (copy.copy(net), copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
+            assert "_pair_index" not in vars(duplicate)
+            assert solve(duplicate).iterations == first.iterations
+        assert len(built) == 4
+
+    def test_each_basis_gets_its_own_index(self, monkeypatch):
+        # The grid's fundamental cycles in reverse order, as explicit loops:
+        # a scatter by the other basis's index would permute J.
+        grid = perfbench_grid(11, 11, "gas", seed=0)
+        loops = [tuple(pid * sign for pid, sign in loop) for loop in derive_loop_basis(grid).loops]
+        net = dataclasses.replace(grid, explicit_loops=loops[::-1])
+        explicit, derived = adopt_explicit_loops(net), derive_loop_basis(net)
+        for basis in (explicit, derived, explicit):
+            jacobian, dense = self.step_jacobian(net, basis, monkeypatch)
+            self.assert_pair_jacobian(jacobian, dense)
+            assert net._pair_index[0] is basis.columns
 
 
 class TestNodeLoopFixture:
