@@ -11,14 +11,14 @@ pipes (compressed rows, each in pipe order), the pipes in id order and the
 reference node's index.  Validation, solves and sizing work on these arrays;
 the `pipes` and `nodes` records are built when first read, and kept.
 
-A network derives each fact that depends on it alone once, when it is
-first asked for, and keeps it: its `validate` violations, and as read-only
-arrays its demands in m³/s, its tree walk from the reference node, that
-tree's fundamental cycles, its seed-0 flows, its file's flows in m³/s (with
-their worst node imbalance), its explicit loops once checked, its
-linear-theory start once a solve derived it and the loop Jacobian's pair
-index (`LoopBasis.pair_index`) of the basis its last Newton step used.  One
-walk gives both the nodes `validate` finds unreachable and the spanning
+A network derives each fact that depends on it alone once, when it is first
+asked for, and keeps it: its `validate` violations, and as read-only arrays
+its demands in m³/s, its tree walk from the reference node, its seed-0
+flows, its file's flows in m³/s (with their worst node imbalance), its
+linear-theory start once a solve derived it; and its loop bases
+(`topology.LoopBasis`, with what each derives, such as B and the pair
+index): the tree's fundamental cycles and its explicit loops once checked.
+One walk gives both the nodes `validate` finds unreachable and the spanning
 tree, which every tree request takes from it (and refuses while it misses a
 node).  A copy, a pickle or a `dataclasses.replace` goes through the
 constructor (`__reduce__`), so it derives them afresh.
@@ -226,11 +226,6 @@ class Network:
         if self._walk.shape[1] < len(self._node_ids) - 1:
             raise ValueError("disconnected graph: no spanning tree exists")
         return self._walk
-
-    @cached_property
-    def _cycles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The tree's fundamental cycles as `LoopBasis` columns, signs and starts."""
-        return _fundamental_cycles(self, *self._tree.tolist())
 
     @cached_property
     def _start(self) -> np.ndarray:

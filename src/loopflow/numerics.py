@@ -3,9 +3,8 @@
 The stacked node/loop systems mix O(1) continuity rows with loop rows whose
 derivative entries reach 1e9, so every solve divides each row by its largest
 entry and then calls numpy's LAPACK solver (LU with partial pivoting).
-`solve_linear` never changes the caller's arrays: it divides a copy, and
-skips both the copy and the division when every row already has unit
-maximum (dividing by 1.0 is exact, so both routes give the same bits).
+`solve_linear` is the one place that divides: it never changes the caller's
+arrays, and always divides a copy.
 LAPACK does not report its pivots, so a system counts as singular when it
 meets an exactly zero pivot, or when the row-scaled solution x̂ is not
 finite or exceeds the row-scaled right side b̂ by more than 1e12, since
@@ -31,9 +30,8 @@ def solve_linear(matrix, rhs) -> np.ndarray:
     """Solve A·x = b by LAPACK LU with partial pivoting after row equilibration.
 
     The caller's arrays are left as they are: the rows are divided on a
-    copy, and rows that already have unit maximum are used without one.
-    Raises SingularSystemError for a zero row, an exactly zero pivot, a
-    non-finite solution, or 1e-12·‖x̂‖∞ > ‖b̂‖∞ on the row-scaled system,
+    copy.  Raises SingularSystemError for a zero row, an exactly zero pivot,
+    a non-finite solution, or 1e-12·‖x̂‖∞ > ‖b̂‖∞ on the row-scaled system,
     which flags only condition numbers κ∞ above 1e12.  The inf-norm residual
     stays below 1e-8·(1 + |b|_inf) for the well-conditioned systems in scope.
     """
@@ -48,9 +46,8 @@ def solve_linear(matrix, rhs) -> np.ndarray:
         raise ValueError("system contains non-finite entries")
     if low == 0.0:
         raise SingularSystemError(f"row {int(scale.argmin())} of the system matrix is zero")
-    if top != 1.0 or low != 1.0:
-        a = a / scale[:, None]
-        b = b / scale
+    a = a / scale[:, None]
+    b = b / scale
 
     try:
         x = np.linalg.solve(a, b)

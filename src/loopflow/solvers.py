@@ -1,7 +1,8 @@
 """The three iterative flow solvers plus node-pressure back-propagation.
 
 Each solve validates the network once and takes its loop basis
-(`select_basis`); it starts from the flows given (`initial`, else the
+(`select_basis`), which the network keeps, with all that the basis derives,
+from solve to solve; it starts from the flows given (`initial`, else the
 file's) or from the network's own, its kept linear-theory flows (Wood and
 Charles 1972).  Every pass evaluates the basis's core (the pipes in a loop)
 in one call, giving r = B·(sign q · drop(|q|)) and D = |d drop/d flow| on
@@ -13,9 +14,9 @@ the core, and the three methods differ only in the linear system they solve:
 * hardy-cross-improved: (B D Bᵀ) Δ = -r, then q += BᵀΔ;
 * hardy-cross: Δ = -r / (|B|·D) per loop, then q += BᵀΔ.
 
-The loop Jacobian B D Bᵀ is scattered from D through a pair index that the
-network keeps per basis, where 64·Σ c_j² ≤ L²·n (c_j loops hold core pipe
-j; L loops, n core pipes), and is the dense product (B·D) @ Bᵀ elsewhere.
+The loop Jacobian B D Bᵀ is scattered from D through the basis's pair
+index where 64·Σ c_j² ≤ L²·n (c_j loops hold core pipe j; L loops, n core
+pipes), and is the dense product (B·D) @ Bᵀ elsewhere.
 
 Both Hardy Cross methods change only the core flows and keep the start's
 node balances, which a given start must meet.  A run stops when two
@@ -239,16 +240,7 @@ def solve_node_loop(net: Network, config: SolverConfig | None = None,
 
 def _stacked_step(loop_eval: LoopEval) -> np.ndarray:
     """The flows that solve `assemble_node_loop_system(loop_eval)`."""
-    matrix, rhs = assemble_node_loop_system(loop_eval)
-    # The node rows are ±1 and already at unit scale.  Dividing the loop rows
-    # by their largest entries here (none if one is zero, which `solve_linear`
-    # names) spares `solve_linear` a copy of the matrix.
-    loops = slice(len(rhs) - len(loop_eval.residuals), None)
-    scale = np.abs(matrix[loops]).max(axis=1, initial=0.0)
-    if scale.all():
-        matrix[loops] /= scale[:, None]
-        rhs[loops] /= scale
-    return solve_linear(matrix, rhs)
+    return solve_linear(*assemble_node_loop_system(loop_eval))
 
 
 def solve_hardy_cross_original(net: Network, config: SolverConfig | None = None,
@@ -282,16 +274,10 @@ def _loop_newton_step(loop_eval: LoopEval) -> np.ndarray:
 
     J = B D Bᵀ is scattered from D through the basis's pair index where loops
     share few pipes (`LoopBasis.pair_index`), and is the dense product (B·D) @
-    Bᵀ elsewhere.  The network keeps the index, or that there is none, of
-    the last basis it was built for, so the choice is made once per basis.
+    Bᵀ elsewhere; the basis, kept by the network, makes that choice once.
     """
-    net, basis = loop_eval.net, loop_eval.basis
-    kept = vars(net).get("_pair_index")
-    if not (kept and kept[0] is basis.columns and kept[1] is basis.signs
-            and kept[2] is basis.starts):
-        kept = basis.columns, basis.signs, basis.starts, basis.pair_index()
-        object.__setattr__(net, "_pair_index", kept)
-    deltas = solve_linear(basis.jacobian(loop_eval.dflow, kept[3]), -loop_eval.residuals)
+    basis = loop_eval.basis
+    deltas = solve_linear(basis.jacobian(loop_eval.dflow), -loop_eval.residuals)
     return basis.corrected(loop_eval.flows, deltas)
 
 

@@ -4,9 +4,10 @@ The node matrix encodes the flow-continuity equations (one row per node
 except the reference node).  The loop basis encodes the energy-balance
 equations: pipes - nodes + 1 independent cycles with ±1 signs, held as
 index arrays (the co-tree view of Elhay et al. 2014).  The spanning tree
-the loops rest on is the network's own, and so are its fundamental cycles,
-which a network walks once, on first ask, and its explicit loops, which
-it checks once.  B is only ever built on the core, the pipes in a loop.
+the loops rest on is the network's own, and so are its bases, with all
+they derive: its fundamental cycles, which it walks once, on first ask,
+and its explicit loops, which it checks once.  B is only ever built on
+the core, the pipes in a loop.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Network, PipeArrays, PipeId, _frozen
+from .model import Network, PipeArrays, PipeId, _frozen, _fundamental_cycles
+
+PAIR_CHUNK = 1 << 15     # pair entries `LoopBasis.pair_index` builds at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,7 +35,8 @@ class LoopBasis:
     their `loops` are.  The `core` is the pipes that lie in a loop; the
     others form a forest whose flows the demands fix and whose drops enter
     no loop equation (Simpson, Elhay and Alexander 2014), so the solvers
-    and the sizing evaluate the core alone, on `core_matrix`.
+    and the sizing evaluate the core alone, on `core_matrix`.  A network
+    keeps its bases, and so each cached property of theirs.
     """
     pipe_ids: tuple[PipeId, ...]
     columns: np.ndarray
@@ -92,6 +96,11 @@ class LoopBasis:
         out[np.repeat(np.arange(len(self)), np.diff(self.starts)), self.member_cores] = self.signs
         return _frozen(out)
 
+    @cached_property
+    def core_magnitudes(self) -> np.ndarray:
+        """|B| on the core, read-only: which core pipes each loop holds."""
+        return _frozen(np.abs(self.core_matrix))
+
     def sums(self, values: np.ndarray) -> np.ndarray:
         """B·values for `values` on the core: `core_matrix @ values` when
         every value is finite, else each loop summed over its own members in
@@ -117,6 +126,7 @@ class LoopBasis:
         flows[self.core] += change
         return flows
 
+    @cached_property
     def pair_index(self) -> tuple[np.ndarray, np.ndarray] | None:
         """How B D Bᵀ = Σ_j D_j b_j b_jᵀ scatters from D on the core, or None
         where the dense product is cheaper: 64·Σ c_j² > L²·n, with c_j the
@@ -125,44 +135,43 @@ class LoopBasis:
         One entry per pipe j and ordered pair (k, l) of loops that hold it,
         grouped by pipe in ascending order: `key` is k·L + l and `pick`
         indexes D_j in [D, -D] by the product of the two signs, which
-        `jacobian` scatters.
+        `jacobian` scatters.  Each is read-only, in the smallest integer type
+        that holds it (keys < L², picks < 2n), built PAIR_CHUNK entries at a time.
         """
         cores, size, n = self.member_cores, len(self), len(self.core)
         counts = np.bincount(cores, minlength=n)
         if 64 * int(counts @ counts) > size * size * n:
             return None
-        # The members grouped by pipe, each pipe's in loop order; then per
-        # pair entry its first member `a` (repeated once per member of its
-        # pipe) and its second `b` (running over those members).
+        # The members grouped by pipe, each pipe's in loop order.  Member m's
+        # entries, ends[m] - reps[m] to ends[m], pair it as `a` with each
+        # member `b` of its pipe, so a chunk is a run of members.
         by_pipe = np.argsort(cores, kind="stable")
         rows = np.repeat(np.arange(size), np.diff(self.starts))[by_pipe]
         signs, pipe = self.signs[by_pipe], np.repeat(np.arange(n), counts)
         reps = counts[pipe]
-        a = np.repeat(np.arange(len(pipe)), reps)
-        shift = np.cumsum(reps) - reps - (np.cumsum(counts) - counts)[pipe]
-        b = np.arange(len(a)) - np.repeat(shift, reps)
-        key, pick = rows[a] * size + rows[b], pipe[a] + n * (signs[a] != signs[b])
-        # Each in the smallest integer type that holds it: keys < L², picks < 2n.
-        return (_frozen(key.astype(np.min_scalar_type(-size * size))),
-                _frozen(pick.astype(np.min_scalar_type(-2 * n))))
+        ends = np.cumsum(reps)
+        shift = ends - reps - (np.cumsum(counts) - counts)[pipe]
+        key = np.empty(int(reps.sum()), np.min_scalar_type(-size * size))
+        pick = np.empty(len(key), np.min_scalar_type(-2 * n))
+        cuts = np.unique(np.searchsorted(ends, np.arange(0, len(key), PAIR_CHUNK), "right"))
+        for lo, hi in zip(cuts.tolist(), [*cuts[1:].tolist(), len(pipe)]):
+            first, last = ends[lo] - reps[lo], ends[hi - 1]
+            a = np.repeat(np.arange(lo, hi), reps[lo:hi])
+            b = np.arange(first, last) - np.repeat(shift[lo:hi], reps[lo:hi])
+            key[first:last] = rows[a] * size + rows[b]
+            pick[first:last] = pipe[a] + n * (signs[a] != signs[b])
+        return _frozen(key), _frozen(pick)
 
-    def jacobian(self, weights: np.ndarray,
-                 pairs: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+    def jacobian(self, weights: np.ndarray) -> np.ndarray:
         """B·diag(weights)·Bᵀ for `weights` on the core: `np.bincount` over
-        `pairs`, this basis's `pair_index()`, or the dense product where that
-        is None.  By pairs, J[k, l] and J[l, k] sum the same terms in the same
-        order, so J is exactly symmetric."""
-        if pairs is None:
+        the `pair_index`, or the dense product where there is none.  By
+        pairs, J[k, l] and J[l, k] sum the same terms in the same order, so
+        J is exactly symmetric."""
+        if self.pair_index is None:
             return (self.core_matrix * weights) @ self.core_matrix.T
-        key, pick = pairs
-        size = len(self)
+        key, pick = self.pair_index
         return np.bincount(key, np.concatenate((weights, -weights)).take(pick),
-                           size * size).reshape(size, size)
-
-    @cached_property
-    def core_magnitudes(self) -> np.ndarray:
-        """|B| on the core, read-only: which core pipes each loop holds."""
-        return _frozen(np.abs(self.core_matrix))
+                           len(self) ** 2).reshape(len(self), len(self))
 
     def check_network(self, net: Network) -> None:
         """Raise ValueError unless the basis was built on `net`'s pipe order
@@ -191,10 +200,13 @@ def derive_loop_basis(net: Network) -> LoopBasis:
 
     One loop per link pipe (taken in ascending id order), oriented so the
     link itself carries sign +1; the rest of the cycle is the unique tree
-    path closing it, from the link's head back to its tail.  Each call
-    returns a new basis on the cycles the network keeps.
+    path closing it, from the link's head back to its tail.  The network
+    keeps the basis, built on the first call, and every call returns it.
     """
-    return LoopBasis(PipeArrays.of(net).ids, *net._cycles, net._ends)
+    if "_derived_basis" not in vars(net):
+        object.__setattr__(net, "_derived_basis", LoopBasis(
+            PipeArrays.of(net).ids, *_fundamental_cycles(net, *net._tree.tolist()), net._ends))
+    return net._derived_basis
 
 
 def adopt_explicit_loops(net: Network) -> LoopBasis:
@@ -210,11 +222,11 @@ def adopt_explicit_loops(net: Network) -> LoopBasis:
     their own columns.  Full rank mod 2 proves independence; only a set
     dependent mod 2, such as the three 4-cycles of K4, needs `exact_rank`
     on B's core columns, which eliminates in integers, with exact divisions.
-    A network keeps loops that pass (`_loops`), which later calls wrap in
-    a new basis unchecked; a set that fails raises on every call.
+    A network keeps the basis of loops that pass, which later calls return
+    unchecked; a set that fails raises on every call.
     """
-    if "_loops" in vars(net):
-        return LoopBasis(PipeArrays.of(net).ids, *net._loops, net._ends)
+    if "_explicit_basis" in vars(net):
+        return net._explicit_basis
     if not net.explicit_loops:
         raise ValueError("network definition carries no explicit loops")
     expected = net.loop_count
@@ -235,7 +247,7 @@ def adopt_explicit_loops(net: Network) -> LoopBasis:
     if (_gf2_rank([sum(1 << j for j in columns[a:b]) for a, b in zip(starts, starts[1:])])
             != expected and exact_rank(basis.core_matrix.astype(int).tolist()) != expected):
         raise ValueError("rank-deficient loop set: loops are not independent")
-    object.__setattr__(net, "_loops", (basis.columns, basis.signs, basis.starts))
+    object.__setattr__(net, "_explicit_basis", basis)
     return basis
 
 

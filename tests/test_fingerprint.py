@@ -74,3 +74,32 @@ def test_a_change_is_reported_and_breaks_only_a_bound_it_exceeds(fingerprint, ca
         "3 runs more than 1e-06 apart"
     status, lines = run(fingerprint, capsys, "--against", changed, "--bound", "1e-12")
     assert (status, lines[-2]) == (1, "4 runs more than 1e-12 apart")
+
+
+def test_a_stop_kind_keeps_the_words_and_hides_the_numbers(fingerprint):
+    reason = ("diverged at pass 3: the worst loop residual rose on 3 passes in a row, "
+              "to 1.4e+06 Pa2 from -2.5 Pa2 at the start")
+    assert fingerprint.stop_kind(reason) == ("diverged at pass #: the worst loop residual rose "
+                                             "on # passes in a row, to # Pa2 from # Pa2 at "
+                                             "the start")
+    assert fingerprint.stop_kind("") == ""
+
+
+def test_a_changed_stop_kind_counts_like_a_termination(fingerprint, capsys, tmp_path):
+    saved, changed = str(tmp_path / "runs.npz"), str(tmp_path / "changed.npz")
+    run(fingerprint, capsys, "--save", saved)
+    with np.load(saved) as data:
+        arrays = dict(data)
+    names, stops = arrays["names"].tolist(), arrays["stops"].tolist()
+    diverged = names.index("grid-gas-0 hardy-cross")
+    kind = stops[diverged]
+    assert kind.startswith("diverged at pass #: ") and not any(c.isdigit() for c in
+                                                                kind.replace("Pa2", ""))
+    stops[diverged] = "diverged at pass #: other"
+    with open(changed, "wb") as file:
+        np.savez(file, **{**arrays, "stops": np.array(stops)})
+
+    status, lines = run(fingerprint, capsys, "--against", changed, "--bound", "1")
+    assert (status, lines[-2]) == (1, "1 runs more than 1 apart")
+    moved = [line for line in lines[:-2] if not line.startswith("0 ") or ";" in line]
+    assert moved == [f"0 grid-gas-0 hardy-cross; stop diverged at pass #: other -> {kind}"]

@@ -12,7 +12,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from loopflow import model
+from loopflow import model, topology
 from loopflow.fileio import parse_network
 from loopflow.model import (
     FlowState,
@@ -30,7 +30,7 @@ from loopflow.model import (
 )
 from loopflow.sizing import SizingConfig, optimize_diameters
 from loopflow.solvers import METHODS, SolverConfig, select_basis, solve
-from loopflow.topology import derive_loop_basis
+from loopflow.topology import LoopBasis, derive_loop_basis
 
 from conftest import incident_pipes, node_balance_residuals_m3h
 
@@ -295,12 +295,13 @@ class TestTopologyKept:
         """Per network, how often the tree walk, the cycle walk and the
         tree flows ran."""
         counts = {"tree": Counter(), "cycles": Counter(), "flows": Counter()}
-        for name, kind in (("_grow_tree", "tree"), ("_fundamental_cycles", "cycles"),
-                           ("_tree_flows", "flows")):
-            def counted(net, *args, walk=getattr(model, name), kind=kind):
+        for module, name, kind in ((model, "_grow_tree", "tree"),
+                                   (topology, "_fundamental_cycles", "cycles"),
+                                   (model, "_tree_flows", "flows")):
+            def counted(net, *args, walk=getattr(module, name), kind=kind):
                 counts[kind][id(net)] += 1
                 return walk(net, *args)
-            monkeypatch.setattr(model, name, counted)
+            monkeypatch.setattr(module, name, counted)
         return counts
 
     @pytest.fixture()
@@ -334,8 +335,8 @@ class TestTopologyKept:
         once = dict.fromkeys([id(net)] + [id(d) for d in duplicates], 1)
         assert walks == {"tree": once, "cycles": once, "flows": once}
 
-        # Explicit loops are adopted anew on each call, on the kept tree,
-        # and never need the cycles; flows from the file need no start.
+        # Explicit loops are checked once, on the kept tree, and never need
+        # the cycles; flows from the file need no start.
         for counts in walks.values():
             counts.clear()
         fixture = copy.copy(gas_network)
@@ -370,7 +371,9 @@ class TestTopologyKept:
     def test_kept_arrays_are_read_only(self):
         net = square_net()
         solve(net)
-        kept = [net._demands, net._tree, *net._cycles, net._start, net._linear_start]
+        basis = net._derived_basis
+        kept = [net._demands, net._tree, basis.columns, basis.signs, basis.starts,
+                net._start, net._linear_start]
         assert [a.dtype for a in kept] == [np.float64] + [np.int32] * 4 + [np.float64] * 2
         for array in kept:
             with pytest.raises(ValueError, match="read-only"):
@@ -405,13 +408,17 @@ class TestStoredArrays:
         derive_loop_basis(net)
         feasible_initial_flows(net)
         kept = vars(net)
-        assert {"_walk", "_cycles", "_start", "_loops", "_file_start"} <= kept.keys()
+        assert {"_walk", "_derived_basis", "_start", "_explicit_basis",
+                "_file_start"} <= kept.keys()
         arrays = PipeArrays.of(net)
         stored = [v for v in kept.values() if isinstance(v, np.ndarray)]
         stored += [a for v in kept.values() if isinstance(v, tuple)
                    for a in v if isinstance(a, np.ndarray)]
+        # The kept bases' arrays: their loops and all they derived.
+        stored += [a for v in kept.values() if isinstance(v, LoopBasis)
+                   for a in vars(v).values() if isinstance(a, np.ndarray)]
         stored += [arrays.length, arrays.diameter, arrays.roughness]
-        assert len(stored) >= 16
+        assert len(stored) >= 23
         for array in stored:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]

@@ -2,17 +2,20 @@
 
 import copy
 import dataclasses
+import functools
 import math
 import pickle
 import random
 import re
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import loopflow.solvers as solvers_module
+import loopflow.topology as topology_module
 from loopflow.fileio import network_from_dict
 from loopflow.fluids import make_fluid_model
 from loopflow.model import (
@@ -466,8 +469,17 @@ class TestNodeLoopFromTheOwnStart:
 
 class TestLoopJacobian:
     """The Newton step scatters J = B D Bᵀ from a pair index where loops share
-    few pipes (64·Σ c_j² ≤ L²·n) and forms the dense product elsewhere; the
-    network keeps the index of the basis it was built for."""
+    few pipes (64·Σ c_j² ≤ L²·n) and forms the dense product elsewhere; each
+    basis builds its index once, and its network keeps the basis."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        """The bases whose pair index was built, one entry per build."""
+        bases, build = [], LoopBasis.pair_index.func
+        counted = functools.cached_property(lambda basis: bases.append(basis) or build(basis))
+        counted.__set_name__(LoopBasis, "pair_index")
+        monkeypatch.setattr(LoopBasis, "pair_index", counted)
+        return bases
 
     @staticmethod
     def step_jacobian(net, basis, monkeypatch):
@@ -480,9 +492,9 @@ class TestLoopJacobian:
             matrices.append(matrix)
             return solve_linear(matrix, rhs)
 
-        monkeypatch.setattr(solvers_module, "solve_linear", recording)
-        solvers_module._loop_newton_step(loop_eval)
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers_module, "solve_linear", recording)
+            solvers_module._loop_newton_step(loop_eval)
         loops = basis.core_matrix
         return matrices[0], (loops * loop_eval.dflow) @ loops.T
 
@@ -497,7 +509,7 @@ class TestLoopJacobian:
                                                                     monkeypatch):
         net = perfbench_grid(11, 11, kind, seed)
         basis = select_basis(net)
-        assert basis.pair_index() is not None
+        assert basis.pair_index is not None
         self.assert_pair_jacobian(*self.step_jacobian(net, basis, monkeypatch))
 
     @pytest.mark.parametrize("shape, seed", [(shape, seed) for shape in ("grid", "ring", "tree")
@@ -510,29 +522,31 @@ class TestLoopJacobian:
         counts = np.bincount(basis.member_cores, minlength=len(basis.core))
         pairs = 64 * int(counts @ counts) <= len(basis) ** 2 * len(basis.core)
         assert pairs == (shape == "grid")
-        assert (basis.pair_index() is not None) == pairs
+        assert (basis.pair_index is not None) == pairs
         jacobian, dense = self.step_jacobian(net, basis, monkeypatch)
         if not pairs:
             assert jacobian.tobytes() == dense.tobytes()
 
-    def test_a_network_keeps_its_index(self, monkeypatch):
+    def test_one_build_per_basis_over_every_method(self, built):
         net = perfbench_grid(11, 11, "gas", seed=0)
-        built = []
-        pair_index = LoopBasis.pair_index
-        monkeypatch.setattr(LoopBasis, "pair_index",
-                            lambda basis: built.append(basis) or pair_index(basis))
-        first = solve(net)
-        assert first.termination == "converged" and len(built) == 1
-        second = solve(net, SolverConfig(method=HARDY_CROSS_IMPROVED))
-        assert len(built) == 1
-        assert second.iterations == first.iterations
-        # Copies and pickles derive the index afresh, and solve as the network.
-        for duplicate in (copy.copy(net), copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
-            assert "_pair_index" not in vars(duplicate)
-            assert solve(duplicate).iterations == first.iterations
-        assert len(built) == 4
+        reports = [solve(net, SolverConfig(method=method)) for method in METHODS]
+        reports.append(solve(net, SolverConfig(), feasible_initial_flows(net, seed=3)))
+        assert [r.termination for r in reports] == ["converged", "diverged", "converged",
+                                                    "converged"]
+        assert len(built) == 1 and built[0] is select_basis(net)
+        assert reports[2].iterations == reports[0].iterations
 
-    def test_each_basis_gets_its_own_index(self, monkeypatch):
+    def test_copies_pickles_and_replace_build_their_own(self, built):
+        net = perfbench_grid(11, 11, "gas", seed=0)
+        first = solve(net)
+        for duplicate in (copy.copy(net), copy.deepcopy(net), pickle.loads(pickle.dumps(net)),
+                          dataclasses.replace(net)):
+            assert "_derived_basis" not in vars(duplicate)
+            assert solve(duplicate).iterations == first.iterations
+            assert built[-1] is select_basis(duplicate) is not select_basis(net)
+        assert len(built) == 5
+
+    def test_explicit_and_derived_bases_each_own_theirs(self, built, monkeypatch):
         # The grid's fundamental cycles in reverse order, as explicit loops:
         # a scatter by the other basis's index would permute J.
         grid = perfbench_grid(11, 11, "gas", seed=0)
@@ -540,9 +554,62 @@ class TestLoopJacobian:
         net = dataclasses.replace(grid, explicit_loops=loops[::-1])
         explicit, derived = adopt_explicit_loops(net), derive_loop_basis(net)
         for basis in (explicit, derived, explicit):
-            jacobian, dense = self.step_jacobian(net, basis, monkeypatch)
-            self.assert_pair_jacobian(jacobian, dense)
-            assert net._pair_index[0] is basis.columns
+            self.assert_pair_jacobian(*self.step_jacobian(net, basis, monkeypatch))
+        assert list(map(id, built)) == [id(explicit), id(derived)]
+        assert explicit.pair_index[0].tobytes() != derived.pair_index[0].tobytes()
+
+
+class TestPairIndexBuild:
+    """`LoopBasis.pair_index` is built by chunks of members, to the bytes of
+    the index built at once, with a peak far below the whole-index build."""
+
+    @staticmethod
+    def at_once(basis):
+        """The index built in one piece, through full-width `intp` arrays."""
+        cores, size, n = basis.member_cores, len(basis), len(basis.core)
+        counts = np.bincount(cores, minlength=n)
+        by_pipe = np.argsort(cores, kind="stable")
+        rows = np.repeat(np.arange(size), np.diff(basis.starts))[by_pipe]
+        signs, pipe = basis.signs[by_pipe], np.repeat(np.arange(n), counts)
+        reps = counts[pipe]
+        a = np.repeat(np.arange(len(pipe)), reps)
+        shift = np.cumsum(reps) - reps - (np.cumsum(counts) - counts)[pipe]
+        b = np.arange(len(a)) - np.repeat(shift, reps)
+        key, pick = rows[a] * size + rows[b], pipe[a] + n * (signs[a] != signs[b])
+        return (key.astype(np.min_scalar_type(-size * size)),
+                pick.astype(np.min_scalar_type(-2 * n)))
+
+    @staticmethod
+    def fresh(basis):
+        """A new basis on `basis`'s loops, with its core already derived."""
+        new = LoopBasis(basis.pipe_ids, basis.columns, basis.signs, basis.starts, basis.ends)
+        new.member_cores
+        return new
+
+    @pytest.mark.parametrize("chunk", [1, 7, topology_module.PAIR_CHUNK])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_chunks_give_the_bytes_of_one_build(self, seed, chunk, monkeypatch):
+        monkeypatch.setattr(topology_module, "PAIR_CHUNK", chunk)
+        for kind in ("gas", "water"):
+            basis = self.fresh(select_basis(perfbench_grid(11, 11, kind, seed)))
+            for built, expected in zip(basis.pair_index, self.at_once(basis)):
+                assert built.dtype == expected.dtype and built.tobytes() == expected.tobytes()
+                assert not built.flags.writeable
+
+    def test_the_build_peak_is_within_three_times_the_index(self):
+        basis = self.fresh(select_basis(perfbench_grid(30, 30, "gas", 0)))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            key, pick = basis.pair_index
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        kept = key.nbytes + pick.nbytes
+        assert kept > 3e6 and peak <= 3 * kept
+        expected = self.at_once(basis)
+        assert key.tobytes() == expected[0].tobytes() and pick.tobytes() == expected[1].tobytes()
 
 
 class TestNodeLoopFixture:

@@ -21,15 +21,17 @@ not finite, and of 1e300 m, solved by each method.
         [--against FILE [--bound X]]
 
 `-v` also prints a digest per run, to find the run where two source trees
-part.  `--save FILE` writes, per run, the termination, pass count and final
-flows or diameters of each solve and sizing it made to one `.npz`;
-`--against FILE` prints, per run, max|Δ|/max|value| of those flows or
-diameters against the file's, and any change of termination or pass count,
-to tell how far two source trees part.  Such a change, or a run in one set
-only, counts as inf.  The exit status is 1 only when `--bound X` is given and
-a run is more than X apart.  The hash depends on the floating point of numpy
-and of the machine, so compare it only between source trees run on the same
-installation.
+part.  `--save FILE` writes, per run, the termination, pass count, stop
+kind and final flows or diameters of each solve and sizing it made to one
+`.npz`; a stop kind is the stop reason with each number in it replaced by
+`#`.  `--against FILE` prints, per run, max|Δ|/max|value| of those flows or
+diameters against the file's, and any change of termination, pass count or
+stop kind ("stop old -> new"), to tell how far two source trees part; a file
+saved without stop kinds is compared without them.  Such a change, or a run
+in one set only, counts as inf.  The exit status is 1 only when `--bound X`
+is given and a run is more than X apart.  The hash depends on the floating
+point of numpy and of the machine, so compare it only between source trees
+run on the same installation.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 import sys
 from importlib import resources
 from pathlib import Path
@@ -76,16 +79,25 @@ def inputs():
                 networks.balanced_flows(raw, rng)
 
 
-# The (termination, pass count, final flows or diameters in `net.pipe_ids`
-# order) of each solve and sizing that the run being made has noted.
-made: list[tuple[str, int, list[float]]] = []
+# The (termination, pass count, stop kind, final flows or diameters in
+# `net.pipe_ids` order) of each solve and sizing that the run being made
+# has noted.
+made: list[tuple[str, int, str, list[float]]] = []
+
+# A number in a stop reason, not a digit of a word such as "Pa2".
+NUMBER = re.compile(r"(?<![\w.])[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+
+
+def stop_kind(reason: str) -> str:
+    """`reason` with each number replaced by `#`."""
+    return NUMBER.sub("#", reason)
 
 
 def noted(net, report):
-    """`report`, its termination, pass count and final flows or diameters
-    noted in `made`."""
+    """`report`, its termination, pass count, stop kind and final flows or
+    diameters noted in `made`."""
     final = report.diameters if isinstance(report, sizing.SizingReport) else report.final_flows
-    made.append((report.termination, report.iteration_count,
+    made.append((report.termination, report.iteration_count, stop_kind(report.stop_reason),
                  [final[pid] for pid in net.pipe_ids]))
     return report
 
@@ -191,37 +203,41 @@ def extreme_diameters(name: str, net):
                 extreme, solvers.solve(extreme, solvers.SolverConfig(method=method))))
 
 
-def summary(text: str) -> tuple[str, str, np.ndarray]:
-    """The terminations and pass counts ("," joined) and the final flows or
-    diameters, end to end, that the run of `text` noted, taken out of `made`;
-    a run that raised before it made one has its error as termination."""
-    terminations, passes, finals = zip(*made) if made else ((text,), (), ())
+def summary(text: str) -> tuple[str, str, str, np.ndarray]:
+    """The terminations and pass counts ("," joined), the stop kinds (" | "
+    joined) and the final flows or diameters, end to end, that the run of
+    `text` noted, taken out of `made`; a run that raised before it made one
+    has its error as termination."""
+    terminations, passes, stops, finals = zip(*made) if made else ((text,), (), (), ())
     made.clear()
-    return (",".join(terminations), ",".join(map(str, passes)),
+    return (",".join(terminations), ",".join(map(str, passes)), " | ".join(stops),
             np.concatenate([np.zeros(0), *map(np.asarray, finals)]))
 
 
 def save(path: str, summaries: dict) -> None:
-    terminations, passes, finals = zip(*summaries.values())
+    terminations, passes, stops, finals = zip(*summaries.values())
     with open(path, "wb") as file:
         np.savez(file, names=list(summaries), terminations=terminations, passes=passes,
-                 finals=np.concatenate(finals), ends=np.cumsum([len(f) for f in finals]))
+                 stops=stops, finals=np.concatenate(finals),
+                 ends=np.cumsum([len(f) for f in finals]))
 
 
 def load(path: str) -> dict:
     with np.load(path) as data:
         finals = np.split(data["finals"], data["ends"][:-1])
-        return {str(name): (str(termination), str(passes), final) for name, termination,
-                passes, final in zip(data["names"], data["terminations"], data["passes"], finals)}
+        return {str(name): (str(termination), str(passes), str(stop), final)
+                for name, termination, passes, stop, final in zip(
+                    data["names"], data["terminations"], data["passes"], data["stops"],
+                    finals)}
 
 
 def distance(old, new) -> tuple[float, list[str]]:
     """max|Δ|/max|old value| of two summaries' flows or diameters (inf if
     they differ in size or Δ is not finite), and their changes of
-    termination and pass count, each as "what old -> new"."""
+    termination, pass count and stop kind, each as "what old -> new"."""
     changes = [f"{what} {a} -> {b}" for what, a, b in
-               zip(("termination", "passes"), old, new) if a != b]
-    a, b = old[2], new[2]
+               zip(("termination", "passes", "stop"), old, new) if a != b]
+    a, b = old[3], new[3]
     if a.shape != b.shape:
         return np.inf, changes
     if np.array_equal(a, b, equal_nan=True):
