@@ -16,7 +16,8 @@ asked for, and keeps it: its `validate` violations, and as read-only arrays
 its demands in m³/s, its tree walk from the reference node, its seed-0
 flows, its file's flows in m³/s (with their worst node imbalance), its
 linear-theory start once a solve derived it; and its loop bases
-(`topology.LoopBasis`, with what each derives, such as B and the pair
+(`topology.LoopBasis`, with what each derives: its members in core-column
+order, and B where the loop Jacobian is the dense product, else the pair
 index): the tree's fundamental cycles and its explicit loops once checked.
 One walk gives both the nodes `validate` finds unreachable and the spanning
 tree, which every tree request takes from it (and refuses while it misses a

@@ -1,8 +1,8 @@
 """Inverse problem: fix the flows, iterate pipe diameters to loop balance.
 
 The loop corrections are the original Hardy Cross method's, by the same
-code (`LoopBasis.diagonal_corrections`), with the diameter as the variable:
-with r(d) = B·(sign q · drop(|q|, d)), loop k's correction is
+code (`LoopBasis.diagonal_corrections` and `spread`), with the diameter as
+the variable: with r(d) = B·(sign q · drop(|q|, d)), loop k's correction is
 Δ_k = r_k / (|B|·|d drop/d diameter|)_k, applied to each member with its
 membership and flow signs (d += sign q · BᵀΔ) and clamped to the bounds;
 drops fall as diameters grow, so this is the Newton step for the diameter.
@@ -115,10 +115,10 @@ def optimize_diameters(net: Network, basis: LoopBasis,
     # Everything below runs on the core: its flows, geometry and diameters.
     q = q[basis.core]
     core_ids = basis.core_ids
-    idle = [pid for pid, flow in zip(core_ids, q.tolist()) if flow == 0.0]
+    idle = np.flatnonzero(q == 0.0).tolist()
     if idle:
         raise SizingInfeasibleError(
-            f"pipe {min(idle)} lies in a loop but carries zero fixed flow")
+            f"pipe {min(core_ids[c] for c in idle)} lies in a loop but carries zero fixed flow")
     tree_pipes = set(pipes.ids) - set(core_ids)
 
     model = make_fluid_model(net.fluid)
@@ -163,7 +163,7 @@ def optimize_diameters(net: Network, basis: LoopBasis,
                            f"{tolerance:.3g} {unit}")
             break
         sensitivity = np.abs(model.ddrop_ddiam(core_pipes, magnitude, diameters, friction))
-        step = sign * (basis.core_matrix.T @ basis.diagonal_corrections(residuals, sensitivity))
+        step = sign * basis.spread(basis.diagonal_corrections(residuals, sensitivity))
 
         # Backtrack on overshoot: the drop grows steeply for shrinking
         # diameters, so a full multi-loop step can overshoot badly.
@@ -188,8 +188,7 @@ def optimize_diameters(net: Network, basis: LoopBasis,
     else:
         termination = CONVERGED
 
-    at_bound = (diameters <= lower) | (diameters >= upper)
-    bounded = {pid for pid, flag in zip(core_ids, at_bound) if flag}
+    bounded = {core_ids[c] for c in np.flatnonzero((diameters <= lower) | (diameters >= upper))}
     if termination != CONVERGED and bounded:
         termination = INFEASIBLE_BOUNDS
         state = (f"the worst loop residual is {worst:.3g} {unit}" if finite_start

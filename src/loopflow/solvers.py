@@ -16,7 +16,9 @@ the core, and the three methods differ only in the linear system they solve:
 
 The loop Jacobian B D Bᵀ is scattered from D through the basis's pair
 index where 64·Σ c_j² ≤ L²·n (c_j loops hold core pipe j; L loops, n core
-pipes), and is the dense product (B·D) @ Bᵀ elsewhere.
+pipes), and is the dense product (B·D) @ Bᵀ elsewhere, on a basis that
+keeps B (`LoopBasis.dense`).  A basis without B takes r, BᵀΔ and |B|·D
+over each loop's members, and every basis takes |B|·D that way.
 
 Both Hardy Cross methods change only the core flows and keep the start's
 node balances, which a given start must meet.  A run stops when two
@@ -136,9 +138,10 @@ class LoopEval:
     @cached_property
     def member_dflow(self) -> tuple[Mapping[PipeId, float], ...]:
         """Per loop, a read-only map from each member pipe to its entry of D."""
-        ids = self.basis.core_ids
-        return tuple(MappingProxyType({ids[c]: self.dflow[c] for c in np.flatnonzero(row)})
-                     for row in self.basis.core_matrix)
+        ids, starts = self.basis.core_ids, self.basis.starts.tolist()
+        cores = self.basis.members[1].tolist()
+        return tuple(MappingProxyType({ids[c]: self.dflow[c] for c in cores[a:b]})
+                     for a, b in zip(starts, starts[1:]))
 
 
 def select_basis(net: Network) -> LoopBasis:
@@ -206,7 +209,8 @@ def assemble_node_loop_system(loop_eval: LoopEval) -> tuple[np.ndarray, np.ndarr
     matrix[:n_nodes] = node_matrix
     rhs[:n_nodes] = net._demands[np.arange(len(net._demands)) != net._reference_index]
     loop_rows = matrix[n_nodes:]
-    loop_rows[:, basis.core] = basis.core_matrix * loop_eval.dflow
+    rows, cores, signs = basis.members
+    loop_rows[rows, basis.core.take(cores)] = signs * loop_eval.dflow.take(cores)
     rhs[n_nodes:] = loop_rows @ loop_eval.flows - loop_eval.residuals
     return matrix, rhs
 

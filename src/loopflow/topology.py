@@ -7,7 +7,9 @@ index arrays (the co-tree view of Elhay et al. 2014).  The spanning tree
 the loops rest on is the network's own, and so are its bases, with all
 they derive: its fundamental cycles, which it walks once, on first ask,
 and its explicit loops, which it checks once.  B is only ever built on
-the core, the pipes in a loop.
+the core, the pipes in a loop, and kept only by a basis whose loop
+Jacobian is the dense product; every other basis takes its loop sums,
+corrections and |B|·D over each loop's members, and no basis keeps |B|.
 """
 
 from __future__ import annotations
@@ -35,8 +37,11 @@ class LoopBasis:
     their `loops` are.  The `core` is the pipes that lie in a loop; the
     others form a forest whose flows the demands fix and whose drops enter
     no loop equation (Simpson, Elhay and Alexander 2014), so the solvers
-    and the sizing evaluate the core alone, on `core_matrix`.  A network
-    keeps its bases, and so each cached property of theirs.
+    and the sizing evaluate the core alone.  A `dense` basis keeps B on
+    the core (`core_matrix`) and takes B·x, Bᵀy and B D Bᵀ as dense
+    products; the others take them over each loop's `members` and the
+    `pair_index`.  A network keeps its bases, and so each cached property
+    of theirs.
     """
     pipe_ids: tuple[PipeId, ...]
     columns: np.ndarray
@@ -90,36 +95,73 @@ class LoopBasis:
         return self.columns if self.spans_all else _frozen(np.searchsorted(self.core, self.columns))
 
     @cached_property
-    def core_matrix(self) -> np.ndarray:
-        """B on the core: the read-only loops × core pipes sign matrix."""
-        out = np.zeros((len(self), len(self.core)))
-        out[np.repeat(np.arange(len(self)), np.diff(self.starts)), self.member_cores] = self.signs
-        return _frozen(out)
+    def members(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each loop's members as (loops, core columns, signs), read-only,
+        in ascending core column within each loop: one order, however the
+        loop is walked, in which the index operations add a loop's terms.
+        The indices are `intp` and the signs floats, the types that numpy's
+        gathers, scatters and products take without a conversion."""
+        rows = np.repeat(np.arange(len(self)), np.diff(self.starts))
+        # Each loop holds a pipe once, so the keys row·n + column are
+        # distinct; they already ascend from loop to loop, the runs that a
+        # stable sort (timsort) merges.
+        order = (rows * len(self.core) + self.member_cores).argsort(kind="stable")
+        return (_frozen(rows), _frozen(self.member_cores[order].astype(np.intp)),
+                _frozen(self.signs[order].astype(float)))
 
     @cached_property
-    def core_magnitudes(self) -> np.ndarray:
-        """|B| on the core, read-only: which core pipes each loop holds."""
-        return _frozen(np.abs(self.core_matrix))
+    def dense(self) -> bool:
+        """Whether B D Bᵀ is cheaper as the dense product than scattered by
+        pairs: 64·Σ c_j² > L²·n, with c_j the loops that hold core pipe j, L
+        loops and n core pipes.  A dense basis keeps B (`core_matrix`)."""
+        counts = np.bincount(self.member_cores, minlength=len(self.core))
+        return 64 * int(counts @ counts) > len(self) ** 2 * len(self.core)
+
+    def _matrix(self) -> np.ndarray:
+        """B on the core, built anew: the loops × core pipes sign matrix."""
+        out = np.zeros((len(self), len(self.core)))
+        out[np.repeat(np.arange(len(self)), np.diff(self.starts)), self.member_cores] = self.signs
+        return out
+
+    @cached_property
+    def core_matrix(self) -> np.ndarray | None:
+        """B on the core, read-only, on a `dense` basis; None on the others,
+        whose operations read the members instead."""
+        return _frozen(self._matrix()) if self.dense else None
 
     def sums(self, values: np.ndarray) -> np.ndarray:
-        """B·values for `values` on the core: `core_matrix @ values` when
-        every value is finite, else each loop summed over its own members in
-        traversal order, so a value that is not finite reaches only the
-        loops that hold it (the product would multiply the others' zeros by
-        it too)."""
-        if np.isfinite(values).all():
+        """B·values for `values` on the core: `core_matrix @ values` on a
+        dense basis when every value is finite, else each loop summed over
+        its `members`, so a value that is not finite reaches only the loops
+        that hold it (the product would multiply the others' zeros by it
+        too)."""
+        if self.core_matrix is not None and np.isfinite(values).all():
             return self.core_matrix @ values
-        return np.add.reduceat(self.signs * values[self.member_cores], self.starts[:-1])
+        _, cores, signs = self.members
+        terms = values.take(cores)
+        terms *= signs
+        return np.add.reduceat(terms, self.starts[:-1])
 
     def diagonal_corrections(self, residuals: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Hardy Cross's per-loop residuals / (|B|·weights), 0 where that sum is < 1e-30."""
-        denom = self.core_magnitudes @ weights
-        return np.divide(residuals, denom, out=np.zeros_like(denom), where=~(denom < 1e-30))
+        """Hardy Cross's per-loop residuals / (|B|·weights), 0 where that sum
+        is < 1e-30; each loop's sum runs over its `members`."""
+        denom = np.add.reduceat(weights.take(self.members[1]), self.starts[:-1])
+        return np.divide(residuals, denom, out=np.zeros(len(denom)), where=~(denom < 1e-30))
+
+    def spread(self, deltas: np.ndarray) -> np.ndarray:
+        """Bᵀ·deltas on the core: `core_matrix.T @ deltas` on a dense basis,
+        else each loop's delta, signed, added to its members' columns."""
+        if self.core_matrix is not None:
+            return self.core_matrix.T @ deltas
+        rows, cores, signs = self.members
+        terms = deltas.take(rows)
+        terms *= signs
+        return np.bincount(cores, terms, len(self.core))
 
     def corrected(self, flows: np.ndarray, deltas: np.ndarray) -> np.ndarray:
         """q + BᵀΔ for flows `q` on every pipe, a new array; the pipes off
         the core keep their flows."""
-        change = self.core_matrix.T @ deltas
+        change = self.spread(deltas)
         if self.spans_all:
             return flows + change
         flows = flows.copy()
@@ -129,8 +171,7 @@ class LoopBasis:
     @cached_property
     def pair_index(self) -> tuple[np.ndarray, np.ndarray] | None:
         """How B D Bᵀ = Σ_j D_j b_j b_jᵀ scatters from D on the core, or None
-        where the dense product is cheaper: 64·Σ c_j² > L²·n, with c_j the
-        loops that hold core pipe j, L loops and n core pipes.
+        on a `dense` basis.
 
         One entry per pipe j and ordered pair (k, l) of loops that hold it,
         grouped by pipe in ascending order: `key` is k·L + l and `pick`
@@ -138,10 +179,10 @@ class LoopBasis:
         `jacobian` scatters.  Each is read-only, in the smallest integer type
         that holds it (keys < L², picks < 2n), built PAIR_CHUNK entries at a time.
         """
+        if self.dense:
+            return None
         cores, size, n = self.member_cores, len(self), len(self.core)
         counts = np.bincount(cores, minlength=n)
-        if 64 * int(counts @ counts) > size * size * n:
-            return None
         # The members grouped by pipe, each pipe's in loop order.  Member m's
         # entries, ends[m] - reps[m] to ends[m], pair it as `a` with each
         # member `b` of its pipe, so a chunk is a run of members.
@@ -164,10 +205,10 @@ class LoopBasis:
 
     def jacobian(self, weights: np.ndarray) -> np.ndarray:
         """B·diag(weights)·Bᵀ for `weights` on the core: `np.bincount` over
-        the `pair_index`, or the dense product where there is none.  By
+        the `pair_index`, or the dense product on a `dense` basis.  By
         pairs, J[k, l] and J[l, k] sum the same terms in the same order, so
         J is exactly symmetric."""
-        if self.pair_index is None:
+        if self.dense:
             return (self.core_matrix * weights) @ self.core_matrix.T
         key, pick = self.pair_index
         return np.bincount(key, np.concatenate((weights, -weights)).take(pick),
@@ -245,7 +286,7 @@ def adopt_explicit_loops(net: Network) -> LoopBasis:
 
     net._tree    # raises on a disconnected network
     if (_gf2_rank([sum(1 << j for j in columns[a:b]) for a, b in zip(starts, starts[1:])])
-            != expected and exact_rank(basis.core_matrix.astype(int).tolist()) != expected):
+            != expected and exact_rank(basis._matrix().astype(int).tolist()) != expected):
         raise ValueError("rank-deficient loop set: loops are not independent")
     object.__setattr__(net, "_explicit_basis", basis)
     return basis

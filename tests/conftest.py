@@ -49,6 +49,15 @@ def matrix_by_pipe_id(net, basis) -> np.ndarray:
     return out
 
 
+def loop_matrix(basis) -> np.ndarray:
+    """B on the basis's core, built from its members in traversal order: the
+    oracle for the basis's loop sums, corrections and Jacobian."""
+    out = np.zeros((len(basis), len(basis.core)))
+    rows = np.repeat(np.arange(len(basis)), np.diff(basis.starts))
+    out[rows, np.searchsorted(basis.core, basis.columns)] = basis.signs
+    return out
+
+
 def field_types(net) -> list[tuple[type, ...]]:
     """The type of every field of every node and pipe record, and of every
     initial flow's pipe id and flow, of a parsed network."""

@@ -22,7 +22,7 @@ from loopflow.model import PipeArrays
 from loopflow.solvers import (DEFAULT_RESIDUAL_TOLERANCE, SolverConfig, select_basis, solve,
                               solve_node_loop)
 
-from conftest import perfbench_networks
+from conftest import loop_matrix, perfbench_networks
 from test_fileio import UNREADABLE_NETWORKS, UNREADABLE_TABLES, mixed_node_ids_dict
 from test_sizing import stalling_tree
 
@@ -664,7 +664,7 @@ def worst_loop_drops(fluid, method):
     basis = select_basis(net)
     drops = make_fluid_model(net.fluid).drop(basis.core_pipes(PipeArrays.of(net)),
                                              np.abs(flows[basis.core]))
-    return (basis.core_magnitudes @ drops).max()
+    return (np.abs(loop_matrix(basis)) @ drops).max()
 
 
 def residuals_apart(text):

@@ -103,3 +103,25 @@ def test_a_changed_stop_kind_counts_like_a_termination(fingerprint, capsys, tmp_
     assert (status, lines[-2]) == (1, "1 runs more than 1 apart")
     moved = [line for line in lines[:-2] if not line.startswith("0 ") or ";" in line]
     assert moved == [f"0 grid-gas-0 hardy-cross; stop diverged at pass #: other -> {kind}"]
+
+
+def test_a_changed_loop_closure_is_reported_and_counts_as_nothing(fingerprint, capsys,
+                                                                  tmp_path):
+    saved, changed = str(tmp_path / "runs.npz"), str(tmp_path / "changed.npz")
+    run(fingerprint, capsys, "--save", saved)
+    with np.load(saved) as data:
+        arrays = dict(data)
+    names, closures = arrays["names"].tolist(), arrays["closures"]
+    solved = names.index("grid-gas-0 node-loop")
+    # A converged solve's residuals are what rounding leaves of its loop sums.
+    assert 0.0 < closures[solved] < 1e-9
+    assert closures[names.index("bare-tree-water-50 node-loop")] == 0.0
+    old = closures[solved] * 2.0
+    closures[solved] = old
+    with open(changed, "wb") as file:
+        np.savez(file, **arrays)
+
+    status, lines = run(fingerprint, capsys, "--against", changed, "--bound", "0")
+    assert (status, lines[-2]) == (0, "0 runs more than 0 apart")
+    moved = [line for line in lines[:-2] if not line.startswith("0 ") or ";" in line]
+    assert moved == [f"0 grid-gas-0 node-loop; closure {old:.3g} -> {old / 2:.3g} (-0.5)"]

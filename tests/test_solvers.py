@@ -51,7 +51,7 @@ from loopflow.solvers import (
     solve_node_loop,
 )
 import fixture_tables as tables
-from conftest import matrix_by_pipe_id, node_balance_residuals_m3h, perfbench_networks
+from conftest import loop_matrix, matrix_by_pipe_id, node_balance_residuals_m3h, perfbench_networks
 from test_model import invalid_networks, square_net
 
 
@@ -247,7 +247,7 @@ class TestLoopCore:
         dense = matrix_by_pipe_id(net, basis)
         assert basis.core.tolist() == np.flatnonzero(dense.any(axis=0)).tolist()
         assert 0 < len(basis.core) < len(net.pipes)
-        assert basis.core_matrix.tolist() == dense[:, basis.core].tolist()
+        assert loop_matrix(basis).tolist() == dense[:, basis.core].tolist()
         assert basis.core_ids == tuple(net.pipe_ids[j] for j in basis.core)
 
     @pytest.mark.parametrize("method", [HARDY_CROSS, HARDY_CROSS_IMPROVED])
@@ -495,7 +495,7 @@ class TestLoopJacobian:
         with monkeypatch.context() as patch:
             patch.setattr(solvers_module, "solve_linear", recording)
             solvers_module._loop_newton_step(loop_eval)
-        loops = basis.core_matrix
+        loops = loop_matrix(basis)
         return matrices[0], (loops * loop_eval.dflow) @ loops.T
 
     @staticmethod

@@ -13,7 +13,8 @@ import sympy
 from loopflow.fileio import network_from_dict
 from loopflow.model import (FlowState, Network, NodeSpec, Pipe, feasible_initial_flows,
                             m3h_to_m3s, node_imbalances, spanning_tree, validate)
-from loopflow.solvers import solve
+from loopflow.sizing import SizingConfig, optimize_diameters
+from loopflow.solvers import METHODS, SolverConfig, evaluate_loops, select_basis, solve
 from loopflow.topology import (
     _gf2_rank,
     adopt_explicit_loops,
@@ -22,9 +23,9 @@ from loopflow.topology import (
     exact_rank,
 )
 
-from conftest import incident_pipes, matrix_by_pipe_id, perfbench_networks
+from conftest import incident_pipes, loop_matrix, matrix_by_pipe_id, perfbench_networks
 from test_model import WATER, square_net
-from test_solvers import face_loops, perfbench_grid
+from test_solvers import face_loops, perfbench_grid, perfbench_ring
 
 
 def random_mesh(seed: int) -> Network:
@@ -213,21 +214,22 @@ class TestDeriveLoopBasis:
             brute_force_spanning_tree(net)[1]
         basis = derive_loop_basis(net)
         assert basis.loops == brute_force_loops(net)
-        assert (basis.core_matrix == matrix_by_pipe_id(net, basis)[:, basis.core]).all()
+        assert (loop_matrix(basis) == matrix_by_pipe_id(net, basis)[:, basis.core]).all()
 
-    def test_fixture_matrices_match_their_loops(self, gas_network, water_network):
+    def test_fixture_bases_are_dense_and_keep_b(self, gas_network, water_network):
         for net in (gas_network, water_network):
             for basis in (derive_loop_basis(net), adopt_explicit_loops(net)):
-                assert basis.core_matrix.shape == (5, len(basis.core))
+                assert basis.dense and basis.core_matrix.shape == (5, len(basis.core))
                 assert (basis.core_matrix == matrix_by_pipe_id(net, basis)[:, basis.core]).all()
 
-    def test_core_magnitudes_are_one_read_only_abs_of_the_core_matrix(self, gas_network):
+    def test_only_a_dense_basis_keeps_b_and_it_is_read_only(self, gas_network):
         basis = derive_loop_basis(gas_network)
-        magnitudes = basis.core_magnitudes
-        assert (magnitudes == np.abs(basis.core_matrix)).all()
-        assert basis.core_magnitudes is magnitudes
+        matrix = basis.core_matrix
+        assert (matrix == loop_matrix(basis)).all() and basis.core_matrix is matrix
         with pytest.raises(ValueError, match="read-only"):
-            magnitudes[0, 0] = 2.0
+            matrix[0, 0] = 2.0
+        grid = derive_loop_basis(perfbench_grid(11, 11, "gas", seed=0))
+        assert not grid.dense and grid.core_matrix is None
 
     @pytest.mark.parametrize("case", ["gas-derived", "gas-explicit", "water-derived",
                                       "water-explicit", "grid-6x5"])
@@ -249,41 +251,47 @@ class TestDeriveLoopBasis:
         weights *= 1e-45
         assert (basis.diagonal_corrections(residuals, weights) == 0.0).all()
 
-    def test_sums_keep_a_value_that_is_not_finite_in_its_own_loops(self, gas_network):
-        basis = adopt_explicit_loops(gas_network)
+    @pytest.mark.parametrize("case", ["gas-fixture", "grid-11x11"])
+    def test_sums_keep_a_value_that_is_not_finite_in_its_own_loops(self, case, gas_network):
+        basis = (adopt_explicit_loops(gas_network) if case == "gas-fixture"
+                 else derive_loop_basis(perfbench_grid(11, 11, "gas", seed=0)))
+        assert basis.dense == (case == "gas-fixture")
+        matrix = loop_matrix(basis)
         values = np.linspace(1.0, 2.0, len(basis.core))
-        assert basis.sums(values) == pytest.approx(basis.core_matrix @ values, rel=1e-12)
+        assert basis.sums(values) == pytest.approx(matrix @ values, rel=1e-12)
         values[0] = np.inf
-        holds = basis.core_magnitudes[:, 0] == 1.0
+        holds = matrix[:, 0] != 0.0
         sums = basis.sums(values)
-        assert np.isinf(sums[holds]).all() and np.isfinite(sums[~holds]).all()
+        assert np.isinf(sums[holds]).all()
+        assert sums[~holds] == pytest.approx((matrix[~holds, 1:] @ values[1:]), rel=1e-12)
         with np.errstate(invalid="ignore"):     # 0 · inf
-            assert np.isnan((basis.core_matrix @ values)[~holds]).all()
-
-    def test_core_magnitudes_are_one_read_only_abs_of_the_core_matrix(self, gas_network):
-        basis = derive_loop_basis(gas_network)
-        magnitudes = basis.core_magnitudes
-        assert (magnitudes == np.abs(basis.core_matrix)).all()
-        assert basis.core_magnitudes is magnitudes
-        with pytest.raises(ValueError, match="read-only"):
-            magnitudes[0, 0] = 2.0
+            assert np.isnan((matrix @ values)[~holds]).all()
 
     @pytest.mark.parametrize("case", ["gas-derived", "gas-explicit", "water-derived",
-                                      "water-explicit", "grid-6x5"])
-    def test_sums_of_finite_values_are_the_core_matrix_product(self, case, gas_network,
-                                                               water_network):
+                                      "water-explicit", "grid-6x5", "ring-200"])
+    def test_dense_sums_and_spreads_are_the_oracle_products_bit_for_bit(self, case, gas_network,
+                                                                       water_network):
         if case == "grid-6x5":
             basis = derive_loop_basis(perfbench_grid(6, 5, "gas", seed=1))
+        elif case == "ring-200":
+            basis = derive_loop_basis(perfbench_ring("gas", seed=0))
         else:
             net = gas_network if case.startswith("gas") else water_network
             basis = (derive_loop_basis if case.endswith("derived") else adopt_explicit_loops)(net)
-        values = np.random.default_rng(7).normal(scale=1e8, size=len(basis.core))
-        assert (basis.sums(values) == basis.core_matrix @ values).all()
+        assert basis.dense
+        rng = np.random.default_rng(7)
+        values = rng.normal(scale=1e8, size=len(basis.core))
+        deltas = rng.normal(scale=1e-2, size=len(basis))
+        matrix = loop_matrix(basis)
+        assert basis.sums(values).tobytes() == (matrix @ values).tobytes()
+        assert basis.spread(deltas).tobytes() == (matrix.T @ deltas).tobytes()
 
     def test_sums_on_a_tree_are_empty(self, tree):
         basis = derive_loop_basis(tree[0])
-        sums = basis.sums(np.array([]))
-        assert len(basis) == 0 and sums.shape == (0,) and (sums == basis.core_matrix @ []).all()
+        assert len(basis) == 0 and not basis.dense
+        for result in (basis.sums(np.array([])), basis.spread(np.array([])),
+                       basis.diagonal_corrections(np.array([]), np.array([]))):
+            assert result.shape == (0,)
 
     def test_link_pipe_sign_is_positive(self, gas_network):
         basis = derive_loop_basis(gas_network)
@@ -301,6 +309,80 @@ class TestDeriveLoopBasis:
                 net_inflow[pipe.to_node] += sign
                 net_inflow[pipe.from_node] -= sign
             assert all(v == 0.0 for v in net_inflow.values())
+
+
+class TestIndexedBasis:
+    """A basis on which the loop Jacobian is scattered by pairs keeps no B:
+    its sums, corrections and |B|·D read each loop's members."""
+
+    GRIDS = [(kind, seed) for kind in ("gas", "water") for seed in range(3)]
+
+    @staticmethod
+    def loop_by_pipes_arrays(basis) -> list:
+        """The L × n arrays among everything `basis` keeps."""
+        kept = [v for v in vars(basis).values() if isinstance(v, np.ndarray)]
+        kept += [a for v in vars(basis).values() if isinstance(v, tuple)
+                 for a in v if isinstance(a, np.ndarray)]
+        return [a for a in kept if a.shape == (len(basis), len(basis.core))]
+
+    @pytest.mark.parametrize("shape", ["grid", "ring"])
+    def test_only_a_dense_basis_keeps_an_array_of_loops_by_pipes(self, shape):
+        net = (perfbench_grid(11, 11, "gas", seed=0) if shape == "grid"
+               else perfbench_ring("gas", seed=0))
+        reports = [solve(net, SolverConfig(method=method)) for method in METHODS]
+        flows = reports[0].final_flows
+        optimize_diameters(net, select_basis(net), SizingConfig(flows, max_iterations=3))
+        basis = select_basis(net)
+        assert {"members", "dense"} <= vars(basis).keys()
+        kept = self.loop_by_pipes_arrays(basis)
+        if shape == "grid":
+            assert not basis.dense and kept == [] and basis.core_matrix is None
+        else:
+            assert basis.dense and len(kept) == 1 and kept[0] is basis.core_matrix
+
+    @pytest.mark.parametrize("kind, seed", GRIDS)
+    def test_sums_spreads_and_diagonals_agree_with_the_oracle(self, kind, seed):
+        basis = derive_loop_basis(perfbench_grid(11, 11, kind, seed))
+        assert not basis.dense
+        matrix = loop_matrix(basis)
+        magnitudes = np.abs(matrix)
+        rng = np.random.default_rng(seed)
+        values = rng.normal(scale=1e8, size=len(basis.core)) * rng.uniform(0.01, 100.0,
+                                                                             len(basis.core))
+        deltas = rng.normal(size=len(basis))
+        weights = rng.uniform(1.0, 1e9, len(basis.core))
+        # Within 1e-15 of the sum of the magnitudes of each result's terms.
+        assert (np.abs(basis.sums(values) - matrix @ values)
+                <= 1e-15 * (magnitudes @ np.abs(values))).all()
+        assert (np.abs(basis.spread(deltas) - matrix.T @ deltas)
+                <= 1e-15 * (magnitudes.T @ np.abs(deltas))).all()
+        # |B|·weights divides the oracle's own: 1 within the sum's 1e-15 and
+        # one rounding of the division.
+        ones = basis.diagonal_corrections(magnitudes @ weights, weights)
+        assert (np.abs(ones - 1.0) <= 1e-15 + np.finfo(float).eps).all()
+
+    @pytest.mark.parametrize("kind", ["gas", "water"])
+    def test_reversing_a_link_negates_its_loop_sum_bit_for_bit(self, kind):
+        net = perfbench_grid(11, 11, kind, seed=0)
+        basis = derive_loop_basis(net)
+        assert not basis.dense
+        k = 7
+        link, sign = basis.loops[k][0]
+        assert sign == 1
+        reversed_net = dataclasses.replace(net, pipes=[
+            dataclasses.replace(p, from_node=p.to_node, to_node=p.from_node) if p.id == link
+            else p for p in net.pipes])
+        reversed_basis = derive_loop_basis(reversed_net)
+        # The loop is walked the other way round, the link still first.
+        assert reversed_basis.loops[k] == ((link, 1), *((pid, -s) for pid, s in
+                                                        basis.loops[k][:0:-1]))
+        state = feasible_initial_flows(net)
+        flipped = FlowState({**state.flows, link: -state.flows[link]})
+        forward = evaluate_loops(net, basis, state).residuals
+        backward = evaluate_loops(reversed_net, reversed_basis, flipped).residuals
+        assert forward[k] != 0.0 and backward[k] == -forward[k]
+        others = np.arange(len(basis)) != k
+        assert backward[others].tobytes() == forward[others].tobytes()
 
 
 class TestAdoptExplicitLoops:

@@ -23,15 +23,19 @@ not finite, and of 1e300 m, solved by each method.
 `-v` also prints a digest per run, to find the run where two source trees
 part.  `--save FILE` writes, per run, the termination, pass count, stop
 kind and final flows or diameters of each solve and sizing it made to one
-`.npz`; a stop kind is the stop reason with each number in it replaced by
-`#`.  `--against FILE` prints, per run, max|Δ|/max|value| of those flows or
-diameters against the file's, and any change of termination, pass count or
-stop kind ("stop old -> new"), to tell how far two source trees part; a file
-saved without stop kinds is compared without them.  Such a change, or a run
-in one set only, counts as inf.  The exit status is 1 only when `--bound X`
-is given and a run is more than X apart.  The hash depends on the floating
-point of numpy and of the machine, so compare it only between source trees
-run on the same installation.
+`.npz`, with the run's loop closure; a stop kind is the stop reason with
+each number in it replaced by `#`, and a loop closure is max_k |r_k| /
+(|B|·|drop|)_k, each final loop residual over its loop's summed member
+drops, the worst over the run's solves and sizings.  `--against FILE`
+prints, per run, max|Δ|/max|value| of those flows or diameters against the
+file's, and any change of termination, pass count or stop kind ("stop old
+-> new"), to tell how far two source trees part; such a change, or a run in
+one set only, counts as inf.  Beside them it prints a changed loop closure
+("closure old -> new (relative change)"), which counts as nothing.  The
+exit status is 1 only when `--bound X` is given and a run is more than X
+apart.  The hash depends on the floating point of numpy and of the
+machine, so compare it only between source trees run on the same
+installation.
 """
 
 from __future__ import annotations
@@ -52,7 +56,8 @@ import networks  # noqa: E402
 import numpy as np  # noqa: E402
 
 from loopflow import fileio, sizing, solvers  # noqa: E402
-from loopflow.model import FlowState, feasible_initial_flows, m3h_to_m3s  # noqa: E402
+from loopflow.fluids import make_fluid_model  # noqa: E402
+from loopflow.model import FlowState, PipeArrays, feasible_initial_flows, m3h_to_m3s  # noqa: E402
 
 
 def inputs():
@@ -80,9 +85,9 @@ def inputs():
 
 
 # The (termination, pass count, stop kind, final flows or diameters in
-# `net.pipe_ids` order) of each solve and sizing that the run being made
-# has noted.
-made: list[tuple[str, int, str, list[float]]] = []
+# `net.pipe_ids` order, loop closure) of each solve and sizing that the run
+# being made has noted.
+made: list[tuple[str, int, str, list[float], float]] = []
 
 # A number in a stop reason, not a digit of a word such as "Pa2".
 NUMBER = re.compile(r"(?<![\w.])[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
@@ -93,13 +98,35 @@ def stop_kind(reason: str) -> str:
     return NUMBER.sub("#", reason)
 
 
-def noted(net, report):
-    """`report`, its termination, pass count, stop kind and final flows or
-    diameters noted in `made`."""
-    final = report.diameters if isinstance(report, sizing.SizingReport) else report.final_flows
+def noted(net, report, fixed_flows=None):
+    """`report`, its termination, pass count, stop kind, final flows or
+    diameters and loop closure noted in `made`; a sizing report comes with
+    its fixed flows."""
+    pipes = PipeArrays.of(net)
+    if fixed_flows is None:
+        final, residuals = report.final_flows, report.loop_residuals[-1]
+        flows = pipes.flows(final)
+    else:
+        final, residuals = report.diameters, report.loop_residual_history[-1]
+        flows = pipes.flows(FlowState(fixed_flows))
+        pipes = PipeArrays(pipes.ids, pipes.length, np.array([final[pid] for pid in pipes.ids]),
+                           pipes.roughness)
     made.append((report.termination, report.iteration_count, stop_kind(report.stop_reason),
-                 [final[pid] for pid in net.pipe_ids]))
+                 [final[pid] for pid in net.pipe_ids],
+                 closure(net, pipes, flows, np.asarray(residuals, dtype=float))))
     return report
+
+
+@np.errstate(all="ignore")
+def closure(net, pipes, flows: np.ndarray, residuals: np.ndarray) -> float:
+    """max_k |r_k| / (|B|·|drop|)_k over the loops of `net`'s basis, for the
+    residuals r at the flows and geometry given; a loop whose drops sum to 0
+    (so that its residual is 0 too) closes at 0."""
+    basis = solvers.select_basis(net)
+    drops = np.abs(make_fluid_model(net.fluid).drop(pipes, np.abs(flows)))
+    summed = np.add.reduceat(drops[basis.columns], basis.starts[:-1])
+    ratio = np.divide(residuals, summed, out=np.zeros_like(summed), where=summed != 0.0)
+    return float(np.max(ratio, initial=0.0))
 
 
 def outcome(run) -> str:
@@ -152,7 +179,7 @@ def runs():
 
 def size_text(net, flows: dict, **config) -> tuple:
     report = noted(net, sizing.optimize_diameters(
-        net, solvers.select_basis(net), sizing.SizingConfig(FlowState(flows), **config)))
+        net, solvers.select_basis(net), sizing.SizingConfig(FlowState(flows), **config)), flows)
     return (list(report.diameter_history), report.loop_residual_history,
             report.termination, report.stop_reason, sorted(report.bounded_pipes))
 
@@ -203,32 +230,35 @@ def extreme_diameters(name: str, net):
                 extreme, solvers.solve(extreme, solvers.SolverConfig(method=method))))
 
 
-def summary(text: str) -> tuple[str, str, str, np.ndarray]:
+def summary(text: str) -> tuple[str, str, str, np.ndarray, float]:
     """The terminations and pass counts ("," joined), the stop kinds (" | "
-    joined) and the final flows or diameters, end to end, that the run of
-    `text` noted, taken out of `made`; a run that raised before it made one
-    has its error as termination."""
-    terminations, passes, stops, finals = zip(*made) if made else ((text,), (), (), ())
+    joined), the final flows or diameters, end to end, and the worst loop
+    closure (NaN if any is) that the run of `text` noted, taken out of
+    `made`; a run that raised before it made one has its error as
+    termination, and a closure of 0."""
+    terminations, passes, stops, finals, closures = \
+        zip(*made) if made else ((text,), (), (), (), ())
     made.clear()
     return (",".join(terminations), ",".join(map(str, passes)), " | ".join(stops),
-            np.concatenate([np.zeros(0), *map(np.asarray, finals)]))
+            np.concatenate([np.zeros(0), *map(np.asarray, finals)]),
+            float(np.max(closures, initial=0.0)))
 
 
 def save(path: str, summaries: dict) -> None:
-    terminations, passes, stops, finals = zip(*summaries.values())
+    terminations, passes, stops, finals, closures = zip(*summaries.values())
     with open(path, "wb") as file:
         np.savez(file, names=list(summaries), terminations=terminations, passes=passes,
                  stops=stops, finals=np.concatenate(finals),
-                 ends=np.cumsum([len(f) for f in finals]))
+                 ends=np.cumsum([len(f) for f in finals]), closures=closures)
 
 
 def load(path: str) -> dict:
     with np.load(path) as data:
         finals = np.split(data["finals"], data["ends"][:-1])
-        return {str(name): (str(termination), str(passes), str(stop), final)
-                for name, termination, passes, stop, final in zip(
+        return {str(name): (str(termination), str(passes), str(stop), final, float(closure))
+                for name, termination, passes, stop, final, closure in zip(
                     data["names"], data["terminations"], data["passes"], data["stops"],
-                    finals)}
+                    finals, data["closures"])}
 
 
 def distance(old, new) -> tuple[float, list[str]]:
@@ -248,16 +278,22 @@ def distance(old, new) -> tuple[float, list[str]]:
 
 
 def compare(saved: dict, summaries: dict, bound: float | None) -> int:
-    """Print each run's distance from the saved one, a line per run; return
-    how many are more than `bound` apart (none if it is None)."""
+    """Print each run's distance from the saved one, a line per run, and any
+    change of its loop closure; return how many are more than `bound` apart
+    (none if it is None)."""
     beyond = 0
     for name in {**summaries, **saved}:
+        note = ""
         if name in saved and name in summaries:
             gap, changes = distance(saved[name], summaries[name])
+            old, new = saved[name][4], summaries[name][4]
+            if not np.array_equal(old, new, equal_nan=True):
+                with np.errstate(all="ignore"):
+                    note = f"; closure {old:.3g} -> {new:.3g} ({new / old - 1:+.2g})"
         else:
             where = "the saved set" if name in saved else "this tree"
             gap, changes = np.inf, [f"only in {where}"]
-        print(f"{gap:.3g} {name}" + "".join(f"; {change}" for change in changes))
+        print(f"{gap:.3g} {name}" + "".join(f"; {change}" for change in changes) + note)
         beyond += bound is not None and (gap > bound or bool(changes))
     if bound is not None:
         print(f"{beyond} runs more than {bound:g} apart")
