@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 validation/parse failure, 2 solver did not
 converge or the sizing problem is infeasible, 3 I/O failure.
 
-`main` alone turns an OSError into exit 3 and a ValueError (bad options,
-files or inputs) into exit 1, each with one `error:` line; the commands
+`main` alone turns an OSError into exit 3, and a ValueError (bad options,
+files or inputs) or a MemoryError (a system too large to build, which the
+solvers name) into exit 1, each with one `error:` line; the commands
 return the other codes, exit 2 on an infeasible pressure (a ValueError) too.
 A solve or sizing that does not converge ends with its stop reason as one
 `error:` line (after an infeasible pressure's own), and a solve prints no
@@ -82,6 +83,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

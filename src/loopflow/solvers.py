@@ -14,11 +14,17 @@ the core, and the three methods differ only in the linear system they solve:
 * hardy-cross-improved: (B D Bᵀ) Δ = -r, then q += BᵀΔ;
 * hardy-cross: Δ = -r / (|B|·D) per loop, then q += BᵀΔ.
 
-The loop Jacobian B D Bᵀ is scattered from D through the basis's pair
-index where 64·Σ c_j² ≤ L²·n (c_j loops hold core pipe j; L loops, n core
-pipes), and is the dense product (B·D) @ Bᵀ elsewhere, on a basis that
-keeps B (`LoopBasis.dense`).  A basis without B takes r, BᵀΔ and |B|·D
-over each loop's members, and every basis takes |B|·D that way.
+The Newton correction Bᵀ(B D Bᵀ)⁻¹B g, for g the signed drops on the core,
+is the same on every basis of the cycle space.  A basis that keeps B
+(`LoopBasis.dense`, where 64·Σ c_j² > L²·n: c_j loops hold core pipe j; L
+loops, n core pipes) takes it on its own B, with the loop Jacobian the
+dense product (B·D) @ Bᵀ.  Any other takes it on the network's short
+cycle basis (`topology.short_loop_basis`), with B D Bᵀ scattered from D
+onto its nonzero pattern, and solved densely below BLOCK_SOLVE_LOOPS loops
+and by `numerics.solve_sparse` from there on.  Residuals, stop tests and
+traces keep the solve's own basis, and so do original Hardy Cross's
+corrections.  A basis without B takes r, BᵀΔ and |B|·D over each loop's
+members, and every basis takes |B|·D that way.
 
 Both Hardy Cross methods change only the core flows and keep the start's
 node balances, which a given start must meet.  A run stops when two
@@ -34,7 +40,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Mapping
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from functools import cached_property
 from numbers import Integral, Real
@@ -59,8 +65,14 @@ from .model import (
     _require_valid,
     m3s_to_m3h,
 )
-from .numerics import SingularSystemError, solve_linear
-from .topology import LoopBasis, adopt_explicit_loops, build_node_matrix, derive_loop_basis
+from .numerics import SingularSystemError, solve_linear, solve_sparse
+from .topology import (
+    LoopBasis,
+    adopt_explicit_loops,
+    build_node_matrix,
+    derive_loop_basis,
+    short_loop_basis,
+)
 
 NODE_LOOP = "node-loop"
 HARDY_CROSS = "hardy-cross"
@@ -82,6 +94,13 @@ DERIVATIVE_FLOW_FLOOR = 1e-7
 
 # A start from linear theory weighs each pipe by its D at this velocity, m/s.
 START_VELOCITY = 1.0
+
+# From this many loops on, the short basis's Newton step is solved by
+# `solve_sparse` rather than densely.  On gas and water grids, the dense
+# solve of the laid-out J is faster at 81 and 100 loops, about even at 121
+# (0.9-1.4× the block solve's time) and slower from 144 on (1.5-2.8× at
+# 144, 8.6× at 841).
+BLOCK_SOLVE_LOOPS = 110
 
 
 class InfeasiblePressureError(ValueError):
@@ -124,16 +143,18 @@ class SolverConfig:
 class LoopEval:
     """Loop imbalances and pipe derivatives of one state.
 
-    `flows` is q on every pipe, `residuals` is r = B·(sign q · drop(|q|)),
-    one entry per loop, and `dflow` is D = |d drop/d flow|, evaluated away
-    from zero flow, on the core only (in `basis.core` order): it holds
-    nothing for a pipe in no loop, which enters neither r nor B D Bᵀ.
+    `flows` is q on every pipe, `residuals` is r = B·g, one entry per loop,
+    for the signed drops g = sign q · drop(|q|), and `dflow` is D = |d drop/d
+    flow|, evaluated away from zero flow.  `drops` (g) and `dflow` are on the
+    core only (in `basis.core` order): they hold nothing for a pipe in no
+    loop, which enters neither r nor B D Bᵀ.
     """
     net: Network
     basis: LoopBasis
     flows: np.ndarray          # q, signed, m³/s
     residuals: np.ndarray
     dflow: np.ndarray
+    drops: np.ndarray
 
     @cached_property
     def member_dflow(self) -> tuple[Mapping[PipeId, float], ...]:
@@ -171,7 +192,8 @@ def _evaluator(net: Network, basis: LoopBasis):
     def at(q: np.ndarray) -> LoopEval:
         q_core = q[core]
         drop, dflow = evaluate(pipes, np.abs(q_core), DERIVATIVE_FLOW_FLOOR)
-        return LoopEval(net, basis, q, basis.sums(np.copysign(drop, q_core)), dflow)
+        drops = np.copysign(drop, q_core)
+        return LoopEval(net, basis, q, basis.sums(drops), dflow, drops)
     return at
 
 
@@ -186,7 +208,8 @@ def _linear_start(net: Network, basis: LoopBasis, evaluate) -> np.ndarray:
         # and so that system, may not be finite; a singular one raises.
         with suppress(ValueError):
             w = evaluate(START_VELOCITY / speed).dflow
-            linear = LoopEval(net, basis, q, basis.sums(w * q[basis.core]), w)
+            drops = w * q[basis.core]
+            linear = LoopEval(net, basis, q, basis.sums(drops), w, drops)
             q = _frozen(_loop_newton_step(linear))
         object.__setattr__(net, "_linear_start", q)
     return vars(net).get("_linear_start", net._start)
@@ -244,7 +267,18 @@ def solve_node_loop(net: Network, config: SolverConfig | None = None,
 
 def _stacked_step(loop_eval: LoopEval) -> np.ndarray:
     """The flows that solve `assemble_node_loop_system(loop_eval)`."""
-    return solve_linear(*assemble_node_loop_system(loop_eval))
+    size = len(loop_eval.flows)
+    with _naming_memory(f"node-loop's {size} × {size} stacked system"):
+        return solve_linear(*assemble_node_loop_system(loop_eval))
+
+
+@contextmanager
+def _naming_memory(system: str):
+    """Name `system` in a MemoryError raised while it is built or solved."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise MemoryError(f"building {system}: {exc}") from None
 
 
 def solve_hardy_cross_original(net: Network, config: SolverConfig | None = None,
@@ -273,16 +307,29 @@ def solve_hardy_cross_improved(net: Network, config: SolverConfig | None = None,
 
 
 def _loop_newton_step(loop_eval: LoopEval) -> np.ndarray:
-    """q + BᵀΔ with (B D Bᵀ) Δ = -r: the diagonal sums member |d drop/d flow|,
-    and loops that share pipes couple with the product of their membership signs.
+    """q + BᵀΔ with (B D Bᵀ) Δ = -B g: the diagonal sums member |d drop/d
+    flow|, and loops that share pipes couple with the product of their
+    membership signs.
 
-    J = B D Bᵀ is scattered from D through the basis's pair index where loops
-    share few pipes (`LoopBasis.pair_index`), and is the dense product (B·D) @
-    Bᵀ elsewhere; the basis, kept by the network, makes that choice once.
+    The correction Bᵀ(B D Bᵀ)⁻¹B g is the same on every basis of the cycle
+    space.  A `dense` basis takes it on its own B, with J the dense product
+    (B·D) @ Bᵀ.  Any other takes it on the network's short basis
+    (`short_loop_basis`), with J scattered from D on its nonzero pattern:
+    solved dense below BLOCK_SOLVE_LOOPS loops, else by `solve_sparse`,
+    which forms no L × L array.
     """
     basis = loop_eval.basis
-    deltas = solve_linear(basis.jacobian(loop_eval.dflow), -loop_eval.residuals)
-    return basis.corrected(loop_eval.flows, deltas)
+    with _naming_memory(f"the loop Jacobian of {len(basis)} loops"):
+        if basis.dense:
+            deltas = solve_linear(basis.jacobian(loop_eval.dflow), -loop_eval.residuals)
+            return basis.corrected(loop_eval.flows, deltas)
+        short = short_loop_basis(loop_eval.net)
+        rhs = -short.sums(loop_eval.drops)
+        if len(short) < BLOCK_SOLVE_LOOPS:
+            deltas = solve_linear(short.jacobian(loop_eval.dflow), rhs)
+        else:
+            deltas = solve_sparse(short.pair_index[0], short.jacobian_values(loop_eval.dflow), rhs)
+        return short.corrected(loop_eval.flows, deltas)
 
 
 def _derives_start(net: Network, initial: FlowState | None) -> bool:

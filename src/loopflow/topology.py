@@ -5,11 +5,15 @@ except the reference node).  The loop basis encodes the energy-balance
 equations: pipes - nodes + 1 independent cycles with ±1 signs, held as
 index arrays (the co-tree view of Elhay et al. 2014).  The spanning tree
 the loops rest on is the network's own, and so are its bases, with all
-they derive: its fundamental cycles, which it walks once, on first ask,
-and its explicit loops, which it checks once.  B is only ever built on
-the core, the pipes in a loop, and kept only by a basis whose loop
-Jacobian is the dense product; every other basis takes its loop sums,
-corrections and |B|·D over each loop's members, and no basis keeps |B|.
+they derive: its fundamental cycles, which it walks once, on first ask;
+its explicit loops, which it checks once; and its short cycle basis, on
+which the Newton step of a basis that is not `dense` is taken.  B is only
+ever built on the core, the pipes in a loop, and kept only by a basis
+whose loop Jacobian is the dense product; every other basis takes its
+loop sums, corrections and |B|·D over each loop's members, and no basis
+keeps |B|.  The loop Jacobian of a basis that is not dense is scattered
+onto its nonzero pattern, found by a sort: nothing here calls `np.unique`
+or the set routines built on it, which import numpy.ma in numpy 2.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import Network, PipeArrays, PipeId, _frozen, _fundamental_cycles
-
-PAIR_CHUNK = 1 << 15     # pair entries `LoopBasis.pair_index` builds at a time
+from .numerics import SparsePattern
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,8 +43,8 @@ class LoopBasis:
     and the sizing evaluate the core alone.  A `dense` basis keeps B on
     the core (`core_matrix`) and takes B·x, Bᵀy and B D Bᵀ as dense
     products; the others take them over each loop's `members` and the
-    `pair_index`.  A network keeps its bases, and so each cached property
-    of theirs.
+    `pair_index`, the nonzero pattern of B D Bᵀ.  A network keeps its
+    bases, and so each cached property of theirs.
     """
     pipe_ids: tuple[PipeId, ...]
     columns: np.ndarray
@@ -113,7 +116,8 @@ class LoopBasis:
     def dense(self) -> bool:
         """Whether B D Bᵀ is cheaper as the dense product than scattered by
         pairs: 64·Σ c_j² > L²·n, with c_j the loops that hold core pipe j, L
-        loops and n core pipes.  A dense basis keeps B (`core_matrix`)."""
+        loops and n core pipes.  A dense basis keeps B (`core_matrix`), and
+        the Newton step of any other is taken on the short basis."""
         counts = np.bincount(self.member_cores, minlength=len(self.core))
         return 64 * int(counts @ counts) > len(self) ** 2 * len(self.core)
 
@@ -169,50 +173,52 @@ class LoopBasis:
         return flows
 
     @cached_property
-    def pair_index(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """How B D Bᵀ = Σ_j D_j b_j b_jᵀ scatters from D on the core, or None
-        on a `dense` basis.
+    def pair_index(self) -> tuple[SparsePattern, np.ndarray, np.ndarray]:
+        """How B D Bᵀ = Σ_j D_j b_j b_jᵀ scatters from D on the core.
 
         One entry per pipe j and ordered pair (k, l) of loops that hold it,
-        grouped by pipe in ascending order: `key` is k·L + l and `pick`
-        indexes D_j in [D, -D] by the product of the two signs, which
-        `jacobian` scatters.  Each is read-only, in the smallest integer type
-        that holds it (keys < L², picks < 2n), built PAIR_CHUNK entries at a time.
+        grouped by pipe in ascending order.  The distinct keys k·L + l,
+        sorted and deduplicated by a sort and a neighbour compare, are the
+        nonzero pattern of B D Bᵀ; `slot` gives each entry's index into
+        them, and `pick` indexes D_j in [D, -D] by the product of the two
+        signs.  Each array is read-only.
         """
-        if self.dense:
-            return None
         cores, size, n = self.member_cores, len(self), len(self.core)
         counts = np.bincount(cores, minlength=n)
         # The members grouped by pipe, each pipe's in loop order.  Member m's
-        # entries, ends[m] - reps[m] to ends[m], pair it as `a` with each
-        # member `b` of its pipe, so a chunk is a run of members.
+        # entries pair it as `a` with each member `b` of its pipe.
         by_pipe = np.argsort(cores, kind="stable")
         rows = np.repeat(np.arange(size), np.diff(self.starts))[by_pipe]
-        signs, pipe = self.signs[by_pipe], np.repeat(np.arange(n), counts)
+        signs, pipe = self.signs[by_pipe], cores[by_pipe]
         reps = counts[pipe]
-        ends = np.cumsum(reps)
-        shift = ends - reps - (np.cumsum(counts) - counts)[pipe]
-        key = np.empty(int(reps.sum()), np.min_scalar_type(-size * size))
-        pick = np.empty(len(key), np.min_scalar_type(-2 * n))
-        cuts = np.unique(np.searchsorted(ends, np.arange(0, len(key), PAIR_CHUNK), "right"))
-        for lo, hi in zip(cuts.tolist(), [*cuts[1:].tolist(), len(pipe)]):
-            first, last = ends[lo] - reps[lo], ends[hi - 1]
-            a = np.repeat(np.arange(lo, hi), reps[lo:hi])
-            b = np.arange(first, last) - np.repeat(shift[lo:hi], reps[lo:hi])
-            key[first:last] = rows[a] * size + rows[b]
-            pick[first:last] = pipe[a] + n * (signs[a] != signs[b])
-        return _frozen(key), _frozen(pick)
+        a = np.repeat(np.arange(len(pipe)), reps)
+        shift = np.cumsum(reps) - reps - (np.cumsum(counts) - counts)[pipe]
+        b = np.arange(len(a)) - np.repeat(shift, reps)
+        keys = rows[a] * size + rows[b]
+        order = keys.argsort(kind="stable")
+        keys = keys[order]
+        distinct = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        slot = np.empty(len(keys), dtype=np.intp)
+        slot[order] = np.cumsum(distinct) - 1
+        return (SparsePattern(_frozen(keys[distinct]), size), _frozen(slot),
+                _frozen(pipe[a] + n * (signs[a] != signs[b])))
+
+    def jacobian_values(self, weights: np.ndarray) -> np.ndarray:
+        """B·diag(weights)·Bᵀ for `weights` on the core, as its values on the
+        `pair_index` pattern: one `np.bincount` over the entries, in which
+        J[k, l] and J[l, k] sum the same terms in the same order, so J is
+        exactly symmetric."""
+        pattern, slot, pick = self.pair_index
+        return np.bincount(slot, np.concatenate((weights, -weights)).take(pick),
+                           len(pattern.positions))
 
     def jacobian(self, weights: np.ndarray) -> np.ndarray:
-        """B·diag(weights)·Bᵀ for `weights` on the core: `np.bincount` over
-        the `pair_index`, or the dense product on a `dense` basis.  By
-        pairs, J[k, l] and J[l, k] sum the same terms in the same order, so
-        J is exactly symmetric."""
+        """B·diag(weights)·Bᵀ as an L × L array: the dense product on a
+        `dense` basis, else `jacobian_values` laid onto their pattern."""
         if self.dense:
             return (self.core_matrix * weights) @ self.core_matrix.T
-        key, pick = self.pair_index
-        return np.bincount(key, np.concatenate((weights, -weights)).take(pick),
-                           len(self) ** 2).reshape(len(self), len(self))
+        return self.pair_index[0].dense(self.jacobian_values(weights))
 
     def check_network(self, net: Network) -> None:
         """Raise ValueError unless the basis was built on `net`'s pipe order
@@ -248,6 +254,68 @@ def derive_loop_basis(net: Network) -> LoopBasis:
         object.__setattr__(net, "_derived_basis", LoopBasis(
             PipeArrays.of(net).ids, *_fundamental_cycles(net, *net._tree.tolist()), net._ends))
     return net._derived_basis
+
+
+def short_loop_basis(net: Network) -> LoopBasis:
+    """A short cycle basis, on which the Newton step of a basis that is not
+    `dense` is taken: the step does not depend on the basis of the cycle
+    space, and short loops make B D Bᵀ sparse.
+
+    The links of `derive_loop_basis`, sorted (stably) by the length of
+    their fundamental cycle, each closed by a BFS shortest path from its
+    head to its tail through the spanning tree and the links taken before
+    it.  Each loop holds its own link, with sign +1, and no earlier loop
+    holds that link, so B is triangular with +1 on the link columns and
+    the loops are independent without a rank test.  A network's bases all
+    span its cycle space, so they share one core.  The network keeps the
+    basis, built on the first call, and every call returns it.
+    """
+    if "_short_basis" not in vars(net):
+        derived = derive_loop_basis(net)
+        object.__setattr__(net, "_short_basis", LoopBasis(
+            derived.pipe_ids, *_short_cycles(net, derived), net._ends))
+    return net._short_basis
+
+
+def _short_cycles(net: Network, derived: LoopBasis) -> tuple[list[int], list[int], list[int]]:
+    """`short_loop_basis`'s loops as `LoopBasis` columns, signs and starts."""
+    tails, heads = net._ends.tolist()
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in net._node_ids]
+
+    def join(pipe: int) -> None:
+        adjacent[tails[pipe]].append((pipe, heads[pipe]))
+        adjacent[heads[pipe]].append((pipe, tails[pipe]))
+
+    for pipe in net._tree[1].tolist():
+        join(pipe)
+    links = derived.columns[derived.starts[:-1]]
+    columns, signs, starts = [], [], [0]
+    for link in links[np.argsort(np.diff(derived.starts), kind="stable")].tolist():
+        head, tail = heads[link], tails[link]
+        reached_by = {head: -1}          # node -> the pipe the search reached it by
+        frontier = [head]
+        while tail not in reached_by:
+            ahead = []
+            for node in frontier:
+                for pipe, other in adjacent[node]:
+                    if other not in reached_by:
+                        reached_by[other] = pipe
+                        ahead.append(other)
+            frontier = ahead
+        path, node = [], tail
+        while node != head:
+            pipe = reached_by[node]
+            forward = heads[pipe] == node
+            path.append((pipe, 1 if forward else -1))
+            node = tails[pipe] if forward else heads[pipe]
+        columns.append(link)
+        signs.append(1)
+        for pipe, sign in reversed(path):
+            columns.append(pipe)
+            signs.append(sign)
+        starts.append(len(columns))
+        join(link)
+    return columns, signs, starts
 
 
 def adopt_explicit_loops(net: Network) -> LoopBasis:

@@ -1,6 +1,10 @@
 import importlib.util
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 from functools import cache
 from importlib import resources
 from pathlib import Path
@@ -8,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import loopflow
 from loopflow.fileio import network_from_dict
 
 
@@ -110,3 +115,19 @@ def tree(request):
     rng = random.Random(n_nodes)
     raw = networks.tree_with_closures(n_nodes, 0, kind, rng)
     return network_from_dict(raw), networks.balanced_flows(raw, rng)
+
+
+def run_capped(code: str, *args: str, address_space: int, timeout: float):
+    """Python `code` with `args` in a child process whose address space is
+    capped at `address_space` bytes (RLIMIT_AS), its output captured, with
+    the library and the benchmark's generators (`import networks`) on its
+    path.  BLAS runs one thread, as its pool reserves address space per
+    thread, so that the cap means the same on every machine."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    paths = [Path(loopflow.__file__).resolve().parents[1], Path(__file__).resolve().parents[1] / "perfbench"]
+    threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=timeout,
+        preexec_fn=cap, env={**os.environ, **threads, "PYTHONPATH": os.pathsep.join(map(str, paths))})

@@ -15,14 +15,14 @@ import numpy as np
 import pytest
 
 import loopflow
-from loopflow.cli import EXIT_NO_CONVERGENCE, main
+from loopflow.cli import EXIT_NO_CONVERGENCE, EXIT_VALIDATION, main
 from loopflow.fileio import parse_network, write_flows_csv
 from loopflow.fluids import make_fluid_model
 from loopflow.model import PipeArrays
 from loopflow.solvers import (DEFAULT_RESIDUAL_TOLERANCE, SolverConfig, select_basis, solve,
                               solve_node_loop)
 
-from conftest import loop_matrix, perfbench_networks
+from conftest import loop_matrix, perfbench_networks, run_capped
 from test_fileio import UNREADABLE_NETWORKS, UNREADABLE_TABLES, mixed_node_ids_dict
 from test_sizing import stalling_tree
 
@@ -389,8 +389,34 @@ class TestSolve:
         assert "iterations: 0 (singular-system)" in out and "node pressures" in out
         assert err == "error: singular-system at pass 1: forced\n"
 
+    def test_out_of_memory_names_the_system_in_one_line(self, tmp_path):
+        # From the file's flows, node-loop's first pass stacks a P x P system,
+        # 3.1 GB on a 100 x 100 grid: past a 500 MB address-space cap.
+        grid = perfbench_networks().grid(100, 100, "gas", random.Random(0))
+        grid["initial_flows"] = [{"pipe": p["id"], "flow_m3h": 1.0} for p in grid["pipes"]]
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        child = run_capped("import sys; from loopflow.cli import main; sys.exit(main(sys.argv[1:]))",
+                           "solve", str(path), address_space=500 * 2**20, timeout=60)
+        assert child.returncode == EXIT_VALIDATION and child.stdout == ""
+        assert len(child.stderr.splitlines()) == 1
+        assert child.stderr.startswith(
+            "error: out of memory: building node-loop's 19800 × 19800 stacked system: ")
+
 
 class TestSize:
+    @pytest.mark.parametrize("message, line", [
+        ("building a system", "error: out of memory: building a system\n"),
+        ("", "error: out of memory\n")])
+    def test_out_of_memory_is_one_error_line(self, gas_path, capsys, monkeypatch, message, line):
+        import loopflow.sizing as sizing_module
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(sizing_module, "optimize_diameters", exhausted)
+        assert run(capsys, "size", str(gas_path)) == (EXIT_VALIDATION, "", line)
+
     def test_balanced_flows_keep_diameters(self, gas_path, tmp_path, capsys):
         net_flows = solve_node_loop(
             _load(gas_path), SolverConfig()).final_flows

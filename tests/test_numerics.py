@@ -1,15 +1,26 @@
-"""Dense solver: residual bounds, pivoting, equilibration, diagnostics."""
+"""Dense and sparse solvers: residual bounds, pivoting, equilibration,
+block ordering, diagnostics."""
 
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from loopflow.fileio import network_from_dict
+from loopflow.model import feasible_initial_flows
 from loopflow.numerics import (
+    MIN_BLOCK_ROWS,
     SingularSystemError,
+    SparsePattern,
     condition_estimate,
     solve_linear,
+    solve_sparse,
 )
+from loopflow.solvers import evaluate_loops, solve
+from loopflow.topology import short_loop_basis
+
+from conftest import perfbench_networks
 
 
 def diagonally_dominant(n: int, seed: int):
@@ -149,6 +160,130 @@ class TestEquilibrationOnACopy:
             a, b = diagonally_dominant(25, seed)
             raw = solve_linear(a, b)
             assert (solve_linear(*unit_rows(a, b)) == raw).all()
+
+
+def short_jacobian(shape: str, kind: str, seed: int):
+    """The pattern and values of J = B D Bᵀ on a benchmark network's short
+    basis, with D at the network's solved flows: an 11 x 11 or 30 x 30
+    grid, a 200-node ring closed by 70 chords or a 1200-node tree closed by
+    10 pipes."""
+    networks, rng = perfbench_networks(), random.Random(seed)
+    raw = (networks.grid(11, 11, kind, rng) if shape == "grid-11" else
+           networks.grid(30, 30, kind, rng) if shape == "grid-30" else
+           networks.ring_with_chords(200, 70, kind, rng) if shape == "ring" else
+           networks.tree_with_closures(1200, 10, kind, rng))
+    net = network_from_dict(raw)
+    report = solve(net)
+    basis = short_loop_basis(net)
+    loop_eval = evaluate_loops(net, basis, report.final_flows)
+    return basis.pair_index[0], basis.jacobian_values(loop_eval.dflow)
+
+
+def joined(first: SparsePattern, second: SparsePattern) -> SparsePattern:
+    """The pattern of the block-diagonal matrix with `first` then `second`."""
+    size = first.size + second.size
+    rows = np.concatenate((first.positions // first.size,
+                           second.positions // second.size + first.size))
+    cols = np.concatenate((first.positions % first.size,
+                           second.positions % second.size + first.size))
+    return SparsePattern(rows * size + cols, size)
+
+
+class TestSolveSparse:
+    """`solve_sparse` on a pattern agrees with a dense solve of the same
+    matrix and fails where `solve_linear` fails, in the same words."""
+
+    @pytest.mark.parametrize("kind", ["gas", "water"])
+    @pytest.mark.parametrize("shape", ["grid-11", "grid-30", "ring", "tree"])
+    def test_matches_a_dense_solve(self, shape, kind):
+        pattern, values = short_jacobian(shape, kind, seed=0)
+        dense = pattern.dense(values)
+        assert (dense == dense.T).all()
+        assert np.linalg.cond(dense) < 1e8
+        b = np.random.default_rng(0).normal(size=pattern.size) * np.diag(dense)
+        x, expected = solve_sparse(pattern, values, b), np.linalg.solve(dense, b)
+        assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("kind", ["gas", "water"])
+    @pytest.mark.parametrize("size", [11, 30])
+    def test_is_backward_stable_at_the_tree_start(self, size, kind):
+        # At the seed-0 tree flows κ(J) reaches 4e8, where no two stable
+        # solvers need agree beyond κ·ε: the sparse solve leaves a residual
+        # as small as LAPACK's and agrees with it within that.
+        net = network_from_dict(perfbench_networks().grid(size, size, kind, random.Random(0)))
+        basis = short_loop_basis(net)
+        pattern = basis.pair_index[0]
+        values = basis.jacobian_values(
+            evaluate_loops(net, basis, feasible_initial_flows(net)).dflow)
+        dense = pattern.dense(values)
+        b = np.random.default_rng(0).normal(size=pattern.size) * np.diag(dense)
+        x, expected = solve_sparse(pattern, values, b), np.linalg.solve(dense, b)
+        norm = np.abs(dense).sum(axis=1).max()
+        assert np.abs(dense @ x - b).max() <= 1e-15 * norm * np.abs(x).max()
+        epsilon = np.finfo(float).eps * np.linalg.cond(dense)
+        assert np.abs(x - expected).max() <= epsilon * np.abs(expected).max()
+
+    def test_blocks_hold_at_least_the_minimum_and_couple_to_neighbours(self):
+        pattern, _ = short_jacobian("grid-30", "gas", seed=1)
+        order, blocks, take, at = pattern.blocks
+        sizes = [rows for _, rows, _, _, _ in blocks]
+        assert sorted(order.tolist()) == list(range(pattern.size)) and sum(sizes) == pattern.size
+        assert len(blocks) > 2 and min(sizes) >= MIN_BLOCK_ROWS
+        block = np.repeat(np.arange(len(sizes)), sizes)[np.argsort(order)]
+        rows, cols = pattern.positions // pattern.size, pattern.positions % pattern.size
+        assert np.abs(block[rows] - block[cols]).max() == 1
+        # Each value lands once in its own block, clear of the right side.
+        assert sorted(take.tolist()) == list(range(len(pattern.positions)))
+        start = 0
+        for index, (first, size, before, after, end) in enumerate(blocks):
+            assert first == sum(sizes[:index]) and (block[rows[take[start:end]]] == index).all()
+            cells = at[start:end]
+            width = before + size + 1 + after
+            assert len(set(cells.tolist())) == len(cells) and cells.max() < size * width
+            assert not (cells % width == before + size).any()
+            start = end
+        assert start == len(pattern.positions)
+
+    def test_separate_components_and_small_systems(self):
+        grid, grid_values = short_jacobian("grid-11", "water", seed=2)
+        tree, tree_values = short_jacobian("tree", "gas", seed=1)
+        for pattern, values in ((joined(grid, tree), np.concatenate((grid_values, tree_values))),
+                                (joined(tree, tree), np.concatenate((tree_values, tree_values))),
+                                (tree, tree_values)):
+            b = np.arange(1.0, pattern.size + 1.0)
+            expected = np.linalg.solve(pattern.dense(values), b)
+            x = solve_sparse(pattern, values, b)
+            assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_empty_system_has_an_empty_solution(self):
+        x = solve_sparse(SparsePattern(np.zeros(0, dtype=np.intp), 0), np.zeros(0), np.zeros(0))
+        assert x.shape == (0,)
+
+    @pytest.mark.parametrize("matrix", [
+        [[1.0, 1.0], [1.0, 1.0]],
+        [[1.0, 1.0], [1.0, 1.0 + 1e-15]],
+        [[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 3.0]],
+    ], ids=["exactly-singular", "near-singular", "zero-row"])
+    def test_a_singular_pattern_raises_as_the_dense_solve_does(self, matrix):
+        matrix = np.array(matrix)
+        size = len(matrix)
+        positions = np.flatnonzero(np.ones((size, size)))
+        pattern, values = SparsePattern(positions, size), matrix.ravel()
+        b = np.arange(1.0, size + 1.0)
+        with pytest.raises(SingularSystemError) as dense:
+            solve_linear(matrix, b)
+        with pytest.raises(SingularSystemError) as sparse:
+            solve_sparse(pattern, values, b)
+        assert str(sparse.value) == str(dense.value)
+
+    @pytest.mark.parametrize("where", ["values", "rhs"])
+    def test_rejects_non_finite(self, where):
+        pattern, values = short_jacobian("grid-11", "gas", seed=0)
+        b = np.ones(pattern.size)
+        (values if where == "values" else b)[3] = np.nan
+        with pytest.raises(ValueError, match="^system contains non-finite entries$") as raised:
+            solve_sparse(pattern, values, b)
+        assert not isinstance(raised.value, SingularSystemError)
 
 
 class TestConditionEstimate:

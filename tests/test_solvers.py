@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 import loopflow.solvers as solvers_module
-import loopflow.topology as topology_module
 from loopflow.fileio import network_from_dict
 from loopflow.fluids import make_fluid_model
 from loopflow.model import (
@@ -33,7 +32,12 @@ from loopflow.model import (
 )
 from loopflow.numerics import solve_linear
 from loopflow.sizing import SizingConfig, optimize_diameters
-from loopflow.topology import LoopBasis, adopt_explicit_loops, derive_loop_basis
+from loopflow.topology import (
+    LoopBasis,
+    adopt_explicit_loops,
+    derive_loop_basis,
+    short_loop_basis,
+)
 from loopflow.solvers import (
     HARDY_CROSS,
     HARDY_CROSS_IMPROVED,
@@ -468,9 +472,10 @@ class TestNodeLoopFromTheOwnStart:
 
 
 class TestLoopJacobian:
-    """The Newton step scatters J = B D Bᵀ from a pair index where loops share
-    few pipes (64·Σ c_j² ≤ L²·n) and forms the dense product elsewhere; each
-    basis builds its index once, and its network keeps the basis."""
+    """A basis whose loop Jacobian is the dense product (64·Σ c_j² > L²·n)
+    takes the Newton step on its own B; any other takes it on the network's
+    short basis, with J = B D Bᵀ scattered from D on its nonzero pattern.
+    The short basis builds its pair index once, and its network keeps it."""
 
     @pytest.fixture()
     def built(self, monkeypatch):
@@ -484,7 +489,7 @@ class TestLoopJacobian:
     @staticmethod
     def step_jacobian(net, basis, monkeypatch):
         """The J that one Newton step at the seed-0 tree flows solves, and the
-        dense product (B·D) @ Bᵀ there."""
+        dense product (B·D) @ Bᵀ there on the basis the step is taken on."""
         loop_eval = evaluate_loops(net, basis, feasible_initial_flows(net))
         matrices = []
 
@@ -495,7 +500,7 @@ class TestLoopJacobian:
         with monkeypatch.context() as patch:
             patch.setattr(solvers_module, "solve_linear", recording)
             solvers_module._loop_newton_step(loop_eval)
-        loops = loop_matrix(basis)
+        loops = loop_matrix(basis if basis.dense else short_loop_basis(net))
         return matrices[0], (loops * loop_eval.dflow) @ loops.T
 
     @staticmethod
@@ -505,35 +510,37 @@ class TestLoopJacobian:
 
     @pytest.mark.parametrize("kind", ["gas", "water"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_pair_jacobian_is_the_dense_product_exactly_symmetric(self, seed, kind,
-                                                                    monkeypatch):
+    def test_pair_jacobian_is_the_short_dense_product_exactly_symmetric(self, seed, kind,
+                                                                          monkeypatch):
         net = perfbench_grid(11, 11, kind, seed)
         basis = select_basis(net)
-        assert basis.pair_index is not None
+        assert not basis.dense and len(short_loop_basis(net)) == len(basis)
         self.assert_pair_jacobian(*self.step_jacobian(net, basis, monkeypatch))
 
     @pytest.mark.parametrize("shape, seed", [(shape, seed) for shape in ("grid", "ring", "tree")
                                              for seed in range(3)]
                              + [("gas-fixture", None), ("water-fixture", None)])
-    def test_the_former_follows_the_pair_count(self, shape, seed, monkeypatch, request):
+    def test_the_former_follows_the_pair_count(self, shape, seed, monkeypatch, request, built):
         net = (request.getfixturevalue(shape.replace("-fixture", "_network"))
                if seed is None else perfbench_shape(shape, "gas", seed))
         basis = select_basis(net)
         counts = np.bincount(basis.member_cores, minlength=len(basis.core))
         pairs = 64 * int(counts @ counts) <= len(basis) ** 2 * len(basis.core)
-        assert pairs == (shape == "grid")
-        assert (basis.pair_index is not None) == pairs
+        assert pairs == (shape == "grid") == (not basis.dense)
         jacobian, dense = self.step_jacobian(net, basis, monkeypatch)
-        if not pairs:
+        if pairs:
+            assert built == [short_loop_basis(net)]
+        else:
             assert jacobian.tobytes() == dense.tobytes()
+            assert built == [] and "_short_basis" not in vars(net)
 
-    def test_one_build_per_basis_over_every_method(self, built):
+    def test_one_build_per_network_over_every_method(self, built):
         net = perfbench_grid(11, 11, "gas", seed=0)
         reports = [solve(net, SolverConfig(method=method)) for method in METHODS]
         reports.append(solve(net, SolverConfig(), feasible_initial_flows(net, seed=3)))
         assert [r.termination for r in reports] == ["converged", "diverged", "converged",
                                                     "converged"]
-        assert len(built) == 1 and built[0] is select_basis(net)
+        assert len(built) == 1 and built[0] is short_loop_basis(net)
         assert reports[2].iterations == reports[0].iterations
 
     def test_copies_pickles_and_replace_build_their_own(self, built):
@@ -542,74 +549,132 @@ class TestLoopJacobian:
         for duplicate in (copy.copy(net), copy.deepcopy(net), pickle.loads(pickle.dumps(net)),
                           dataclasses.replace(net)):
             assert "_derived_basis" not in vars(duplicate)
+            assert "_short_basis" not in vars(duplicate)
             assert solve(duplicate).iterations == first.iterations
-            assert built[-1] is select_basis(duplicate) is not select_basis(net)
+            assert built[-1] is short_loop_basis(duplicate) is not short_loop_basis(net)
         assert len(built) == 5
 
-    def test_explicit_and_derived_bases_each_own_theirs(self, built, monkeypatch):
+    def test_explicit_and_derived_bases_share_the_short_one(self, built, monkeypatch):
         # The grid's fundamental cycles in reverse order, as explicit loops:
-        # a scatter by the other basis's index would permute J.
+        # both bases take their step on the network's one short basis.
         grid = perfbench_grid(11, 11, "gas", seed=0)
         loops = [tuple(pid * sign for pid, sign in loop) for loop in derive_loop_basis(grid).loops]
         net = dataclasses.replace(grid, explicit_loops=loops[::-1])
         explicit, derived = adopt_explicit_loops(net), derive_loop_basis(net)
         for basis in (explicit, derived, explicit):
             self.assert_pair_jacobian(*self.step_jacobian(net, basis, monkeypatch))
-        assert list(map(id, built)) == [id(explicit), id(derived)]
-        assert explicit.pair_index[0].tobytes() != derived.pair_index[0].tobytes()
+        assert built == [short_loop_basis(net)]
+
+
+class TestBasisIndependence:
+    """The Newton correction Bᵀ(B D Bᵀ)⁻¹B g is the same on every basis of
+    the cycle space: derived loops, explicit face loops and the short basis
+    as explicit loops end alike, whether the step is taken on the short
+    basis or, forced, on each basis's own B."""
+
+    @staticmethod
+    def bases(size: int, kind: str, seed: int) -> dict[str, Network]:
+        raw = perfbench_networks().grid(size, size, kind, random.Random(seed))
+        derived = network_from_dict(raw)
+        short = [[pid * sign for pid, sign in loop]
+                 for loop in short_loop_basis(network_from_dict(raw)).loops]
+        return {"derived": derived,
+                "faces": network_from_dict({**raw, "loops": face_loops(raw, size, size)}),
+                "short": dataclasses.replace(derived, explicit_loops=short)}
+
+    @classmethod
+    def ends(cls, size: int, kind: str, seed: int) -> dict:
+        """Per basis and method, the termination, pass count and final flows:
+        node-loop from a given start up to 11 x 11, where its stacked first
+        pass is cheap, and from the network's own above."""
+        out = {}
+        for name, net in cls.bases(size, kind, seed).items():
+            start = feasible_initial_flows(net, seed=1) if size <= 11 else None
+            for method, given in ((NODE_LOOP, start), (HARDY_CROSS_IMPROVED, None)):
+                report = solve(net, SolverConfig(method=method), given)
+                out[name, method] = (report.termination, report.iteration_count,
+                                     PipeArrays.of(net).flows(report.final_flows))
+        return out
+
+    @pytest.mark.parametrize("kind", ["gas", "water"])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("size", [5, 11, 30])
+    def test_final_flows_agree_on_every_basis(self, size, seed, kind, monkeypatch):
+        runs = [self.ends(size, kind, seed)]
+        if size <= 11:
+            with monkeypatch.context() as patch:
+                forced = functools.cached_property(lambda basis: True)
+                forced.__set_name__(LoopBasis, "dense")
+                patch.setattr(LoopBasis, "dense", forced)
+                runs.append(self.ends(size, kind, seed))
+        for method in (NODE_LOOP, HARDY_CROSS_IMPROVED):
+            ends = [run[name, method] for run in runs for name in ("derived", "faces", "short")]
+            reference = ends[0][2]
+            for termination, passes, flows in ends:
+                assert (termination, passes) == ends[0][:2] and termination == "converged"
+                assert np.abs(flows - reference).max() <= 1e-9 * np.abs(reference).max()
+
+    def test_no_loop_by_loop_array_above_the_crossover(self):
+        # Every Newton step there, the linear start's too, is solved on the
+        # short basis's pattern; an L x L array would take 5.7 MB.
+        net = perfbench_grid(30, 30, "gas", seed=0)
+        size = len(select_basis(net))
+        assert not select_basis(net).dense and size >= solvers_module.BLOCK_SOLVE_LOOPS
+        peaks = []
+        tracemalloc.start()
+        try:
+            for method in (HARDY_CROSS, NODE_LOOP, HARDY_CROSS_IMPROVED):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                solve(net, SolverConfig(method=method))
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < size * size * 8
 
 
 class TestPairIndexBuild:
-    """`LoopBasis.pair_index` is built by chunks of members, to the bytes of
-    the index built at once, with a peak far below the whole-index build."""
+    """`LoopBasis.pair_index` is the nonzero pattern of B D Bᵀ, sorted and
+    deduplicated, with each pair entry's slot in it."""
 
     @staticmethod
-    def at_once(basis):
-        """The index built in one piece, through full-width `intp` arrays."""
-        cores, size, n = basis.member_cores, len(basis), len(basis.core)
-        counts = np.bincount(cores, minlength=n)
-        by_pipe = np.argsort(cores, kind="stable")
-        rows = np.repeat(np.arange(size), np.diff(basis.starts))[by_pipe]
-        signs, pipe = basis.signs[by_pipe], np.repeat(np.arange(n), counts)
-        reps = counts[pipe]
-        a = np.repeat(np.arange(len(pipe)), reps)
-        shift = np.cumsum(reps) - reps - (np.cumsum(counts) - counts)[pipe]
-        b = np.arange(len(a)) - np.repeat(shift, reps)
-        key, pick = rows[a] * size + rows[b], pipe[a] + n * (signs[a] != signs[b])
-        return (key.astype(np.min_scalar_type(-size * size)),
-                pick.astype(np.min_scalar_type(-2 * n)))
+    def entry_keys(basis):
+        """Each pair entry's key k·L + l and pick, by one Python loop over
+        the pipes, in the index's order: pipes ascending, each pipe's
+        members in loop order."""
+        holders = [[] for _ in basis.core]
+        rows = np.repeat(np.arange(len(basis)), np.diff(basis.starts))
+        for row, core, sign in zip(rows.tolist(), basis.member_cores.tolist(),
+                                   basis.signs.tolist()):
+            holders[core].append((row, sign))
+        keys, picks = [], []
+        for j, members in enumerate(holders):
+            for k, a in members:
+                for l, b in members:
+                    keys.append(k * len(basis) + l)
+                    picks.append(j + len(basis.core) * (a != b))
+        return np.array(keys), np.array(picks)
 
-    @staticmethod
-    def fresh(basis):
-        """A new basis on `basis`'s loops, with its core already derived."""
-        new = LoopBasis(basis.pipe_ids, basis.columns, basis.signs, basis.starts, basis.ends)
-        new.member_cores
-        return new
-
-    @pytest.mark.parametrize("chunk", [1, 7, topology_module.PAIR_CHUNK])
+    @pytest.mark.parametrize("kind", ["gas", "water"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_chunks_give_the_bytes_of_one_build(self, seed, chunk, monkeypatch):
-        monkeypatch.setattr(topology_module, "PAIR_CHUNK", chunk)
-        for kind in ("gas", "water"):
-            basis = self.fresh(select_basis(perfbench_grid(11, 11, kind, seed)))
-            for built, expected in zip(basis.pair_index, self.at_once(basis)):
-                assert built.dtype == expected.dtype and built.tobytes() == expected.tobytes()
-                assert not built.flags.writeable
+    def test_the_pattern_is_each_distinct_key_once_ascending(self, seed, kind):
+        basis = short_loop_basis(perfbench_grid(11, 11, kind, seed))
+        pattern, slot, pick = basis.pair_index
+        keys, picks = self.entry_keys(basis)
+        assert pattern.size == len(basis)
+        assert pattern.positions.tolist() == sorted(set(keys.tolist()))
+        assert (pattern.positions[slot] == keys).all() and (pick == picks).all()
+        loops = loop_matrix(basis)
+        assert pattern.positions.tolist() == np.flatnonzero(np.abs(loops) @ np.abs(loops).T).tolist()
+        for array in (pattern.positions, slot, pick):
+            assert not array.flags.writeable
 
-    def test_the_build_peak_is_within_three_times_the_index(self):
-        basis = self.fresh(select_basis(perfbench_grid(30, 30, "gas", 0)))
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            key, pick = basis.pair_index
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        kept = key.nbytes + pick.nbytes
-        assert kept > 3e6 and peak <= 3 * kept
-        expected = self.at_once(basis)
-        assert key.tobytes() == expected[0].tobytes() and pick.tobytes() == expected[1].tobytes()
+    def test_a_tree_has_an_empty_pattern(self, tree):
+        net, _ = tree
+        basis = short_loop_basis(net)
+        pattern, slot, pick = basis.pair_index
+        assert len(basis) == 0 and len(pattern.positions) == len(slot) == len(pick) == 0
+        assert basis.jacobian(np.zeros(0)).shape == (0, 0)
 
 
 class TestNodeLoopFixture:

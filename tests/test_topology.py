@@ -21,6 +21,7 @@ from loopflow.topology import (
     build_node_matrix,
     derive_loop_basis,
     exact_rank,
+    short_loop_basis,
 )
 
 from conftest import incident_pipes, loop_matrix, matrix_by_pipe_id, perfbench_networks
@@ -311,8 +312,66 @@ class TestDeriveLoopBasis:
             assert all(v == 0.0 for v in net_inflow.values())
 
 
+class TestShortLoopBasis:
+    """The short basis closes each link, shortest fundamental cycle first, by
+    a shortest path through the tree and the links taken before it."""
+
+    @staticmethod
+    def networks():
+        yield from (random_mesh(seed) for seed in range(50))
+        yield from (perfbench_grid(11, 11, kind, seed) for kind in ("gas", "water")
+                    for seed in range(3))
+        yield perfbench_ring("water", seed=1)
+
+    def test_triangular_with_unit_diagonal_on_its_link_columns(self):
+        for net in self.networks():
+            basis, derived = short_loop_basis(net), derive_loop_basis(net)
+            links = basis.columns[basis.starts[:-1]]
+            assert (basis.signs[basis.starts[:-1]] == 1).all()
+            assert sorted(links.tolist()) == sorted(derived.columns[derived.starts[:-1]].tolist())
+            on_links = matrix_by_pipe_id(net, basis)[:, links]
+            assert (np.diag(on_links) == 1).all() and not np.triu(on_links, 1).any()
+
+    def test_loops_are_independent_cycles_no_longer_than_the_fundamental_ones(self):
+        for net in self.networks():
+            basis, derived = short_loop_basis(net), derive_loop_basis(net)
+            # Adoption checks each loop's walk and the set's rank afresh.
+            loops = [[pid * sign for pid, sign in loop] for loop in basis.loops]
+            assert adopt_explicit_loops(dataclasses.replace(net, explicit_loops=loops)) == basis
+            fundamental = dict(zip(derived.columns[derived.starts[:-1]].tolist(),
+                                   np.diff(derived.starts).tolist()))
+            # Taken in order of their fundamental cycles' lengths.
+            closing = [fundamental[link] for link in basis.columns[basis.starts[:-1]].tolist()]
+            assert closing == sorted(closing)
+            assert (np.diff(basis.starts) <= closing).all()
+            assert basis.core.tolist() == derived.core.tolist()
+
+    @pytest.mark.parametrize("kind", ["gas", "water"])
+    def test_the_benchmark_grid_loops_shrink(self, kind):
+        # The 11 x 11 grid's loops: mean length 9.5 -> 4.22 pipes, and
+        # Σ c_j² (c_j loops hold pipe j) 8802 -> 884.
+        net = perfbench_grid(11, 11, kind, seed=0)
+        for basis, mean, squares in ((derive_loop_basis(net), 9.5, 8802),
+                                     (short_loop_basis(net), 4.22, 884)):
+            counts = np.bincount(basis.member_cores)
+            assert (np.diff(basis.starts).mean(), int(counts @ counts)) == (mean, squares)
+
+    def test_kept_by_its_network_and_shared_by_its_bases(self):
+        raw = perfbench_networks().grid(6, 6, "gas", random.Random(0))
+        net = network_from_dict({**raw, "loops": face_loops(raw, 6, 6)})
+        basis = short_loop_basis(net)
+        assert short_loop_basis(net) is basis and net._short_basis is basis
+        assert basis.core.tolist() == adopt_explicit_loops(net).core.tolist()
+        assert short_loop_basis(copy.copy(net)) is not basis
+        assert short_loop_basis(copy.copy(net)) == basis
+
+    def test_a_tree_has_none(self, tree):
+        net, _ = tree
+        assert len(short_loop_basis(net)) == 0
+
+
 class TestIndexedBasis:
-    """A basis on which the loop Jacobian is scattered by pairs keeps no B:
+    """A basis whose loop Jacobian is not the dense product keeps no B:
     its sums, corrections and |B|·D read each loop's members."""
 
     GRIDS = [(kind, seed) for kind in ("gas", "water") for seed in range(3)]
